@@ -57,10 +57,7 @@ from .channel import (
     total_channel,
 )
 from .scenario import (
-    BlockageReport,
     Scenario,
-    blockage_event,
-    blockage_report,
     candidate_relays_irs,
     candidate_relays_ris,
     count_blockers,

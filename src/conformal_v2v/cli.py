@@ -18,6 +18,7 @@ import numpy as np
 from .config import SimConfig, resolve_config
 from .experiments import (
     gain_width_deg,
+    generate_scene,
     make_sweep,
     run_angle_pdf,
     run_blockage_sweep,
@@ -31,12 +32,7 @@ from .experiments import (
 )
 from .geometry import AnglePair, build_cirs_geometry
 from .phase import optimal_phase, perpendicular_phase, preconfigured_phase
-from .scenario import (
-    blockage_report,
-    candidate_relays_irs,
-    candidate_relays_ris,
-    generate_traffic,
-)
+from .scenario import candidate_relays_irs, candidate_relays_ris, count_blockers
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -111,7 +107,7 @@ def _cmd_gain_elevation(args) -> int:
 def _cmd_gain_azimuth(args) -> int:
     config = _resolve(args)
     explicit = {o.partition("=")[0].strip() for o in args.overrides}
-    if "thetabar_deg" not in explicit:
+    if args.thetabar_deg is not None and "thetabar_deg" not in explicit:
         config = config.replace(thetabar_deg=args.thetabar_deg)
     rows = run_gain_azimuth(make_sweep("gain-azimuth", config))
     _print_gain_summary(rows, f"fixed profile at {config.thetabar_deg:g} deg, azimuth")
@@ -247,14 +243,11 @@ def _cmd_phase_dump(args) -> int:
 
 def _cmd_scenario_dump(args) -> int:
     config = _resolve(args)
-    scen = generate_traffic(
-        _road_of(config),
+    scen = generate_scene(
+        config,
         args.rho if args.rho is not None else config.rho,
+        args.r_d if args.r_d is not None else config.link_distance_m,
         config.seed,
-        link_distance_m=args.r_d if args.r_d is not None else config.link_distance_m,
-        vehicle_length_m=config.vehicle_length_m,
-        vehicle_width_m=config.vehicle_width_m,
-        vehicle_height_m=config.vehicle_height_m,
     )
     roles = {scen.txv: "txv", scen.rxv: "rxv"}
     rows = [
@@ -272,16 +265,16 @@ def _cmd_scenario_dump(args) -> int:
     ]
     irs = candidate_relays_irs(scen, config.door_length_m, config.door_center_height_m)
     ris = candidate_relays_ris(scen, config.max_range_m, config.door_center_height_m)
-    report = blockage_report(scen, ris, config.door_center_height_m)
+    direct_blockers, _ = count_blockers(scen)
     print(
         f"{len(scen.vehicles)} vehicles ({scen.dropped} dropped), "
-        f"direct blockers {report.direct_blockers}, "
+        f"direct blockers {direct_blockers}, "
         f"{len(irs)} fixed-surface candidates, {len(ris)} tunable candidates"
     )
     _finish(args, config, "scenario.csv",
             ["index", "lane", "x", "y", "length", "width", "height", "role"], rows,
             {"experiment": "scenario-dump", "dropped": scen.dropped,
-             "direct_blockers": report.direct_blockers,
+             "direct_blockers": direct_blockers,
              "irs_candidates": len(irs), "ris_candidates": len(ris)})
     return 0
 
@@ -318,16 +311,6 @@ def _cmd_geometry_dump(args) -> int:
     return 0
 
 
-def _road_of(config: SimConfig):
-    from .geometry import RoadConfig
-
-    return RoadConfig(
-        length=config.road_length_m,
-        n_lanes=config.n_lanes,
-        lane_width=config.lane_width_m,
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conformal-v2v",
@@ -345,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
         "specular elevation gain sweep: configured, flat, bare")
     p = add("gain-azimuth", _cmd_gain_azimuth,
             "specular azimuth gain sweep with the fixed profile")
-    p.add_argument("--thetabar-deg", type=float, default=60.0,
+    p.add_argument("--thetabar-deg", type=float, default=None,
                    help="design azimuth for this sweep in degrees "
-                        "(an explicit --set thetabar_deg wins)")
+                        "(default: the configured thetabar_deg; "
+                        "an explicit --set thetabar_deg wins)")
     p = add("gain-frequency", _cmd_gain_frequency,
             "elevation gain across carrier frequencies at fixed aperture")
     p.add_argument("--f-ghz", type=float, action="append", default=[],

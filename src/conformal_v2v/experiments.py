@@ -34,6 +34,7 @@ from .link import beam_power, build_codebooks, compute_snr, rescale_direct
 from .phase import PhaseProfile, optimal_phase, perpendicular_phase, preconfigured_phase
 from .scenario import (
     Scenario,
+    blocked_modes,
     candidate_relays_irs,
     candidate_relays_ris,
     count_blockers,
@@ -117,17 +118,17 @@ def _map_trials(worker, n_trials: int, threads: int) -> list:
         return list(pool.map(worker, range(n_trials), chunksize=chunk))
 
 
-def _road(config: SimConfig) -> RoadConfig:
-    return RoadConfig(
+def generate_scene(
+    config: SimConfig, rho: float, r_d: float, rng: np.random.Generator | int
+) -> Scenario:
+    """One traffic scene on the configured road and vehicles (see generate_traffic)."""
+    road = RoadConfig(
         length=config.road_length_m,
         n_lanes=config.n_lanes,
         lane_width=config.lane_width_m,
     )
-
-
-def _generate(config: SimConfig, rho: float, r_d: float, rng) -> Scenario:
     return generate_traffic(
-        _road(config),
+        road,
         rho,
         rng,
         link_distance_m=r_d,
@@ -321,30 +322,10 @@ def _blockage_trial(
     config: SimConfig, rho: float, r_d: float, seed: int, trial: int
 ) -> tuple[bool, bool, bool]:
     """(direct, with_irs, with_ris) blockage flags for one shared scene."""
-    rng = trial_rng(seed, trial)
-    scen = _generate(config, rho, r_d, rng)
-    direct_blocked = count_blockers(scen, scen.p_t, scen.p_r) >= 1
-    if not direct_blocked:
-        return False, False, False
-
-    def still_blocked(candidates) -> bool:
-        for idx, side in candidates:
-            door = door_reference_point(
-                scen.vehicles[idx], side, config.door_center_height_m
-            )
-            first = count_blockers(scen, scen.p_t, door, excluded={idx})
-            second = count_blockers(scen, door, scen.p_r, excluded={idx})
-            if first == 0 and second == 0:
-                return False
-        return True
-
-    irs = candidate_relays_irs(
-        scen, config.door_length_m, config.door_center_height_m
+    scen = generate_scene(config, rho, r_d, trial_rng(seed, trial))
+    return blocked_modes(
+        scen, config.door_length_m, config.door_center_height_m, config.max_range_m
     )
-    ris = candidate_relays_ris(
-        scen, config.max_range_m, config.door_center_height_m
-    )
-    return True, still_blocked(irs), still_blocked(ris)
 
 
 def run_blockage_sweep(
@@ -434,22 +415,24 @@ def _ranked_candidates(
     return sorted(candidates, key=key)[:cap]
 
 
-def _relay_profiles(
+def _tuned_profile(
     config: SimConfig, geom, door: np.ndarray, p_t: np.ndarray, p_r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(tuned, fixed) reflection coefficients of one door surface.
-
-    The tuned profile steers the actual TxV -> door -> RxV pair; the fixed one
-    is the factory profile for (thetabar, phibar) -> (-thetabar, phibar).
-    """
-    lam = config.wavelength_m
+) -> np.ndarray:
+    """Reflection coefficients steering the actual TxV -> door -> RxV pair."""
     ang_t = pose_local_angles(geom.pose, p_t - door)
     ang_r = pose_local_angles(geom.pose, p_r - door)
-    tuned = optimal_phase(geom, ang_t, ang_r, lam).coefficients()
-    fixed = preconfigured_phase(
-        geom, config.thetabar_rad, lam, config.phibar_rad
+    return optimal_phase(geom, ang_t, ang_r, config.wavelength_m).coefficients()
+
+
+def _fixed_profile(config: SimConfig, geom) -> np.ndarray:
+    """Factory coefficients for (thetabar, phibar) -> (-thetabar, phibar).
+
+    They depend on the element layout only, not on the door's pose, so one
+    profile serves every door of a trial.
+    """
+    return preconfigured_phase(
+        geom, config.thetabar_rad, config.wavelength_m, config.phibar_rad
     ).coefficients()
-    return tuned, fixed
 
 
 def _snr_trial(
@@ -463,16 +446,33 @@ def _snr_trial(
     received power over single-relay channels.
     """
     rng = trial_rng(seed, trial)
-    scen = _generate(config, rho, r_d, rng)
+    scen = generate_scene(config, rho, r_d, rng)
     p_t, p_r = scen.p_t, scen.p_r
     lam = config.wavelength_m
     k = config.k_antennas
+    height = config.door_center_height_m
 
-    blockers = count_blockers(scen, p_t, p_r)
+    irs = _ranked_candidates(
+        scen,
+        candidate_relays_irs(scen, config.door_length_m, height),
+        height,
+        config.max_candidates,
+    )
+    ris = _ranked_candidates(
+        scen,
+        candidate_relays_ris(scen, config.max_range_m, height),
+        height,
+        config.max_candidates,
+    )
+    # one cascade assembly and one blockage draw per distinct door, in a
+    # fixed order so the RNG stream is identical for every mode
+    relays = sorted(set(irs) | set(ris))
+    direct_blockers, legs = count_blockers(scen, relays, height)
+
     pl = sample_direct_pathloss(
         float(np.linalg.norm(p_r - p_t)),
         config.f_ghz,
-        blockers,
+        direct_blockers,
         rng,
         sigma_shadow_db=config.sigma_shadow_db,
         block_mu1_db=config.block_mu1_db,
@@ -481,29 +481,15 @@ def _snr_trial(
     )
     h_d = rescale_direct(direct_channel(p_t, p_r, k, pl.loss_db, rng, config.q_pattern), k)
 
-    irs = _ranked_candidates(
-        scen,
-        candidate_relays_irs(scen, config.door_length_m, config.door_center_height_m),
-        config.door_center_height_m,
-        config.max_candidates,
-    )
-    ris = _ranked_candidates(
-        scen,
-        candidate_relays_ris(scen, config.max_range_m, config.door_center_height_m),
-        config.door_center_height_m,
-        config.max_candidates,
-    )
-
-    # one cascade assembly and one blockage draw per distinct door, in a
-    # fixed order so the RNG stream is identical for every mode
+    # each door is scored only by the profile of the mode(s) that gated it
+    irs_doors, ris_doors = set(irs), set(ris)
+    fixed = None
     doors: dict[tuple[int, str], np.ndarray] = {}
     tuned_contrib: dict[tuple[int, str], np.ndarray] = {}
     fixed_contrib: dict[tuple[int, str], np.ndarray] = {}
-    for idx, side in sorted(set(irs) | set(ris)):
+    for (idx, side), (b_t, b_r) in zip(relays, legs):
         vehicle = scen.vehicles[idx]
-        pose = door_pose(
-            vehicle, side, config.door_length_m, config.door_center_height_m
-        )
+        pose = door_pose(vehicle, side, config.door_length_m, height)
         geom = build_cirs_geometry(
             config.m_elements,
             config.n_elements,
@@ -523,9 +509,6 @@ def _snr_trial(
             array_spacing_m=config.array_spacing_m,
             amp_scale=config.cascade_amp_scale,
         )
-        door = door_reference_point(vehicle, side, config.door_center_height_m)
-        b_t = count_blockers(scen, p_t, door, excluded={idx})
-        b_r = count_blockers(scen, door, p_r, excluded={idx})
         att_t = sample_blockage_db(
             b_t, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
         )
@@ -535,10 +518,15 @@ def _snr_trial(
         h_tc = h_tc * 10.0 ** (-att_t / 20.0)
         h_cr = h_cr * 10.0 ** (-att_r / 20.0)
 
-        tuned, fixed = _relay_profiles(config, geom, door, p_t, p_r)
+        door = door_reference_point(vehicle, side, height)
         doors[(idx, side)] = door
-        tuned_contrib[(idx, side)] = h_cr @ (tuned[:, None] * h_tc)
-        fixed_contrib[(idx, side)] = h_cr @ (fixed[:, None] * h_tc)
+        if (idx, side) in ris_doors:
+            tuned = _tuned_profile(config, geom, door, p_t, p_r)
+            tuned_contrib[(idx, side)] = h_cr @ (tuned[:, None] * h_tc)
+        if (idx, side) in irs_doors:
+            if fixed is None:
+                fixed = _fixed_profile(config, geom)
+            fixed_contrib[(idx, side)] = h_cr @ (fixed[:, None] * h_tc)
 
     codebook = build_codebooks(
         p_t,
@@ -635,7 +623,7 @@ def _angle_trial(
 ) -> tuple[list[float], list[float]]:
     """Door-frame incidence elevations/azimuths (deg) over one scene."""
     rng = trial_rng(seed, trial)
-    scen = _generate(config, rho, r_d, rng)
+    scen = generate_scene(config, rho, r_d, rng)
     elev: list[float] = []
     azim: list[float] = []
     for idx, side in candidate_relays_ris(

@@ -1,20 +1,21 @@
-"""Random highway scenes: Poisson traffic, blockage tests, relay candidates.
+"""Random highway scenes: Poisson traffic, relay candidates, blockage.
 
 Scenes are plan-view snapshots: every vehicle is an axis-aligned box on a
 lane, the two link endpoints (TxV, RxV) sit in the center lane, and blockage
 of a path is a 2D segment-vs-footprint intersection test (all roofs share
 the same height, so a same-height ray is blocked exactly by the boxes its
-plan-view projection crosses).
+plan-view projection crosses).  ``count_blockers`` is the one place that
+test is made; ``blocked_modes`` turns its counts into per-mode outcomes.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DoorPose, RoadConfig, SpecularArea, Vehicle, specular_area
+from .geometry import DoorPose, RoadConfig, Vehicle, specular_area
 
 Candidate = tuple[int, str]  # (vehicle index, door side)
 
@@ -50,20 +51,6 @@ class Scenario:
     @property
     def p_r(self) -> np.ndarray:
         return self.rxv_vehicle.array_position()
-
-
-@dataclass(frozen=True)
-class BlockageReport:
-    """Blocker counts for the direct path and each candidate's two segments."""
-
-    direct_blockers: int
-    candidate_blockers: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        if self.direct_blockers < 0 or any(
-            a < 0 or b < 0 for a, b in self.candidate_blockers
-        ):
-            raise ValueError("blocker counts must be >= 0")
 
 
 def generate_traffic(
@@ -130,58 +117,6 @@ def generate_traffic(
     return Scenario(
         road=road, vehicles=tuple(vehicles), txv=0, rxv=1, seed=seed, dropped=dropped
     )
-
-
-def _segment_hits_boxes(
-    p: np.ndarray, q: np.ndarray, boxes: np.ndarray, eps: float = 1e-12
-) -> np.ndarray:
-    """Open-segment vs axis-aligned rectangle intersection (plan view).
-
-    ``boxes`` is (V, 4) of (xmin, xmax, ymin, ymax); returns a boolean mask.
-    Slab clipping: the segment crosses a box iff the parameter interval
-    [tmin, tmax] over both axes is non-empty and overlaps the open (0, 1).
-    """
-    if boxes.size == 0:
-        return np.zeros(0, dtype=bool)
-    p2, q2 = np.asarray(p, dtype=float)[:2], np.asarray(q, dtype=float)[:2]
-    d = q2 - p2
-    tmin = np.zeros(len(boxes))
-    tmax = np.ones(len(boxes))
-    ok = np.ones(len(boxes), dtype=bool)
-    for axis in range(2):
-        lo, hi = boxes[:, 2 * axis], boxes[:, 2 * axis + 1]
-        if abs(d[axis]) < eps:
-            ok &= (p2[axis] >= lo) & (p2[axis] <= hi)
-        else:
-            t1 = (lo - p2[axis]) / d[axis]
-            t2 = (hi - p2[axis]) / d[axis]
-            t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
-            tmin = np.maximum(tmin, t_lo)
-            tmax = np.minimum(tmax, t_hi)
-    return ok & (tmin <= tmax) & (tmax > eps) & (tmin < 1.0 - eps)
-
-
-def count_blockers(
-    scenario: Scenario,
-    frm: np.ndarray,
-    to: np.ndarray,
-    excluded: frozenset[int] | set[int] | tuple[int, ...] = (),
-) -> int:
-    """Vehicles whose footprint crosses the open plan-view segment frm->to.
-
-    The TxV and RxV are always excluded, plus any indices in ``excluded``
-    (e.g. the relay vehicle for its own segments).
-    """
-    p = np.asarray(frm, dtype=float)
-    q = np.asarray(to, dtype=float)
-    if np.allclose(p[:2], q[:2]):
-        raise ValueError("segment endpoints must be distinct in plan view")
-    skip = {scenario.txv, scenario.rxv, *excluded}
-    idx = [i for i in range(len(scenario.vehicles)) if i not in skip]
-    if not idx:
-        return 0
-    boxes = np.array([scenario.vehicles[i].footprint for i in idx])
-    return int(np.count_nonzero(_segment_hits_boxes(p, q, boxes)))
 
 
 def door_reference_point(vehicle: Vehicle, side: str, door_center_height: float) -> np.ndarray:
@@ -261,47 +196,93 @@ def candidate_relays_ris(
     return out
 
 
-def blockage_report(
+def _segments_hit_boxes(
+    starts: np.ndarray, ends: np.ndarray, boxes: np.ndarray, eps: float = 1e-12
+) -> np.ndarray:
+    """(S, V) mask of open plan-view segments crossing axis-aligned rectangles.
+
+    ``starts`` and ``ends`` are (S, 2); ``boxes`` is (V, 4) of (xmin, xmax,
+    ymin, ymax).  Slab clipping: a segment crosses a box iff the parameter
+    interval [tmin, tmax] over both axes is non-empty and overlaps the open
+    (0, 1).  Along an axis the segment does not move on, it must start inside
+    the slab instead.
+    """
+    d = ends - starts
+    tmin = np.zeros((len(starts), len(boxes)))
+    tmax = np.ones_like(tmin)
+    ok = np.ones(tmin.shape, dtype=bool)
+    for axis in range(2):
+        lo, hi = boxes[:, 2 * axis], boxes[:, 2 * axis + 1]
+        p, step = starts[:, axis, None], d[:, axis, None]
+        still = np.abs(step) < eps
+        ok &= ~still | ((p >= lo) & (p <= hi))
+        step = np.where(still, 1.0, step)
+        t1 = (lo - p) / step
+        t2 = (hi - p) / step
+        tmin = np.where(still, tmin, np.maximum(tmin, np.minimum(t1, t2)))
+        tmax = np.where(still, tmax, np.minimum(tmax, np.maximum(t1, t2)))
+    return ok & (tmin <= tmax) & (tmax > eps) & (tmin < 1.0 - eps)
+
+
+def count_blockers(
     scenario: Scenario,
-    candidates: list[Candidate],
+    doors: Sequence[Candidate] = (),
     door_center_height: float = 0.9,
-) -> BlockageReport:
-    """Blocker counts for the direct path and both segments of each candidate."""
-    direct = count_blockers(scenario, scenario.p_t, scenario.p_r)
-    per_candidate = []
-    for idx, side in candidates:
-        door = door_reference_point(scenario.vehicles[idx], side, door_center_height)
-        first = count_blockers(scenario, scenario.p_t, door, excluded={idx})
-        second = count_blockers(scenario, door, scenario.p_r, excluded={idx})
-        per_candidate.append((first, second))
-    return BlockageReport(
-        direct_blockers=direct, candidate_blockers=tuple(per_candidate)
-    )
+) -> tuple[int, np.ndarray]:
+    """Blocker counts of the direct ray and of both relay legs of every door.
+
+    This is the one blockage rule.  The segments are the direct ray TxV->RxV,
+    then TxV->door and door->RxV for each door in order, each between the
+    roof array and the door reference point in plan view.  A vehicle blocks
+    a segment when its footprint crosses the open segment; the TxV and RxV
+    never count, and neither does a door's own vehicle on its two legs.
+
+    Returns (direct count, (C, 2) int array of (first, second) leg counts).
+    """
+    doors = list(doors)
+    n_seg = 1 + 2 * len(doors)
+    starts = np.empty((n_seg, 2))
+    ends = np.empty((n_seg, 2))
+    starts[0], ends[0] = scenario.p_t[:2], scenario.p_r[:2]
+    if doors:
+        points = np.array([
+            door_reference_point(scenario.vehicles[idx], side, door_center_height)[:2]
+            for idx, side in doors
+        ])
+        starts[1::2], ends[1::2] = scenario.p_t[:2], points
+        starts[2::2], ends[2::2] = points, scenario.p_r[:2]
+    if np.any(np.all(np.isclose(starts, ends), axis=1)):
+        raise ValueError("segment endpoints must be distinct in plan view")
+
+    boxes = np.array([v.footprint for v in scenario.vehicles])
+    hits = _segments_hit_boxes(starts, ends, boxes)
+    hits[:, [scenario.txv, scenario.rxv]] = False
+    relays = np.repeat(np.array([idx for idx, _ in doors], dtype=int), 2)
+    hits[np.arange(1, n_seg), relays] = False
+    counts = np.count_nonzero(hits, axis=1)
+    return int(counts[0]), counts[1:].reshape(-1, 2)
 
 
-def blockage_event(
+def blocked_modes(
     scenario: Scenario,
-    mode: str,
     door_length_m: float = 1.0,
     door_center_height: float = 0.9,
     max_range_m: float = 150.0,
-) -> bool:
-    """Whether the link counts as blocked under the given relaying mode.
+) -> tuple[bool, bool, bool]:
+    """Whether the link is blocked under each mode: (direct, with_irs, with_ris).
 
-    direct: any blocker on the TxV-RxV segment.  with_irs / with_ris: the
-    direct path is blocked AND every candidate door (specular-area doors for
-    with_irs, any in-range door for with_ris) has a blocker on at least one
-    of its two segments, or there is no candidate at all.
+    direct: any blocker on the TxV-RxV ray.  with_irs / with_ris: the direct
+    ray is blocked AND no door of the mode (specular-area doors for with_irs,
+    any in-range door for with_ris) has both legs clear; a mode without doors
+    stays blocked.  Every gated door counts here, while SNR trials keep only
+    the max_candidates doors with the smallest r_t * r_r per mode.
     """
-    if mode not in ("direct", "with_irs", "with_ris"):
-        raise ValueError(f"unknown blockage mode {mode!r}")
-    direct_blocked = count_blockers(scenario, scenario.p_t, scenario.p_r) >= 1
-    if mode == "direct" or not direct_blocked:
-        return direct_blocked
-    if mode == "with_irs":
-        candidates = candidate_relays_irs(scenario, door_length_m, door_center_height)
-    else:
-        candidates = candidate_relays_ris(scenario, max_range_m, door_center_height)
-    report = blockage_report(scenario, candidates, door_center_height)
-    # all() over an empty tuple is True: no candidate doors means still blocked
-    return all(first + second > 0 for first, second in report.candidate_blockers)
+    direct, _ = count_blockers(scenario)
+    if direct == 0:
+        return False, False, False
+    irs = candidate_relays_irs(scenario, door_length_m, door_center_height)
+    ris = candidate_relays_ris(scenario, max_range_m, door_center_height)
+    doors = sorted(set(irs) | set(ris))
+    _, legs = count_blockers(scenario, doors, door_center_height)
+    clear = {door for door, (first, second) in zip(doors, legs) if first == second == 0}
+    return True, clear.isdisjoint(irs), clear.isdisjoint(ris)

@@ -185,6 +185,21 @@ def test_gain_azimuth_design_angle_flag_yields_to_explicit_override(tmp_path):
     assert both_cfg["config"]["thetabar_deg"] == 30.0
 
 
+def test_gain_azimuth_keeps_a_configured_design_angle(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"thetabar_deg": 30.0}))
+    base = ["gain-azimuth", "--config", str(cfg_path), "--set", "f_ghz=1"]
+
+    def design_angle(name, *extra):
+        assert main(base + ["--out-dir", str(tmp_path / name), *extra]) == 0
+        sidecar = json.loads((tmp_path / name / "gain_azimuth.json").read_text())
+        return sidecar["config"]["thetabar_deg"]
+
+    assert design_angle("file") == 30.0
+    assert design_angle("flag", "--thetabar-deg", "45") == 45.0
+    assert design_angle("set", "--thetabar-deg", "45", "--set", "thetabar_deg=20") == 20.0
+
+
 def test_config_file_feeds_the_run(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"m_elements": 6, "n_elements": 2}))

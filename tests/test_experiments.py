@@ -16,8 +16,9 @@ from conformal_v2v.experiments import (
     EcdfResult,
     SweepSpec,
     _blockage_trial,
+    _fixed_profile,
     _map_trials,
-    _relay_profiles,
+    _tuned_profile,
     bootstrap_median_ci,
     element_counts_for_area,
     format_cell,
@@ -225,7 +226,8 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         array_spacing_m=cfg.array_spacing_m, amp_scale=cfg.cascade_amp_scale,
     )
     entry = build_codebooks(p_t, p_r, [("relay", door)], cfg.k_antennas).entries[1]
-    tuned, fixed = _relay_profiles(cfg, geom, door, p_t, p_r)
+    tuned = _tuned_profile(cfg, geom, door, p_t, p_r)
+    fixed = _fixed_profile(cfg, geom)
     p_tuned = beam_power(h_cr @ (tuned[:, None] * h_tc), entry.f, entry.w)
     p_fixed = beam_power(h_cr @ (fixed[:, None] * h_tc), entry.f, entry.w)
     shortfall_db = 10.0 * math.log10(p_tuned / p_fixed)

@@ -2,21 +2,79 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_v2v.geometry import RoadConfig, Vehicle
 from conformal_v2v.scenario import (
-    BlockageReport,
     Scenario,
-    blockage_event,
-    blockage_report,
+    blocked_modes,
     candidate_relays_irs,
     candidate_relays_ris,
     count_blockers,
     door_pose,
+    door_reference_point,
     generate_traffic,
 )
 
 ROAD = RoadConfig()
+
+
+# --- reference blockage rule: one segment at a time --------------------------
+
+
+def reference_hits(p, q, boxes, eps=1e-12):
+    """Open-segment vs axis-aligned rectangle intersection (plan view).
+
+    ``boxes`` is (V, 4) of (xmin, xmax, ymin, ymax); returns a boolean mask.
+    Slab clipping: the segment crosses a box iff the parameter interval
+    [tmin, tmax] over both axes is non-empty and overlaps the open (0, 1).
+    """
+    if boxes.size == 0:
+        return np.zeros(0, dtype=bool)
+    p2, q2 = np.asarray(p, dtype=float)[:2], np.asarray(q, dtype=float)[:2]
+    d = q2 - p2
+    tmin = np.zeros(len(boxes))
+    tmax = np.ones(len(boxes))
+    ok = np.ones(len(boxes), dtype=bool)
+    for axis in range(2):
+        lo, hi = boxes[:, 2 * axis], boxes[:, 2 * axis + 1]
+        if abs(d[axis]) < eps:
+            ok &= (p2[axis] >= lo) & (p2[axis] <= hi)
+        else:
+            t1 = (lo - p2[axis]) / d[axis]
+            t2 = (hi - p2[axis]) / d[axis]
+            t_lo, t_hi = np.minimum(t1, t2), np.maximum(t1, t2)
+            tmin = np.maximum(tmin, t_lo)
+            tmax = np.minimum(tmax, t_hi)
+    return ok & (tmin <= tmax) & (tmax > eps) & (tmin < 1.0 - eps)
+
+
+def reference_segment_count(scenario, frm, to, excluded=()):
+    """Vehicles other than TxV, RxV and ``excluded`` crossing the segment frm->to."""
+    p = np.asarray(frm, dtype=float)
+    q = np.asarray(to, dtype=float)
+    if np.allclose(p[:2], q[:2]):
+        raise ValueError("segment endpoints must be distinct in plan view")
+    skip = {scenario.txv, scenario.rxv, *excluded}
+    idx = [i for i in range(len(scenario.vehicles)) if i not in skip]
+    if not idx:
+        return 0
+    boxes = np.array([scenario.vehicles[i].footprint for i in idx])
+    return int(np.count_nonzero(reference_hits(p, q, boxes)))
+
+
+def reference_counts(scenario, doors, door_center_height=0.9):
+    """(direct, legs) of count_blockers, one segment and one door at a time."""
+    direct = reference_segment_count(scenario, scenario.p_t, scenario.p_r)
+    legs = []
+    for idx, side in doors:
+        door = door_reference_point(scenario.vehicles[idx], side, door_center_height)
+        legs.append((
+            reference_segment_count(scenario, scenario.p_t, door, excluded={idx}),
+            reference_segment_count(scenario, door, scenario.p_r, excluded={idx}),
+        ))
+    return direct, legs
 
 
 def scene(*extra: Vehicle, link_m: float = 100.0) -> Scenario:
@@ -79,33 +137,79 @@ def test_scenario_rejects_degenerate_endpoint_indices():
 
 def test_a_same_lane_car_between_the_endpoints_blocks():
     s = scene(Vehicle(x=0.0, y=50.0, lane=2))
-    assert count_blockers(s, s.p_t, s.p_r) == 1
+    direct, legs = count_blockers(s)
+    assert direct == 1
+    assert legs.shape == (0, 2)
 
 
 def test_an_adjacent_lane_car_beside_the_path_does_not_block():
     s = scene(Vehicle(x=5.0, y=50.0, lane=3))
-    assert count_blockers(s, s.p_t, s.p_r) == 0
+    assert count_blockers(s)[0] == 0
 
 
 def test_excluded_vehicles_are_ignored_when_counting():
-    s = scene(Vehicle(x=0.0, y=50.0, lane=2))
-    assert count_blockers(s, s.p_t, s.p_r, excluded={2}) == 0
+    # the car at (2.5, 27.5) straddles both legs of its own right door and
+    # the first leg of the other car's left door at (5.0, 52.5); only the
+    # other door's leg counts it.  The endpoints' own boxes never count.
+    near = Vehicle(x=2.5, y=27.5, lane=2)
+    far = Vehicle(x=5.9, y=52.5, lane=3)
+    s = scene(near, far)
+    direct, legs = count_blockers(s, [(2, "right"), (3, "left")])
+    assert direct == 0
+    assert legs.tolist() == [[0, 0], [1, 0]]
 
 
 def test_a_diagonal_segment_sees_the_blocker_it_crosses():
-    # Tx->door ray (0, 2.5) -> (5, 52.5) passes x = 2.5 at y = 27.5;
-    # door->Rx ray (5, 52.5) -> (0, 102.5) passes it at y = 77.5.
-    s = scene(Vehicle(x=2.5, y=27.5, lane=2), Vehicle(x=2.5, y=77.5, lane=2))
-    door = np.array([5.0, 52.5, 0.9])
-    assert count_blockers(s, s.p_t, door) == 1
-    assert count_blockers(s, door, s.p_r) == 1
-    assert count_blockers(s, s.p_t, s.p_r) == 0
+    # the relay's left door sits at (5.0, 52.5): the Tx->door ray
+    # (0, 2.5) -> (5, 52.5) passes x = 2.5 at y = 27.5, and the door->Rx ray
+    # (5, 52.5) -> (0, 102.5) passes it at y = 77.5.
+    relay = Vehicle(x=5.9, y=52.5, lane=3)
+    s = scene(Vehicle(x=2.5, y=27.5, lane=2), Vehicle(x=2.5, y=77.5, lane=2), relay)
+    direct, legs = count_blockers(s, [(4, "left")])
+    assert direct == 0
+    assert legs.tolist() == [[1, 1]]
 
 
 def test_count_blockers_rejects_coincident_plan_view_points():
-    s = scene()
+    txv = Vehicle(x=0.0, y=2.5, lane=2)
+    above = Vehicle(x=0.0, y=2.5, height=3.0, lane=2)
     with pytest.raises(ValueError):
-        count_blockers(s, s.p_t, s.p_t + np.array([0.0, 0.0, 1.0]))
+        count_blockers(Scenario(road=ROAD, vehicles=(txv, above), txv=0, rxv=1))
+    # a left door at x = 0.0, level with the transmitter
+    s = scene(Vehicle(x=0.9, y=2.5, lane=2))
+    with pytest.raises(ValueError):
+        count_blockers(s, [(2, "left")])
+
+
+# x on a 0.9 m grid puts door points on lane centers and box edges on door
+# points; y on a 2.5 m grid puts doors level with an endpoint (legs along x)
+# and box ends on the endpoints.
+grid_vehicles = st.lists(
+    st.builds(
+        Vehicle,
+        x=st.integers(-10, 10).map(lambda i: 0.9 * i),
+        y=st.integers(0, 44).map(lambda i: 2.5 * i),
+    ),
+    max_size=12,
+)
+
+
+@given(grid_vehicles, st.data())
+@settings(max_examples=200, deadline=None)
+def test_count_blockers_matches_the_per_segment_reference(vehicles, data):
+    s = scene(*vehicles)
+    all_doors = [(i, side) for i in range(2, len(s.vehicles)) for side in ("left", "right")]
+    doors = data.draw(st.lists(st.sampled_from(all_doors), unique=True) if all_doors
+                      else st.just([]))
+    try:
+        expected = reference_counts(s, doors)
+    except ValueError:
+        with pytest.raises(ValueError):
+            count_blockers(s, doors)
+        return
+    direct, legs = count_blockers(s, doors)
+    assert direct == expected[0]
+    assert legs.tolist() == [list(pair) for pair in expected[1]]
 
 
 def test_relay_doors_must_face_both_endpoints():
@@ -145,45 +249,28 @@ def test_door_pose_centers_the_surface_on_the_vehicle():
     assert right.side == "right" and left.side == "left"
 
 
-def test_blockage_report_ignores_the_relay_itself():
+def test_count_blockers_ignores_the_relay_itself():
     relay = Vehicle(x=5.0, y=52.5, lane=3)
     blocker = Vehicle(x=0.0, y=50.0, lane=2)
     s = scene(relay, blocker)
-    report = blockage_report(s, [(2, "left")])
-    assert report.direct_blockers == 1
+    direct, legs = count_blockers(s, [(2, "left")])
+    assert direct == 1
     # both relay segments clear: the relay's own body does not self-block
-    assert report.candidate_blockers == ((0, 0),)
-    with pytest.raises(ValueError):
-        BlockageReport(direct_blockers=-1)
+    assert legs.tolist() == [[0, 0]]
 
 
-def test_blockage_event_modes_on_crafted_scenes():
-    clear = scene()
-    assert not blockage_event(clear, "direct")
-    assert not blockage_event(clear, "with_irs")
-    assert not blockage_event(clear, "with_ris")
+def test_blocked_modes_on_crafted_scenes():
+    assert blocked_modes(scene()) == (False, False, False)
 
     blocker = Vehicle(x=0.0, y=50.0, lane=2)
     relay = Vehicle(x=5.0, y=52.5, lane=3)
 
-    no_candidates = scene(blocker)
-    assert blockage_event(no_candidates, "direct")
-    assert blockage_event(no_candidates, "with_irs")
-    assert blockage_event(no_candidates, "with_ris")
-
-    rescued = scene(blocker, relay)
-    assert blockage_event(rescued, "direct")
-    assert not blockage_event(rescued, "with_irs")
-    assert not blockage_event(rescued, "with_ris")
+    assert blocked_modes(scene(blocker)) == (True, True, True)  # no candidates
+    assert blocked_modes(scene(blocker, relay)) == (True, False, False)
 
     # relay far from the specular strip helps only the tunable mode
     distant_relay = Vehicle(x=5.0, y=20.0, lane=3)
-    partial = scene(blocker, distant_relay)
-    assert blockage_event(partial, "with_irs")
-    assert not blockage_event(partial, "with_ris")
-
-    with pytest.raises(ValueError):
-        blockage_event(clear, "hybrid")
+    assert blocked_modes(scene(blocker, distant_relay)) == (True, True, False)
 
 
 def test_a_blocked_relay_segment_defeats_the_rescue():
@@ -192,4 +279,4 @@ def test_a_blocked_relay_segment_defeats_the_rescue():
     # parked across the relay's second segment (door -> receiver)
     second_leg = Vehicle(x=2.5, y=80.0, lane=2, width=4.0)
     s = scene(blocker, relay, second_leg)
-    assert blockage_event(s, "with_ris")
+    assert blocked_modes(s) == (True, True, True)
