@@ -489,7 +489,9 @@ def _snr_trial(
     fixed_contrib: dict[tuple[int, str], np.ndarray] = {}
     for (idx, side), (b_t, b_r) in zip(relays, legs):
         vehicle = scen.vehicles[idx]
-        pose = door_pose(vehicle, side, config.door_length_m, height)
+        pose = door_pose(
+            vehicle, side, config.n_elements, config.element_spacing_m, height
+        )
         geom = build_cirs_geometry(
             config.m_elements,
             config.n_elements,
@@ -631,7 +633,11 @@ def _angle_trial(
     ):
         vehicle = scen.vehicles[idx]
         pose = door_pose(
-            vehicle, side, config.door_length_m, config.door_center_height_m
+            vehicle,
+            side,
+            config.n_elements,
+            config.element_spacing_m,
+            config.door_center_height_m,
         )
         door = door_reference_point(vehicle, side, config.door_center_height_m)
         ang = pose_local_angles(pose, scen.p_t - door)

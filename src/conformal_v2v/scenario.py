@@ -125,16 +125,21 @@ def door_reference_point(vehicle: Vehicle, side: str, door_center_height: float)
 
 
 def door_pose(
-    vehicle: Vehicle, side: str, door_length_m: float, door_center_height: float
+    vehicle: Vehicle,
+    side: str,
+    n_elements: int,
+    element_spacing_m: float,
+    door_center_height: float,
 ) -> DoorPose:
     """Mounting pose for the door surface of ``vehicle`` on ``side``.
 
-    The pose origin is the surface reference element; the surface extends
-    door_length_m along the vehicle from there, so the origin is shifted
-    half a door back to center the surface on the vehicle.
+    The pose origin is the surface reference element (column n = 0); the
+    columns extend (n_elements - 1) * element_spacing_m along the vehicle
+    from there, so the origin is shifted back by half that extent to center
+    the surface on the door reference point.
     """
     center = vehicle.door_center(side, door_center_height)
-    offset = door_length_m / 2.0
+    offset = (n_elements - 1) * element_spacing_m / 2.0
     shift = -offset if side == "right" else offset
     position = center + np.array([0.0, shift, 0.0])
     return DoorPose(position=position, side=side, yaw=0.0)

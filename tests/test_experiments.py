@@ -214,7 +214,9 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         (2, "left")
     ]
 
-    pose = door_pose(relay, "left", cfg.door_length_m, cfg.door_center_height_m)
+    pose = door_pose(
+        relay, "left", cfg.n_elements, cfg.element_spacing_m, cfg.door_center_height_m
+    )
     geom = build_cirs_geometry(
         cfg.m_elements, cfg.n_elements, radius,
         cfg.element_spacing_m, cfg.element_spacing_m, pose,

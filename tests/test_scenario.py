@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_v2v.geometry import RoadConfig, Vehicle
+from conformal_v2v.config import SimConfig
+from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
     Scenario,
     blocked_modes,
@@ -240,13 +241,22 @@ def test_range_gates_tunable_relay_candidates():
 
 
 def test_door_pose_centers_the_surface_on_the_vehicle():
+    # the element centroid sits on the door point in plan view.  Across the
+    # road only a flat surface is checked: a curved one sags into the door by
+    # its shape, whatever its placement.
     v = Vehicle(x=5.0, y=52.5, lane=3)
-    right = door_pose(v, "right", door_length_m=1.0, door_center_height=0.9)
-    left = door_pose(v, "left", door_length_m=1.0, door_center_height=0.9)
-    # surface extends along +y for a right door, along -y for a left door
-    assert right.position == pytest.approx([5.9, 52.0, 0.9])
-    assert left.position == pytest.approx([4.1, 53.0, 0.9])
-    assert right.side == "right" and left.side == "left"
+    spacing = SimConfig().element_spacing_m
+    for n_elements in (100, 400):
+        for side in ("left", "right"):
+            pose = door_pose(v, side, n_elements, spacing, door_center_height=0.9)
+            assert pose.side == side
+            door = door_reference_point(v, side, 0.9)
+            for radius in (2.0, 1e9):
+                geom = build_cirs_geometry(4, n_elements, radius, spacing, spacing, pose)
+                centroid = geom.flat_positions.mean(axis=0)
+                assert centroid[1] == pytest.approx(door[1], abs=1e-9)
+                if radius > 2.0:
+                    assert centroid[0] == pytest.approx(door[0], abs=1e-9)
 
 
 def test_count_blockers_ignores_the_relay_itself():
