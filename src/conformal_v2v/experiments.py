@@ -633,10 +633,7 @@ def _angle_trial(
     ):
         vehicle = scen.vehicles[idx]
         pose = door_pose(
-            vehicle,
-            side,
-            config.n_elements,
-            config.element_spacing_m,
+            vehicle, side, config.n_elements, config.element_spacing_m,
             config.door_center_height_m,
         )
         door = door_reference_point(vehicle, side, config.door_center_height_m)
