@@ -26,13 +26,9 @@ from .phase import (
     PHASE_SIGN,
     PhaseProfile,
     Wavevector,
-    azimuth_phase,
-    elevation_phase,
     incident_wavevector,
     is_evanescent,
     optimal_phase,
-    perpendicular_phase,
-    planar_phase,
     preconfigured_phase,
     reflected_elevation,
     reflected_wavevector,
@@ -50,8 +46,6 @@ from .channel import (
     element_pattern,
     endpoint_pattern,
     mean_pathloss_db,
-    normalized_gain,
-    reflection_matrix,
     sample_blockage_db,
     sample_direct_pathloss,
     total_channel,

@@ -274,15 +274,6 @@ def cascaded_channels(
     return h_tc, h_cr
 
 
-def reflection_matrix(profile: PhaseProfile) -> np.ndarray:
-    """Diagonal of the reflection matrix as a flat complex vector (MN,).
-
-    The diagonal never materializes as a dense matrix: 400x400-element
-    surfaces would need an (MN)^2 array.  Apply it as phi[:, None] * H_tc.
-    """
-    return profile.coefficients()
-
-
 def total_channel(
     h_d: np.ndarray,
     relays: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
@@ -308,31 +299,6 @@ def total_channel(
 # --- normalized angular gains ----------------------------------------------
 
 
-def _plane_wave_vectors(
-    geometry: CirsGeometry,
-    incidence: AnglePair,
-    reflection: AnglePair,
-    wavelength: float,
-    q: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Single-antenna far-field segment vectors (t, c) in the door frame.
-
-    Plane-wave limit of the spherical phasor: exp(-j 2 pi r / lambda) ->
-    common factor times exp(+j (2 pi / lambda) d_hat . p) for unit direction
-    d_hat toward the far endpoint.
-    """
-    pos = geometry.flat_positions_local
-    normals = np.repeat(geometry.normals_local, geometry.n_count, axis=0)
-    k0 = TWO_PI / wavelength
-
-    def vec(angles: AnglePair) -> np.ndarray:
-        d = angles.direction()
-        rho = pattern_from_cosine(normals @ d, q)
-        return rho * np.exp(1j * k0 * (pos @ d))
-
-    return vec(incidence), vec(reflection)
-
-
 def normalized_gain(
     geometry: CirsGeometry,
     profile: PhaseProfile,
@@ -343,20 +309,40 @@ def normalized_gain(
 ) -> float:
     """Path-loss-free cascade gain |sum_l c_l phi_l t_l|^2, normalized, in dB.
 
-    The three factors are Frobenius-normalized, so the result only reflects
+    t and c are the single-antenna far-field segment vectors toward the
+    incidence and reflection directions d (the plane-wave limit of the
+    spherical phasor: rho(n_l . d) exp(+j (2 pi / lambda) d . p_l)).  The
+    three factors are Frobenius-normalized, so the result only reflects
     phase alignment and pattern rolloff, not absolute link budget; 0 dB is
     a fully coherent lossless surface with flat patterns.
+
+    Element (m, n) sits at row m's position plus y_n along the door-frame y
+    axis, its normal depends on m only, and the profile phase is
+    row_m + col_n.  So every factor is a row vector times a unit-modulus
+    column vector, and the sum and the three norms are products of an
+    M-sum and an N-sum: O(M + N) work per angle pair.
     """
-    t, c = _plane_wave_vectors(geometry, incidence, reflection, wavelength, q)
-    phi = profile.coefficients()
-    if phi.shape != t.shape:
-        raise ValueError(f"profile size {phi.shape} vs geometry {t.shape}")
-    nt = np.linalg.norm(t)
-    nc = np.linalg.norm(c)
-    nphi = np.linalg.norm(phi)
-    if nt == 0 or nc == 0 or nphi == 0:
+    m_count, n_count = profile.shape
+    if (m_count, n_count) != (geometry.m_count, geometry.n_count):
+        raise ValueError(
+            f"profile shape {profile.shape} vs geometry "
+            f"{(geometry.m_count, geometry.n_count)}"
+        )
+    d_i, d_o = incidence.direction(), reflection.direction()
+    slope = (TWO_PI / wavelength) * (d_i + d_o)
+    rho_i = pattern_from_cosine(geometry.normals_local @ d_i, q)
+    rho_o = pattern_from_cosine(geometry.normals_local @ d_o, q)
+    row_sum = np.sum(
+        rho_i * rho_o * np.exp(1j * (geometry.row_positions_local @ slope + profile.row_raw))
+    )
+    col_sum = np.sum(
+        np.exp(1j * (geometry.column_offsets_local * slope[1] + profile.col_raw))
+    )
+    # |t|^2 = N sum_m rho_i^2, |c|^2 = N sum_m rho_o^2 and |phi|^2 = M N
+    norms = float(np.sum(rho_i**2) * np.sum(rho_o**2)) * n_count**3 * m_count
+    if norms == 0:
         return -math.inf
-    coherent = abs(np.sum(c * phi * t)) ** 2 / (nt**2 * nc**2 * nphi**2)
+    coherent = abs(row_sum) ** 2 * abs(col_sum) ** 2 / norms
     if coherent == 0:
         return -math.inf
     return 10.0 * math.log10(coherent)

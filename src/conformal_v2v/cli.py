@@ -31,7 +31,7 @@ from .experiments import (
     write_sidecar,
 )
 from .geometry import AnglePair, build_cirs_geometry
-from .phase import optimal_phase, perpendicular_phase, preconfigured_phase
+from .phase import optimal_phase, preconfigured_phase
 from .scenario import candidate_relays_irs, candidate_relays_ris, count_blockers
 
 
@@ -213,7 +213,7 @@ def _cmd_phase_dump(args) -> int:
     )
     lam = config.wavelength_m
     if args.profile == "perpendicular":
-        profile = perpendicular_phase(geometry, lam)
+        profile = preconfigured_phase(geometry, 0.0, lam)
     elif args.profile == "preconfigured":
         profile = preconfigured_phase(
             geometry, config.thetabar_rad, lam, config.phibar_rad

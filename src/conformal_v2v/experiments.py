@@ -13,8 +13,9 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .channel import (
 from .config import SimConfig
 from .geometry import RoadConfig, build_cirs_geometry, pose_local_angles
 from .link import beam_power, build_codebooks, compute_snr, rescale_direct
-from .phase import PhaseProfile, optimal_phase, perpendicular_phase, preconfigured_phase
+from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
     Scenario,
     blocked_modes,
@@ -105,17 +106,29 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _map_trials(worker, n_trials: int, threads: int) -> list:
+def _run_trial(worker, point: str, trial: int):
+    """worker(trial), re-raising a failure as a ValueError naming point and trial."""
+    try:
+        return worker(trial)
+    except Exception as exc:
+        raise ValueError(f"{point}, trial {trial}: {exc}") from exc
+
+
+def _map_trials(worker, n_trials: int, threads: int, point: str) -> list:
     """worker(trial_index) over range(n_trials), optionally process-parallel.
 
     Results come back in trial order either way, so reductions see the same
-    sequence regardless of scheduling.
+    sequence regardless of scheduling.  At most one worker process runs per
+    core and per trial.  A trial that raises aborts the sweep with a
+    ValueError naming the sweep ``point`` and the trial index.
     """
-    if threads <= 1:
-        return [worker(i) for i in range(n_trials)]
-    chunk = max(1, n_trials // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_trials), chunksize=chunk))
+    run = partial(_run_trial, worker, point)
+    workers = min(threads, os.cpu_count() or 1, n_trials)
+    if workers <= 1:
+        return [run(i) for i in range(n_trials)]
+    chunk = max(1, n_trials // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(n_trials), chunksize=chunk))
 
 
 def generate_scene(
@@ -162,20 +175,21 @@ def _gain_geometry(radius: float, wavelength: float, spacing_wl: float, area_m2:
 
 
 def _zero_profile(geometry) -> PhaseProfile:
-    return PhaseProfile.from_raw(np.zeros((geometry.m_count, geometry.n_count)))
+    return PhaseProfile(np.zeros(geometry.m_count), np.zeros(geometry.n_count))
 
 
 def run_gain_elevation(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[dict]:
     """Specular elevation gain G(phi_i) with phi_o = pi - phi_i.
 
-    Columns: phi_i (deg), surface with the perpendicular profile, flat
-    reference (huge radius, zero phases), and the bare cylinder (zero phases).
+    Columns: phi_i (deg), surface with the perpendicular profile (the fixed
+    profile at thetabar = 0), flat reference (huge radius, zero phases), and
+    the bare cylinder (zero phases).
     """
     cfg = spec.config
     lam = cfg.wavelength_m
     geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl, area_m2)
     flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl, area_m2)
-    prof = perpendicular_phase(geom, lam)
+    prof = preconfigured_phase(geom, 0.0, lam)
     zero_c = _zero_profile(geom)
     zero_f = _zero_profile(flat)
     rows = []
@@ -251,7 +265,7 @@ def run_gain_frequency(
         sub = cfg.replace(f_ghz=float(f_ghz))
         lam = sub.wavelength_m
         geom = _gain_geometry(sub.radius_m, lam, sub.element_spacing_wl, area_m2)
-        prof = perpendicular_phase(geom, lam)
+        prof = preconfigured_phase(geom, 0.0, lam)
         zero_c = _zero_profile(geom)
         for angle_deg in angles:
             phi_i = math.radians(angle_deg)
@@ -336,7 +350,9 @@ def run_blockage_sweep(
     for rho in spec.grid:
         for r_d in r_d_values:
             worker = partial(_blockage_trial, spec.config, float(rho), float(r_d), spec.seed)
-            flags = _map_trials(worker, spec.trials, spec.config.threads)
+            flags = _map_trials(
+                worker, spec.trials, spec.config.threads, f"blockage rho={rho:g} r_d={r_d:g}"
+            )
             counts = [sum(f[i] for f in flags) for i in range(3)]
             for mode, blocked in zip(MODES, counts):
                 lo, hi = wilson_interval(blocked, spec.trials)
@@ -487,19 +503,20 @@ def _snr_trial(
     doors: dict[tuple[int, str], np.ndarray] = {}
     tuned_contrib: dict[tuple[int, str], np.ndarray] = {}
     fixed_contrib: dict[tuple[int, str], np.ndarray] = {}
+    # the element layout is the same on every door; only the pose differs
+    layout = build_cirs_geometry(
+        config.m_elements,
+        config.n_elements,
+        radius,
+        config.element_spacing_m,
+        config.element_spacing_m,
+    )
     for (idx, side), (b_t, b_r) in zip(relays, legs):
         vehicle = scen.vehicles[idx]
         pose = door_pose(
             vehicle, side, config.n_elements, config.element_spacing_m, height
         )
-        geom = build_cirs_geometry(
-            config.m_elements,
-            config.n_elements,
-            radius,
-            config.element_spacing_m,
-            config.element_spacing_m,
-            pose,
-        )
+        geom = replace(layout, pose=pose)
         h_tc, h_cr = cascaded_channels(
             geom,
             p_t,
@@ -587,7 +604,10 @@ def run_snr_ecdf(
                 worker = partial(
                     _snr_trial, spec.config, float(radius), float(rho), float(r_d), spec.seed
                 )
-                samples = np.array(_map_trials(worker, spec.trials, spec.config.threads))
+                point = f"snr-ecdf radius={radius:g} rho={rho:g} r_d={r_d:g}"
+                samples = np.array(
+                    _map_trials(worker, spec.trials, spec.config.threads, point)
+                )
                 for col, mode in enumerate(MODES):
                     key = (mode, float(radius), float(rho), float(r_d))
                     results[key] = EcdfResult(values=samples[:, col])
@@ -655,7 +675,12 @@ def run_angle_pdf(
     worker = partial(
         _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.seed
     )
-    parts = _map_trials(worker, spec.trials, spec.config.threads)
+    parts = _map_trials(
+        worker,
+        spec.trials,
+        spec.config.threads,
+        f"angle-pdf rho={rho:g} r_d={spec.config.link_distance_m:g}",
+    )
     elev = np.array([v for p in parts for v in p[0]])
     azim = np.array([v for p in parts for v in p[1]])
     if elev.size == 0:

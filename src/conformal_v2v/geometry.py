@@ -123,6 +123,20 @@ class CirsGeometry:
         return self.normals_local @ self.pose.rotation().T
 
     @property
+    def row_positions_local(self) -> np.ndarray:
+        """Door-frame position of each row's n = 0 element, shape (M, 3).
+
+        Element (m, n) sits at row m's position plus ``column_offsets_local[n]``
+        along the door-frame y axis.
+        """
+        return self.positions_local[:, 0, :]
+
+    @property
+    def column_offsets_local(self) -> np.ndarray:
+        """Door-frame y of each column, shape (N,)."""
+        return self.positions_local[0, :, 1]
+
+    @property
     def flat_positions_local(self) -> np.ndarray:
         return self.positions_local.reshape(self.element_count, 3)
 

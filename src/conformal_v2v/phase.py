@@ -3,10 +3,9 @@
 A phase profile makes the curved surface steer an incident plane wave into a
 chosen reflected direction.  The general profile is linear in the element
 position with slope kbar - k (difference of reflected and incident
-wavevectors); the specialized closed forms below are algebraically equal to
-that rule restricted to the elevation plane, the azimuth plane, or the
-specular case, and are implemented independently so the equalities act as
-cross-checks in the test suite.
+wavevectors); the fixed profile is its specular case in closed form.  The
+closed forms of the elevation-plane, azimuth-plane and flat-surface cases
+serve as independent oracles in the test suite.
 
 Angles are expressed in the door frame of the surface they configure: theta
 is azimuth from the outward reference normal (+x), phi is elevation from +z.
@@ -80,47 +79,54 @@ def reflected_wavevector(angles: AnglePair, wavelength: float) -> Wavevector:
 
 @dataclass(frozen=True)
 class PhaseProfile:
-    """Per-element reflection amplitude and phase for an M x N surface.
+    """Unit-amplitude reflection phases of an M x N surface, row + column.
 
-    ``phases_raw`` keeps the synthesized values before wrapping so algebraic
-    identities between profiles can be checked exactly; the wrapped values
-    drive the channel (wrapping never changes the complex coefficient).
+    Element (m, n) carries the raw phase ``row_raw[m] + col_raw[n]``.  Every
+    profile synthesized here has that form: element positions are
+    (x_m, y_n, z_m) in the door frame, so a phase linear in position splits
+    into a row term and a column term, and the fixed profiles have no column
+    term at all.  The dense (M, N) views are built on demand; the raw values
+    are kept unwrapped so algebraic identities between profiles can be
+    checked exactly (wrapping never changes the complex coefficient).
     """
 
-    phases_raw: np.ndarray
-    amplitudes: np.ndarray
+    row_raw: np.ndarray
+    col_raw: np.ndarray
 
     def __post_init__(self):
-        raw = np.asarray(self.phases_raw, dtype=float)
-        amp = np.asarray(self.amplitudes, dtype=float)
-        if raw.ndim != 2 or raw.shape != amp.shape:
+        row = np.asarray(self.row_raw, dtype=float)
+        col = np.asarray(self.col_raw, dtype=float)
+        if row.ndim != 1 or col.ndim != 1 or row.size == 0 or col.size == 0:
             raise ValueError(
-                f"phases {raw.shape} and amplitudes {amp.shape} must be equal 2D shapes"
+                f"row {row.shape} and column {col.shape} phases must be non-empty 1D"
             )
-        if not np.all(np.isfinite(raw)):
+        if not (np.all(np.isfinite(row)) and np.all(np.isfinite(col))):
             raise ValueError("phases must be finite")
-        if np.any(amp < 0) or np.any(amp > 1):
-            raise ValueError("amplitudes must lie in [0, 1]")
-        object.__setattr__(self, "phases_raw", raw)
-        object.__setattr__(self, "amplitudes", amp)
-
-    @classmethod
-    def from_raw(cls, phases_raw: np.ndarray) -> "PhaseProfile":
-        phases_raw = np.asarray(phases_raw, dtype=float)
-        return cls(phases_raw=phases_raw, amplitudes=np.ones_like(phases_raw))
+        object.__setattr__(self, "row_raw", row)
+        object.__setattr__(self, "col_raw", col)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.phases_raw.shape
+        return (self.row_raw.size, self.col_raw.size)
+
+    @property
+    def phases_raw(self) -> np.ndarray:
+        """Unwrapped phases, shape (M, N)."""
+        return self.row_raw[:, None] + self.col_raw[None, :]
 
     @property
     def phases(self) -> np.ndarray:
-        """Wrapped phases in [0, 2*pi)."""
+        """Wrapped phases in [0, 2*pi), shape (M, N)."""
         return wrap_phase(self.phases_raw)
 
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Reflection amplitudes, shape (M, N): every element reflects fully."""
+        return np.ones(self.shape)
+
     def coefficients(self) -> np.ndarray:
-        """Flat complex reflection coefficients beta_l * exp(j*Phi_l), (M*N,)."""
-        return (self.amplitudes * np.exp(1j * self.phases_raw)).ravel()
+        """Flat complex reflection coefficients exp(j*Phi_l), (M*N,)."""
+        return np.exp(1j * self.phases_raw).ravel()
 
 
 def _check_geometry_wavelength(geometry: CirsGeometry, wavelength: float) -> None:
@@ -143,69 +149,11 @@ def optimal_phase(
     """
     _check_geometry_wavelength(geometry, wavelength)
     slope = incidence.direction() + reflection.direction()
-    raw = -PHASE_SIGN * (TWO_PI / wavelength) * (geometry.positions_local @ slope)
-    return PhaseProfile.from_raw(raw)
-
-
-def planar_phase(
-    m_count: int,
-    n_count: int,
-    d_m: float,
-    d_n: float,
-    incidence: AnglePair,
-    reflection: AnglePair,
-    wavelength: float,
-) -> PhaseProfile:
-    """Flat-surface limit of optimal_phase: elements on a planar y-z grid."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if m_count < 1 or n_count < 1:
-        raise ValueError("element counts must be >= 1")
-    di, do = incidence.direction(), reflection.direction()
-    m = np.arange(m_count) - m_count // 2
-    n = np.arange(n_count)
-    z = d_m * m
-    y = d_n * n
-    raw = -PHASE_SIGN * (TWO_PI / wavelength) * (
-        y[None, :] * (di[1] + do[1]) + z[:, None] * (di[2] + do[2])
+    scale = -PHASE_SIGN * (TWO_PI / wavelength)
+    return PhaseProfile(
+        row_raw=scale * (geometry.row_positions_local @ slope),
+        col_raw=scale * (geometry.column_offsets_local * slope[1]),
     )
-    return PhaseProfile.from_raw(np.broadcast_to(raw, (m_count, n_count)).copy())
-
-
-def elevation_phase(
-    geometry: CirsGeometry, phi_i: float, phi_o: float, wavelength: float
-) -> PhaseProfile:
-    """Profile for incidence and reflection in the elevation (x-z) plane.
-
-    Product form of the general rule at theta_i = theta_o = 0:
-    Phi_m = -s*(8*pi*R/lambda) sin(psi/2) cos((phi_o-phi_i)/2) cos((phi_o+phi_i+psi)/2)
-    """
-    _check_geometry_wavelength(geometry, wavelength)
-    psi = geometry.psi
-    raw_m = (
-        -PHASE_SIGN
-        * (8.0 * math.pi * geometry.radius / wavelength)
-        * np.sin(psi / 2.0)
-        * math.cos((phi_o - phi_i) / 2.0)
-        * np.cos((phi_o + phi_i + psi) / 2.0)
-    )
-    raw = np.repeat(raw_m[:, None], geometry.n_count, axis=1)
-    return PhaseProfile.from_raw(raw)
-
-
-def perpendicular_phase(geometry: CirsGeometry, wavelength: float) -> PhaseProfile:
-    """Profile that flattens the surface for broadside elevation incidence.
-
-    Phi_m = -s*(4*pi*R/lambda)(cos psi_m - 1); depends only on the shape.
-    """
-    _check_geometry_wavelength(geometry, wavelength)
-    raw_m = (
-        -PHASE_SIGN
-        * (4.0 * math.pi * geometry.radius / wavelength)
-        * (np.cos(geometry.psi) - 1.0)
-    )
-    raw = np.repeat(raw_m[:, None], geometry.n_count, axis=1)
-    return PhaseProfile.from_raw(raw)
 
 
 def preconfigured_phase(
@@ -220,8 +168,10 @@ def preconfigured_phase(
     Phi_m = -s*(4*pi*R/lambda)[(cos psi_m - 1) sin(phibar) cos(thetabar)
             + sin(psi_m) cos(phibar)],
     which reduces to -s*(4*pi*R/lambda)(cos psi_m - 1) cos(thetabar) for the
-    horizontal design pair phibar = pi/2.  A phibar below pi/2 serves rays
-    that arrive from, and leave toward, endpoints above the door.
+    horizontal design pair phibar = pi/2.  At thetabar = 0 and phibar = pi/2
+    it is the perpendicular profile, which flattens the surface for
+    broadside incidence.  A phibar below pi/2 serves rays that arrive from,
+    and leave toward, endpoints above the door.
     """
     if not 0.0 <= thetabar <= math.pi / 2.0:
         raise ValueError(f"thetabar must lie in [0, pi/2], got {thetabar}")
@@ -237,31 +187,7 @@ def preconfigured_phase(
             + np.sin(psi) * math.cos(phibar)
         )
     )
-    raw = np.repeat(raw_m[:, None], geometry.n_count, axis=1)
-    return PhaseProfile.from_raw(raw)
-
-
-def azimuth_phase(
-    geometry: CirsGeometry, theta_i: float, theta_o: float, wavelength: float
-) -> PhaseProfile:
-    """Profile for incidence and reflection in the azimuth (x-y) plane.
-
-    Product form of the general rule at phi_i = phi_o = pi/2:
-    Phi_{m,n} = -s*(4*pi/lambda) cos((to-ti)/2) [R(cos psi - 1) cos((to+ti)/2)
-                + y sin((to+ti)/2)]
-    """
-    _check_geometry_wavelength(geometry, wavelength)
-    half_diff = (theta_o - theta_i) / 2.0
-    half_sum = (theta_o + theta_i) / 2.0
-    x = geometry.radius * (np.cos(geometry.psi) - 1.0)
-    y = geometry.d_n * np.arange(geometry.n_count)
-    raw = (
-        -PHASE_SIGN
-        * (4.0 * math.pi / wavelength)
-        * math.cos(half_diff)
-        * (x[:, None] * math.cos(half_sum) + y[None, :] * math.sin(half_sum))
-    )
-    return PhaseProfile.from_raw(raw)
+    return PhaseProfile(row_raw=raw_m, col_raw=np.zeros(geometry.n_count))
 
 
 # --- reflected-wave classification for the bare / preconfigured surface ----

@@ -22,13 +22,13 @@ from conformal_v2v.channel import (
     mean_pathloss_db,
     normalized_gain,
     pattern_from_cosine,
-    reflection_matrix,
     sample_blockage_db,
     sample_direct_pathloss,
     total_channel,
 )
 from conformal_v2v.geometry import AnglePair, DoorPose, build_cirs_geometry, vec3
-from conformal_v2v.phase import PhaseProfile, optimal_phase, perpendicular_phase
+from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
+from oracles import dense_normalized_gain, plane_wave_vectors, reflection_matrix
 
 LAM = 299_792_458.0 / 28e9
 Q = 0.285
@@ -251,11 +251,15 @@ def test_cascade_rejects_near_field_endpoints():
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():
-    prof = PhaseProfile.from_raw(np.array([[0.0, math.pi / 2.0], [math.pi, 1.0]]))
-    diag = reflection_matrix(prof)
+    # not row + column separable: 0 + 1 != pi/2 + pi
+    raw = np.array([[0.0, math.pi / 2.0], [math.pi, 1.0]])
+    diag = reflection_matrix(raw)
     assert diag.shape == (4,)
-    assert diag == pytest.approx(prof.coefficients())
+    assert diag == pytest.approx([1.0, 1j, -1.0, np.exp(1j)])
     assert np.abs(diag) == pytest.approx(np.ones(4))
+    prof = PhaseProfile(np.array([0.0, math.pi]), np.array([0.0, math.pi / 2.0]))
+    assert prof.coefficients() == pytest.approx(reflection_matrix(prof.phases_raw))
+    assert prof.coefficients() == pytest.approx([1.0, 1j, -1.0, -1j])
 
 
 def test_total_channel_sums_relay_contributions():
@@ -276,15 +280,15 @@ def test_total_channel_sums_relay_contributions():
 def test_perfectly_coherent_gain_equals_element_count_floor():
     # flat limit at broadside: every term aligned, gain = -10 log10(MN)
     geom = build_cirs_geometry(8, 4, 1.0e9, LAM / 4, LAM / 4)
-    zero = PhaseProfile.from_raw(np.zeros((8, 4)))
+    zero = PhaseProfile(np.zeros(8), np.zeros(4))
     g = channel_gain_elevation(geom, zero, math.pi / 2, math.pi / 2, LAM, Q)
     assert g == pytest.approx(-10.0 * math.log10(32.0), abs=1e-6)
 
 
 def test_configured_cylinder_recovers_the_flat_gain():
     geom = build_cirs_geometry(60, 8, 2.0, LAM / 4, LAM / 4)
-    prof = perpendicular_phase(geom, LAM)
-    zero = PhaseProfile.from_raw(np.zeros((60, 8)))
+    prof = preconfigured_phase(geom, 0.0, LAM)
+    zero = PhaseProfile(np.zeros(60), np.zeros(8))
     g_conf = channel_gain_elevation(geom, prof, math.pi / 2, math.pi / 2, LAM, Q)
     g_bare = channel_gain_elevation(geom, zero, math.pi / 2, math.pi / 2, LAM, Q)
     assert g_conf > g_bare
@@ -305,6 +309,50 @@ def test_azimuth_gain_defaults_to_specular_reflection():
 @settings(max_examples=20, deadline=None)
 def test_normalized_gain_never_exceeds_coherent_bound(m_half, n):
     geom = build_cirs_geometry(2 * m_half, n, 2.0, LAM / 4, LAM / 4)
-    prof = PhaseProfile.from_raw(np.zeros((2 * m_half, n)))
+    prof = PhaseProfile(np.zeros(2 * m_half), np.zeros(n))
     g = channel_gain_elevation(geom, prof, 1.2, math.pi - 1.2, LAM, Q)
     assert g <= -10.0 * math.log10(2 * m_half * n) + 1e-9
+
+
+angle_pairs = st.builds(
+    AnglePair, st.floats(-math.pi, math.pi), st.floats(0.0, math.pi)
+)
+
+
+@st.composite
+def separable_gain_cases(draw):
+    """A surface, one profile of each synthesized kind, and an angle pair."""
+    m = 2 * draw(st.integers(1, 32))
+    n = draw(st.integers(1, 64))
+    radius = draw(st.floats(0.05, 1.0e9))
+    geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4)
+    kind = draw(st.sampled_from(("zero", "preconfigured", "optimal")))
+    if kind == "zero":
+        prof = PhaseProfile(np.zeros(m), np.zeros(n))
+    elif kind == "preconfigured":
+        thetabar = draw(st.floats(0.0, math.pi / 2.0))
+        phibar = draw(st.floats(0.0, math.pi, exclude_min=True, exclude_max=True))
+        prof = preconfigured_phase(geom, thetabar, LAM, phibar)
+    else:
+        prof = optimal_phase(geom, draw(angle_pairs), draw(angle_pairs), LAM)
+    return geom, prof, draw(angle_pairs), draw(angle_pairs)
+
+
+@given(separable_gain_cases())
+@settings(max_examples=300, deadline=None)
+def test_separable_gain_matches_the_dense_oracle(case):
+    geom, prof, incidence, reflection = case
+    phi = reflection_matrix(prof.phases_raw)
+    got = normalized_gain(geom, prof, incidence, reflection, LAM, Q)
+    want = dense_normalized_gain(geom, phi, incidence, reflection, LAM, Q)
+    if math.isinf(want):
+        assert got == want
+        return
+    # Each term's phase argument reaches a few hundred radians and is rounded
+    # to ~1e-13 rad in either sum.  Where the terms cancel (a null), that
+    # rounding is amplified by cond = sum|terms| / |sum terms|; elsewhere
+    # cond is small and the bound is 1e-9 dB.
+    t, c = plane_wave_vectors(geom, incidence, reflection, LAM, Q)
+    terms = c * phi * t
+    cond = float(np.sum(np.abs(terms)) / np.abs(np.sum(terms)))
+    assert abs(got - want) <= 1e-9 + 20.0 / math.log(10.0) * 1e-13 * cond

@@ -7,6 +7,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from conformal_v2v import experiments
 from conformal_v2v.channel import cascaded_channels
 from conformal_v2v.config import SimConfig
 from conformal_v2v.experiments import (
@@ -81,9 +82,73 @@ def test_trial_rng_substreams_are_stable_and_distinct():
 
 def test_process_pool_matches_the_sequential_trial_order():
     worker = partial(_blockage_trial, SimConfig(), 30.0, 100.0, 0)
-    seq = _map_trials(worker, 24, threads=1)
-    par = _map_trials(worker, 24, threads=2)
+    seq = _map_trials(worker, 24, threads=1, point="rho=30")
+    par = _map_trials(worker, 24, threads=2, point="rho=30")
     assert seq == par
+
+
+@pytest.mark.parametrize(
+    "threads, cores, n_trials, workers",
+    [
+        (1000, 4, 50, 4),
+        (1000, 4, 3, 3),
+        (3, 8, 50, 3),
+        (1000, None, 50, None),
+        (1, 8, 50, None),
+        (8, 8, 1, None),
+    ],
+)
+def test_worker_count_is_clamped_to_cores_and_trials(
+    monkeypatch, threads, cores, n_trials, workers
+):
+    started = []
+
+    class RecordingPool:
+        """Records the requested worker count and maps in this process."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            assert chunksize >= 1
+            return map(fn, iterable)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    out = _map_trials(lambda i: i * i, n_trials, threads, point="rho=30")
+    assert out == [i * i for i in range(n_trials)]
+    assert started == ([] if workers is None else [workers])
+
+
+def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch):
+    def worker(trial):
+        if trial == 3:
+            raise ValueError("antenna-element distance violates the model guard")
+        return trial
+
+    with pytest.raises(ValueError, match=r"^rho=10, trial 3: antenna-element") as info:
+        _map_trials(worker, 5, 1, point="rho=10")
+    assert isinstance(info.value.__cause__, ValueError)
+    assert "model guard" in str(info.value.__cause__)
+
+    def fail_once(config, rho, r_d, seed, trial):
+        if rho == 40.0 and trial == 2:
+            raise ZeroDivisionError("float division by zero")
+        return (False, False, False)
+
+    monkeypatch.setattr(experiments, "_blockage_trial", fail_once)
+    spec = make_sweep(
+        "blockage", SimConfig().replace(trials=4, threads=1), grid=(10.0, 40.0)
+    )
+    with pytest.raises(ValueError, match=r"^blockage rho=40 r_d=100, trial 2: float") as info:
+        run_blockage_sweep(spec, r_d_values=(100.0,))
+    assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
 def test_wilson_interval_reference_values():
