@@ -332,6 +332,12 @@ def normalized_gain(
     slope = (TWO_PI / wavelength) * (d_i + d_o)
     rho_i = pattern_from_cosine(geometry.normals_local @ d_i, q)
     rho_o = pattern_from_cosine(geometry.normals_local @ d_o, q)
+    if not (rho_i.any() and rho_o.any()):
+        return -math.inf
+    # the gain does not depend on the patterns' scale; a peak of 1 keeps the
+    # squared norms from underflowing for rays that graze every element
+    rho_i = rho_i / rho_i.max()
+    rho_o = rho_o / rho_o.max()
     row_sum = np.sum(
         rho_i * rho_o * np.exp(1j * (geometry.row_positions_local @ slope + profile.row_raw))
     )
@@ -340,8 +346,6 @@ def normalized_gain(
     )
     # |t|^2 = N sum_m rho_i^2, |c|^2 = N sum_m rho_o^2 and |phi|^2 = M N
     norms = float(np.sum(rho_i**2) * np.sum(rho_o**2)) * n_count**3 * m_count
-    if norms == 0:
-        return -math.inf
     coherent = abs(row_sum) ** 2 * abs(col_sum) ** 2 / norms
     if coherent == 0:
         return -math.inf

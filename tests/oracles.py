@@ -103,11 +103,14 @@ def dense_normalized_gain(geometry, phi, incidence, reflection, wavelength, q):
     phi = np.asarray(phi)
     if phi.shape != t.shape:
         raise ValueError(f"profile size {phi.shape} vs geometry {t.shape}")
+    if not (np.any(t) and np.any(c) and np.any(phi)):
+        return -math.inf
+    # scale-free in t and c; a peak of 1 keeps the squares from underflowing
+    t = t / np.max(np.abs(t))
+    c = c / np.max(np.abs(c))
     nt = np.linalg.norm(t)
     nc = np.linalg.norm(c)
     nphi = np.linalg.norm(phi)
-    if nt == 0 or nc == 0 or nphi == 0:
-        return -math.inf
     coherent = abs(np.sum(c * phi * t)) ** 2 / (nt**2 * nc**2 * nphi**2)
     if coherent == 0:
         return -math.inf

@@ -314,6 +314,17 @@ def test_normalized_gain_never_exceeds_coherent_bound(m_half, n):
     assert g <= -10.0 * math.log10(2 * m_half * n) + 1e-9
 
 
+def test_gain_of_rays_grazing_every_element_stays_finite():
+    # only the m = 0 row is lit, at u = sin(phi); its pattern factor is
+    # ~1e-92 at phi = 5e-324, whose squared norms underflow unless rescaled
+    geom = build_cirs_geometry(2, 1, 1.0, LAM / 4, LAM / 4)
+    zero = PhaseProfile(np.zeros(2), np.zeros(1))
+    for phi in (1e-100, 1e-300, 5e-324):
+        graze = AnglePair(0.0, phi)
+        g = normalized_gain(geom, zero, graze, graze, LAM, Q)
+        assert g == pytest.approx(-10.0 * math.log10(2.0))
+
+
 angle_pairs = st.builds(
     AnglePair, st.floats(-math.pi, math.pi), st.floats(0.0, math.pi)
 )
