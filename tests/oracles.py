@@ -63,15 +63,13 @@ def planar_phase(m_count, n_count, d_m, d_n, incidence, reflection, wavelength):
     )
 
 
-def reflection_matrix(phases_raw, amplitudes=None):
-    """Diagonal of the reflection matrix as a flat complex vector (MN,).
+def reflection_matrix(phases_raw):
+    """Diagonal of the unit-amplitude reflection matrix as a flat vector (MN,).
 
     Accepts any dense (M, N) phase array, separable over rows and columns
     or not.
     """
-    raw = np.asarray(phases_raw, dtype=float)
-    amp = np.ones_like(raw) if amplitudes is None else np.asarray(amplitudes, float)
-    return (amp * np.exp(1j * raw)).ravel()
+    return np.exp(1j * np.asarray(phases_raw, dtype=float)).ravel()
 
 
 def plane_wave_vectors(geometry, incidence, reflection, wavelength, q):
