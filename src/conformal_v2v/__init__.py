@@ -48,7 +48,6 @@ from .channel import (
     mean_pathloss_db,
     sample_blockage_db,
     sample_direct_pathloss,
-    total_channel,
 )
 from .scenario import (
     Scenario,
@@ -62,12 +61,10 @@ from .scenario import (
 from .link import (
     Codebook,
     CodebookEntry,
-    LinkResult,
     beam_power,
     build_codebooks,
     compute_snr,
     rescale_direct,
-    select_beams,
     steering_vector,
 )
 from .experiments import (

@@ -215,85 +215,131 @@ def cascaded_channels(
     p_r: np.ndarray,
     k_antennas: int,
     wavelength: float,
+    f: np.ndarray,
+    w: np.ndarray,
     q: float = 0.285,
     rng: np.random.Generator | None = None,
     array_spacing_m: float | None = None,
     amp_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Entry-exact segment channels (H_tc of shape (MN, K), H_cr of (K, MN)).
+    """Beamformed segment channels a = H_tc f and b = w^H H_cr, each (M, N).
 
+    H_tc (MN, K) and H_cr (K, MN) are the entry-exact segment channels.
     Each entry combines the per-segment amplitude (G d_m d_n lambda^2 /
     (64 pi^3))^{1/4} / r (``amp_scale`` multiplies the cascade PRODUCT, so
     each segment carries its square root), the endpoint antenna pattern, the
     normalized element rolloff u^q at the local ray cosine, and the exact
     spherical phasor.  The unit-cell gain G enters the cascade once, as in
     the far-field law of the module docstring: G^{1/4} per segment.  One
-    random path phase is drawn per segment (zero when rng is None).
+    random path phase is drawn per segment (zero when rng is None), first
+    for the TxV leg, then for the RxV leg.
+
+    A relay scored with the beam pair (f, w) and reflection coefficients phi
+    contributes w^H H_cr diag(phi) H_tc f = sum(b * phi * a), so the dense
+    matrices are never built: each MN-vector is summed over the K antennas
+    one antenna at a time, using the row x column structure of the surface.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
     if amp_scale <= 0:
         raise ValueError("amp_scale must be positive")
+    f = np.asarray(f, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    if f.shape != (k_antennas,) or w.shape != (k_antennas,):
+        raise ValueError(
+            f"beams {f.shape} and {w.shape} must both have k_antennas = {k_antennas} entries"
+        )
     if array_spacing_m is None:
         array_spacing_m = wavelength / 2.0
-    elem_pos = geometry.flat_positions                     # (MN, 3)
-    normals = np.repeat(geometry.normals, geometry.n_count, axis=0)  # (MN, 3)
     tx = antenna_positions(p_t, k_antennas, array_spacing_m)
     rx = antenna_positions(p_r, k_antennas, array_spacing_m)
 
-    seg_amp = (
+    # segment amplitude times the endpoint pattern's peak sqrt(G)
+    scale = (
         unit_cell_gain(q) * geometry.d_m * geometry.d_n * wavelength**2
         / (64.0 * math.pi**3)
     ) ** 0.25
-    seg_amp *= math.sqrt(amp_scale)
+    scale *= math.sqrt(amp_scale) * math.sqrt(unit_cell_gain(q))
     xi_t = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
     xi_r = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
-
-    def segment(antennas: np.ndarray, xi: float) -> np.ndarray:
-        diff = elem_pos[:, None, :] - antennas[None, :, :]   # (MN, K, 3) element<-antenna
-        r = np.linalg.norm(diff, axis=2)                     # (MN, K)
-        if np.min(r) < MIN_DISTANCE_WAVELENGTHS * wavelength:
-            raise ValueError(
-                f"antenna-element distance {np.min(r):.3g} m violates the "
-                f"{MIN_DISTANCE_WAVELENGTHS} wavelength model guard"
-            )
-        ray = -diff / r[:, :, None]                          # unit element->antenna
-        u_local = np.einsum("lki,li->lk", ray, normals)
-        rho_elem = cosine_rolloff(u_local, q)
-        sin_phi = np.sqrt(np.maximum(0.0, 1.0 - ray[:, :, 2] ** 2))
-        rho_end = pattern_from_cosine(sin_phi, q)
-        return (
-            (seg_amp / r)
-            * rho_elem
-            * rho_end
-            * np.exp(-1j * (TWO_PI / wavelength * r - xi))
-        )
-
-    h_tc = segment(tx, xi_t)           # (MN, K)
-    h_cr = segment(rx, xi_r).T.copy()  # (K, MN)
-    return h_tc, h_cr
+    a = scale * _beamformed_segment(geometry, tx, f, xi_t, wavelength, q)
+    b = scale * _beamformed_segment(geometry, rx, w.conj(), xi_r, wavelength, q)
+    return a, b
 
 
-def total_channel(
-    h_d: np.ndarray,
-    relays: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _beamformed_segment(
+    geometry: CirsGeometry,
+    antennas: np.ndarray,
+    weights: np.ndarray,
+    xi: float,
+    wavelength: float,
+    q: float,
 ) -> np.ndarray:
-    """End-to-end channel H_d + sum_c H_cr diag(phi) H_tc.
+    """sum_k weights[k] u^q sin(phi)^q exp(-j (2 pi r / lambda - xi)) / r, (M, N).
 
-    ``relays`` holds (H_cr, phi_diagonal_vector, H_tc) triples.
+    Element (m, n) sits at row m's position plus y_n along the door's
+    column axis e, which is horizontal and orthogonal to every normal.  With
+    A = row_m - antenna_k split into a part along e and a part across it,
+    r^2 = |A_across|^2 + (A . e + y_n)^2, while the numerators of the element
+    cosine u = -(A . normal_m) / r and of the ray's vertical component
+    -A_z / r depend on (m, k) only.  The (M, N) work arrays are reused
+    across antennas.
     """
-    h = np.array(h_d, dtype=complex, copy=True)
-    for h_cr, phi, h_tc in relays:
-        phi = np.asarray(phi)
-        if phi.ndim != 1 or h_cr.shape[1] != phi.shape[0] or h_tc.shape[0] != phi.shape[0]:
-            raise ValueError(
-                f"relay shapes mismatch: H_cr {h_cr.shape}, phi {phi.shape}, H_tc {h_tc.shape}"
-            )
-        contrib = h_cr @ (phi[:, None] * h_tc)
-        if contrib.shape != h.shape:
-            raise ValueError(f"relay contribution {contrib.shape} vs H_d {h.shape}")
-        h += contrib
-    return h
+    rot = geometry.pose.rotation()
+    rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
+    axis = rot[:, 1]
+    normals = geometry.normals
+    y = geometry.column_offsets_local
+    shape = (geometry.m_count, geometry.n_count)
+    re, im = np.zeros(shape), np.zeros(shape)
+    r, inv_r, work, amp, trig = (np.empty(shape) for _ in range(5))
+    r_min = math.inf
+    for antenna, weight in zip(antennas, weights):
+        rel = rows - antenna
+        along = rel @ axis
+        across = rel - along[:, None] * axis
+        np.add(along[:, None], y, out=r)
+        np.square(r, out=r)
+        r += np.einsum("mi,mi->m", across, across)[:, None]
+        np.sqrt(r, out=r)
+        r_min = min(r_min, float(r.min()))
+        np.divide(1.0, r, out=inv_r)
+
+        # sin^2(phi) = 1 - A_z^2 / r^2, and u^2 = min(c^2 / r^2, 1) on rows
+        # whose cosine numerator c is positive, 0 on the others
+        cos_num = -np.einsum("mi,mi->m", rel, normals)
+        cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
+        np.square(inv_r, out=work)
+        np.multiply(work, -np.square(rel[:, 2:3]), out=amp)
+        amp += 1.0
+        np.maximum(amp, 0.0, out=amp)
+        work *= cos_num2[:, None]
+        np.minimum(work, 1.0, out=work)
+        work *= amp
+        # (u^2 sin^2 phi)^{q/2} = u^q sin(phi)^q, and 0 wherever u <= 0 or
+        # sin(phi) = 0, also at q = 0
+        amp.fill(0.0)
+        np.power(work, 0.5 * q, out=amp, where=work > 0.0)
+        amp *= inv_r
+        amp *= abs(weight)
+
+        # the phase, reduced to whole turns of r / lambda before the trig
+        np.divide(r, wavelength, out=work)
+        work -= np.rint(work)
+        work *= -TWO_PI
+        work += xi + np.angle(weight)
+        np.cos(work, out=trig)
+        trig *= amp
+        re += trig
+        np.sin(work, out=trig)
+        trig *= amp
+        im += trig
+    if r_min < MIN_DISTANCE_WAVELENGTHS * wavelength:
+        raise ValueError(
+            f"antenna-element distance {r_min:.3g} m violates the "
+            f"{MIN_DISTANCE_WAVELENGTHS} wavelength model guard"
+        )
+    return re + 1j * im
 
 
 # --- normalized angular gains ----------------------------------------------

@@ -3,9 +3,9 @@
 Determinism contract: every stochastic trial draws from an RNG substream
 seeded by (master seed, trial index), so results are independent of worker
 scheduling and identical between sequential and parallel runs.  Relayed links
-are evaluated one relay at a time: each candidate door yields its own
-single-relay channel, and the winner is chosen jointly with the beam pair by
-received power (the multi-relay sum remains available via total_channel).
+are evaluated one relay at a time: each candidate door is scored with its own
+beam pair on its own single-relay channel, and the winner is the door whose
+received amplitude is strongest.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .channel import (
 )
 from .config import SimConfig
 from .geometry import RoadConfig, build_cirs_geometry, pose_local_angles
-from .link import beam_power, build_codebooks, compute_snr, rescale_direct
+from .link import beam_amplitude, best_snr, build_codebooks, rescale_direct
 from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
     Scenario,
@@ -433,22 +433,22 @@ def _ranked_candidates(
 
 def _tuned_profile(
     config: SimConfig, geom, door: np.ndarray, p_t: np.ndarray, p_r: np.ndarray
-) -> np.ndarray:
-    """Reflection coefficients steering the actual TxV -> door -> RxV pair."""
+) -> PhaseProfile:
+    """Reflection profile steering the actual TxV -> door -> RxV pair."""
     ang_t = pose_local_angles(geom.pose, p_t - door)
     ang_r = pose_local_angles(geom.pose, p_r - door)
-    return optimal_phase(geom, ang_t, ang_r, config.wavelength_m).coefficients()
+    return optimal_phase(geom, ang_t, ang_r, config.wavelength_m)
 
 
-def _fixed_profile(config: SimConfig, geom) -> np.ndarray:
-    """Factory coefficients for (thetabar, phibar) -> (-thetabar, phibar).
+def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
+    """Factory profile for (thetabar, phibar) -> (-thetabar, phibar).
 
-    They depend on the element layout only, not on the door's pose, so one
+    It depends on the element layout only, not on the door's pose, so one
     profile serves every door of a trial.
     """
     return preconfigured_phase(
         geom, config.thetabar_rad, config.wavelength_m, config.phibar_rad
-    ).coefficients()
+    )
 
 
 def _snr_trial(
@@ -459,7 +459,10 @@ def _snr_trial(
     All three modes reuse the same scenario, path-loss draws, and cascade
     phase draws, so mode-to-mode gaps reflect the relaying strategy rather
     than sampling noise.  Each relayed mode picks relay and beams jointly by
-    received power over single-relay channels.
+    received power over single-relay channels.  Door c only ever meets its
+    own beam pair (f_c, w_c), so its received amplitude is
+    w_c^H H_d f_c + sum(b * phi * a) with the beamformed segment vectors
+    a = H_tc f_c and b = w_c^H H_cr.
     """
     rng = trial_rng(seed, trial)
     scen = generate_scene(config, rho, r_d, rng)
@@ -497,12 +500,21 @@ def _snr_trial(
     )
     h_d = rescale_direct(direct_channel(p_t, p_r, k, pl.loss_db, rng, config.q_pattern), k)
 
+    doors = [door_reference_point(scen.vehicles[idx], side, height) for idx, side in relays]
+    codebook = build_codebooks(
+        p_t,
+        p_r,
+        [(f"relay:{idx}:{side}", door) for (idx, side), door in zip(relays, doors)],
+        k,
+    )
+    direct = codebook.direct
+    amp_direct = beam_amplitude(h_d, direct.f, direct.w)
+
     # each door is scored only by the profile of the mode(s) that gated it
     irs_doors, ris_doors = set(irs), set(ris)
     fixed = None
-    doors: dict[tuple[int, str], np.ndarray] = {}
-    tuned_contrib: dict[tuple[int, str], np.ndarray] = {}
-    fixed_contrib: dict[tuple[int, str], np.ndarray] = {}
+    tuned_amp: dict[tuple[int, str], complex] = {}
+    fixed_amp: dict[tuple[int, str], complex] = {}
     # the element layout is the same on every door; only the pose differs
     layout = build_cirs_geometry(
         config.m_elements,
@@ -511,18 +523,21 @@ def _snr_trial(
         config.element_spacing_m,
         config.element_spacing_m,
     )
-    for (idx, side), (b_t, b_r) in zip(relays, legs):
-        vehicle = scen.vehicles[idx]
+    relay_entries = [e for e in codebook.entries if e is not direct]
+    for relay, door, entry, (b_t, b_r) in zip(relays, doors, relay_entries, legs):
+        idx, side = relay
         pose = door_pose(
-            vehicle, side, config.n_elements, config.element_spacing_m, height
+            scen.vehicles[idx], side, config.n_elements, config.element_spacing_m, height
         )
         geom = replace(layout, pose=pose)
-        h_tc, h_cr = cascaded_channels(
+        a, b = cascaded_channels(
             geom,
             p_t,
             p_r,
             k,
             lam,
+            entry.f,
+            entry.w,
             config.q_pattern,
             rng,
             array_spacing_m=config.array_spacing_m,
@@ -534,60 +549,24 @@ def _snr_trial(
         att_r = sample_blockage_db(
             b_r, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
         )
-        h_tc = h_tc * 10.0 ** (-att_t / 20.0)
-        h_cr = h_cr * 10.0 ** (-att_r / 20.0)
-
-        door = door_reference_point(vehicle, side, height)
-        doors[(idx, side)] = door
-        if (idx, side) in ris_doors:
+        segments = a * b
+        blockage = 10.0 ** (-att_t / 20.0) * 10.0 ** (-att_r / 20.0)
+        via_direct = beam_amplitude(h_d, entry.f, entry.w)
+        if relay in ris_doors:
             tuned = _tuned_profile(config, geom, door, p_t, p_r)
-            tuned_contrib[(idx, side)] = h_cr @ (tuned[:, None] * h_tc)
-        if (idx, side) in irs_doors:
+            tuned_amp[relay] = via_direct + blockage * tuned.weighted_sum(segments)
+        if relay in irs_doors:
             if fixed is None:
                 fixed = _fixed_profile(config, geom)
-            fixed_contrib[(idx, side)] = h_cr @ (fixed[:, None] * h_tc)
+            fixed_amp[relay] = via_direct + blockage * fixed.weighted_sum(segments)
 
-    codebook = build_codebooks(
-        p_t,
-        p_r,
-        [(f"relay:{idx}:{side}", doors[(idx, side)]) for idx, side in sorted(doors)],
-        k,
-    )
-    entry_by_label = {e.label: e for e in codebook.entries}
-    direct_entry = codebook.direct
-    power_direct = beam_power(h_d, direct_entry.f, direct_entry.w)
-    snr_direct = compute_snr(
-        h_d,
-        direct_entry.f,
-        direct_entry.w,
-        config.tx_power_dbm,
-        config.noise_power_dbm,
-        k,
-    )
-
-    def best_mode_snr(candidates, contrib: dict) -> float:
-        best_power = power_direct
-        best = snr_direct
-        for idx, side in candidates:
-            entry = entry_by_label[f"relay:{idx}:{side}"]
-            h_c = h_d + contrib[(idx, side)]
-            p_c = beam_power(h_c, entry.f, entry.w)
-            if p_c > best_power:
-                best_power = p_c
-                best = compute_snr(
-                    h_c,
-                    entry.f,
-                    entry.w,
-                    config.tx_power_dbm,
-                    config.noise_power_dbm,
-                    k,
-                )
-        return best
+    def snr(amplitudes) -> float:
+        return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
     return (
-        snr_direct,
-        best_mode_snr(irs, fixed_contrib),
-        best_mode_snr(ris, tuned_contrib),
+        snr([amp_direct]),
+        snr([amp_direct, *(fixed_amp[c] for c in irs)]),
+        snr([amp_direct, *(tuned_amp[c] for c in ris)]),
     )
 
 

@@ -86,11 +86,14 @@ class DoorPose:
 
 @dataclass(frozen=True, eq=False)
 class CirsGeometry:
-    """Element layout of one cylindrical surface.
+    """Element layout of one cylindrical surface, stored as row x column factors.
 
     Elements are indexed (m, n) with m = -M/2 .. M/2-1 along the curved
     coordinate (height) and n = 0 .. N-1 along the cylinder axis (length).
     The flat index is ell = (m + M/2) * N + n, i.e. C-order over (m, n).
+    Element (m, n) sits at row m's position plus ``column_offsets_local[n]``
+    along the door-frame y axis, and its normal depends on m only; the dense
+    (M, N, 3) position arrays are built on demand.
     """
 
     m_count: int
@@ -99,9 +102,10 @@ class CirsGeometry:
     d_m: float
     d_n: float
     pose: DoorPose
-    psi: np.ndarray = field(repr=False)            # (M,) arc angle of each row
-    positions_local: np.ndarray = field(repr=False)  # (M, N, 3) door frame
-    normals_local: np.ndarray = field(repr=False)    # (M, 3) door frame
+    psi: np.ndarray = field(repr=False)                  # (M,) arc angle of each row
+    row_positions_local: np.ndarray = field(repr=False)  # (M, 3) door frame, n = 0
+    column_offsets_local: np.ndarray = field(repr=False)  # (N,) door-frame y
+    normals_local: np.ndarray = field(repr=False)        # (M, 3) door frame
 
     @property
     def element_count(self) -> int:
@@ -110,6 +114,13 @@ class CirsGeometry:
     @property
     def m_signed(self) -> np.ndarray:
         return np.arange(self.m_count) - self.m_count // 2
+
+    @property
+    def positions_local(self) -> np.ndarray:
+        """Door-frame element positions, shape (M, N, 3)."""
+        pos = np.repeat(self.row_positions_local[:, None, :], self.n_count, axis=1)
+        pos[:, :, 1] += self.column_offsets_local[None, :]
+        return pos
 
     @property
     def positions(self) -> np.ndarray:
@@ -121,20 +132,6 @@ class CirsGeometry:
     def normals(self) -> np.ndarray:
         """Global outward element normals, shape (M, 3) (independent of n)."""
         return self.normals_local @ self.pose.rotation().T
-
-    @property
-    def row_positions_local(self) -> np.ndarray:
-        """Door-frame position of each row's n = 0 element, shape (M, 3).
-
-        Element (m, n) sits at row m's position plus ``column_offsets_local[n]``
-        along the door-frame y axis.
-        """
-        return self.positions_local[:, 0, :]
-
-    @property
-    def column_offsets_local(self) -> np.ndarray:
-        """Door-frame y of each column, shape (N,)."""
-        return self.positions_local[0, :, 1]
 
     @property
     def flat_positions_local(self) -> np.ndarray:
@@ -189,13 +186,8 @@ def build_cirs_geometry(
     psi = m * 2.0 * math.asin(d_m / (2.0 * radius))
     x = radius * (np.cos(psi) - 1.0)
     z = radius * np.sin(psi)
-    y = d_n * np.arange(n_count)
 
-    pos = np.empty((m_count, n_count, 3))
-    pos[:, :, 0] = x[:, None]
-    pos[:, :, 1] = y[None, :]
-    pos[:, :, 2] = z[:, None]
-
+    rows = np.stack([x, np.zeros_like(x), z], axis=1)
     normals = np.stack([np.cos(psi), np.zeros_like(psi), np.sin(psi)], axis=1)
 
     return CirsGeometry(
@@ -206,7 +198,8 @@ def build_cirs_geometry(
         d_n=d_n,
         pose=pose,
         psi=psi,
-        positions_local=pos,
+        row_positions_local=rows,
+        column_offsets_local=d_n * np.arange(n_count),
         normals_local=normals,
     )
 

@@ -1,8 +1,9 @@
-"""Beam codebooks from positions, beam selection, and end-to-end SNR."""
+"""Beam codebooks from positions, received amplitudes, and end-to-end SNR."""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,43 +100,38 @@ def build_codebooks(
     return Codebook(entries=tuple(entries))
 
 
-@dataclass(frozen=True)
-class LinkResult:
-    selected: CodebookEntry
-    selected_index: int
-    powers: np.ndarray          # |w^H H f|^2 per entry, codebook order
-    snr_db: float | None = None
-    blocked: bool = False
-
-    def __post_init__(self):
-        powers = np.asarray(self.powers, dtype=float)
-        object.__setattr__(self, "powers", powers)
-        if not 0 <= self.selected_index < powers.size:
-            raise ValueError("selected_index out of range")
-        if powers[self.selected_index] < np.max(powers):
-            raise ValueError("selected entry must attain the maximum power")
-
-    @property
-    def received_power(self) -> float:
-        return float(self.powers[self.selected_index])
+def beam_amplitude(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> complex:
+    """Received amplitude w^H H f (noise-free)."""
+    return np.vdot(w, h @ f)
 
 
 def beam_power(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> float:
     """Received-signal power metric |w^H H f|^2 (noise-free)."""
-    return float(abs(np.vdot(w, h @ f)) ** 2)
+    return float(abs(beam_amplitude(h, f, w)) ** 2)
 
 
-def select_beams(codebook: Codebook, h: np.ndarray) -> LinkResult:
-    """Pick the codebook entry with maximum |w^H H f|^2.
+def best_snr(
+    amplitudes: Iterable[complex],
+    tx_power_dbm: float,
+    noise_power_dbm: float,
+    k_antennas: int,
+) -> float:
+    """SNR in dB of the strongest received amplitude: sigma_s^2 |a|^2 / (K sigma_n^2).
 
-    The selection metric is deterministic (no per-measurement noise draw);
-    ties resolve to the earliest entry, i.e. direct first, then relays in
-    codebook order.
+    Each amplitude is w^H H f for one beam pair on its own channel, so the
+    maximum is the choice of relay and beams by received power.  f and w
+    are unit per-antenna-amplitude vectors (||f||^2 = K); the K divisor
+    absorbs that scaling.
     """
-    powers = np.array([beam_power(h, e.f, e.w) for e in codebook.entries])
-    best = int(np.argmax(powers))
-    return LinkResult(
-        selected=codebook.entries[best], selected_index=best, powers=powers
+    if k_antennas < 1:
+        raise ValueError(f"k_antennas must be >= 1, got {k_antennas}")
+    power = max(float(abs(a) ** 2) for a in amplitudes)
+    if power == 0.0:
+        return -math.inf
+    return (
+        tx_power_dbm
+        - noise_power_dbm
+        + 10.0 * math.log10(power / k_antennas)
     )
 
 
@@ -147,18 +143,5 @@ def compute_snr(
     noise_power_dbm: float,
     k_antennas: int,
 ) -> float:
-    """SNR in dB: sigma_s^2 |w^H H f|^2 / (K sigma_n^2).
-
-    f and w are unit per-antenna-amplitude vectors (||f||^2 = K); the K
-    divisor absorbs that scaling.
-    """
-    if k_antennas < 1:
-        raise ValueError(f"k_antennas must be >= 1, got {k_antennas}")
-    power = beam_power(h, f, w)
-    if power == 0.0:
-        return -math.inf
-    return (
-        tx_power_dbm
-        - noise_power_dbm
-        + 10.0 * math.log10(power / k_antennas)
-    )
+    """SNR in dB of the beam pair (f, w) on channel h (see best_snr)."""
+    return best_snr([beam_amplitude(h, f, w)], tx_power_dbm, noise_power_dbm, k_antennas)

@@ -128,6 +128,16 @@ class PhaseProfile:
         """Flat complex reflection coefficients exp(j*Phi_l), (M*N,)."""
         return np.exp(1j * self.phases_raw).ravel()
 
+    def weighted_sum(self, values: np.ndarray) -> complex:
+        """sum_{m,n} values[m, n] exp(j*Phi_{m,n}) for an (M, N) array.
+
+        Computed as exp(j*row)^T values exp(j*col), without the dense
+        coefficients.
+        """
+        if values.shape != self.shape:
+            raise ValueError(f"values {values.shape} vs profile {self.shape}")
+        return np.exp(1j * self.row_raw) @ values @ np.exp(1j * self.col_raw)
+
 
 def _check_geometry_wavelength(geometry: CirsGeometry, wavelength: float) -> None:
     if wavelength <= 0:

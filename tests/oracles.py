@@ -1,17 +1,27 @@
-"""Dense reference implementations that the package's closed forms are checked against.
+"""Dense reference implementations that the package's fast paths are checked against.
 
 Phase oracles return dense (M, N) raw phase arrays built from closed forms
 that the package no longer carries; the gain oracle sums the four dense
-MN-vectors of the plane-wave cascade element by element.  None of them uses
-the row + column factorization that ``PhaseProfile`` and
-``channel.normalized_gain`` rely on.
+MN-vectors of the plane-wave cascade element by element; the cascade oracle
+builds the (MN, K) and (K, MN) segment matrices entry by entry, and the
+selection oracle scores every codebook entry on one channel matrix.  None of
+them uses the row + column factorization that ``PhaseProfile``,
+``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from conformal_v2v.channel import pattern_from_cosine
+from conformal_v2v.channel import (
+    MIN_DISTANCE_WAVELENGTHS,
+    antenna_positions,
+    cosine_rolloff,
+    pattern_from_cosine,
+    unit_cell_gain,
+)
+from conformal_v2v.link import Codebook, CodebookEntry, beam_power
 from conformal_v2v.phase import PHASE_SIGN
 
 TWO_PI = 2.0 * math.pi
@@ -113,3 +123,123 @@ def dense_normalized_gain(geometry, phi, incidence, reflection, wavelength, q):
     if coherent == 0:
         return -math.inf
     return 10.0 * math.log10(coherent)
+
+
+def dense_cascaded_channels(
+    geometry,
+    p_t,
+    p_r,
+    k_antennas,
+    wavelength,
+    q=0.285,
+    rng=None,
+    array_spacing_m=None,
+    amp_scale=1.0,
+):
+    """Entry-exact segment matrices (H_tc of shape (MN, K), H_cr of (K, MN)).
+
+    The same entries as ``channel.cascaded_channels`` before beamforming,
+    from the dense (MN, K, 3) element-to-antenna differences: H_tc f and
+    w^H H_cr, reshaped to (M, N), are that kernel's two outputs.
+    """
+    if wavelength <= 0:
+        raise ValueError("wavelength must be positive")
+    if amp_scale <= 0:
+        raise ValueError("amp_scale must be positive")
+    if array_spacing_m is None:
+        array_spacing_m = wavelength / 2.0
+    elem_pos = geometry.flat_positions                     # (MN, 3)
+    normals = np.repeat(geometry.normals, geometry.n_count, axis=0)  # (MN, 3)
+    tx = antenna_positions(p_t, k_antennas, array_spacing_m)
+    rx = antenna_positions(p_r, k_antennas, array_spacing_m)
+
+    seg_amp = (
+        unit_cell_gain(q) * geometry.d_m * geometry.d_n * wavelength**2
+        / (64.0 * math.pi**3)
+    ) ** 0.25
+    seg_amp *= math.sqrt(amp_scale)
+    xi_t = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
+    xi_r = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
+
+    def segment(antennas, xi):
+        diff = elem_pos[:, None, :] - antennas[None, :, :]   # (MN, K, 3) element<-antenna
+        r = np.linalg.norm(diff, axis=2)                     # (MN, K)
+        if np.min(r) < MIN_DISTANCE_WAVELENGTHS * wavelength:
+            raise ValueError(
+                f"antenna-element distance {np.min(r):.3g} m violates the "
+                f"{MIN_DISTANCE_WAVELENGTHS} wavelength model guard"
+            )
+        ray = -diff / r[:, :, None]                          # unit element->antenna
+        u_local = np.einsum("lki,li->lk", ray, normals)
+        rho_elem = cosine_rolloff(u_local, q)
+        sin_phi = np.sqrt(np.maximum(0.0, 1.0 - ray[:, :, 2] ** 2))
+        rho_end = pattern_from_cosine(sin_phi, q)
+        return (
+            (seg_amp / r)
+            * rho_elem
+            * rho_end
+            * np.exp(-1j * (TWO_PI / wavelength * r - xi))
+        )
+
+    h_tc = segment(tx, xi_t)           # (MN, K)
+    h_cr = segment(rx, xi_r).T.copy()  # (K, MN)
+    return h_tc, h_cr
+
+
+def total_channel(h_d, relays):
+    """End-to-end channel H_d + sum_c H_cr diag(phi) H_tc.
+
+    ``relays`` holds (H_cr, phi_diagonal_vector, H_tc) triples.
+    """
+    h = np.array(h_d, dtype=complex, copy=True)
+    for h_cr, phi, h_tc in relays:
+        phi = np.asarray(phi)
+        if phi.ndim != 1 or h_cr.shape[1] != phi.shape[0] or h_tc.shape[0] != phi.shape[0]:
+            raise ValueError(
+                f"relay shapes mismatch: H_cr {h_cr.shape}, phi {phi.shape}, H_tc {h_tc.shape}"
+            )
+        contrib = h_cr @ (phi[:, None] * h_tc)
+        if contrib.shape != h.shape:
+            raise ValueError(f"relay contribution {contrib.shape} vs H_d {h.shape}")
+        h += contrib
+    return h
+
+
+@dataclass(frozen=True)
+class LinkResult:
+    selected: CodebookEntry
+    selected_index: int
+    powers: np.ndarray          # |w^H H f|^2 per entry, codebook order
+
+    def __post_init__(self):
+        powers = np.asarray(self.powers, dtype=float)
+        object.__setattr__(self, "powers", powers)
+        if not 0 <= self.selected_index < powers.size:
+            raise ValueError("selected_index out of range")
+        if powers[self.selected_index] < np.max(powers):
+            raise ValueError("selected entry must attain the maximum power")
+
+    @property
+    def received_power(self) -> float:
+        return float(self.powers[self.selected_index])
+
+
+def select_beams(codebook: Codebook, h) -> LinkResult:
+    """Pick the codebook entry with maximum |w^H H f|^2 on one channel matrix.
+
+    Ties resolve to the earliest entry, i.e. direct first, then relays in
+    codebook order.
+    """
+    powers = np.array([beam_power(h, e.f, e.w) for e in codebook.entries])
+    best = int(np.argmax(powers))
+    return LinkResult(
+        selected=codebook.entries[best], selected_index=best, powers=powers
+    )
+
+
+def beamformed(geometry, h_tc, h_cr, f, w):
+    """H_tc f and w^H H_cr of dense segment matrices, each reshaped to (M, N)."""
+    shape = (geometry.m_count, geometry.n_count)
+    a = h_tc @ np.asarray(f, dtype=complex)
+    b = np.asarray(w, dtype=complex).conj() @ h_cr
+    return a.reshape(shape), b.reshape(shape)

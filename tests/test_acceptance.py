@@ -45,8 +45,8 @@ from conformal_v2v.phase import (
     snell_residual,
 )
 from conformal_v2v.scenario import generate_traffic
-from oracles import azimuth_phase, elevation_phase, planar_phase
-from test_channel import brute_force_cascade
+from oracles import azimuth_phase, beamformed, elevation_phase, planar_phase
+from test_channel import brute_force_cascade, random_beams
 
 LAM = 299_792_458.0 / 28e9
 
@@ -139,14 +139,14 @@ def test_tuned_cascade_is_coherent_for_exactly_one_sign_convention():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
     geom = build_cirs_geometry(60, 60, 2.0, LAM / 4.0, LAM / 4.0, pose)
     p_t, p_r = vec3(25.0, -35.0, 1.5), vec3(25.0, 35.0, 1.5)
-    h_tc, h_cr = cascaded_channels(geom, p_t, p_r, 1, LAM)
+    a, b = cascaded_channels(geom, p_t, p_r, 1, LAM, [1.0], [1.0])
     incidence = pose_local_angles(pose, p_t - pose.position)
     reflection = pose_local_angles(pose, p_r - pose.position)
     coeff = optimal_phase(geom, incidence, reflection, LAM).coefficients()
-    terms = h_cr[0] * coeff * h_tc[:, 0]
+    terms = b.ravel() * coeff * a.ravel()
     envelope = float(np.sum(np.abs(terms)))
     ratio = float(np.abs(np.sum(terms))) / envelope
-    flipped = float(np.abs(np.sum(h_cr[0] * np.conj(coeff) * h_tc[:, 0]))) / envelope
+    flipped = float(np.abs(np.sum(b.ravel() * np.conj(coeff) * a.ravel()))) / envelope
     verify(
         [
             (ratio >= 0.99, f"coherence with the adopted sign: {ratio:.4f}"),
@@ -168,10 +168,11 @@ def test_cascaded_matrices_match_the_elementwise_scalar_sum():
         )
         p_t = vec3(rng.uniform(4.0, 30.0), rng.uniform(-30.0, -4.0), 1.5)
         p_r = vec3(rng.uniform(4.0, 30.0), rng.uniform(4.0, 30.0), 1.5)
-        got = cascaded_channels(geom, p_t, p_r, k, LAM)
-        want = brute_force_cascade(geom, p_t, p_r, k, LAM)
-        for g, w in zip(got, want):
-            worst = max(worst, float(np.max(np.abs(g - w)) / np.max(np.abs(w))))
+        f, w = random_beams(rng, k)
+        got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        want = beamformed(geom, *brute_force_cascade(geom, p_t, p_r, k, LAM), f, w)
+        for g, w_ in zip(got, want):
+            worst = max(worst, float(np.max(np.abs(g - w_)) / np.max(np.abs(w_))))
     verify([(worst <= 1e-10, f"max relative deviation over 100 draws: {worst:.3e}")])
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conformal_v2v.channel import (
@@ -24,11 +24,17 @@ from conformal_v2v.channel import (
     pattern_from_cosine,
     sample_blockage_db,
     sample_direct_pathloss,
-    total_channel,
 )
 from conformal_v2v.geometry import AnglePair, DoorPose, build_cirs_geometry, vec3
 from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
-from oracles import dense_normalized_gain, plane_wave_vectors, reflection_matrix
+from oracles import (
+    beamformed,
+    dense_cascaded_channels,
+    dense_normalized_gain,
+    plane_wave_vectors,
+    reflection_matrix,
+    total_channel,
+)
 
 LAM = 299_792_458.0 / 28e9
 Q = 0.285
@@ -179,6 +185,13 @@ def brute_force_cascade(geom, p_t, p_r, k_antennas, lam, q=Q):
     return h_tc, h_cr
 
 
+def random_beams(rng, k):
+    """Complex beam pair of non-unit, unequal entry moduli."""
+    f = rng.uniform(0.2, 2.0, k) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
+    w = rng.uniform(0.2, 2.0, k) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, k))
+    return f, w
+
+
 def test_cascade_power_matches_the_far_field_ris_law_at_broadside():
     # Tang et al. (IEEE TWC 2021) at broadside with both patterns at their
     # peak: P_r / P_t = G_t G_r G (MN)^2 d_m d_n lam^2 / (64 pi^3 r_t^2 r_r^2).
@@ -188,10 +201,12 @@ def test_cascade_power_matches_the_far_field_ris_law_at_broadside():
     pose = DoorPose(position=vec3(0.0, -(n - 1) * d / 2.0, 0.9), side="right")
     geom = build_cirs_geometry(m, n, 1.0e6, d, d, pose)
     r_t, r_r = 10.0, 25.0
-    h_tc, h_cr = cascaded_channels(geom, vec3(r_t, 0.0, 0.9), vec3(r_r, 0.0, 0.9), 1, LAM)
+    a, b = cascaded_channels(
+        geom, vec3(r_t, 0.0, 0.9), vec3(r_r, 0.0, 0.9), 1, LAM, [1.0], [1.0]
+    )
     broadside = AnglePair(0.0, math.pi / 2.0)
     phi = optimal_phase(geom, broadside, broadside, LAM).coefficients()
-    power = abs(h_cr[0] @ (phi * h_tc[:, 0])) ** 2
+    power = abs(np.sum(b.ravel() * phi * a.ravel())) ** 2
     g = 2.0 * (2.0 * Q + 1.0)  # G_t = G_r = G for q = 0.285
     closed = g**3 * (m * n) ** 2 * d * d * LAM**2 / (64.0 * math.pi**3 * r_t**2 * r_r**2)
     assert power == pytest.approx(closed, rel=1e-3)
@@ -207,39 +222,41 @@ def test_cascaded_channel_matches_scalar_reference():
         geom = build_cirs_geometry(m, n, float(rng.uniform(0.5, 4.0)), LAM / 4, LAM / 4, pose)
         p_t = vec3(rng.uniform(5, 30), rng.uniform(-30, -5), 1.5)
         p_r = vec3(rng.uniform(5, 30), rng.uniform(5, 30), 1.5)
-        got = cascaded_channels(geom, p_t, p_r, k, LAM)
-        want = brute_force_cascade(geom, p_t, p_r, k, LAM)
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+        f, w = random_beams(rng, k)
+        got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        want = beamformed(geom, *brute_force_cascade(geom, p_t, p_r, k, LAM), f, w)
+        for g, w_ in zip(got, want):
+            assert np.max(np.abs(g - w_)) <= 1e-10 * np.max(np.abs(w_))
 
 
 def test_cascade_amp_scale_multiplies_the_product_once():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
     geom = build_cirs_geometry(4, 4, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(10.0, -20.0, 1.5), vec3(10.0, 20.0, 1.5)
-    base_tc, base_cr = cascaded_channels(geom, p_t, p_r, 2, LAM)
-    sc_tc, sc_cr = cascaded_channels(geom, p_t, p_r, 2, LAM, amp_scale=16.0)
-    assert sc_tc == pytest.approx(4.0 * base_tc)
-    assert sc_cr == pytest.approx(4.0 * base_cr)
+    f, w = random_beams(np.random.default_rng(6), 2)
+    base_a, base_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
+    sc_a, sc_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w, amp_scale=16.0)
+    assert sc_a == pytest.approx(4.0 * base_a)
+    assert sc_b == pytest.approx(4.0 * base_b)
     # cascade product therefore scales by amp_scale exactly
-    prod = sc_cr @ sc_tc
-    assert prod == pytest.approx(16.0 * (base_cr @ base_tc))
+    assert np.sum(sc_b * sc_a) == pytest.approx(16.0 * np.sum(base_b * base_a))
 
 
 def test_cascade_shares_one_random_phase_per_segment():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
     geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(8.0, -15.0, 1.5), vec3(8.0, 15.0, 1.5)
-    plain_tc, plain_cr = cascaded_channels(geom, p_t, p_r, 2, LAM)
-    seeded_tc, seeded_cr = cascaded_channels(
-        geom, p_t, p_r, 2, LAM, rng=np.random.default_rng(4)
+    f, w = random_beams(np.random.default_rng(7), 2)
+    plain_a, plain_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
+    seeded_a, seeded_b = cascaded_channels(
+        geom, p_t, p_r, 2, LAM, f, w, rng=np.random.default_rng(4)
     )
-    ratio_tc = seeded_tc / plain_tc
-    ratio_cr = seeded_cr / plain_cr
-    assert np.abs(ratio_tc) == pytest.approx(np.ones_like(ratio_tc, dtype=float))
-    assert np.std(np.angle(ratio_tc)) < 1e-12       # one phase for the whole segment
-    assert np.std(np.angle(ratio_cr)) < 1e-12
-    assert abs(np.angle(ratio_tc[0, 0]) - np.angle(ratio_cr[0, 0])) > 1e-3
+    ratio_a = seeded_a / plain_a
+    ratio_b = seeded_b / plain_b
+    assert np.abs(ratio_a) == pytest.approx(np.ones_like(ratio_a, dtype=float))
+    assert np.std(np.angle(ratio_a)) < 1e-12       # one phase for the whole segment
+    assert np.std(np.angle(ratio_b)) < 1e-12
+    assert abs(np.angle(ratio_a[0, 0]) - np.angle(ratio_b[0, 0])) > 1e-3
 
 
 def test_cascade_rejects_near_field_endpoints():
@@ -247,7 +264,110 @@ def test_cascade_rejects_near_field_endpoints():
     geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
     too_close = vec3(MIN_DISTANCE_WAVELENGTHS * LAM * 0.5, 0.0, 0.9)
     with pytest.raises(ValueError):
-        cascaded_channels(geom, too_close, vec3(10.0, 10.0, 1.5), 2, LAM)
+        cascaded_channels(geom, too_close, vec3(10.0, 10.0, 1.5), 2, LAM, [1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, vec3(10.0, 10.0, 1.5), too_close, 2, LAM, [1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5), 2, LAM, [1], [1])
+
+
+@st.composite
+def cascade_cases(draw):
+    """A posed surface, two endpoints, K, q, beams and an amplitude scale.
+
+    Endpoints sit either in a random door-frame direction, behind the door
+    included, or close to the tangent plane of a random row, so that part of
+    the surface is lit and part is not; the distances stay clear of the
+    near-field guard.
+    """
+    m = 2 * draw(st.integers(1, 8))
+    n = draw(st.integers(1, 12))
+    radius = draw(st.one_of(st.floats(0.02, 0.5), st.floats(0.02, 1.0e4)))
+    pose = DoorPose(
+        position=vec3(
+            draw(st.floats(-20.0, 20.0)), draw(st.floats(-100.0, 100.0)), draw(st.floats(0.3, 1.5))
+        ),
+        side=draw(st.sampled_from(("left", "right"))),
+        yaw=draw(st.floats(-math.pi, math.pi)),
+    )
+    geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
+    centre = geom.flat_positions.mean(axis=0)
+
+    def endpoint():
+        if draw(st.booleans()):
+            local = AnglePair(draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, math.pi)))
+            local = local.direction()
+        else:
+            psi = geom.psi[draw(st.integers(0, m - 1))]
+            normal = np.array([math.cos(psi), 0.0, math.sin(psi)])
+            tangent = np.array([-math.sin(psi), 0.0, math.cos(psi)])
+            beta = draw(st.floats(-math.pi, math.pi))
+            local = (
+                draw(st.floats(-0.05, 0.05)) * normal
+                + math.cos(beta) * tangent
+                + math.sin(beta) * np.array([0.0, 1.0, 0.0])
+            )
+        local = local / np.linalg.norm(local)
+        return centre + draw(st.floats(0.3, 40.0)) * (pose.rotation() @ local)
+
+    k = draw(st.integers(1, 8))
+    q = draw(st.sampled_from((0.0, 0.285, draw(st.floats(0.0, 3.0)))))
+    beams = [
+        np.array(
+            [
+                draw(st.sampled_from((0.0, draw(st.floats(1e-3, 3.0)))))
+                * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+                for _ in range(k)
+            ]
+        )
+        for _ in range(2)
+    ]
+    amp_scale = draw(st.floats(0.01, 1000.0))
+    return geom, endpoint(), endpoint(), k, q, beams[0], beams[1], amp_scale
+
+
+@given(cascade_cases())
+@settings(max_examples=200, deadline=None)
+def test_beamformed_cascade_matches_the_dense_oracle(case):
+    geom, p_t, p_r, k, q, f, w, amp_scale = case
+    spacing = LAM / 2.0
+    pos = geom.flat_positions
+    normals = np.repeat(geom.normals, geom.n_count, axis=0)
+    legs = [antenna_positions(p, k, spacing) for p in (p_t, p_r)]
+    # A ray that grazes an element (u = 0) or runs vertically (sin phi = 0)
+    # sits on a jump of the pattern rules, which rounding decides either way,
+    # and u^q and sin(phi)^q are ill-conditioned close to one; keep clear.
+    for ants in legs:
+        diff = ants[None, :, :] - pos[:, None, :]
+        ray = diff / np.linalg.norm(diff, axis=2)[:, :, None]
+        assume(np.all(np.abs(np.einsum("lki,li->lk", ray, normals)) > 1e-4))
+        assume(np.all(1.0 - ray[:, :, 2] ** 2 > 1e-4))
+    h_tc, h_cr = dense_cascaded_channels(
+        geom, p_t, p_r, k, LAM, q, np.random.default_rng(1), spacing, amp_scale
+    )
+    got = cascaded_channels(
+        geom, p_t, p_r, k, LAM, f, w, q, np.random.default_rng(1), spacing, amp_scale
+    )
+    want = beamformed(geom, h_tc, h_cr, f, w)
+    # rounding scales with the sum of the K terms' moduli, which random
+    # beams can make far larger than the modulus of their sum
+    envelope = beamformed(geom, np.abs(h_tc), np.abs(h_cr), np.abs(f), np.abs(w))
+    for g, w_, e in zip(got, want, envelope):
+        assert g.shape == (geom.m_count, geom.n_count)
+        # unlit elements are exact zeros in both
+        assert np.array_equal(g == 0, w_ == 0)
+        assert np.max(np.abs(g - w_), initial=0.0) <= 1e-10 * np.max(np.abs(e), initial=0.0)
+
+    # the near-field guard fires on the closest antenna-element pair of
+    # either leg, at MIN_DISTANCE_WAVELENGTHS wavelengths
+    r_min = min(
+        float(np.min(np.linalg.norm(pos[:, None, :] - ants[None, :, :], axis=2)))
+        for ants in legs
+    )
+    edge = r_min / MIN_DISTANCE_WAVELENGTHS
+    cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), f, w, q, None, spacing)
+    with pytest.raises(ValueError, match="wavelength model guard"):
+        cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q, None, spacing)
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

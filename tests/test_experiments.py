@@ -36,7 +36,7 @@ from conformal_v2v.experiments import (
     write_sidecar,
 )
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
-from conformal_v2v.link import beam_power, build_codebooks
+from conformal_v2v.link import build_codebooks
 from conformal_v2v.scenario import (
     Scenario,
     candidate_relays_irs,
@@ -263,6 +263,34 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
 
 
+def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
+    # at rho = 0 the road holds only the two endpoints: there is no relay
+    # candidate, so both relayed modes fall back to the direct beam pair, no
+    # cascade is ever assembled, and nothing blocks any mode
+    calls = []
+
+    def no_cascade(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("cascaded_channels called on an empty road")
+
+    monkeypatch.setattr(experiments, "cascaded_channels", no_cascade)
+    cfg = tiny_config(trials=6)
+    results = run_snr_ecdf(
+        make_sweep("snr-ecdf", cfg, grid=(0.0,)),
+        r_d_values=(50.0, 100.0),
+        radius_values=(2.0,),
+    )
+    assert calls == []
+    for r_d in (50.0, 100.0):
+        direct = results[("direct", 2.0, 0.0, r_d)].values
+        assert np.all(np.isfinite(direct))
+        for mode in ("with_irs", "with_ris"):
+            assert np.array_equal(results[(mode, 2.0, 0.0, r_d)].values, direct)
+    rows = run_blockage_sweep(make_sweep("blockage", cfg, grid=(0.0,)))
+    assert len(rows) == 2 * len(MODES)
+    assert all(row["p_block"] == 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("radius", [2.0, 8.0])
 def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radius):
     # empty road at the configured link distance plus one vehicle two lanes
@@ -288,15 +316,16 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     )
     door = door_reference_point(relay, "left", cfg.door_center_height_m)
     p_t, p_r = scen.p_t, scen.p_r
-    h_tc, h_cr = cascaded_channels(
-        geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, cfg.q_pattern,
+    entry = build_codebooks(p_t, p_r, [("relay", door)], cfg.k_antennas).entries[1]
+    a, b = cascaded_channels(
+        geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, entry.f, entry.w, cfg.q_pattern,
         array_spacing_m=cfg.array_spacing_m, amp_scale=cfg.cascade_amp_scale,
     )
-    entry = build_codebooks(p_t, p_r, [("relay", door)], cfg.k_antennas).entries[1]
-    tuned = _tuned_profile(cfg, geom, door, p_t, p_r)
-    fixed = _fixed_profile(cfg, geom)
-    p_tuned = beam_power(h_cr @ (tuned[:, None] * h_tc), entry.f, entry.w)
-    p_fixed = beam_power(h_cr @ (fixed[:, None] * h_tc), entry.f, entry.w)
+    segments = (b * a).ravel()
+    tuned = _tuned_profile(cfg, geom, door, p_t, p_r).coefficients()
+    fixed = _fixed_profile(cfg, geom).coefficients()
+    p_tuned = abs(np.sum(segments * tuned)) ** 2
+    p_fixed = abs(np.sum(segments * fixed)) ** 2
     shortfall_db = 10.0 * math.log10(p_tuned / p_fixed)
     assert shortfall_db <= 3.0
 

@@ -15,14 +15,15 @@ from conformal_v2v.geometry import vec3
 from conformal_v2v.link import (
     Codebook,
     CodebookEntry,
-    LinkResult,
+    beam_amplitude,
     beam_power,
+    best_snr,
     build_codebooks,
     compute_snr,
     rescale_direct,
-    select_beams,
     steering_vector,
 )
+from oracles import LinkResult, select_beams
 
 K = 8
 
@@ -95,6 +96,32 @@ def test_ties_resolve_to_the_earliest_entry():
     result = select_beams(cb, np.eye(K, dtype=complex))
     assert result.selected_index == 0
     assert result.selected.label == "direct"
+
+
+def test_best_snr_agrees_with_selection_over_one_channel_matrix():
+    # the strongest of the per-entry amplitudes is the selection oracle's pick
+    rng = np.random.default_rng(5)
+    thetas = [0.3, 0.9, 1.6, 2.4, 2.9]
+    entries = tuple(
+        CodebookEntry(
+            label="direct" if i == 0 else f"relay:{i}:right",
+            f=steering_vector(K, t),
+            w=steering_vector(K, t + 0.2),
+        )
+        for i, t in enumerate(thetas)
+    )
+    cb = Codebook(entries=entries)
+    for _ in range(20):
+        h = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
+        picked = select_beams(cb, h).selected
+        amplitudes = [beam_amplitude(h, e.f, e.w) for e in entries]
+        assert abs(amplitudes[0]) ** 2 == pytest.approx(beam_power(h, entries[0].f, entries[0].w))
+        assert best_snr(amplitudes, 10.0, -88.0, K) == pytest.approx(
+            compute_snr(h, picked.f, picked.w, 10.0, -88.0, K), abs=1e-12
+        )
+    assert best_snr([0.0, 0j], 10.0, -88.0, K) == -math.inf
+    with pytest.raises(ValueError):
+        best_snr([1.0], 10.0, -88.0, 0)
 
 
 def test_link_result_rejects_a_non_maximal_selection():

@@ -139,6 +139,19 @@ def test_profile_coefficients_are_wrap_invariant(x):
     assert a == pytest.approx(b, abs=1e-12)
 
 
+@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_weighted_sum_matches_the_dense_coefficients(m, n, seed):
+    rng = np.random.default_rng(seed)
+    prof = PhaseProfile(rng.uniform(-300.0, 300.0, m), rng.uniform(-300.0, 300.0, n))
+    values = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    want = np.sum(values.ravel() * prof.coefficients())
+    scale = float(np.sum(np.abs(values)))
+    assert abs(prof.weighted_sum(values) - want) <= 1e-12 * scale
+    with pytest.raises(ValueError):
+        prof.weighted_sum(np.zeros((m + 1, n)))
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         PhaseProfile(np.zeros((2, 2)), np.zeros(2))
