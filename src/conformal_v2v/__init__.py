@@ -5,6 +5,8 @@ either electronically tunable or factory-preconfigured, and the side-lane
 relay links they form when the direct vehicle-to-vehicle ray is blocked.
 """
 
+__version__ = "0.1.0"  # set before the submodules import it
+
 from .config import SPEED_OF_LIGHT, SimConfig, resolve_config
 from .geometry import (
     AnglePair,
@@ -55,7 +57,6 @@ from .scenario import (
     candidate_relays_ris,
     count_blockers,
     door_pose,
-    door_reference_point,
     generate_traffic,
 )
 from .link import (
@@ -86,4 +87,3 @@ from .experiments import (
     write_sidecar,
 )
 
-__version__ = "0.1.0"

@@ -250,29 +250,21 @@ def _cmd_scenario_dump(args) -> int:
         config.seed,
     )
     roles = {scen.txv: "txv", scen.rxv: "rxv"}
+    fields = ("lane", "x", "y", "length", "width", "height")
     rows = [
-        {
-            "index": i,
-            "lane": v.lane,
-            "x": v.x,
-            "y": v.y,
-            "length": v.length,
-            "width": v.width,
-            "height": v.height,
-            "role": roles.get(i, "traffic"),
-        }
-        for i, v in enumerate(scen.vehicles)
+        {"index": i, **dict(zip(fields, values)), "role": roles.get(i, "traffic")}
+        for i, values in enumerate(zip(*(getattr(scen, f).tolist() for f in fields)))
     ]
     irs = candidate_relays_irs(scen, config.door_length_m, config.door_center_height_m)
     ris = candidate_relays_ris(scen, config.max_range_m, config.door_center_height_m)
     direct_blockers, _ = count_blockers(scen)
     print(
-        f"{len(scen.vehicles)} vehicles ({scen.dropped} dropped), "
+        f"{len(rows)} vehicles ({scen.dropped} dropped), "
         f"direct blockers {direct_blockers}, "
         f"{len(irs)} fixed-surface candidates, {len(ris)} tunable candidates"
     )
     _finish(args, config, "scenario.csv",
-            ["index", "lane", "x", "y", "length", "width", "height", "role"], rows,
+            ["index", *fields, "role"], rows,
             {"experiment": "scenario-dump", "dropped": scen.dropped,
              "direct_blockers": direct_blockers,
              "irs_candidates": len(irs), "ris_candidates": len(ris)})

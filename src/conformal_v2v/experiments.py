@@ -14,6 +14,7 @@ import csv
 import json
 import math
 import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .channel import (
     cascaded_channels,
     channel_gain_azimuth,
@@ -40,7 +42,6 @@ from .scenario import (
     candidate_relays_ris,
     count_blockers,
     door_pose,
-    door_reference_point,
     generate_traffic,
 )
 
@@ -419,16 +420,13 @@ def bootstrap_median_ci(
 def _ranked_candidates(
     scen: Scenario, candidates, door_center_height: float, cap: int
 ) -> list:
-    """Cap a candidate list by cascade budget (smallest r_t * r_r first)."""
+    """Cap a candidate list by cascade budget (smallest r_t * r_r first).
 
-    def key(cand):
-        idx, side = cand
-        door = door_reference_point(scen.vehicles[idx], side, door_center_height)
-        r_t = float(np.linalg.norm(door - scen.p_t))
-        r_r = float(np.linalg.norm(door - scen.p_r))
-        return (r_t * r_r, idx, side)
-
-    return sorted(candidates, key=key)[:cap]
+    Ties in r_t * r_r go to the lower vehicle index, then to the left door.
+    """
+    r = scen.endpoint_distances(scen.door_points(candidates, door_center_height))
+    budget = (r[:, 0] * r[:, 1]).tolist()
+    return [cand for _, cand in sorted(zip(budget, candidates))][:cap]
 
 
 def _tuned_profile(
@@ -500,7 +498,7 @@ def _snr_trial(
     )
     h_d = rescale_direct(direct_channel(p_t, p_r, k, pl.loss_db, rng, config.q_pattern), k)
 
-    doors = [door_reference_point(scen.vehicles[idx], side, height) for idx, side in relays]
+    doors = scen.door_points(relays, height)
     codebook = build_codebooks(
         p_t,
         p_r,
@@ -525,10 +523,8 @@ def _snr_trial(
     )
     relay_entries = [e for e in codebook.entries if e is not direct]
     for relay, door, entry, (b_t, b_r) in zip(relays, doors, relay_entries, legs):
-        idx, side = relay
-        pose = door_pose(
-            scen.vehicles[idx], side, config.n_elements, config.element_spacing_m, height
-        )
+        _, side = relay
+        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
         geom = replace(layout, pose=pose)
         a, b = cascaded_channels(
             geom,
@@ -627,15 +623,10 @@ def _angle_trial(
     scen = generate_scene(config, rho, r_d, rng)
     elev: list[float] = []
     azim: list[float] = []
-    for idx, side in candidate_relays_ris(
-        scen, config.max_range_m, config.door_center_height_m
-    ):
-        vehicle = scen.vehicles[idx]
-        pose = door_pose(
-            vehicle, side, config.n_elements, config.element_spacing_m,
-            config.door_center_height_m,
-        )
-        door = door_reference_point(vehicle, side, config.door_center_height_m)
+    height = config.door_center_height_m
+    cands = candidate_relays_ris(scen, config.max_range_m, height)
+    for (_, side), door in zip(cands, scen.door_points(cands, height)):
+        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
         ang = pose_local_angles(pose, scen.p_t - door)
         elev.append(math.degrees(ang.phi))
         azim.append(math.degrees(ang.theta))
@@ -718,9 +709,17 @@ def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> Path:
 def write_sidecar(
     csv_path: str | Path, config: SimConfig, seed: int, extra: dict | None = None
 ) -> Path:
-    """JSON provenance next to a CSV: resolved config, seed, extras."""
+    """JSON provenance next to a CSV: resolved config, seed, versions, extras."""
     csv_path = Path(csv_path)
-    payload = {"config": config.to_dict(), "seed": seed}
+    payload = {
+        "config": config.to_dict(),
+        "seed": seed,
+        "provenance": {
+            "package": __version__,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+        },
+    }
     if extra:
         payload.update(extra)
     side = csv_path.with_suffix(".json")

@@ -286,7 +286,7 @@ class RoadConfig:
 
 @dataclass(frozen=True)
 class Vehicle:
-    """Axis-aligned vehicle box, centered at (x, y), length along y."""
+    """One ``Scenario`` row: an axis-aligned box centered at (x, y), length along y."""
 
     x: float
     y: float
@@ -305,19 +305,6 @@ class Vehicle:
             self.y + self.length / 2.0,
         )
 
-    def array_position(self) -> np.ndarray:
-        """Roof-mounted antenna array reference point."""
-        return np.array([self.x, self.y, self.height])
-
-    def door_center(self, side: str, door_height: float) -> np.ndarray:
-        """Mid-door reference point on the requested side."""
-        sign = 1.0 if side == "right" else -1.0
-        return np.array([self.x + sign * self.width / 2.0, self.y, door_height])
-
-    def door_normal(self, side: str) -> np.ndarray:
-        sign = 1.0 if side == "right" else -1.0
-        return np.array([sign, 0.0, 0.0])
-
 
 @dataclass(frozen=True)
 class SpecularArea:
@@ -327,11 +314,11 @@ class SpecularArea:
     width: float   # lateral extent (x)
     length: float  # longitudinal extent (y)
 
-    def contains(self, point: np.ndarray) -> bool:
-        p = np.asarray(point, dtype=float)
-        return bool(
-            abs(p[0] - self.center[0]) <= self.width / 2.0
-            and abs(p[1] - self.center[1]) <= self.length / 2.0
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each (..., 3) point lies in the rectangle (plan view)."""
+        p = np.asarray(points, dtype=float)
+        return (np.abs(p[..., 0] - self.center[0]) <= self.width / 2.0) & (
+            np.abs(p[..., 1] - self.center[1]) <= self.length / 2.0
         )
 
 

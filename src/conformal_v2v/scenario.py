@@ -6,51 +6,139 @@ of a path is a 2D segment-vs-footprint intersection test (all roofs share
 the same height, so a same-height ray is blocked exactly by the boxes its
 plan-view projection crosses).  ``count_blockers`` is the one place that
 test is made; ``blocked_modes`` turns its counts into per-mode outcomes.
+
+A scene is stored as per-vehicle arrays.  Door gating and the blockage test
+work on them without a per-door loop; generation loops over position draws
+only, testing each against its two same-lane neighbours.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geometry import DoorPose, RoadConfig, Vehicle, specular_area
 
 Candidate = tuple[int, str]  # (vehicle index, door side)
+SIDES = ("left", "right")
+_SIGNS = np.array([-1.0, 1.0])  # outward x direction of each side's door
 
 
-@dataclass(frozen=True)
+class _VehicleRows(Sequence):
+    """Read-only view of a scene's rows as ``Vehicle`` objects, built on access."""
+
+    def __init__(self, scene: Scenario):
+        self._scene = scene
+
+    def __len__(self) -> int:
+        return len(self._scene.x)
+
+    def __getitem__(self, i) -> Vehicle:
+        s = self._scene
+        return Vehicle(
+            x=float(s.x[i]),
+            y=float(s.y[i]),
+            length=float(s.length[i]),
+            width=float(s.width[i]),
+            height=float(s.height[i]),
+            lane=int(s.lane[i]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
 class Scenario:
+    """One plan-view scene as (V,) per-vehicle arrays.
+
+    Vehicle i is a box centered at (x[i], y[i]) on lane ``lane[i]``, ``length``
+    along the road (y) and ``width`` across it; its roof array sits at
+    ``height``.  ``footprints`` holds the (V, 4) boxes (xmin, xmax, ymin,
+    ymax), and ``vehicles`` views the rows as ``Vehicle`` objects.
+    """
+
     road: RoadConfig
-    vehicles: tuple[Vehicle, ...]
+    x: np.ndarray
+    y: np.ndarray
+    lane: np.ndarray
+    length: np.ndarray
+    width: np.ndarray
+    height: np.ndarray
     txv: int
     rxv: int
     seed: int | None = None
     dropped: int = 0  # placements abandoned after the retry budget
+    footprints: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("x", "y", "length", "width", "height"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "lane", np.asarray(self.lane, dtype=int))
+        n = len(self.x)
+        for name in ("x", "y", "lane", "length", "width", "height"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must have shape ({n},)")
         if self.txv == self.rxv:
             raise ValueError("txv and rxv must differ")
         for idx in (self.txv, self.rxv):
-            if not 0 <= idx < len(self.vehicles):
+            if not 0 <= idx < n:
                 raise ValueError(f"endpoint index {idx} out of range")
+        half_w, half_l = self.width / 2.0, self.length / 2.0
+        boxes = np.stack(
+            [self.x - half_w, self.x + half_w, self.y - half_l, self.y + half_l], axis=1
+        )
+        object.__setattr__(self, "footprints", boxes)
 
     @property
-    def txv_vehicle(self) -> Vehicle:
-        return self.vehicles[self.txv]
-
-    @property
-    def rxv_vehicle(self) -> Vehicle:
-        return self.vehicles[self.rxv]
+    def vehicles(self) -> Sequence[Vehicle]:
+        return _VehicleRows(self)
 
     @property
     def p_t(self) -> np.ndarray:
-        return self.txv_vehicle.array_position()
+        """TxV roof-array position."""
+        return np.array([self.x[self.txv], self.y[self.txv], self.height[self.txv]])
 
     @property
     def p_r(self) -> np.ndarray:
-        return self.rxv_vehicle.array_position()
+        """RxV roof-array position."""
+        return np.array([self.x[self.rxv], self.y[self.rxv], self.height[self.rxv]])
+
+    def all_door_points(self, door_center_height: float) -> np.ndarray:
+        """(V, 2, 3) mid-door reference points of every vehicle, columns ``SIDES``."""
+        points = np.empty((len(self.x), 2, 3))
+        points[..., 0] = self.x[:, None] + _SIGNS * self.width[:, None] / 2.0
+        points[..., 1] = self.y[:, None]
+        points[..., 2] = door_center_height
+        return points
+
+    def door_points(
+        self, doors: Sequence[Candidate], door_center_height: float
+    ) -> np.ndarray:
+        """(C, 3) mid-door reference points of the given (index, side) doors."""
+        rows = [i for i, _ in doors]
+        cols = [SIDES.index(side) for _, side in doors]
+        return self.all_door_points(door_center_height)[rows, cols]
+
+    def endpoint_distances(self, points: np.ndarray) -> np.ndarray:
+        """(..., 2) distances (r_t, r_r) of (..., 3) points from both roof arrays."""
+        d = np.asarray(points)[..., None, :] - np.stack([self.p_t, self.p_r])
+        # a stack of (1, 3) @ (3, 1) products runs the dot kernel that
+        # np.linalg.norm runs on one 3-vector, so every distance matches the
+        # per-point norm to the last bit and range ties resolve the same way
+        return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
+
+
+def _fits(occupied: list[float], y: float, min_gap: float) -> bool:
+    """Whether y keeps ``min_gap`` from every entry of the sorted ``occupied``.
+
+    fl(y - o) is monotone in o, so the two sorted neighbours of y decide
+    exactly what testing every entry would.
+    """
+    i = bisect.bisect_left(occupied, y)
+    return (i == 0 or y - occupied[i - 1] >= min_gap) and (
+        i == len(occupied) or occupied[i] - y >= min_gap
+    )
 
 
 def generate_traffic(
@@ -69,7 +157,8 @@ def generate_traffic(
     positions are uniform, redrawn up to ``max_retries`` times when two
     same-lane footprints would overlap (drops are counted, not silently
     clipped).  TxV sits at the road start of the center lane and RxV
-    ``link_distance_m`` further down the same lane.
+    ``link_distance_m`` further down the same lane.  Draws come in the order
+    of one placement at a time, each retried until it fits or runs out.
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
@@ -86,74 +175,83 @@ def generate_traffic(
             f"link distance {link_distance_m} m does not fit a {road.length} m road"
         )
 
-    def make(lane: int, y: float) -> Vehicle:
-        return Vehicle(
-            x=road.lane_center(lane),
-            y=y,
-            length=vehicle_length_m,
-            width=vehicle_width_m,
-            height=vehicle_height_m,
-            lane=lane,
-        )
-
-    vehicles = [make(center, y_t), make(center, y_r)]
+    lanes, ys = [center, center], [y_t, y_r]
     dropped = 0
     length_km = road.length / 1000.0
     for lane in range(road.n_lanes):
-        occupied = [v.y for v in vehicles if v.lane == lane]
-        count = int(rng.poisson(rho * length_km))
-        for _ in range(count):
-            placed = False
-            for _ in range(max_retries):
-                y = float(rng.uniform(0.0, road.length))
-                if all(abs(y - other) >= vehicle_length_m for other in occupied):
-                    occupied.append(y)
-                    vehicles.append(make(lane, y))
-                    placed = True
-                    break
-            if not placed:
-                dropped += 1
+        occupied = sorted((y_t, y_r)) if lane == center else []
+        owed = int(rng.poisson(rho * length_km))
+        if max_retries < 1:
+            dropped += owed
+            continue
+        tries = 0
+        while owed:
+            # every owed placement takes at least one more draw, so a batch of
+            # ``owed`` draws ends where drawing one at a time would have
+            for y in rng.uniform(0.0, road.length, size=owed).tolist():
+                if _fits(occupied, y, vehicle_length_m):
+                    bisect.insort(occupied, y)
+                    lanes.append(lane)
+                    ys.append(y)
+                    owed, tries = owed - 1, 0
+                else:
+                    tries += 1
+                    if tries >= max_retries:
+                        dropped += 1
+                        owed, tries = owed - 1, 0
 
+    centers = np.array([road.lane_center(lane) for lane in range(road.n_lanes)])
+    n = len(ys)
     return Scenario(
-        road=road, vehicles=tuple(vehicles), txv=0, rxv=1, seed=seed, dropped=dropped
+        road=road,
+        x=centers[lanes],
+        y=np.array(ys),
+        lane=np.array(lanes),
+        length=np.full(n, vehicle_length_m),
+        width=np.full(n, vehicle_width_m),
+        height=np.full(n, vehicle_height_m),
+        txv=0,
+        rxv=1,
+        seed=seed,
+        dropped=dropped,
     )
 
 
-def door_reference_point(vehicle: Vehicle, side: str, door_center_height: float) -> np.ndarray:
-    """Center of the door surface on the requested side."""
-    return vehicle.door_center(side, door_center_height)
-
-
 def door_pose(
-    vehicle: Vehicle,
-    side: str,
-    n_elements: int,
-    element_spacing_m: float,
-    door_center_height: float,
+    door: np.ndarray, side: str, n_elements: int, element_spacing_m: float
 ) -> DoorPose:
-    """Mounting pose for the door surface of ``vehicle`` on ``side``.
+    """Mounting pose for a door surface centered on the door reference point.
 
     The pose origin is the surface reference element (column n = 0); the
     columns extend (n_elements - 1) * element_spacing_m along the vehicle
     from there, so the origin is shifted back by half that extent to center
-    the surface on the door reference point.
+    the surface on ``door`` (a point from ``Scenario.door_points``).
     """
-    center = vehicle.door_center(side, door_center_height)
     offset = (n_elements - 1) * element_spacing_m / 2.0
     shift = -offset if side == "right" else offset
-    position = center + np.array([0.0, shift, 0.0])
+    position = np.asarray(door, dtype=float) + np.array([0.0, shift, 0.0])
     return DoorPose(position=position, side=side, yaw=0.0)
 
 
-def _faces_both(
-    vehicle: Vehicle, side: str, p_t: np.ndarray, p_r: np.ndarray, door_center_height: float
-) -> bool:
-    door = vehicle.door_center(side, door_center_height)
-    normal = vehicle.door_normal(side)
-    return (
-        float(np.dot(p_t - door, normal)) > 0.0
-        and float(np.dot(p_r - door, normal)) > 0.0
-    )
+def _facing_doors(scenario: Scenario, door_center_height: float):
+    """(V, 2, 3) door points, columns ``SIDES``, and the (V, 2) mask of doors
+    facing both endpoints; the endpoints' own doors are masked out.
+
+    A door faces a point when the point lies strictly on the outward side of
+    the door plane: a coplanar endpoint does not count.
+    """
+    s = scenario
+    points = s.all_door_points(door_center_height)
+    door_x = points[..., 0]
+    facing = (_SIGNS * (s.p_t[0] - door_x) > 0.0) & (_SIGNS * (s.p_r[0] - door_x) > 0.0)
+    facing[[s.txv, s.rxv]] = False
+    return points, facing
+
+
+def _candidates(mask: np.ndarray) -> list[Candidate]:
+    """(index, side) of every set entry of a (V, 2) door mask, in row order."""
+    rows, cols = np.nonzero(mask)
+    return [(i, SIDES[c]) for i, c in zip(rows.tolist(), cols.tolist())]
 
 
 def candidate_relays_irs(
@@ -163,17 +261,8 @@ def candidate_relays_irs(
 ) -> list[Candidate]:
     """Doors inside the specular area that face both endpoints."""
     area = specular_area(scenario.p_t, scenario.p_r, scenario.road, door_length_m)
-    out: list[Candidate] = []
-    for i, vehicle in enumerate(scenario.vehicles):
-        if i in (scenario.txv, scenario.rxv):
-            continue
-        for side in ("left", "right"):
-            door = door_reference_point(vehicle, side, door_center_height)
-            if area.contains(door) and _faces_both(
-                vehicle, side, scenario.p_t, scenario.p_r, door_center_height
-            ):
-                out.append((i, side))
-    return out
+    points, mask = _facing_doors(scenario, door_center_height)
+    return _candidates(mask & area.contains(points))
 
 
 def candidate_relays_ris(
@@ -184,21 +273,9 @@ def candidate_relays_ris(
     """Doors within range of both endpoints that face both endpoints."""
     if max_range_m <= 0:
         raise ValueError(f"max_range_m must be positive, got {max_range_m}")
-    out: list[Candidate] = []
-    for i, vehicle in enumerate(scenario.vehicles):
-        if i in (scenario.txv, scenario.rxv):
-            continue
-        for side in ("left", "right"):
-            door = door_reference_point(vehicle, side, door_center_height)
-            if (
-                np.linalg.norm(door - scenario.p_t) <= max_range_m
-                and np.linalg.norm(door - scenario.p_r) <= max_range_m
-                and _faces_both(
-                    vehicle, side, scenario.p_t, scenario.p_r, door_center_height
-                )
-            ):
-                out.append((i, side))
-    return out
+    points, mask = _facing_doors(scenario, door_center_height)
+    in_range = (scenario.endpoint_distances(points) <= max_range_m).all(axis=-1)
+    return _candidates(mask & in_range)
 
 
 def _segments_hit_boxes(
@@ -246,24 +323,23 @@ def count_blockers(
     """
     doors = list(doors)
     n_seg = 1 + 2 * len(doors)
+    p_t, p_r = scenario.p_t[:2], scenario.p_r[:2]
     starts = np.empty((n_seg, 2))
     ends = np.empty((n_seg, 2))
-    starts[0], ends[0] = scenario.p_t[:2], scenario.p_r[:2]
+    starts[0], ends[0] = p_t, p_r
     if doors:
-        points = np.array([
-            door_reference_point(scenario.vehicles[idx], side, door_center_height)[:2]
-            for idx, side in doors
-        ])
-        starts[1::2], ends[1::2] = scenario.p_t[:2], points
-        starts[2::2], ends[2::2] = points, scenario.p_r[:2]
-    if np.any(np.all(np.isclose(starts, ends), axis=1)):
+        points = scenario.door_points(doors, door_center_height)[:, :2]
+        starts[1::2], ends[1::2] = p_t, points
+        starts[2::2], ends[2::2] = points, p_r
+    # np.isclose at its default tolerances, without its overhead
+    if (np.abs(starts - ends) <= 1e-8 + 1e-5 * np.abs(ends)).all(axis=1).any():
         raise ValueError("segment endpoints must be distinct in plan view")
 
-    boxes = np.array([v.footprint for v in scenario.vehicles])
-    hits = _segments_hit_boxes(starts, ends, boxes)
+    hits = _segments_hit_boxes(starts, ends, scenario.footprints)
     hits[:, [scenario.txv, scenario.rxv]] = False
-    relays = np.repeat(np.array([idx for idx, _ in doors], dtype=int), 2)
-    hits[np.arange(1, n_seg), relays] = False
+    if doors:
+        relays = np.repeat([idx for idx, _ in doors], 2)
+        hits[np.arange(1, n_seg), relays] = False
     counts = np.count_nonzero(hits, axis=1)
     return int(counts[0]), counts[1:].reshape(-1, 2)
 

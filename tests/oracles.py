@@ -6,7 +6,9 @@ MN-vectors of the plane-wave cascade element by element; the cascade oracle
 builds the (MN, K) and (K, MN) segment matrices entry by entry, and the
 selection oracle scores every codebook entry on one channel matrix.  None of
 them uses the row + column factorization that ``PhaseProfile``,
-``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.
+``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.  The
+scene oracles place traffic one uniform draw at a time and gate relay doors
+one ``Vehicle`` at a time, where ``scenario`` works on per-vehicle arrays.
 """
 
 import math
@@ -21,8 +23,10 @@ from conformal_v2v.channel import (
     pattern_from_cosine,
     unit_cell_gain,
 )
+from conformal_v2v.geometry import Vehicle, specular_area
 from conformal_v2v.link import Codebook, CodebookEntry, beam_power
 from conformal_v2v.phase import PHASE_SIGN
+from conformal_v2v.scenario import Scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,3 +247,117 @@ def beamformed(geometry, h_tc, h_cr, f, w):
     a = h_tc @ np.asarray(f, dtype=complex)
     b = np.asarray(w, dtype=complex).conj() @ h_cr
     return a.reshape(shape), b.reshape(shape)
+
+
+# --- scenes: one vehicle and one door at a time --------------------------------
+
+
+def scene_from_vehicles(road, vehicles, txv=0, rxv=1, seed=None, dropped=0):
+    """``Scenario`` whose rows are the given ``Vehicle`` objects."""
+    columns = ("x", "y", "lane", "length", "width", "height")
+    rows = {name: [getattr(v, name) for v in vehicles] for name in columns}
+    return Scenario(road=road, **rows, txv=txv, rxv=rxv, seed=seed, dropped=dropped)
+
+
+def door_center(vehicle, side, door_height):
+    """Mid-door reference point on the requested side of one vehicle."""
+    sign = 1.0 if side == "right" else -1.0
+    return np.array([vehicle.x + sign * vehicle.width / 2.0, vehicle.y, door_height])
+
+
+def scalar_generate_traffic(
+    road,
+    rho,
+    rng,
+    link_distance_m=100.0,
+    vehicle_length_m=5.0,
+    vehicle_width_m=1.8,
+    vehicle_height_m=1.5,
+    max_retries=100,
+):
+    """``generate_traffic`` drawing one uniform per attempt and testing each
+    attempt against every vehicle already on its lane."""
+    seed = None
+    if isinstance(rng, (int, np.integer)):
+        seed = int(rng)
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+    center = road.n_lanes // 2
+    y_t = vehicle_length_m / 2.0
+    y_r = y_t + link_distance_m
+
+    def make(lane, y):
+        return Vehicle(
+            x=road.lane_center(lane),
+            y=y,
+            length=vehicle_length_m,
+            width=vehicle_width_m,
+            height=vehicle_height_m,
+            lane=lane,
+        )
+
+    vehicles = [make(center, y_t), make(center, y_r)]
+    dropped = 0
+    length_km = road.length / 1000.0
+    for lane in range(road.n_lanes):
+        occupied = [v.y for v in vehicles if v.lane == lane]
+        count = int(rng.poisson(rho * length_km))
+        for _ in range(count):
+            placed = False
+            for _ in range(max_retries):
+                y = float(rng.uniform(0.0, road.length))
+                if all(abs(y - other) >= vehicle_length_m for other in occupied):
+                    occupied.append(y)
+                    vehicles.append(make(lane, y))
+                    placed = True
+                    break
+            if not placed:
+                dropped += 1
+    return scene_from_vehicles(road, vehicles, seed=seed, dropped=dropped)
+
+
+def _faces_both(vehicle, side, p_t, p_r, door_center_height):
+    door = door_center(vehicle, side, door_center_height)
+    normal = np.array([1.0 if side == "right" else -1.0, 0.0, 0.0])
+    return (
+        float(np.dot(p_t - door, normal)) > 0.0
+        and float(np.dot(p_r - door, normal)) > 0.0
+    )
+
+
+def scalar_candidates_irs(scenario, door_length_m=1.0, door_center_height=0.9):
+    """Doors inside the specular area that face both endpoints, door by door."""
+    area = specular_area(scenario.p_t, scenario.p_r, scenario.road, door_length_m)
+    out = []
+    for i, vehicle in enumerate(scenario.vehicles):
+        if i in (scenario.txv, scenario.rxv):
+            continue
+        for side in ("left", "right"):
+            door = door_center(vehicle, side, door_center_height)
+            inside = (
+                abs(door[0] - area.center[0]) <= area.width / 2.0
+                and abs(door[1] - area.center[1]) <= area.length / 2.0
+            )
+            if inside and _faces_both(
+                vehicle, side, scenario.p_t, scenario.p_r, door_center_height
+            ):
+                out.append((i, side))
+    return out
+
+
+def scalar_candidates_ris(scenario, max_range_m=150.0, door_center_height=0.9):
+    """Doors within range of both endpoints that face both, door by door."""
+    out = []
+    for i, vehicle in enumerate(scenario.vehicles):
+        if i in (scenario.txv, scenario.rxv):
+            continue
+        for side in ("left", "right"):
+            door = door_center(vehicle, side, door_center_height)
+            if (
+                np.linalg.norm(door - scenario.p_t) <= max_range_m
+                and np.linalg.norm(door - scenario.p_r) <= max_range_m
+                and _faces_both(
+                    vehicle, side, scenario.p_t, scenario.p_r, door_center_height
+                )
+            ):
+                out.append((i, side))
+    return out

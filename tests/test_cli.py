@@ -207,3 +207,19 @@ def test_config_file_feeds_the_run(tmp_path):
                  "--config", str(cfg_path)]) == 0
     _, rows = read_csv(tmp_path / "geometry.csv")
     assert len(rows) == 12
+
+
+def test_sidecars_record_package_and_library_versions(tmp_path):
+    import platform
+
+    import numpy as np
+
+    import conformal_v2v
+
+    assert main(["scenario-dump", "--out-dir", str(tmp_path), "--seed", "3"]) == 0
+    sidecar = json.loads((tmp_path / "scenario.json").read_text())
+    assert sidecar["provenance"] == {
+        "package": conformal_v2v.__version__,
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+    }

@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conformal_v2v import experiments
 from conformal_v2v.channel import cascaded_channels
@@ -19,6 +21,7 @@ from conformal_v2v.experiments import (
     _blockage_trial,
     _fixed_profile,
     _map_trials,
+    _ranked_candidates,
     _tuned_profile,
     bootstrap_median_ci,
     element_counts_for_area,
@@ -38,12 +41,12 @@ from conformal_v2v.experiments import (
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.link import build_codebooks
 from conformal_v2v.scenario import (
-    Scenario,
     candidate_relays_irs,
+    candidate_relays_ris,
     door_pose,
-    door_reference_point,
     generate_traffic,
 )
+from oracles import door_center, scene_from_vehicles
 
 LAM28 = 299_792_458.0 / 28e9
 
@@ -302,19 +305,17 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     ends = generate_traffic(road, 0.0, 0, link_distance_m=cfg.link_distance_m)
     mid_y = 0.5 * (ends.p_t[1] + ends.p_r[1])
     relay = Vehicle(x=road.lane_center(road.n_lanes - 1), y=mid_y, lane=road.n_lanes - 1)
-    scen = Scenario(road=road, vehicles=ends.vehicles + (relay,), txv=0, rxv=1)
+    scen = scene_from_vehicles(road, (*ends.vehicles, relay))
     assert candidate_relays_irs(scen, cfg.door_length_m, cfg.door_center_height_m) == [
         (2, "left")
     ]
 
-    pose = door_pose(
-        relay, "left", cfg.n_elements, cfg.element_spacing_m, cfg.door_center_height_m
-    )
+    door = door_center(relay, "left", cfg.door_center_height_m)
+    pose = door_pose(door, "left", cfg.n_elements, cfg.element_spacing_m)
     geom = build_cirs_geometry(
         cfg.m_elements, cfg.n_elements, radius,
         cfg.element_spacing_m, cfg.element_spacing_m, pose,
     )
-    door = door_reference_point(relay, "left", cfg.door_center_height_m)
     p_t, p_r = scen.p_t, scen.p_r
     entry = build_codebooks(p_t, p_r, [("relay", door)], cfg.k_antennas).entries[1]
     a, b = cascaded_channels(
@@ -375,3 +376,23 @@ def test_csv_and_sidecar_round_trip(tmp_path):
     assert payload["kind"] == "unit"
     assert payload["config"]["m_elements"] == 400
     assert side.name == "t.json"
+
+
+@given(
+    st.floats(0.0, 80.0),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([50.0, 100.0, 300.0]),
+    st.integers(1, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_ranked_candidates_match_the_per_door_budget_key(rho, seed, r_d, cap):
+    scen = generate_traffic(RoadConfig(), rho, seed, link_distance_m=r_d)
+    cands = candidate_relays_ris(scen, 1000.0)
+
+    def key(cand):
+        door = door_center(scen.vehicles[cand[0]], cand[1], 0.9)
+        r_t = float(np.linalg.norm(door - scen.p_t))
+        r_r = float(np.linalg.norm(door - scen.p_r))
+        return (r_t * r_r, *cand)
+
+    assert _ranked_candidates(scen, cands, 0.9, cap) == sorted(cands, key=key)[:cap]

@@ -22,6 +22,7 @@ from conformal_v2v.geometry import (
     surface_area,
     vec3,
 )
+from conformal_v2v.scenario import Scenario
 
 WAVELENGTH_28 = 299_792_458.0 / 28e9
 D_QUARTER = WAVELENGTH_28 / 4.0
@@ -191,11 +192,18 @@ def test_lane_centers_are_symmetric_about_road_axis():
 def test_vehicle_box_and_doors():
     v = Vehicle(x=5.0, y=30.0, length=5.0, width=1.8, height=1.5, lane=3)
     assert v.footprint == (5.0 - 0.9, 5.0 + 0.9, 27.5, 32.5)
-    assert v.array_position() == pytest.approx([5.0, 30.0, 1.5])
-    assert v.door_center("right", 0.9) == pytest.approx([5.9, 30.0, 0.9])
-    assert v.door_center("left", 0.9) == pytest.approx([4.1, 30.0, 0.9])
-    assert v.door_normal("right") == pytest.approx([1.0, 0.0, 0.0])
-    assert v.door_normal("left") == pytest.approx([-1.0, 0.0, 0.0])
+    s = Scenario(
+        road=RoadConfig(), x=[5.0, 0.0], y=[30.0, 80.0], lane=[3, 2],
+        length=[5.0, 5.0], width=[1.8, 1.8], height=[1.5, 1.5], txv=0, rxv=1,
+    )
+    assert s.vehicles[0] == v
+    assert s.footprints[0].tolist() == list(v.footprint)
+    assert s.p_t == pytest.approx([5.0, 30.0, 1.5])
+    doors = s.door_points([(0, "right"), (0, "left")], 0.9)
+    assert doors == pytest.approx(np.array([[5.9, 30.0, 0.9], [4.1, 30.0, 0.9]]))
+    # the outward door normal is the door frame's +x axis
+    for side, normal in (("right", [1.0, 0.0, 0.0]), ("left", [-1.0, 0.0, 0.0])):
+        assert DoorPose(np.zeros(3), side).rotation()[:, 0] == pytest.approx(normal)
 
 
 def test_specular_area_sits_at_link_midpoint_spanning_all_lanes():

@@ -2,20 +2,25 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
-    Scenario,
     blocked_modes,
     candidate_relays_irs,
     candidate_relays_ris,
     count_blockers,
     door_pose,
-    door_reference_point,
     generate_traffic,
+)
+from oracles import (
+    door_center,
+    scalar_candidates_irs,
+    scalar_candidates_ris,
+    scalar_generate_traffic,
+    scene_from_vehicles,
 )
 
 ROAD = RoadConfig()
@@ -70,7 +75,7 @@ def reference_counts(scenario, doors, door_center_height=0.9):
     direct = reference_segment_count(scenario, scenario.p_t, scenario.p_r)
     legs = []
     for idx, side in doors:
-        door = door_reference_point(scenario.vehicles[idx], side, door_center_height)
+        door = door_center(scenario.vehicles[idx], side, door_center_height)
         legs.append((
             reference_segment_count(scenario, scenario.p_t, door, excluded={idx}),
             reference_segment_count(scenario, door, scenario.p_r, excluded={idx}),
@@ -78,27 +83,27 @@ def reference_counts(scenario, doors, door_center_height=0.9):
     return direct, legs
 
 
-def scene(*extra: Vehicle, link_m: float = 100.0) -> Scenario:
+def scene(*extra: Vehicle, link_m: float = 100.0):
     """Hand-built scenario: TxV/RxV on the center lane plus extra vehicles."""
     txv = Vehicle(x=0.0, y=2.5, lane=2)
     rxv = Vehicle(x=0.0, y=2.5 + link_m, lane=2)
-    return Scenario(road=ROAD, vehicles=(txv, rxv, *extra), txv=0, rxv=1)
+    return scene_from_vehicles(ROAD, (txv, rxv, *extra))
 
 
 def test_generated_traffic_is_reproducible_from_an_int_seed():
     a = generate_traffic(ROAD, 20.0, 42)
     b = generate_traffic(ROAD, 20.0, 42)
     assert a.seed == 42
-    assert a.vehicles == b.vehicles
+    assert tuple(a.vehicles) == tuple(b.vehicles)
     assert a.dropped == b.dropped
     c = generate_traffic(ROAD, 20.0, 43)
-    assert c.vehicles != a.vehicles
+    assert tuple(c.vehicles) != tuple(a.vehicles)
 
 
 def test_endpoints_sit_on_the_center_lane_at_the_link_distance():
     s = generate_traffic(ROAD, 15.0, 0, link_distance_m=80.0)
     assert s.txv == 0 and s.rxv == 1
-    assert s.txv_vehicle.lane == 2 and s.rxv_vehicle.lane == 2
+    assert s.lane[s.txv] == 2 and s.lane[s.rxv] == 2
     assert s.p_t == pytest.approx([0.0, 2.5, 1.5])
     assert s.p_r == pytest.approx([0.0, 82.5, 1.5])
 
@@ -131,9 +136,9 @@ def test_scenario_rejects_degenerate_endpoint_indices():
     txv = Vehicle(x=0.0, y=2.5, lane=2)
     rxv = Vehicle(x=0.0, y=50.0, lane=2)
     with pytest.raises(ValueError):
-        Scenario(road=ROAD, vehicles=(txv, rxv), txv=0, rxv=0)
+        scene_from_vehicles(ROAD, (txv, rxv), txv=0, rxv=0)
     with pytest.raises(ValueError):
-        Scenario(road=ROAD, vehicles=(txv, rxv), txv=0, rxv=5)
+        scene_from_vehicles(ROAD, (txv, rxv), txv=0, rxv=5)
 
 
 def test_a_same_lane_car_between_the_endpoints_blocks():
@@ -175,7 +180,7 @@ def test_count_blockers_rejects_coincident_plan_view_points():
     txv = Vehicle(x=0.0, y=2.5, lane=2)
     above = Vehicle(x=0.0, y=2.5, height=3.0, lane=2)
     with pytest.raises(ValueError):
-        count_blockers(Scenario(road=ROAD, vehicles=(txv, above), txv=0, rxv=1))
+        count_blockers(scene_from_vehicles(ROAD, (txv, above)))
     # a left door at x = 0.0, level with the transmitter
     s = scene(Vehicle(x=0.9, y=2.5, lane=2))
     with pytest.raises(ValueError):
@@ -248,9 +253,9 @@ def test_door_pose_centers_the_surface_on_the_vehicle():
     spacing = SimConfig().element_spacing_m
     for n_elements in (100, 400):
         for side in ("left", "right"):
-            pose = door_pose(v, side, n_elements, spacing, door_center_height=0.9)
+            door = door_center(v, side, 0.9)
+            pose = door_pose(door, side, n_elements, spacing)
             assert pose.side == side
-            door = door_reference_point(v, side, 0.9)
             for radius in (2.0, 1e9):
                 geom = build_cirs_geometry(4, n_elements, radius, spacing, spacing, pose)
                 centroid = geom.flat_positions.mean(axis=0)
@@ -290,3 +295,88 @@ def test_a_blocked_relay_segment_defeats_the_rescue():
     second_leg = Vehicle(x=2.5, y=80.0, lane=2, width=4.0)
     s = scene(blocker, relay, second_leg)
     assert blocked_modes(s) == (True, True, True)
+
+
+# --- array layers against the one-vehicle-at-a-time oracles ---------------------
+
+
+@given(
+    rho=st.floats(0.0, 200.0),
+    road_m=st.floats(50.0, 500.0),
+    n_lanes=st.integers(1, 5),
+    link_frac=st.floats(0.0, 0.99),
+    max_retries=st.integers(0, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a crowded one-lane road that drops placements, and a retry budget of zero
+# that drops every placement without drawing a position
+@example(rho=200.0, road_m=50.0, n_lanes=1, link_frac=0.5, max_retries=5, seed=0)
+@example(rho=100.0, road_m=500.0, n_lanes=5, link_frac=0.2, max_retries=0, seed=1)
+@settings(max_examples=200, deadline=None)
+def test_generate_traffic_matches_the_one_draw_at_a_time_reference(
+    rho, road_m, n_lanes, link_frac, max_retries, seed
+):
+    road = RoadConfig(length=road_m, n_lanes=n_lanes)
+    link = link_frac * (road_m - 5.0)
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = generate_traffic(road, rho, rng, link_distance_m=link, max_retries=max_retries)
+    want = scalar_generate_traffic(
+        road, rho, ref_rng, link_distance_m=link, max_retries=max_retries
+    )
+    for name in ("x", "y", "lane", "length", "width", "height"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.dropped == want.dropped
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if max_retries == 0:
+        assert len(got.vehicles) == 2
+
+
+free_vehicles = st.lists(
+    st.builds(
+        Vehicle,
+        x=st.one_of(st.floats(-15.0, 15.0), st.integers(-20, 20).map(lambda i: 0.9 * i)),
+        y=st.one_of(st.floats(-50.0, 550.0), st.integers(0, 44).map(lambda i: 2.5 * i)),
+        width=st.floats(1.0, 3.0),
+        lane=st.integers(0, 4),
+    ),
+    max_size=20,
+)
+
+
+@st.composite
+def scenes(draw):
+    """Generated traffic, or hand-placed vehicles of any width around the link."""
+    if draw(st.booleans()):
+        return generate_traffic(
+            ROAD, draw(st.floats(0.0, 60.0)), draw(st.integers(0, 2**32 - 1)),
+            link_distance_m=draw(st.floats(10.0, 400.0)),
+        )
+    return scene(*draw(free_vehicles), link_m=draw(st.floats(1.0, 400.0)))
+
+
+@given(scenes(), st.floats(0.5, 3.0), st.floats(10.0, 400.0), st.floats(0.2, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_door_gating_matches_the_per_door_reference(s, door_length, max_range, height):
+    assert candidate_relays_irs(s, door_length, height) == scalar_candidates_irs(
+        s, door_length, height
+    )
+    assert candidate_relays_ris(s, max_range, height) == scalar_candidates_ris(
+        s, max_range, height
+    )
+
+
+def test_door_gating_boundaries():
+    # a left door at roof height, (90, 120) m from the transmitter: exactly 150 m
+    s = scene(Vehicle(x=91.0, y=122.5, width=2.0, lane=4))
+    for max_range, want in ((150.0, [(2, "left")]), (np.nextafter(150.0, 0.0), [])):
+        assert candidate_relays_ris(s, max_range, door_center_height=1.5) == want
+        assert scalar_candidates_ris(s, max_range, door_center_height=1.5) == want
+    # a door on the specular strip's edge, |y - mid| = door_length_m, then past it
+    for y, want in ((53.5, [(2, "left")]), (np.nextafter(53.5, 60.0), [])):
+        s = scene(Vehicle(x=5.9, y=y, lane=3))
+        assert candidate_relays_irs(s, door_length_m=1.0) == want
+        assert scalar_candidates_irs(s, door_length_m=1.0) == want
+    # a left door in the endpoints' plane x = 0 faces neither endpoint
+    s = scene(Vehicle(x=0.9, y=52.5, lane=2))
+    assert candidate_relays_irs(s) == candidate_relays_ris(s) == []
+    assert scalar_candidates_irs(s) == scalar_candidates_ris(s) == []
