@@ -157,12 +157,6 @@ def pattern_from_cosine(u, q: float):
     return math.sqrt(unit_cell_gain(q)) * cosine_rolloff(u, q)
 
 
-def element_pattern(angles: AnglePair, q: float) -> float:
-    """Pattern gain for a surface element, boresight along local +x."""
-    u = math.cos(angles.theta) * math.sin(angles.phi)
-    return pattern_from_cosine(u, q)
-
-
 def endpoint_pattern(direction: np.ndarray, q: float):
     """Antenna-element gain at the TxV/RxV side for a global ray direction.
 

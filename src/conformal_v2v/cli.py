@@ -17,6 +17,8 @@ import numpy as np
 
 from .config import SimConfig, resolve_config
 from .experiments import (
+    DEFAULT_R_D_M,
+    DEFAULT_RADII_M,
     gain_width_deg,
     generate_scene,
     make_sweep,
@@ -54,8 +56,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--reduced",
         action="store_true",
-        help="shrink surfaces to 100x100 elements with an amplitude correction "
-        "that preserves the full-surface cascade budget (fast SNR runs)",
+        help="shrink surfaces to 100x100 elements with a x16 amplitude correction "
+        "(fast SNR runs); it restores only the far-field coherent budget, so "
+        "relayed gains come out up to 16.5 dB above the full-size surface at "
+        "highway relay distances (full-surface run in CHANGES.md)",
     )
 
 
@@ -139,7 +143,7 @@ def _cmd_gain_frequency(args) -> int:
 def _cmd_blockage(args) -> int:
     config = _resolve(args)
     spec = make_sweep("blockage", config, grid=tuple(args.rho) or None)
-    r_d_values = tuple(args.r_d) or (50.0, 100.0)
+    r_d_values = tuple(args.r_d) or DEFAULT_R_D_M
     rows = run_blockage_sweep(spec, r_d_values=r_d_values)
     for row in rows:
         print(
@@ -158,8 +162,8 @@ def _cmd_snr_ecdf(args) -> int:
     spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
     results = run_snr_ecdf(
         spec,
-        r_d_values=tuple(args.r_d) or (50.0, 100.0),
-        radius_values=tuple(args.radius) or (2.0, 8.0),
+        r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
+        radius_values=tuple(args.radius) or DEFAULT_RADII_M,
     )
     for (mode, radius, rho, r_d), ecdf in sorted(results.items()):
         name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd{r_d:g}.csv"
@@ -230,13 +234,12 @@ def _cmd_phase_dump(args) -> int:
             "n": j,
             "psi_m": float(geometry.psi[i]),
             "phase_rad": float(phases[i, j]),
-            "amplitude": float(profile.amplitudes[i, j]),
         }
         for i in range(geometry.m_count)
         for j in range(geometry.n_count)
     ]
     _finish(args, config, "phase_profile.csv",
-            ["m", "n", "psi_m", "phase_rad", "amplitude"], rows,
+            ["m", "n", "psi_m", "phase_rad"], rows,
             {"experiment": "phase-dump", "profile": args.profile})
     return 0
 

@@ -65,6 +65,11 @@ DEFAULT_TRIALS: dict[str, int] = {
     "angle-pdf": 2_000,
 }
 
+# link distances (m) and cylinder radii (m) the blockage and SNR sweeps cover
+# unless told otherwise
+DEFAULT_R_D_M: tuple[float, ...] = (50.0, 100.0)
+DEFAULT_RADII_M: tuple[float, ...] = (2.0, 8.0)
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -169,9 +174,9 @@ def element_counts_for_area(
     return 2 * half
 
 
-def _gain_geometry(radius: float, wavelength: float, spacing_wl: float, area_m2: float):
+def _gain_geometry(radius: float, wavelength: float, spacing_wl: float):
     d = spacing_wl * wavelength
-    count = element_counts_for_area(area_m2, wavelength, spacing_wl)
+    count = element_counts_for_area(GAIN_AREA_M2, wavelength, spacing_wl)
     return build_cirs_geometry(count, count, radius, d, d)
 
 
@@ -179,7 +184,7 @@ def _zero_profile(geometry) -> PhaseProfile:
     return PhaseProfile(np.zeros(geometry.m_count), np.zeros(geometry.n_count))
 
 
-def run_gain_elevation(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[dict]:
+def run_gain_elevation(spec: SweepSpec) -> list[dict]:
     """Specular elevation gain G(phi_i) with phi_o = pi - phi_i.
 
     Columns: phi_i (deg), surface with the perpendicular profile (the fixed
@@ -188,8 +193,8 @@ def run_gain_elevation(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[d
     """
     cfg = spec.config
     lam = cfg.wavelength_m
-    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl, area_m2)
-    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl, area_m2)
+    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl)
+    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl)
     prof = preconfigured_phase(geom, 0.0, lam)
     zero_c = _zero_profile(geom)
     zero_f = _zero_profile(flat)
@@ -214,7 +219,7 @@ def run_gain_elevation(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[d
     return rows
 
 
-def run_gain_azimuth(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[dict]:
+def run_gain_azimuth(spec: SweepSpec) -> list[dict]:
     """Specular azimuth gain G(theta_i) with theta_o = -theta_i.
 
     The configured surface carries the fixed profile built for the design
@@ -223,8 +228,8 @@ def run_gain_azimuth(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[dic
     """
     cfg = spec.config
     lam = cfg.wavelength_m
-    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl, area_m2)
-    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl, area_m2)
+    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl)
+    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl)
     prof = preconfigured_phase(geom, cfg.thetabar_rad, lam)
     zero_c = _zero_profile(geom)
     zero_f = _zero_profile(flat)
@@ -248,24 +253,20 @@ def run_gain_azimuth(spec: SweepSpec, area_m2: float = GAIN_AREA_M2) -> list[dic
     return rows
 
 
-def run_gain_frequency(
-    spec: SweepSpec,
-    area_m2: float = GAIN_AREA_M2,
-    angle_step_deg: float = 1.0,
-    angle_span_deg: tuple[float, float] = (30.0, 150.0),
-) -> list[dict]:
+def run_gain_frequency(spec: SweepSpec) -> list[dict]:
     """Elevation gain curves across carrier frequencies at fixed aperture.
 
     spec.grid holds the frequencies in GHz; element counts rescale with
     frequency to keep the physical area constant at quarter-wave spacing.
+    Every curve covers 30-150 deg in 1 deg steps.
     """
     cfg = spec.config
-    angles = np.arange(angle_span_deg[0], angle_span_deg[1] + 1e-9, angle_step_deg)
+    angles = np.arange(30.0, 150.0 + 1e-9, 1.0)
     rows = []
     for f_ghz in spec.grid:
         sub = cfg.replace(f_ghz=float(f_ghz))
         lam = sub.wavelength_m
-        geom = _gain_geometry(sub.radius_m, lam, sub.element_spacing_wl, area_m2)
+        geom = _gain_geometry(sub.radius_m, lam, sub.element_spacing_wl)
         prof = preconfigured_phase(geom, 0.0, lam)
         zero_c = _zero_profile(geom)
         for angle_deg in angles:
@@ -344,7 +345,7 @@ def _blockage_trial(
 
 
 def run_blockage_sweep(
-    spec: SweepSpec, r_d_values: tuple[float, ...] = (50.0, 100.0)
+    spec: SweepSpec, r_d_values: tuple[float, ...] = DEFAULT_R_D_M
 ) -> list[dict]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals."""
     rows = []
@@ -568,8 +569,8 @@ def _snr_trial(
 
 def run_snr_ecdf(
     spec: SweepSpec,
-    r_d_values: tuple[float, ...] = (50.0, 100.0),
-    radius_values: tuple[float, ...] = (2.0, 8.0),
+    r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
+    radius_values: tuple[float, ...] = DEFAULT_RADII_M,
 ) -> dict[tuple[str, float, float, float], EcdfResult]:
     """SNR ECDFs per (mode, radius, rho, r_d); rho values come from spec.grid."""
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
@@ -633,14 +634,13 @@ def _angle_trial(
     return elev, azim
 
 
-def run_angle_pdf(
-    spec: SweepSpec, bin_width_deg: float = 1.0
-) -> tuple[list[dict], dict[str, float]]:
-    """Empirical PDFs of candidate-door incidence angles.
+def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
+    """Empirical PDFs of candidate-door incidence angles, in 1 deg bins.
 
     Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
     """
+    bin_deg = 1.0
     rho = float(spec.grid[0])
     worker = partial(
         _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.seed
@@ -665,11 +665,11 @@ def run_angle_pdf(
         "samples": int(elev.size),
     }
     for name, data in (("elevation", elev), ("azimuth", azim)):
-        lo = math.floor(np.min(data) / bin_width_deg) * bin_width_deg
-        hi = math.ceil(np.max(data) / bin_width_deg) * bin_width_deg
-        edges = np.arange(lo, hi + bin_width_deg / 2, bin_width_deg)
+        lo = math.floor(np.min(data) / bin_deg) * bin_deg
+        hi = math.ceil(np.max(data) / bin_deg) * bin_deg
+        edges = np.arange(lo, hi + bin_deg / 2, bin_deg)
         if len(edges) < 2:
-            edges = np.array([lo, lo + bin_width_deg])
+            edges = np.array([lo, lo + bin_deg])
         density, edges = np.histogram(data, bins=edges, density=True)
         for left, right, dens in zip(edges[:-1], edges[1:], density):
             rows.append(

@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 def vec3(x: float, y: float, z: float) -> np.ndarray:
     v = np.array([x, y, z], dtype=float)
@@ -90,10 +88,9 @@ class CirsGeometry:
 
     Elements are indexed (m, n) with m = -M/2 .. M/2-1 along the curved
     coordinate (height) and n = 0 .. N-1 along the cylinder axis (length).
-    The flat index is ell = (m + M/2) * N + n, i.e. C-order over (m, n).
     Element (m, n) sits at row m's position plus ``column_offsets_local[n]``
     along the door-frame y axis, and its normal depends on m only; the dense
-    (M, N, 3) position arrays are built on demand.
+    (M, N, 3) door-frame positions are built on demand.
     """
 
     m_count: int
@@ -123,35 +120,9 @@ class CirsGeometry:
         return pos
 
     @property
-    def positions(self) -> np.ndarray:
-        """Global element positions, shape (M, N, 3)."""
-        rot = self.pose.rotation()
-        return self.pose.position + self.positions_local @ rot.T
-
-    @property
     def normals(self) -> np.ndarray:
         """Global outward element normals, shape (M, 3) (independent of n)."""
         return self.normals_local @ self.pose.rotation().T
-
-    @property
-    def flat_positions_local(self) -> np.ndarray:
-        return self.positions_local.reshape(self.element_count, 3)
-
-    @property
-    def flat_positions(self) -> np.ndarray:
-        return self.positions.reshape(self.element_count, 3)
-
-    @property
-    def flat_psi(self) -> np.ndarray:
-        """psi per flat element index (row angle repeated across n)."""
-        return np.repeat(self.psi, self.n_count)
-
-    def flat_index(self, m: int, n: int) -> int:
-        """Flat index for signed row m in [-M/2, M/2) and column n in [0, N)."""
-        mi = m + self.m_count // 2
-        if not (0 <= mi < self.m_count and 0 <= n < self.n_count):
-            raise IndexError(f"element ({m}, {n}) outside the layout")
-        return mi * self.n_count + n
 
 
 def build_cirs_geometry(
@@ -204,59 +175,10 @@ def build_cirs_geometry(
     )
 
 
-def arc_area(m_count: int, n_count: int, radius: float, d_m: float, d_n: float) -> float:
-    """Surface area L * 2R*psi_M with L = N*d_n and psi_M = M*arcsin(d_m/2R)."""
-    if m_count == 0:
-        return 0.0
-    psi_half = m_count * math.asin(d_m / (2.0 * radius))
-    return n_count * d_n * 2.0 * radius * psi_half
-
-
-def surface_area(geometry: CirsGeometry) -> float:
-    return arc_area(
-        geometry.m_count, geometry.n_count, geometry.radius, geometry.d_m, geometry.d_n
-    )
-
-
-def direction_to_door_frame(pose: DoorPose, direction: np.ndarray) -> np.ndarray:
-    """Express a global direction in the door frame (pose rotation inverse)."""
-    rot = pose.rotation()
-    return np.asarray(direction, dtype=float) @ rot
-
-
 def pose_local_angles(pose: DoorPose, direction: np.ndarray) -> AnglePair:
     """Door-frame angles of a global direction vector."""
-    return AnglePair.from_direction(direction_to_door_frame(pose, direction))
-
-
-def global_to_local_angles(
-    geometry: CirsGeometry, index: int, angles: AnglePair
-) -> AnglePair:
-    """Angles of a global direction in the frame of element ``index``.
-
-    The element frame is the door frame rotated by psi_m about the door y axis,
-    so the element's outward normal is its local +x (theta = 0, phi = pi/2).
-    """
-    if not 0 <= index < geometry.element_count:
-        raise IndexError(f"element index {index} out of range")
-    v = direction_to_door_frame(geometry.pose, angles.direction())
-    psi = geometry.flat_psi[index]
-    c, s = math.cos(psi), math.sin(psi)
-    v_elem = np.array([c * v[0] + s * v[2], v[1], -s * v[0] + c * v[2]])
-    return AnglePair.from_direction(v_elem)
-
-
-def local_to_global_angles(
-    geometry: CirsGeometry, index: int, angles: AnglePair
-) -> AnglePair:
-    """Inverse of global_to_local_angles for the same element."""
-    if not 0 <= index < geometry.element_count:
-        raise IndexError(f"element index {index} out of range")
-    v = angles.direction()
-    psi = geometry.flat_psi[index]
-    c, s = math.cos(psi), math.sin(psi)
-    v_door = np.array([c * v[0] - s * v[2], v[1], s * v[0] + c * v[2]])
-    return AnglePair.from_direction(v_door @ geometry.pose.rotation().T)
+    # the rotation is orthogonal, so v @ R is the door-frame vector R^T v
+    return AnglePair.from_direction(np.asarray(direction, dtype=float) @ pose.rotation())
 
 
 # --- road, vehicles, relay-candidate region -------------------------------
@@ -322,6 +244,12 @@ class SpecularArea:
         )
 
 
+def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.isclose(a, b) at its default tolerances, |a - b| <= 1e-8 + 1e-5 |b|,
+    elementwise and without its overhead."""
+    return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
+
+
 def specular_area(
     p_t: np.ndarray, p_r: np.ndarray, road: RoadConfig, door_length: float
 ) -> SpecularArea:
@@ -332,7 +260,7 @@ def specular_area(
     """
     p_t = np.asarray(p_t, dtype=float)
     p_r = np.asarray(p_r, dtype=float)
-    if np.allclose(p_t[:2], p_r[:2]):
+    if _isclose(p_t[:2], p_r[:2]).all():
         raise ValueError("endpoints must be distinct in the road plane")
     mid_y = 0.5 * (p_t[1] + p_r[1])
     return SpecularArea(

@@ -105,11 +105,6 @@ def beam_amplitude(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> complex:
     return np.vdot(w, h @ f)
 
 
-def beam_power(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> float:
-    """Received-signal power metric |w^H H f|^2 (noise-free)."""
-    return float(abs(beam_amplitude(h, f, w)) ** 2)
-
-
 def best_snr(
     amplitudes: Iterable[complex],
     tx_power_dbm: float,
@@ -134,14 +129,3 @@ def best_snr(
         + 10.0 * math.log10(power / k_antennas)
     )
 
-
-def compute_snr(
-    h: np.ndarray,
-    f: np.ndarray,
-    w: np.ndarray,
-    tx_power_dbm: float,
-    noise_power_dbm: float,
-    k_antennas: int,
-) -> float:
-    """SNR in dB of the beam pair (f, w) on channel h (see best_snr)."""
-    return best_snr([beam_amplitude(h, f, w)], tx_power_dbm, noise_power_dbm, k_antennas)

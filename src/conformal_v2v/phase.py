@@ -4,8 +4,9 @@ A phase profile makes the curved surface steer an incident plane wave into a
 chosen reflected direction.  The general profile is linear in the element
 position with slope kbar - k (difference of reflected and incident
 wavevectors); the fixed profile is its specular case in closed form.  The
-closed forms of the elevation-plane, azimuth-plane and flat-surface cases
-serve as independent oracles in the test suite.
+closed forms of the elevation-plane, azimuth-plane and flat-surface cases,
+and the generalized reflection (Snell) law, serve as independent oracles in
+the test suite.
 
 Angles are expressed in the door frame of the surface they configure: theta
 is azimuth from the outward reference normal (+x), phi is elevation from +z.
@@ -39,42 +40,6 @@ def wrap_phase(phase: np.ndarray | float) -> np.ndarray | float:
     if wrapped.ndim == 0:
         return float(wrapped)
     return wrapped
-
-
-@dataclass(frozen=True)
-class Wavevector:
-    """Plane-wave vector, components in radians per meter."""
-
-    kx: float
-    ky: float
-    kz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.kx, self.ky, self.kz])
-
-    @property
-    def magnitude(self) -> float:
-        return float(np.linalg.norm(self.as_array()))
-
-
-def incident_wavevector(angles: AnglePair, wavelength: float) -> Wavevector:
-    """Wavevector of a plane wave arriving FROM direction ``angles``.
-
-    The wave travels toward the surface, hence the minus sign:
-    k = -(2*pi/lambda) * [sin(phi)cos(theta), sin(phi)sin(theta), cos(phi)].
-    """
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    v = -(TWO_PI / wavelength) * angles.direction()
-    return Wavevector(*v)
-
-
-def reflected_wavevector(angles: AnglePair, wavelength: float) -> Wavevector:
-    """Wavevector of a plane wave departing TOWARD direction ``angles``."""
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    v = (TWO_PI / wavelength) * angles.direction()
-    return Wavevector(*v)
 
 
 @dataclass(frozen=True)
@@ -118,15 +83,6 @@ class PhaseProfile:
     def phases(self) -> np.ndarray:
         """Wrapped phases in [0, 2*pi), shape (M, N)."""
         return wrap_phase(self.phases_raw)
-
-    @property
-    def amplitudes(self) -> np.ndarray:
-        """Reflection amplitudes, shape (M, N): every element reflects fully."""
-        return np.ones(self.shape)
-
-    def coefficients(self) -> np.ndarray:
-        """Flat complex reflection coefficients exp(j*Phi_l), (M*N,)."""
-        return np.exp(1j * self.phases_raw).ravel()
 
     def weighted_sum(self, values: np.ndarray) -> complex:
         """sum_{m,n} values[m, n] exp(j*Phi_{m,n}) for an (M, N) array.
@@ -199,65 +155,3 @@ def preconfigured_phase(
     )
     return PhaseProfile(row_raw=raw_m, col_raw=np.zeros(geometry.n_count))
 
-
-# --- reflected-wave classification for the bare / preconfigured surface ----
-
-
-def reflected_elevation(phi_i, psi_m):
-    """Elevation of the wave leaving a specularly coated row at arc angle psi.
-
-    phi_o = arccos[-2 sin(psi/2) - cos(phi_i + psi/2)] - psi/2.  Arguments
-    within 1e-12 outside [-1, 1] are clamped; beyond that the reflected wave
-    is evanescent and NaN is returned.  Accepts scalars or arrays.
-    """
-    phi_i = np.asarray(phi_i, dtype=float)
-    psi_m = np.asarray(psi_m, dtype=float)
-    if np.any(phi_i < 0) or np.any(phi_i > np.pi):
-        raise ValueError("phi_i must lie in [0, pi]")
-    arg = -2.0 * np.sin(psi_m / 2.0) - np.cos(phi_i + psi_m / 2.0)
-    clamped = np.clip(arg, -1.0, 1.0)
-    out = np.where(
-        np.abs(arg) <= 1.0 + 1e-12, np.arccos(clamped) - psi_m / 2.0, np.nan
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def is_evanescent(phi_i, psi_m):
-    """True where the specular row reflection cannot propagate."""
-    phi_i = np.asarray(phi_i, dtype=float)
-    psi_m = np.asarray(psi_m, dtype=float)
-    arg = -2.0 * np.sin(psi_m / 2.0) - np.cos(phi_i + psi_m / 2.0)
-    out = np.abs(arg) > 1.0 + 1e-12
-    if out.ndim == 0:
-        return bool(out)
-    return out
-
-
-def snell_residual(
-    f_x: float,
-    f_z: float,
-    grad_phi: np.ndarray,
-    k: Wavevector | np.ndarray,
-    kbar: Wavevector | np.ndarray,
-) -> float:
-    """Tangential defect of the generalized reflection law at one point.
-
-    The surface is y = f(x, z) with slopes (f_x, f_z); its unit normal is
-    u = [-f_x, 1, -f_z]/sqrt(1 + f_x^2 + f_z^2).  Returns the norm of the
-    tangential part of (kbar - k - grad_phi); zero means grad_phi realizes
-    the requested reflection.
-    """
-    k = k.as_array() if isinstance(k, Wavevector) else np.asarray(k, dtype=float)
-    kbar = (
-        kbar.as_array() if isinstance(kbar, Wavevector) else np.asarray(kbar, dtype=float)
-    )
-    grad_phi = np.asarray(grad_phi, dtype=float)
-    for name, v in (("grad_phi", grad_phi), ("k", k), ("kbar", kbar)):
-        if v.shape != (3,) or not np.all(np.isfinite(v)):
-            raise ValueError(f"{name} must be a finite 3-vector")
-    u = np.array([-f_x, 1.0, -f_z]) / math.sqrt(1.0 + f_x * f_x + f_z * f_z)
-    r = kbar - k - grad_phi
-    r_tan = r - np.dot(r, u) * u
-    return float(np.linalg.norm(r_tan))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DoorPose, RoadConfig, Vehicle, specular_area
+from .geometry import DoorPose, RoadConfig, Vehicle, _isclose, specular_area
 
 Candidate = tuple[int, str]  # (vehicle index, door side)
 SIDES = ("left", "right")
@@ -67,7 +67,6 @@ class Scenario:
     height: np.ndarray
     txv: int
     rxv: int
-    seed: int | None = None
     dropped: int = 0  # placements abandoned after the retry budget
     footprints: np.ndarray = field(init=False, repr=False)
 
@@ -162,10 +161,8 @@ def generate_traffic(
     """
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
-    seed = None
     if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
 
     center = road.n_lanes // 2
     y_t = vehicle_length_m / 2.0
@@ -212,7 +209,6 @@ def generate_traffic(
         height=np.full(n, vehicle_height_m),
         txv=0,
         rxv=1,
-        seed=seed,
         dropped=dropped,
     )
 
@@ -331,8 +327,7 @@ def count_blockers(
         points = scenario.door_points(doors, door_center_height)[:, :2]
         starts[1::2], ends[1::2] = p_t, points
         starts[2::2], ends[2::2] = points, p_r
-    # np.isclose at its default tolerances, without its overhead
-    if (np.abs(starts - ends) <= 1e-8 + 1e-5 * np.abs(ends)).all(axis=1).any():
+    if _isclose(starts, ends).all(axis=1).any():
         raise ValueError("segment endpoints must be distinct in plan view")
 
     hits = _segments_hit_boxes(starts, ends, scenario.footprints)

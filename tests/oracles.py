@@ -9,6 +9,8 @@ them uses the row + column factorization that ``PhaseProfile``,
 ``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.  The
 scene oracles place traffic one uniform draw at a time and gate relay doors
 one ``Vehicle`` at a time, where ``scenario`` works on per-vehicle arrays.
+``snell_residual`` checks a phase gradient against the generalized
+reflection law.
 """
 
 import math
@@ -24,7 +26,7 @@ from conformal_v2v.channel import (
     unit_cell_gain,
 )
 from conformal_v2v.geometry import Vehicle, specular_area
-from conformal_v2v.link import Codebook, CodebookEntry, beam_power
+from conformal_v2v.link import Codebook, CodebookEntry, beam_amplitude
 from conformal_v2v.phase import PHASE_SIGN
 from conformal_v2v.scenario import Scenario
 
@@ -77,6 +79,33 @@ def planar_phase(m_count, n_count, d_m, d_n, incidence, reflection, wavelength):
     )
 
 
+def snell_residual(f_x, f_z, grad_phi, k, kbar):
+    """Tangential defect of the generalized reflection law at one point.
+
+    The surface is y = f(x, z) with slopes (f_x, f_z); its unit normal is
+    u = [-f_x, 1, -f_z]/sqrt(1 + f_x^2 + f_z^2).  ``k`` and ``kbar`` are the
+    incident and reflected wavevectors, -(2 pi / lambda) and +(2 pi / lambda)
+    times the ``AnglePair.direction()`` of each ray.  Returns the norm of the
+    tangential part of (kbar - k - grad_phi); zero means grad_phi realizes
+    the requested reflection.
+    """
+    vectors = [np.asarray(v, dtype=float) for v in (grad_phi, k, kbar)]
+    for name, v in zip(("grad_phi", "k", "kbar"), vectors):
+        if v.shape != (3,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be a finite 3-vector")
+    grad_phi, k, kbar = vectors
+    u = np.array([-f_x, 1.0, -f_z]) / math.sqrt(1.0 + f_x * f_x + f_z * f_z)
+    r = kbar - k - grad_phi
+    r_tan = r - np.dot(r, u) * u
+    return float(np.linalg.norm(r_tan))
+
+
+def element_positions(geometry):
+    """Global element positions, (MN, 3), row-major over (row, column)."""
+    local = geometry.positions_local.reshape(geometry.element_count, 3)
+    return geometry.pose.position + local @ geometry.pose.rotation().T
+
+
 def reflection_matrix(phases_raw):
     """Diagonal of the unit-amplitude reflection matrix as a flat vector (MN,).
 
@@ -93,7 +122,7 @@ def plane_wave_vectors(geometry, incidence, reflection, wavelength, q):
     common factor times exp(+j (2 pi / lambda) d_hat . p) for unit direction
     d_hat toward the far endpoint.
     """
-    pos = geometry.flat_positions_local
+    pos = geometry.positions_local.reshape(geometry.element_count, 3)
     normals = np.repeat(geometry.normals_local, geometry.n_count, axis=0)
     k0 = TWO_PI / wavelength
 
@@ -152,7 +181,7 @@ def dense_cascaded_channels(
         raise ValueError("amp_scale must be positive")
     if array_spacing_m is None:
         array_spacing_m = wavelength / 2.0
-    elem_pos = geometry.flat_positions                     # (MN, 3)
+    elem_pos = element_positions(geometry)                 # (MN, 3)
     normals = np.repeat(geometry.normals, geometry.n_count, axis=0)  # (MN, 3)
     tx = antenna_positions(p_t, k_antennas, array_spacing_m)
     rx = antenna_positions(p_r, k_antennas, array_spacing_m)
@@ -234,7 +263,7 @@ def select_beams(codebook: Codebook, h) -> LinkResult:
     Ties resolve to the earliest entry, i.e. direct first, then relays in
     codebook order.
     """
-    powers = np.array([beam_power(h, e.f, e.w) for e in codebook.entries])
+    powers = np.array([abs(beam_amplitude(h, e.f, e.w)) ** 2 for e in codebook.entries])
     best = int(np.argmax(powers))
     return LinkResult(
         selected=codebook.entries[best], selected_index=best, powers=powers
@@ -252,11 +281,11 @@ def beamformed(geometry, h_tc, h_cr, f, w):
 # --- scenes: one vehicle and one door at a time --------------------------------
 
 
-def scene_from_vehicles(road, vehicles, txv=0, rxv=1, seed=None, dropped=0):
+def scene_from_vehicles(road, vehicles, txv=0, rxv=1, dropped=0):
     """``Scenario`` whose rows are the given ``Vehicle`` objects."""
     columns = ("x", "y", "lane", "length", "width", "height")
     rows = {name: [getattr(v, name) for v in vehicles] for name in columns}
-    return Scenario(road=road, **rows, txv=txv, rxv=rxv, seed=seed, dropped=dropped)
+    return Scenario(road=road, **rows, txv=txv, rxv=rxv, dropped=dropped)
 
 
 def door_center(vehicle, side, door_height):
@@ -277,10 +306,8 @@ def scalar_generate_traffic(
 ):
     """``generate_traffic`` drawing one uniform per attempt and testing each
     attempt against every vehicle already on its lane."""
-    seed = None
     if isinstance(rng, (int, np.integer)):
-        seed = int(rng)
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     center = road.n_lanes // 2
     y_t = vehicle_length_m / 2.0
     y_r = y_t + link_distance_m
@@ -312,7 +339,7 @@ def scalar_generate_traffic(
                     break
             if not placed:
                 dropped += 1
-    return scene_from_vehicles(road, vehicles, seed=seed, dropped=dropped)
+    return scene_from_vehicles(road, vehicles, dropped=dropped)
 
 
 def _faces_both(vehicle, side, p_t, p_r, door_center_height):

@@ -1,0 +1,85 @@
+"""Every public name in the package has a caller in the program itself.
+
+A public top-level function or class of ``src/``, or a public method or
+property of a public class, must be referenced somewhere in the code of
+``src/``, ``bench/`` or ``scripts/`` outside its own definition.  References
+from the tests do not count: a closed form or view that only a test reads
+belongs in ``tests/oracles.py``, not in the package.
+
+A reference is a use of the name (``name`` or ``obj.name``); an import alone
+is not one.  Names are matched without types, so a method shares a reference
+with any attribute of the same name.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "conformal_v2v"
+CALLER_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
+
+
+def _definitions(tree: ast.Module, module: str):
+    """(qualified name, bare name, node) of each public definition."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{module}.{node.name}.{item.name}", item.name, item
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name is used in ``tree``, as ``name`` or ``obj.name``."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+    return found
+
+
+def unreferenced(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
+    """Public definitions of ``modules`` that no code in ``callers`` uses,
+    counting no use inside the definition itself."""
+    used = sum((_uses(tree) for tree in callers), Counter())
+    return [
+        qualname
+        for module, tree in modules.items()
+        for qualname, name, node in _definitions(tree, module)
+        if used[name] == _uses(node)[name]
+    ]
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    def parse(path):
+        return ast.parse(path.read_text(), filename=str(path))
+
+    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [
+        parse(path)
+        for folder in CALLER_DIRS
+        for path in sorted(folder.rglob("*.py"))
+        if path.parent != PACKAGE
+    ]
+    assert unreferenced(modules, [*modules.values(), *callers]) == []
+
+
+def test_a_name_used_only_by_its_own_definition_is_flagged():
+    tree = ast.parse(
+        "def used():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "class Box:\n"
+        "    def read(self):\n        return self.read\n\n"
+        "    def unused(self):\n        return None\n\n"
+        "    def _private(self):\n        return None\n"
+    )
+    other = ast.parse("from m import Box\n")
+    assert unreferenced({"m": tree}, [tree, other]) == [
+        "m.used", "m.recursive", "m.Box", "m.Box.read", "m.Box.unused"
+    ]

@@ -80,10 +80,9 @@ def test_phase_dump_profiles_differ_where_they_should(tmp_path):
               "--set", "m_elements=8", "--set", "n_elements=2"]
     assert main(common + ["--profile", "perpendicular"]) == 0
     header, perp = read_csv(tmp_path / "phase_profile.csv")
-    assert header == ["m", "n", "psi_m", "phase_rad", "amplitude"]
+    assert header == ["m", "n", "psi_m", "phase_rad"]
     assert len(perp) == 16
     assert all(0.0 <= float(r["phase_rad"]) < 2 * math.pi for r in perp)
-    assert all(float(r["amplitude"]) == 1.0 for r in perp)
 
     # normal incidence and specular reflection reduce optimal to perpendicular
     assert main(common + ["--profile", "optimal",

@@ -13,19 +13,12 @@ from conformal_v2v.geometry import (
     RoadConfig,
     SpecularArea,
     Vehicle,
-    arc_area,
     build_cirs_geometry,
-    global_to_local_angles,
-    local_to_global_angles,
     pose_local_angles,
     specular_area,
-    surface_area,
     vec3,
 )
 from conformal_v2v.scenario import Scenario
-
-WAVELENGTH_28 = 299_792_458.0 / 28e9
-D_QUARTER = WAVELENGTH_28 / 4.0
 
 
 def test_direction_components_follow_spherical_convention():
@@ -78,8 +71,7 @@ def test_elements_lie_on_cylinder_through_origin():
     rr = (pos[..., 0] + 2.0) ** 2 + pos[..., 2] ** 2
     assert rr == pytest.approx(np.full_like(rr, 4.0))
     # and the m = 0 row passes through the mounting origin
-    i0 = geom.flat_index(0, 0)
-    assert geom.flat_positions_local[i0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
+    assert pos[geom.m_count // 2, 0] == pytest.approx([0.0, 0.0, 0.0], abs=1e-12)
 
 
 def test_normals_point_radially_outward():
@@ -103,15 +95,15 @@ def test_vertical_angles_are_antisymmetric_in_signed_index():
 
 
 def test_flat_index_matches_row_major_layout():
+    # row m + M/2 holds signed row m; flat element (m + M/2) * N + n is (m, n)
     geom = build_cirs_geometry(6, 5, 2.0, 0.2, 0.1)
+    flat = geom.positions_local.reshape(geom.element_count, 3)
     for m in (-3, -1, 0, 2):
         for n in (0, 2, 4):
-            idx = geom.flat_index(m, n)
             row = m + 3
-            assert idx == row * 5 + n
-            assert geom.flat_positions_local[idx] == pytest.approx(
-                geom.positions_local[row, n]
-            )
+            assert geom.m_signed[row] == m
+            want = [2.0 * (math.cos(geom.psi[row]) - 1.0), 0.1 * n, 2.0 * math.sin(geom.psi[row])]
+            assert flat[row * 5 + n] == pytest.approx(want, abs=1e-12)
 
 
 def test_geometry_rejects_bad_shapes():
@@ -125,52 +117,16 @@ def test_geometry_rejects_bad_shapes():
         build_cirs_geometry(4, 4, 2.0, 5.0, 0.1)   # chord exceeds diameter
 
 
-def test_surface_area_of_default_sized_door_panel():
-    # 400 x 400 elements at quarter-wave spacing, R = 2 m, 28 GHz:
-    # 1.07069 m arc x 1.07069 m length (hand-computed)
-    geom = build_cirs_geometry(400, 400, 2.0, D_QUARTER, D_QUARTER)
-    assert surface_area(geom) == pytest.approx(1.1463716, rel=1e-6)
-    assert arc_area(400, 400, 2.0, D_QUARTER, D_QUARTER) == pytest.approx(
-        surface_area(geom)
-    )
-
-
-def test_arc_area_exceeds_chord_area_slightly():
-    area = arc_area(100, 50, 1.0, 0.01, 0.02)
-    chord_area = 100 * 0.01 * 50 * 0.02
-    assert area > chord_area
-    assert area / chord_area == pytest.approx(1.0, abs=1e-4)
-
-
-@given(
-    theta=st.floats(-math.pi, math.pi),
-    phi=st.floats(0.05, math.pi - 0.05),
-    yaw=st.floats(-math.pi, math.pi),
-    side=st.sampled_from(["right", "left"]),
-    m=st.integers(-4, 3),
-)
-@settings(max_examples=80)
-def test_element_frame_angle_round_trip(theta, phi, yaw, side, m):
-    pose = DoorPose(position=vec3(1.0, -2.0, 0.9), side=side, yaw=yaw)
-    geom = build_cirs_geometry(8, 2, 2.0, 0.3, 0.1, pose)
-    idx = geom.flat_index(m, 0)
-    local = global_to_local_angles(geom, idx, AnglePair(theta, phi))
-    back = local_to_global_angles(geom, idx, local)
-    assert np.dot(back.direction(), AnglePair(theta, phi).direction()) == pytest.approx(
-        1.0, abs=1e-9
-    )
-
-
 def test_local_frame_aligns_door_normal_with_broadside():
-    # a ray along the element's outward normal must appear at theta=0, phi=pi/2
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
-    geom = build_cirs_geometry(8, 2, 2.0, 0.3, 0.1, pose)
-    for m in (-2, 0, 3):
-        idx = geom.flat_index(m, 1)
-        normal = geom.normals[m + 4]
-        local = global_to_local_angles(geom, idx, AnglePair.from_direction(normal))
-        assert local.theta == pytest.approx(0.0, abs=1e-9)
-        assert local.phi == pytest.approx(math.pi / 2.0, abs=1e-9)
+    # row m's global normal, seen from the door frame, is broadside tilted up
+    # by its arc angle: theta = 0, phi = pi/2 - psi_m
+    for side, yaw in (("right", 0.0), ("left", 0.0), ("right", 0.7)):
+        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side=side, yaw=yaw)
+        geom = build_cirs_geometry(8, 2, 2.0, 0.3, 0.1, pose)
+        for m in (-2, 0, 3):
+            local = pose_local_angles(pose, geom.normals[m + 4])
+            assert local.theta == pytest.approx(0.0, abs=1e-9)
+            assert local.phi == pytest.approx(math.pi / 2.0 - geom.psi[m + 4], abs=1e-9)
 
 
 def test_left_door_frame_faces_negative_x():
@@ -228,5 +184,13 @@ def test_specular_area_is_symmetric_in_endpoint_order():
 
 
 def test_specular_area_rejects_coincident_endpoints():
+    road = RoadConfig()
     with pytest.raises(ValueError):
-        specular_area(vec3(0, 5, 1.5), vec3(0, 5, 0.9), RoadConfig(), 1.0)
+        specular_area(vec3(0, 5, 1.5), vec3(0, 5, 0.9), road, 1.0)
+    # plan-view coordinates coincide when |a - b| <= 1e-8 + 1e-5 |b| (b from
+    # p_r), which is 1.00001e-3 m along y at y = 100 m
+    with pytest.raises(ValueError):
+        specular_area(vec3(5e-9, 100.0009, 1.5), vec3(0, 100, 1.5), road, 1.0)
+    for p_t in (vec3(0, 100.0011, 1.5), vec3(2e-8, 100, 1.5)):
+        area = specular_area(p_t, vec3(0, 100, 1.5), road, 1.0)
+        assert area.center[1] == pytest.approx(0.5 * (p_t[1] + 100.0))

@@ -16,10 +16,8 @@ from conformal_v2v.link import (
     Codebook,
     CodebookEntry,
     beam_amplitude,
-    beam_power,
     best_snr,
     build_codebooks,
-    compute_snr,
     rescale_direct,
     steering_vector,
 )
@@ -65,7 +63,7 @@ def test_beam_power_matches_the_quadratic_form():
     f = steering_vector(K, 0.3)
     w = steering_vector(K, 1.1)
     manual = abs(np.conj(w) @ h @ f) ** 2
-    assert beam_power(h, f, w) == pytest.approx(manual)
+    assert abs(beam_amplitude(h, f, w)) ** 2 == pytest.approx(manual)
 
 
 def test_selection_recovers_the_beams_a_rank_one_channel_was_built_from():
@@ -115,9 +113,8 @@ def test_best_snr_agrees_with_selection_over_one_channel_matrix():
         h = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
         picked = select_beams(cb, h).selected
         amplitudes = [beam_amplitude(h, e.f, e.w) for e in entries]
-        assert abs(amplitudes[0]) ** 2 == pytest.approx(beam_power(h, entries[0].f, entries[0].w))
         assert best_snr(amplitudes, 10.0, -88.0, K) == pytest.approx(
-            compute_snr(h, picked.f, picked.w, 10.0, -88.0, K), abs=1e-12
+            best_snr([beam_amplitude(h, picked.f, picked.w)], 10.0, -88.0, K), abs=1e-12
         )
     assert best_snr([0.0, 0j], 10.0, -88.0, K) == -math.inf
     with pytest.raises(ValueError):
@@ -140,7 +137,7 @@ def test_snr_budget_identity_on_an_unblocked_direct_link():
     assert sample.loss_db == pytest.approx(mean_pathloss_db(50.0, 28.0))
     h = rescale_direct(direct_channel(p_t, p_r, K, sample.loss_db, None), K)
     cb = build_codebooks(p_t, p_r, [], K)
-    snr = compute_snr(h, cb.direct.f, cb.direct.w, 10.0, -88.0, K)
+    snr = best_snr([beam_amplitude(h, cb.direct.f, cb.direct.w)], 10.0, -88.0, K)
     rho = pattern_from_cosine(1.0, 0.285)
     expected = (
         10.0
@@ -155,9 +152,10 @@ def test_snr_budget_identity_on_an_unblocked_direct_link():
 
 def test_snr_handles_a_null_channel_and_bad_antenna_counts():
     f = steering_vector(K, 0.1)
-    assert compute_snr(np.zeros((K, K)), f, f, 10.0, -88.0, K) == -math.inf
+    null = beam_amplitude(np.zeros((K, K)), f, f)
+    assert best_snr([null], 10.0, -88.0, K) == -math.inf
     with pytest.raises(ValueError):
-        compute_snr(np.eye(K), f, f, 10.0, -88.0, 0)
+        best_snr([beam_amplitude(np.eye(K), f, f)], 10.0, -88.0, 0)
 
 
 def test_mismatched_beam_vectors_are_rejected():
