@@ -19,7 +19,6 @@ model valid in the near field of large surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,26 +62,6 @@ def sample_blockage_db(
     return float(rng.normal(blockage_mean_db(blockers, mu1_db, step_db), sigma_db))
 
 
-@dataclass(frozen=True)
-class PathLossSample:
-    """One realization of the direct-path loss decomposition (all dB)."""
-
-    loss_db: float
-    mu_los_db: float
-    blocker_count: int
-    shadowing_db: float
-    blockage_db: float
-
-    def __post_init__(self):
-        if self.blocker_count < 0:
-            raise ValueError("blocker count must be >= 0")
-        if self.blocker_count == 0 and self.blockage_db != 0.0:
-            raise ValueError("blockage term must be 0 without blockers")
-        total = self.mu_los_db + self.blockage_db + self.shadowing_db
-        if abs(total - self.loss_db) > 1e-9:
-            raise ValueError("loss_db must equal mu_los + blockage + shadowing")
-
-
 def sample_direct_pathloss(
     distance_m: float,
     f_ghz: float,
@@ -92,18 +71,12 @@ def sample_direct_pathloss(
     block_mu1_db: float = 15.0,
     block_step_db: float = 6.0,
     block_sigma_db: float = 4.0,
-) -> PathLossSample:
-    """Sample PL = mu_LoS + A_b + chi with chi ~ N(0, sigma_sh^2)."""
+) -> float:
+    """Sample PL = mu_LoS + A_b + chi in dB, with chi ~ N(0, sigma_sh^2)."""
     mu_los = mean_pathloss_db(distance_m, f_ghz)
     blockage = sample_blockage_db(blockers, rng, block_mu1_db, block_step_db, block_sigma_db)
     shadowing = float(rng.normal(0.0, sigma_shadow_db)) if sigma_shadow_db > 0 else 0.0
-    return PathLossSample(
-        loss_db=mu_los + blockage + shadowing,
-        mu_los_db=mu_los,
-        blocker_count=blockers,
-        shadowing_db=shadowing,
-        blockage_db=blockage,
-    )
+    return mu_los + blockage + shadowing
 
 
 # --- antenna arrays and patterns -------------------------------------------
@@ -183,11 +156,13 @@ def direct_channel(
     rng: np.random.Generator | None,
     q: float = 0.285,
 ) -> np.ndarray:
-    """Rank-one direct channel H_d = alpha rho_r rho_t a_r a_t^H, shape (K, K).
+    """Rank-one direct channel H_d = K alpha rho_r rho_t a_r a_t^H, shape (K, K).
 
     Both steering vectors are evaluated at the azimuth of the TxV->RxV ray
     (the shared plane-wave direction); alpha carries the path loss and a
-    uniform random phase (zero when rng is None).
+    uniform random phase (zero when rng is None).  The unit-NORM vectors a
+    leave each entry |alpha| rho rho / K, so the factor K gives every entry
+    the physical amplitude |alpha| rho rho that the cascaded segments carry.
     """
     p_t = np.asarray(p_t, dtype=float)
     p_r = np.asarray(p_r, dtype=float)
@@ -200,7 +175,7 @@ def direct_channel(
     xi = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
     alpha = 10.0 ** (-loss_db / 20.0) * np.exp(1j * xi)
     a = array_response(k_antennas, theta_d)
-    return alpha * rho_r * rho_t * np.outer(a, a.conj())
+    return float(k_antennas) * (alpha * rho_r * rho_t * np.outer(a, a.conj()))
 
 
 def cascaded_channels(
@@ -417,16 +392,13 @@ def channel_gain_azimuth(
     theta_i: float,
     wavelength: float,
     q: float = 0.285,
-    theta_o: float | None = None,
 ) -> float:
-    """Normalized gain in the azimuth plane (phi = pi/2), specular by default."""
-    if theta_o is None:
-        theta_o = -theta_i
+    """Normalized gain in the azimuth plane (phi = pi/2) for specular reflection."""
     return normalized_gain(
         geometry,
         profile,
         AnglePair(theta_i, math.pi / 2.0),
-        AnglePair(theta_o, math.pi / 2.0),
+        AnglePair(-theta_i, math.pi / 2.0),
         wavelength,
         q,
     )

@@ -19,17 +19,6 @@ from typing import Any, Mapping
 SPEED_OF_LIGHT = 299_792_458.0
 ENV_PREFIX = "CONFORMAL_V2V_"
 
-_INT_FIELDS = {
-    "k_antennas",
-    "m_elements",
-    "n_elements",
-    "n_lanes",
-    "max_candidates",
-    "seed",
-    "threads",
-}
-_OPTIONAL_INT_FIELDS = {"trials"}
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -135,8 +124,9 @@ class SimConfig:
             "cascade_amp_scale",
         ):
             positive(name)
-        for name in ("k_antennas", "m_elements", "n_elements", "n_lanes",
-                     "max_candidates", "threads"):
+        for name in _INT_FIELDS:
+            if name == "seed":
+                continue
             v = getattr(self, name)
             if not (isinstance(v, int) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
@@ -165,6 +155,12 @@ class SimConfig:
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
+# in declaration order, so validate() reports the first bad field first; the
+# annotations are strings under ``from __future__ import annotations``
+_INT_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig) if f.type == "int")
+_OPTIONAL_INT_FIELDS = tuple(
+    f.name for f in dataclasses.fields(SimConfig) if f.type == "int | None"
+)
 
 
 def _reject_unknown(data: Mapping[str, Any], source: str) -> dict[str, Any]:

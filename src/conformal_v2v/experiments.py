@@ -33,7 +33,7 @@ from .channel import (
 )
 from .config import SimConfig
 from .geometry import RoadConfig, build_cirs_geometry, pose_local_angles
-from .link import beam_amplitude, best_snr, build_codebooks, rescale_direct
+from .link import azimuth, beam_amplitude, best_snr, steering_vector
 from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
     Scenario,
@@ -487,7 +487,7 @@ def _snr_trial(
     relays = sorted(set(irs) | set(ris))
     direct_blockers, legs = count_blockers(scen, relays, height)
 
-    pl = sample_direct_pathloss(
+    loss_db = sample_direct_pathloss(
         float(np.linalg.norm(p_r - p_t)),
         config.f_ghz,
         direct_blockers,
@@ -497,23 +497,17 @@ def _snr_trial(
         block_step_db=config.block_step_db,
         block_sigma_db=config.block_sigma_db,
     )
-    h_d = rescale_direct(direct_channel(p_t, p_r, k, pl.loss_db, rng, config.q_pattern), k)
+    h_d = direct_channel(p_t, p_r, k, loss_db, rng, config.q_pattern)
+    # the direct beams steer along the TxV->RxV ray on both ends
+    beam_d = steering_vector(k, azimuth(p_t, p_r))
+    amp_direct = beam_amplitude(h_d, beam_d, beam_d)
 
-    doors = scen.door_points(relays, height)
-    codebook = build_codebooks(
-        p_t,
-        p_r,
-        [(f"relay:{idx}:{side}", door) for (idx, side), door in zip(relays, doors)],
-        k,
-    )
-    direct = codebook.direct
-    amp_direct = beam_amplitude(h_d, direct.f, direct.w)
-
-    # each door is scored only by the profile of the mode(s) that gated it
+    # each door is scored only by the profile of the mode(s) that gated it;
+    # best_snr takes a maximum, so the order of the amplitudes is immaterial
     irs_doors, ris_doors = set(irs), set(ris)
     fixed = None
-    tuned_amp: dict[tuple[int, str], complex] = {}
-    fixed_amp: dict[tuple[int, str], complex] = {}
+    tuned_amp = [amp_direct]
+    fixed_amp = [amp_direct]
     # the element layout is the same on every door; only the pose differs
     layout = build_cirs_geometry(
         config.m_elements,
@@ -522,9 +516,12 @@ def _snr_trial(
         config.element_spacing_m,
         config.element_spacing_m,
     )
-    relay_entries = [e for e in codebook.entries if e is not direct]
-    for relay, door, entry, (b_t, b_r) in zip(relays, doors, relay_entries, legs):
+    doors = scen.door_points(relays, height)
+    for relay, door, (b_t, b_r) in zip(relays, doors, legs):
         _, side = relay
+        # the TxV steers toward the door, the RxV along the door-to-RxV ray
+        f = steering_vector(k, azimuth(p_t, door))
+        w = steering_vector(k, azimuth(door, p_r))
         pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
         geom = replace(layout, pose=pose)
         a, b = cascaded_channels(
@@ -533,8 +530,8 @@ def _snr_trial(
             p_r,
             k,
             lam,
-            entry.f,
-            entry.w,
+            f,
+            w,
             config.q_pattern,
             rng,
             array_spacing_m=config.array_spacing_m,
@@ -548,22 +545,22 @@ def _snr_trial(
         )
         segments = a * b
         blockage = 10.0 ** (-att_t / 20.0) * 10.0 ** (-att_r / 20.0)
-        via_direct = beam_amplitude(h_d, entry.f, entry.w)
+        via_direct = beam_amplitude(h_d, f, w)
         if relay in ris_doors:
             tuned = _tuned_profile(config, geom, door, p_t, p_r)
-            tuned_amp[relay] = via_direct + blockage * tuned.weighted_sum(segments)
+            tuned_amp.append(via_direct + blockage * tuned.weighted_sum(segments))
         if relay in irs_doors:
             if fixed is None:
                 fixed = _fixed_profile(config, geom)
-            fixed_amp[relay] = via_direct + blockage * fixed.weighted_sum(segments)
+            fixed_amp.append(via_direct + blockage * fixed.weighted_sum(segments))
 
     def snr(amplitudes) -> float:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
     return (
         snr([amp_direct]),
-        snr([amp_direct, *(fixed_amp[c] for c in irs)]),
-        snr([amp_direct, *(tuned_amp[c] for c in ris)]),
+        snr(fixed_amp),
+        snr(tuned_amp),
     )
 
 

@@ -5,7 +5,7 @@ Frame conventions used throughout the package:
 * global x = lateral (across lanes), y = direction of travel, z = up
 * the cylinder axis of a door surface runs along the door length (y in the
   door frame), so the surface curves over its height; the outward normal of
-  the reference element of a "right" door with zero yaw points along +x
+  the reference element of a "right" door points along +x
 * azimuth theta is measured from +x in the x-y plane, elevation phi from +z
 """
 
@@ -63,13 +63,11 @@ def _rot_z(angle: float) -> np.ndarray:
 class DoorPose:
     """Placement of a door surface: reference-element position plus orientation.
 
-    side "right" faces +x at yaw 0 (vehicle heading +y), side "left" faces -x.
-    yaw is an extra rotation about z on top of the side flip.
+    side "right" faces +x (vehicle heading +y), side "left" faces -x.
     """
 
     position: np.ndarray
     side: str = "right"
-    yaw: float = 0.0
 
     def __post_init__(self):
         if self.side not in ("left", "right"):
@@ -78,8 +76,7 @@ class DoorPose:
 
     def rotation(self) -> np.ndarray:
         """Door-frame -> global-frame rotation matrix."""
-        flip = 0.0 if self.side == "right" else math.pi
-        return _rot_z(self.yaw + flip)
+        return _rot_z(0.0 if self.side == "right" else math.pi)
 
 
 @dataclass(frozen=True, eq=False)

@@ -226,7 +226,7 @@ def door_pose(
     offset = (n_elements - 1) * element_spacing_m / 2.0
     shift = -offset if side == "right" else offset
     position = np.asarray(door, dtype=float) + np.array([0.0, shift, 0.0])
-    return DoorPose(position=position, side=side, yaw=0.0)
+    return DoorPose(position=position, side=side)
 
 
 def _facing_doors(scenario: Scenario, door_center_height: float):

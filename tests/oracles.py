@@ -4,7 +4,7 @@ Phase oracles return dense (M, N) raw phase arrays built from closed forms
 that the package no longer carries; the gain oracle sums the four dense
 MN-vectors of the plane-wave cascade element by element; the cascade oracle
 builds the (MN, K) and (K, MN) segment matrices entry by entry, and the
-selection oracle scores every codebook entry on one channel matrix.  None of
+selection oracle scores every beam pair on one channel matrix.  None of
 them uses the row + column factorization that ``PhaseProfile``,
 ``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.  The
 scene oracles place traffic one uniform draw at a time and gate relay doors
@@ -26,7 +26,7 @@ from conformal_v2v.channel import (
     unit_cell_gain,
 )
 from conformal_v2v.geometry import Vehicle, specular_area
-from conformal_v2v.link import Codebook, CodebookEntry, beam_amplitude
+from conformal_v2v.link import beam_amplitude
 from conformal_v2v.phase import PHASE_SIGN
 from conformal_v2v.scenario import Scenario
 
@@ -240,9 +240,8 @@ def total_channel(h_d, relays):
 
 @dataclass(frozen=True)
 class LinkResult:
-    selected: CodebookEntry
     selected_index: int
-    powers: np.ndarray          # |w^H H f|^2 per entry, codebook order
+    powers: np.ndarray          # |w^H H f|^2 per beam pair, in the given order
 
     def __post_init__(self):
         powers = np.asarray(self.powers, dtype=float)
@@ -250,24 +249,20 @@ class LinkResult:
         if not 0 <= self.selected_index < powers.size:
             raise ValueError("selected_index out of range")
         if powers[self.selected_index] < np.max(powers):
-            raise ValueError("selected entry must attain the maximum power")
+            raise ValueError("selected pair must attain the maximum power")
 
     @property
     def received_power(self) -> float:
         return float(self.powers[self.selected_index])
 
 
-def select_beams(codebook: Codebook, h) -> LinkResult:
-    """Pick the codebook entry with maximum |w^H H f|^2 on one channel matrix.
+def select_beams(beams, h) -> LinkResult:
+    """Pick the (f, w) pair with maximum |w^H H f|^2 on one channel matrix.
 
-    Ties resolve to the earliest entry, i.e. direct first, then relays in
-    codebook order.
+    Ties resolve to the earliest pair in ``beams``.
     """
-    powers = np.array([abs(beam_amplitude(h, e.f, e.w)) ** 2 for e in codebook.entries])
-    best = int(np.argmax(powers))
-    return LinkResult(
-        selected=codebook.entries[best], selected_index=best, powers=powers
-    )
+    powers = np.array([abs(beam_amplitude(h, f, w)) ** 2 for f, w in beams])
+    return LinkResult(selected_index=int(np.argmax(powers)), powers=powers)
 
 
 def beamformed(geometry, h_tc, h_cr, f, w):

@@ -137,7 +137,7 @@ def test_phase_gradient_satisfies_the_generalized_reflection_law():
 
 
 def test_tuned_cascade_is_coherent_for_exactly_one_sign_convention():
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(60, 60, 2.0, LAM / 4.0, LAM / 4.0, pose)
     p_t, p_r = vec3(25.0, -35.0, 1.5), vec3(25.0, 35.0, 1.5)
     a, b = cascaded_channels(geom, p_t, p_r, 1, LAM, [1.0], [1.0])
@@ -163,7 +163,7 @@ def test_cascaded_matrices_match_the_elementwise_scalar_sum():
         m = 2 * int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 3))
-        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
         geom = build_cirs_geometry(
             m, n, float(rng.uniform(0.5, 4.0)), LAM / 4.0, LAM / 4.0, pose
         )
@@ -368,7 +368,7 @@ def test_sampled_statistics_match_their_models_and_runs_are_deterministic(tmp_pa
 
     rng = np.random.default_rng(5)
     clear = np.array(
-        [sample_direct_pathloss(50.0, 28.0, 0, rng).loss_db for _ in range(n)]
+        [sample_direct_pathloss(50.0, 28.0, 0, rng) for _ in range(n)]
     )
     mu = mean_pathloss_db(50.0, 28.0)
     se_mean = 3.0 / math.sqrt(n)
@@ -387,7 +387,7 @@ def test_sampled_statistics_match_their_models_and_runs_are_deterministic(tmp_pa
     )
 
     blocked = np.array(
-        [sample_direct_pathloss(50.0, 28.0, 2, rng).loss_db for _ in range(n)]
+        [sample_direct_pathloss(50.0, 28.0, 2, rng) for _ in range(n)]
     )
     sigma2 = math.sqrt(3.0**2 + 4.0**2)
     checks.append(

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from conformal_v2v.channel import (
     MIN_DISTANCE_WAVELENGTHS,
-    PathLossSample,
     antenna_positions,
     array_response,
     blockage_mean_db,
@@ -69,22 +68,15 @@ def test_blockage_sample_is_zero_without_blockers_and_noisy_with():
     assert np.std(draws) == pytest.approx(4.0, rel=0.1)
 
 
-def test_pathloss_sample_component_bookkeeping():
+def test_direct_pathloss_sums_its_three_components():
+    # mu_LoS + blockage + shadowing, drawn in that order from one generator
+    loss = sample_direct_pathloss(50.0, 28.0, 2, np.random.default_rng(1))
     rng = np.random.default_rng(1)
-    s = sample_direct_pathloss(50.0, 28.0, 2, rng)
-    assert s.loss_db == pytest.approx(s.mu_los_db + s.blockage_db + s.shadowing_db)
-    assert s.blocker_count == 2
+    blockage = sample_blockage_db(2, rng)
+    shadowing = float(rng.normal(0.0, 3.0))
+    assert loss == mean_pathloss_db(50.0, 28.0) + blockage + shadowing
     clean = sample_direct_pathloss(50.0, 28.0, 0, rng, sigma_shadow_db=0.0)
-    assert clean.loss_db == pytest.approx(mean_pathloss_db(50.0, 28.0))
-    assert clean.blockage_db == 0.0
-    with pytest.raises(ValueError):
-        PathLossSample(
-            loss_db=100.0,
-            mu_los_db=95.0,
-            blocker_count=0,
-            shadowing_db=0.0,
-            blockage_db=1.0,  # nonzero without blockers
-        )
+    assert clean == mean_pathloss_db(50.0, 28.0)
 
 
 def test_array_response_is_unit_norm_with_half_wave_phases():
@@ -126,7 +118,9 @@ def test_direct_channel_is_rank_one_with_the_budgeted_magnitude():
     assert h.shape == (4, 4)
     assert np.linalg.matrix_rank(h) == 1
     rho = pattern_from_cosine(1.0, Q)  # horizontal ray
-    expected_mag = 10.0 ** (-loss / 20.0) * rho * rho / 4.0
+    # K times the unit-norm outer product: each entry carries |alpha| rho rho,
+    # the per-pair amplitude scale of the cascaded segments
+    expected_mag = 10.0 ** (-loss / 20.0) * rho * rho
     assert np.abs(h) == pytest.approx(np.full((4, 4), expected_mag))
     # deterministic without an rng, random phase with one
     assert direct_channel(p_t, p_r, 4, loss, rng=None, q=Q) == pytest.approx(h)
@@ -213,7 +207,7 @@ def test_cascaded_channel_matches_scalar_reference():
         m = 2 * int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 3))
-        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
         geom = build_cirs_geometry(m, n, float(rng.uniform(0.5, 4.0)), LAM / 4, LAM / 4, pose)
         p_t = vec3(rng.uniform(5, 30), rng.uniform(-30, -5), 1.5)
         p_r = vec3(rng.uniform(5, 30), rng.uniform(5, 30), 1.5)
@@ -225,7 +219,7 @@ def test_cascaded_channel_matches_scalar_reference():
 
 
 def test_cascade_amp_scale_multiplies_the_product_once():
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(4, 4, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(10.0, -20.0, 1.5), vec3(10.0, 20.0, 1.5)
     f, w = random_beams(np.random.default_rng(6), 2)
@@ -238,7 +232,7 @@ def test_cascade_amp_scale_multiplies_the_product_once():
 
 
 def test_cascade_shares_one_random_phase_per_segment():
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(8.0, -15.0, 1.5), vec3(8.0, 15.0, 1.5)
     f, w = random_beams(np.random.default_rng(7), 2)
@@ -255,15 +249,21 @@ def test_cascade_shares_one_random_phase_per_segment():
 
 
 def test_cascade_rejects_near_field_endpoints():
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right", yaw=0.0)
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
     too_close = vec3(MIN_DISTANCE_WAVELENGTHS * LAM * 0.5, 0.0, 0.9)
     with pytest.raises(ValueError):
         cascaded_channels(geom, too_close, vec3(10.0, 10.0, 1.5), 2, LAM, [1, 1], [1, 1])
     with pytest.raises(ValueError):
         cascaded_channels(geom, vec3(10.0, 10.0, 1.5), too_close, 2, LAM, [1, 1], [1, 1])
+    # f or w without k_antennas entries
+    far_t, far_r = vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5)
     with pytest.raises(ValueError):
-        cascaded_channels(geom, vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5), 2, LAM, [1], [1])
+        cascaded_channels(geom, far_t, far_r, 2, LAM, [1], [1])
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, far_t, far_r, 2, LAM, [1, 1, 1], [1, 1])
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, far_t, far_r, 2, LAM, [1, 1], [1, 1, 1])
 
 
 @st.composite
@@ -283,7 +283,6 @@ def cascade_cases(draw):
             draw(st.floats(-20.0, 20.0)), draw(st.floats(-100.0, 100.0)), draw(st.floats(0.3, 1.5))
         ),
         side=draw(st.sampled_from(("left", "right"))),
-        yaw=draw(st.floats(-math.pi, math.pi)),
     )
     geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
     centre = element_positions(geom).mean(axis=0)
@@ -411,11 +410,11 @@ def test_configured_cylinder_recovers_the_flat_gain():
 
 def test_azimuth_gain_defaults_to_specular_reflection():
     geom = build_cirs_geometry(16, 4, 2.0, LAM / 4, LAM / 4)
-    prof = optimal_phase(
-        geom, AnglePair(0.4, math.pi / 2), AnglePair(-0.4, math.pi / 2), LAM
-    )
+    incidence = AnglePair(0.4, math.pi / 2)
+    specular = AnglePair(-0.4, math.pi / 2)
+    prof = optimal_phase(geom, incidence, specular, LAM)
     a = channel_gain_azimuth(geom, prof, 0.4, LAM, Q)
-    b = channel_gain_azimuth(geom, prof, 0.4, LAM, Q, theta_o=-0.4)
+    b = normalized_gain(geom, prof, incidence, specular, LAM, Q)
     assert a == pytest.approx(b)
 
 

@@ -1,5 +1,6 @@
 """Configuration resolution, validation, precedence."""
 
+import dataclasses
 import json
 import math
 
@@ -106,15 +107,22 @@ def test_validation_errors_name_the_field(field, value):
 
 
 def test_env_values_parse_including_null_trials():
-    env = {
+    # the integer fields are read from the annotations; their int defaults
+    # say independently which fields those are
+    ints = [f.name for f in dataclasses.fields(SimConfig) if type(f.default) is int]
+    assert len(ints) == 7
+    env = {ENV_PREFIX + name.upper(): "2" for name in ints}
+    env.update({
         ENV_PREFIX + "TRIALS": "null",
         ENV_PREFIX + "M_ELEMENTS": "200",
         ENV_PREFIX + "RHO": "12.5",
-    }
+    })
     cfg = resolve_config(env=env)
     assert cfg.trials is None
     assert cfg.m_elements == 200
     assert cfg.rho == 12.5
+    for name in ints:
+        assert type(getattr(cfg, name)) is int
 
 
 def test_integer_fields_reject_fractions_and_bools():

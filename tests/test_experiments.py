@@ -39,7 +39,7 @@ from conformal_v2v.experiments import (
     write_sidecar,
 )
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
-from conformal_v2v.link import build_codebooks
+from conformal_v2v.link import azimuth, steering_vector
 from conformal_v2v.scenario import (
     candidate_relays_irs,
     candidate_relays_ris,
@@ -317,9 +317,10 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         cfg.element_spacing_m, cfg.element_spacing_m, pose,
     )
     p_t, p_r = scen.p_t, scen.p_r
-    entry = build_codebooks(p_t, p_r, [("relay", door)], cfg.k_antennas).entries[1]
+    f = steering_vector(cfg.k_antennas, azimuth(p_t, door))
+    w = steering_vector(cfg.k_antennas, azimuth(door, p_r))
     a, b = cascaded_channels(
-        geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, entry.f, entry.w, cfg.q_pattern,
+        geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, f, w, cfg.q_pattern,
         array_spacing_m=cfg.array_spacing_m, amp_scale=cfg.cascade_amp_scale,
     )
     p_tuned = abs(_tuned_profile(cfg, geom, door, p_t, p_r).weighted_sum(b * a)) ** 2

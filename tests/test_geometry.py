@@ -120,8 +120,8 @@ def test_geometry_rejects_bad_shapes():
 def test_local_frame_aligns_door_normal_with_broadside():
     # row m's global normal, seen from the door frame, is broadside tilted up
     # by its arc angle: theta = 0, phi = pi/2 - psi_m
-    for side, yaw in (("right", 0.0), ("left", 0.0), ("right", 0.7)):
-        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side=side, yaw=yaw)
+    for side in ("right", "left"):
+        pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side=side)
         geom = build_cirs_geometry(8, 2, 2.0, 0.3, 0.1, pose)
         for m in (-2, 0, 3):
             local = pose_local_angles(pose, geom.normals[m + 4])
@@ -130,7 +130,7 @@ def test_local_frame_aligns_door_normal_with_broadside():
 
 
 def test_left_door_frame_faces_negative_x():
-    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="left", yaw=0.0)
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="left")
     local = pose_local_angles(pose, vec3(-1.0, 0.0, 0.0))
     assert local.theta == pytest.approx(0.0, abs=1e-12)
     assert local.phi == pytest.approx(math.pi / 2.0)
