@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from conformal_v2v.channel import (
+    array_response,
+    cascaded_channels,
     direct_channel,
     mean_pathloss_db,
     pattern_from_cosine,
     sample_direct_pathloss,
 )
-from conformal_v2v.geometry import vec3
+from conformal_v2v.geometry import DoorPose, build_cirs_geometry, vec3
 from conformal_v2v.link import azimuth, beam_amplitude, best_snr, steering_vector
 from oracles import LinkResult, select_beams
 
@@ -35,6 +37,19 @@ def test_azimuth_is_the_plan_view_bearing_of_the_ray():
     assert azimuth(door, p_r) == pytest.approx(math.atan2(20.0, -4.1))
     with pytest.raises(ValueError):
         azimuth(p_t, vec3(0.0, 0.0, 0.9))  # straight below: no plan-view ray
+
+
+def test_rescale_direct_multiplies_by_the_antenna_count():
+    # direct_channel is K times the unit-norm outer product alpha rho rho a a^H
+    p_t, p_r = vec3(0.0, 0.0, 1.5), vec3(0.0, 50.0, 1.5)
+    loss = 95.0
+    scale = 10.0 ** (-loss / 20.0) * pattern_from_cosine(1.0, 0.285) ** 2
+    for k in (1, 2, K):
+        a = array_response(k, math.pi / 2.0)
+        h = direct_channel(p_t, p_r, k, loss, None)
+        assert h == pytest.approx(float(k) * scale * np.outer(a, a.conj()))
+    with pytest.raises(ValueError):
+        direct_channel(p_t, p_r, 0, loss, None)
 
 
 def test_beam_power_matches_the_quadratic_form():
@@ -116,3 +131,18 @@ def test_snr_handles_a_null_channel_and_bad_antenna_counts():
     with pytest.raises(ValueError):
         best_snr([beam_amplitude(np.eye(K), f, f)], 10.0, -88.0, 0)
 
+
+def test_mismatched_beam_vectors_are_rejected():
+    # the cascade is where beams meet the channel: f and w need K entries each
+    lam = 299_792_458.0 / 28e9
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
+    geom = build_cirs_geometry(4, 2, 2.0, lam / 4, lam / 4, pose)
+    p_t, p_r = vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5)
+    f = steering_vector(K, 0.1)
+    cascaded_channels(geom, p_t, p_r, K, lam, f, f)
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, p_t, p_r, K, lam, f, steering_vector(K + 1, 0.1))
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, p_t, p_r, K, lam, steering_vector(K + 1, 0.1), f)
+    with pytest.raises(ValueError):
+        cascaded_channels(geom, p_t, p_r, K, lam, f[:-1], f[:-1])
