@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .geometry import AnglePair, CirsGeometry
+from .geometry import AnglePair, CirsGeometry, azimuth
 from .phase import PhaseProfile
 
 TWO_PI = 2.0 * math.pi
@@ -82,12 +82,17 @@ def sample_direct_pathloss(
 # --- antenna arrays and patterns -------------------------------------------
 
 
-def array_response(k_antennas: int, theta: float) -> np.ndarray:
-    """Unit-norm ULA response (1/sqrt(K)) [1, ..., exp(-j pi (K-1) cos theta)]."""
+def steering_vector(k_antennas: int, theta: float) -> np.ndarray:
+    """Unit-amplitude ULA steering [1, ..., exp(-j pi (K-1) cos theta)].
+
+    The phase step pi cos(theta) is that of antennas lambda/2 apart along
+    global x (``antenna_positions`` at ``wavelength / 2``), toward a
+    plan-view azimuth theta.  ||s||^2 = K.
+    """
     if k_antennas < 1:
         raise ValueError(f"k_antennas must be >= 1, got {k_antennas}")
     k = np.arange(k_antennas)
-    return np.exp(-1j * math.pi * k * math.cos(theta)) / math.sqrt(k_antennas)
+    return np.exp(-1j * math.pi * k * math.cos(theta))
 
 
 def antenna_positions(
@@ -156,26 +161,22 @@ def direct_channel(
     rng: np.random.Generator | None,
     q: float = 0.285,
 ) -> np.ndarray:
-    """Rank-one direct channel H_d = K alpha rho_r rho_t a_r a_t^H, shape (K, K).
+    """Rank-one direct channel H_d = alpha rho_r rho_t s s^H, shape (K, K).
 
-    Both steering vectors are evaluated at the azimuth of the TxV->RxV ray
+    The steering vector s is evaluated at the azimuth of the TxV->RxV ray
     (the shared plane-wave direction); alpha carries the path loss and a
-    uniform random phase (zero when rng is None).  The unit-NORM vectors a
-    leave each entry |alpha| rho rho / K, so the factor K gives every entry
-    the physical amplitude |alpha| rho rho that the cascaded segments carry.
+    uniform random phase (zero when rng is None).  s has unit-amplitude
+    entries, so every entry carries the amplitude |alpha| rho rho that the
+    cascaded segments carry per antenna pair.
     """
-    p_t = np.asarray(p_t, dtype=float)
-    p_r = np.asarray(p_r, dtype=float)
-    d = p_r - p_t
-    if np.linalg.norm(d) == 0:
-        raise ValueError("endpoints must be distinct")
-    theta_d = math.atan2(d[1], d[0])
+    theta_d = azimuth(p_t, p_r)
+    d = np.asarray(p_r, dtype=float) - np.asarray(p_t, dtype=float)
     rho_t = endpoint_pattern(d, q)
     rho_r = endpoint_pattern(-d, q)
     xi = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
     alpha = 10.0 ** (-loss_db / 20.0) * np.exp(1j * xi)
-    a = array_response(k_antennas, theta_d)
-    return float(k_antennas) * (alpha * rho_r * rho_t * np.outer(a, a.conj()))
+    s = steering_vector(k_antennas, theta_d)
+    return alpha * rho_r * rho_t * np.outer(s, s.conj())
 
 
 def cascaded_channels(
@@ -188,7 +189,6 @@ def cascaded_channels(
     w: np.ndarray,
     q: float = 0.285,
     rng: np.random.Generator | None = None,
-    array_spacing_m: float | None = None,
     amp_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beamformed segment channels a = H_tc f and b = w^H H_cr, each (M, N).
@@ -218,10 +218,9 @@ def cascaded_channels(
         raise ValueError(
             f"beams {f.shape} and {w.shape} must both have k_antennas = {k_antennas} entries"
         )
-    if array_spacing_m is None:
-        array_spacing_m = wavelength / 2.0
-    tx = antenna_positions(p_t, k_antennas, array_spacing_m)
-    rx = antenna_positions(p_r, k_antennas, array_spacing_m)
+    # lambda/2 apart, the spacing that steering_vector's phase step encodes
+    tx = antenna_positions(p_t, k_antennas, wavelength / 2.0)
+    rx = antenna_positions(p_r, k_antennas, wavelength / 2.0)
 
     # segment amplitude times the endpoint pattern's peak sqrt(G)
     scale = (

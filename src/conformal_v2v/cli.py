@@ -191,7 +191,9 @@ def _cmd_snr_ecdf(args) -> int:
 
 def _cmd_angle_pdf(args) -> int:
     config = _resolve(args)
-    spec = make_sweep("angle-pdf", config, grid=(args.rho,))
+    if args.rho is not None:
+        config = config.replace(rho=args.rho)
+    spec = make_sweep("angle-pdf", config, grid=(config.rho,))
     rows, stats = run_angle_pdf(spec)
     print(
         f"elevation {stats['elevation_mean_deg']:.2f} deg "
@@ -246,12 +248,9 @@ def _cmd_phase_dump(args) -> int:
 
 def _cmd_scenario_dump(args) -> int:
     config = _resolve(args)
-    scen = generate_scene(
-        config,
-        args.rho if args.rho is not None else config.rho,
-        args.r_d if args.r_d is not None else config.link_distance_m,
-        config.seed,
-    )
+    flags = {"rho": args.rho, "link_distance_m": args.r_d}
+    config = config.replace(**{k: v for k, v in flags.items() if v is not None})
+    scen = generate_scene(config, config.rho, config.link_distance_m, config.seed)
     roles = {scen.txv: "txv", scen.rxv: "rxv"}
     fields = ("lane", "x", "y", "length", "width", "height")
     rows = [
@@ -347,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cylinder radius in m (repeatable)")
     p = add("angle-pdf", _cmd_angle_pdf,
             "incidence-angle statistics over candidate relay doors")
-    p.add_argument("--rho", type=float, default=30.0,
-                   help="traffic density per lane per km")
+    p.add_argument("--rho", type=float, default=None,
+                   help="traffic density per lane per km (default: the configured rho)")
     p = add("phase-dump", _cmd_phase_dump, "per-element phase profile table")
     p.add_argument("--profile",
                    choices=("optimal", "perpendicular", "preconfigured"),
@@ -359,8 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi-o", type=float, default=90.0, help="degrees")
     p = add("scenario-dump", _cmd_scenario_dump, "one generated traffic scene")
     p.add_argument("--rho", type=float, default=None,
-                   help="traffic density per lane per km")
-    p.add_argument("--r-d", type=float, default=None, help="TxV-RxV distance in m")
+                   help="traffic density per lane per km (default: the configured rho)")
+    p.add_argument("--r-d", type=float, default=None,
+                   help="TxV-RxV distance in m (default: the configured link_distance_m)")
     add("geometry-dump", _cmd_geometry_dump,
         "per-element surface coordinates and normals")
     return parser

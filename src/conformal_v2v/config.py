@@ -29,7 +29,6 @@ class SimConfig:
     k_antennas: int = 8
     m_elements: int = 400
     n_elements: int = 400
-    array_spacing_wl: float = 0.5     # ULA spacing, wavelengths
     element_spacing_wl: float = 0.25  # surface element spacing, wavelengths
     radius_m: float = 2.0
     thetabar_deg: float = 75.0        # fixed-profile design azimuth
@@ -75,10 +74,6 @@ class SimConfig:
         return SPEED_OF_LIGHT / (self.f_ghz * 1e9)
 
     @property
-    def array_spacing_m(self) -> float:
-        return self.array_spacing_wl * self.wavelength_m
-
-    @property
     def element_spacing_m(self) -> float:
         return self.element_spacing_wl * self.wavelength_m
 
@@ -108,7 +103,6 @@ class SimConfig:
 
         for name in (
             "f_ghz",
-            "array_spacing_wl",
             "element_spacing_wl",
             "radius_m",
             "vehicle_length_m",
@@ -118,7 +112,6 @@ class SimConfig:
             "door_center_height_m",
             "road_length_m",
             "lane_width_m",
-            "rho",
             "link_distance_m",
             "max_range_m",
             "cascade_amp_scale",
@@ -136,6 +129,8 @@ class SimConfig:
             raise ValueError(f"thetabar_deg must lie in [0, 90), got {self.thetabar_deg}")
         if self.q_pattern < 0:
             raise ValueError(f"q_pattern must be >= 0, got {self.q_pattern}")
+        if self.rho < 0:
+            raise ValueError(f"rho must be >= 0, got {self.rho}")
         for name in ("sigma_shadow_db", "block_step_db", "block_sigma_db"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -30,10 +30,11 @@ from .channel import (
     direct_channel,
     sample_blockage_db,
     sample_direct_pathloss,
+    steering_vector,
 )
 from .config import SimConfig
-from .geometry import RoadConfig, build_cirs_geometry, pose_local_angles
-from .link import azimuth, beam_amplitude, best_snr, steering_vector
+from .geometry import RoadConfig, azimuth, build_cirs_geometry, pose_local_angles
+from .link import beam_amplitude, best_snr
 from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
     Scenario,
@@ -534,7 +535,6 @@ def _snr_trial(
             w,
             config.q_pattern,
             rng,
-            array_spacing_m=config.array_spacing_m,
             amp_scale=config.cascade_amp_scale,
         )
         att_t = sample_blockage_db(

@@ -54,6 +54,14 @@ class AnglePair:
         return cls(theta=math.atan2(v[1], v[0]), phi=math.acos(max(-1.0, min(1.0, v[2]))))
 
 
+def azimuth(frm: np.ndarray, to: np.ndarray) -> float:
+    """Plan-view azimuth (from +x) of the ray from ``frm`` to ``to``."""
+    d = np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)
+    if d[0] == 0.0 and d[1] == 0.0:
+        raise ValueError("points coincide in plan view, azimuth undefined")
+    return math.atan2(d[1], d[0])
+
+
 def _rot_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])

@@ -1,4 +1,4 @@
-"""Steering vectors toward positions, received amplitudes, and end-to-end SNR."""
+"""Received amplitudes of beam pairs and end-to-end SNR."""
 
 from __future__ import annotations
 
@@ -6,21 +6,6 @@ import math
 from collections.abc import Iterable
 
 import numpy as np
-
-from .channel import array_response
-
-
-def steering_vector(k_antennas: int, theta: float) -> np.ndarray:
-    """Unit-amplitude steering [1, ..., exp(-j pi (K-1) cos theta)]."""
-    return math.sqrt(k_antennas) * array_response(k_antennas, theta)
-
-
-def azimuth(frm: np.ndarray, to: np.ndarray) -> float:
-    """Plan-view azimuth (from +x) of the ray from ``frm`` to ``to``."""
-    d = np.asarray(to, dtype=float) - np.asarray(frm, dtype=float)
-    if d[0] == 0.0 and d[1] == 0.0:
-        raise ValueError("points coincide in plan view, azimuth undefined")
-    return math.atan2(d[1], d[0])
 
 
 def beam_amplitude(h: np.ndarray, f: np.ndarray, w: np.ndarray) -> complex:

@@ -166,7 +166,6 @@ def dense_cascaded_channels(
     wavelength,
     q=0.285,
     rng=None,
-    array_spacing_m=None,
     amp_scale=1.0,
 ):
     """Entry-exact segment matrices (H_tc of shape (MN, K), H_cr of (K, MN)).
@@ -179,12 +178,10 @@ def dense_cascaded_channels(
         raise ValueError("wavelength must be positive")
     if amp_scale <= 0:
         raise ValueError("amp_scale must be positive")
-    if array_spacing_m is None:
-        array_spacing_m = wavelength / 2.0
     elem_pos = element_positions(geometry)                 # (MN, 3)
     normals = np.repeat(geometry.normals, geometry.n_count, axis=0)  # (MN, 3)
-    tx = antenna_positions(p_t, k_antennas, array_spacing_m)
-    rx = antenna_positions(p_r, k_antennas, array_spacing_m)
+    tx = antenna_positions(p_t, k_antennas, wavelength / 2.0)
+    rx = antenna_positions(p_r, k_antennas, wavelength / 2.0)
 
     seg_amp = (
         unit_cell_gain(q) * geometry.d_m * geometry.d_n * wavelength**2

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conformal_v2v.channel import (
     MIN_DISTANCE_WAVELENGTHS,
     antenna_positions,
-    array_response,
     blockage_mean_db,
     cascaded_channels,
     channel_gain_azimuth,
@@ -22,8 +21,9 @@ from conformal_v2v.channel import (
     pattern_from_cosine,
     sample_blockage_db,
     sample_direct_pathloss,
+    steering_vector,
 )
-from conformal_v2v.geometry import AnglePair, DoorPose, build_cirs_geometry, vec3
+from conformal_v2v.geometry import AnglePair, DoorPose, azimuth, build_cirs_geometry, vec3
 from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
 from oracles import (
     beamformed,
@@ -80,11 +80,40 @@ def test_direct_pathloss_sums_its_three_components():
 
 
 def test_array_response_is_unit_norm_with_half_wave_phases():
+    # steering_vector is the one array response: exactly the half-wave
+    # phases, unit-norm once scaled by 1/sqrt(K) (the K divisor of best_snr)
     for k in (1, 4, 8):
-        a = array_response(k, 0.7)
-        assert np.linalg.norm(a) == pytest.approx(1.0)
-        expected = np.exp(-1j * math.pi * np.arange(k) * math.cos(0.7)) / math.sqrt(k)
-        assert a == pytest.approx(expected)
+        s = steering_vector(k, 0.7)
+        assert np.linalg.norm(s / math.sqrt(k)) == pytest.approx(1.0)
+        expected = np.exp(-1j * math.pi * np.arange(k) * math.cos(0.7))
+        assert np.array_equal(s, expected)
+    with pytest.raises(ValueError):
+        steering_vector(0, 0.7)
+
+
+@given(
+    k=st.integers(1, 16),
+    theta=st.floats(-math.pi, math.pi),
+    center=st.tuples(*(st.floats(-100.0, 100.0),) * 2, st.floats(0.5, 3.0)),
+)
+@settings(max_examples=200, deadline=None)
+def test_steering_vector_cophases_the_antennas_toward_its_azimuth(k, theta, center):
+    # Far-field phasors exp(-j 2 pi |p - antenna_k| / lambda) from the
+    # lambda/2 ULA to a point p a distance r off along the plan-view azimuth
+    # theta, weighted by the steering vector at azimuth's bearing to p, add
+    # to K.  The remainders of |p - antenna_k| - (r - x_k cos theta) leave
+    # a phase error of at most eps = pi x_max^2 / (lambda r) per antenna,
+    # x_max = (K - 1) lambda / 4, so the sum falls short of K by at most
+    # K eps^2 / 2.  A spacing that the steering phase does not encode misses
+    # K by O(K) at generic azimuths.
+    center = np.array(center)
+    r = 1.0e4
+    p = center + r * np.array([math.cos(theta), math.sin(theta), 0.0])
+    ants = antenna_positions(center, k, LAM / 2.0)
+    phasors = np.exp(-2j * math.pi * np.linalg.norm(p - ants, axis=1) / LAM)
+    coherent = abs(np.sum(steering_vector(k, azimuth(center, p)) * phasors))
+    eps = math.pi * ((k - 1) * LAM / 4.0) ** 2 / (LAM * r)
+    assert k * (1.0 - eps**2 / 2.0) - 1e-9 <= coherent <= k + 1e-9
 
 
 def test_antenna_positions_are_centered_on_the_reference_point():
@@ -118,7 +147,7 @@ def test_direct_channel_is_rank_one_with_the_budgeted_magnitude():
     assert h.shape == (4, 4)
     assert np.linalg.matrix_rank(h) == 1
     rho = pattern_from_cosine(1.0, Q)  # horizontal ray
-    # K times the unit-norm outer product: each entry carries |alpha| rho rho,
+    # unit-amplitude steering vectors: each entry carries |alpha| rho rho,
     # the per-pair amplitude scale of the cascaded segments
     expected_mag = 10.0 ** (-loss / 20.0) * rho * rho
     assert np.abs(h) == pytest.approx(np.full((4, 4), expected_mag))
@@ -132,6 +161,22 @@ def test_direct_channel_is_rank_one_with_the_budgeted_magnitude():
 def test_direct_channel_rejects_coincident_endpoints():
     with pytest.raises(ValueError):
         direct_channel(vec3(0, 0, 1.5), vec3(0, 0, 1.5), 2, 90.0, None)
+
+
+def test_direct_channel_takes_its_bearing_from_azimuth():
+    # endpoints one above the other have no plan-view bearing: the direct
+    # channel fails exactly as azimuth does, also where they differ in height
+    p_t, above = vec3(3.0, 7.0, 1.5), vec3(3.0, 7.0, 4.0)
+    with pytest.raises(ValueError) as from_azimuth:
+        azimuth(p_t, above)
+    with pytest.raises(ValueError) as from_channel:
+        direct_channel(p_t, above, 2, 90.0, None)
+    assert str(from_channel.value) == str(from_azimuth.value)
+    # and steers at azimuth's bearing: the matched beam collects K^2 |h|
+    p_r = vec3(-4.0, 40.0, 1.2)
+    h = direct_channel(p_t, p_r, 4, 90.0, None)
+    s = steering_vector(4, azimuth(p_t, p_r))
+    assert abs(np.vdot(s, h @ s)) == pytest.approx(16.0 * abs(h[0, 0]))
 
 
 def brute_force_cascade(geom, p_t, p_r, k_antennas, lam, q=Q):
@@ -331,10 +376,10 @@ def test_beamformed_cascade_matches_the_dense_oracle(case):
         assume(np.all(np.abs(np.einsum("lki,li->lk", ray, normals)) > 1e-4))
         assume(np.all(1.0 - ray[:, :, 2] ** 2 > 1e-4))
     h_tc, h_cr = dense_cascaded_channels(
-        geom, p_t, p_r, k, LAM, q, np.random.default_rng(1), spacing, amp_scale
+        geom, p_t, p_r, k, LAM, q, np.random.default_rng(1), amp_scale
     )
     got = cascaded_channels(
-        geom, p_t, p_r, k, LAM, f, w, q, np.random.default_rng(1), spacing, amp_scale
+        geom, p_t, p_r, k, LAM, f, w, q, np.random.default_rng(1), amp_scale
     )
     want = beamformed(geom, h_tc, h_cr, f, w)
     # rounding scales with the sum of the K terms' moduli, which random
@@ -348,14 +393,21 @@ def test_beamformed_cascade_matches_the_dense_oracle(case):
 
     # the near-field guard fires on the closest antenna-element pair of
     # either leg, at MIN_DISTANCE_WAVELENGTHS wavelengths
-    r_min = min(
-        float(np.min(np.linalg.norm(pos[:, None, :] - ants[None, :, :], axis=2)))
-        for ants in legs
-    )
-    edge = r_min / MIN_DISTANCE_WAVELENGTHS
-    cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), f, w, q, None, spacing)
+    def r_min(lam):
+        return min(
+            float(np.min(np.linalg.norm(pos[:, None, :] - ants[None, :, :], axis=2)))
+            for ants in (antenna_positions(p, k, lam / 2.0) for p in (p_t, p_r))
+        )
+
+    # the antennas sit lambda/2 apart, so the edge is the fixed point of
+    # lambda = r_min(lambda) / MIN_DISTANCE_WAVELENGTHS; r_min moves by at
+    # most (K - 1) / 4 per unit of lambda, so the iteration contracts
+    edge = LAM
+    for _ in range(60):
+        edge = r_min(edge) / MIN_DISTANCE_WAVELENGTHS
+    cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), f, w, q)
     with pytest.raises(ValueError, match="wavelength model guard"):
-        cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q, None, spacing)
+        cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q)
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

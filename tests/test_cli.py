@@ -199,6 +199,34 @@ def test_gain_azimuth_keeps_a_configured_design_angle(tmp_path):
     assert design_angle("set", "--thetabar-deg", "45", "--set", "thetabar_deg=20") == 20.0
 
 
+def test_angle_pdf_runs_at_the_configured_rho(tmp_path, monkeypatch):
+    # --rho, --set rho and the environment reach the run alike, and the
+    # sidecar records the density that ran
+    def run(name, *extra):
+        out = tmp_path / name
+        assert main(["angle-pdf", "--out-dir", str(out), "--trials", "20", *extra]) == 0
+        sidecar = json.loads((out / "angle_pdf.json").read_text())
+        return (out / "angle_pdf.csv").read_bytes(), sidecar["config"]["rho"]
+
+    flag = run("flag", "--rho", "40")
+    assert flag[1] == 40.0
+    assert run("set", "--set", "rho=40") == flag
+    monkeypatch.setenv("CONFORMAL_V2V_RHO", "40")
+    assert run("env") == flag
+    assert run("default", "--set", "rho=30")[0] != flag[0]
+
+
+def test_scenario_dump_records_the_scene_it_drew(tmp_path):
+    # an empty road: only the two link ends, at the requested distance
+    assert main(["scenario-dump", "--out-dir", str(tmp_path), "--seed", "3",
+                 "--rho", "0", "--r-d", "60"]) == 0
+    config = json.loads((tmp_path / "scenario.json").read_text())["config"]
+    assert (config["rho"], config["link_distance_m"]) == (0.0, 60.0)
+    _, rows = read_csv(tmp_path / "scenario.csv")
+    assert [r["role"] for r in rows] == ["txv", "rxv"]
+    assert abs(float(rows[1]["y"]) - float(rows[0]["y"])) == pytest.approx(60.0)
+
+
 def test_config_file_feeds_the_run(tmp_path):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps({"m_elements": 6, "n_elements": 2}))

@@ -14,7 +14,6 @@ def test_defaults_match_reference_setup():
     assert cfg.f_ghz == 28.0
     assert cfg.k_antennas == 8
     assert (cfg.m_elements, cfg.n_elements) == (400, 400)
-    assert cfg.array_spacing_wl == 0.5
     assert cfg.element_spacing_wl == 0.25
     assert cfg.radius_m == 2.0
     assert cfg.thetabar_deg == 75.0
@@ -32,7 +31,6 @@ def test_defaults_match_reference_setup():
 def test_derived_quantities():
     cfg = SimConfig()
     assert cfg.wavelength_m == pytest.approx(0.0107068735, rel=1e-9)
-    assert cfg.array_spacing_m == pytest.approx(cfg.wavelength_m / 2)
     assert cfg.element_spacing_m == pytest.approx(cfg.wavelength_m / 4)
     assert cfg.thetabar_rad == pytest.approx(math.radians(75.0))
     # roof array 0.6 m above a door half of the 100 m link away
@@ -70,6 +68,10 @@ def test_unknown_key_rejected_with_unit_hint(tmp_path):
     path.write_text(json.dumps({"Mx": -1}))
     with pytest.raises(ValueError, match="unknown config key 'Mx'"):
         resolve_config(path, env={})
+    # the endpoint arrays sit lambda/2 apart, the spacing the steering phase
+    # encodes; no field moves them
+    with pytest.raises(ValueError, match="unknown config key 'array_spacing_wl'"):
+        resolve_config(overrides={"array_spacing_wl": "1"}, env={})
 
 
 def test_invalid_json_and_non_object_files_rejected(tmp_path):
@@ -94,6 +96,7 @@ def test_invalid_json_and_non_object_files_rejected(tmp_path):
         ("thetabar_deg", 95.0),
         ("thetabar_deg", -1.0),
         ("q_pattern", -0.1),
+        ("rho", -1.0),
         ("sigma_shadow_db", -1.0),
         ("trials", 0),
         ("seed", -1),

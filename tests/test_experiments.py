@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_v2v import experiments
-from conformal_v2v.channel import cascaded_channels
+from conformal_v2v.channel import cascaded_channels, steering_vector
 from conformal_v2v.config import SimConfig
 from conformal_v2v.experiments import (
     DEFAULT_GRIDS,
@@ -38,8 +38,7 @@ from conformal_v2v.experiments import (
     write_csv,
     write_sidecar,
 )
-from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
-from conformal_v2v.link import azimuth, steering_vector
+from conformal_v2v.geometry import RoadConfig, Vehicle, azimuth, build_cirs_geometry
 from conformal_v2v.scenario import (
     candidate_relays_irs,
     candidate_relays_ris,
@@ -321,7 +320,7 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     w = steering_vector(cfg.k_antennas, azimuth(door, p_r))
     a, b = cascaded_channels(
         geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, f, w, cfg.q_pattern,
-        array_spacing_m=cfg.array_spacing_m, amp_scale=cfg.cascade_amp_scale,
+        amp_scale=cfg.cascade_amp_scale,
     )
     p_tuned = abs(_tuned_profile(cfg, geom, door, p_t, p_r).weighted_sum(b * a)) ** 2
     p_fixed = abs(_fixed_profile(cfg, geom).weighted_sum(b * a)) ** 2

@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from conformal_v2v.channel import (
-    array_response,
     cascaded_channels,
     direct_channel,
     mean_pathloss_db,
     pattern_from_cosine,
     sample_direct_pathloss,
+    steering_vector,
 )
-from conformal_v2v.geometry import DoorPose, build_cirs_geometry, vec3
-from conformal_v2v.link import azimuth, beam_amplitude, best_snr, steering_vector
+from conformal_v2v.geometry import DoorPose, azimuth, build_cirs_geometry, vec3
+from conformal_v2v.link import beam_amplitude, best_snr
 from oracles import LinkResult, select_beams
 
 K = 8
@@ -40,13 +40,16 @@ def test_azimuth_is_the_plan_view_bearing_of_the_ray():
 
 
 def test_rescale_direct_multiplies_by_the_antenna_count():
-    # direct_channel is K times the unit-norm outer product alpha rho rho a a^H
+    # direct_channel is alpha rho rho s s^H with unit-amplitude s: K times
+    # the unit-norm outer product a a^H, a = s / sqrt(K)
     p_t, p_r = vec3(0.0, 0.0, 1.5), vec3(0.0, 50.0, 1.5)
     loss = 95.0
     scale = 10.0 ** (-loss / 20.0) * pattern_from_cosine(1.0, 0.285) ** 2
     for k in (1, 2, K):
-        a = array_response(k, math.pi / 2.0)
+        s = steering_vector(k, math.pi / 2.0)
         h = direct_channel(p_t, p_r, k, loss, None)
+        assert h == pytest.approx(scale * np.outer(s, s.conj()))
+        a = s / math.sqrt(k)
         assert h == pytest.approx(float(k) * scale * np.outer(a, a.conj()))
     with pytest.raises(ValueError):
         direct_channel(p_t, p_r, 0, loss, None)
