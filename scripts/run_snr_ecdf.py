@@ -2,14 +2,14 @@
 """SNR ECDFs for the direct and relayed links.
 
 Defaults: rho in {10, 40} cars/km/lane, r_d in {50, 100} m, R in {2, 8} m,
-200 trials per point on the full-size 400x400 surfaces (about 1.3 s per
+200 trials per point on the full-size 400x400 surfaces (about 0.3 s per
 trial at rho 40 and r_d 100 on one core).  Extra CLI flags pass through,
 e.g.
 
     python3 scripts/run_snr_ecdf.py --trials 500 --threads 4
     python3 scripts/run_snr_ecdf.py --reduced --trials 50
 
---reduced (100x100 elements with a x16 amplitude correction, about 0.09 s
+--reduced (100x100 elements with a x16 amplitude correction, about 0.02 s
 per trial) is for quick looks only: at highway relay distances it overstates
 the full-size relayed gains by up to 16.5 dB (see the README).
 """

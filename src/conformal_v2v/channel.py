@@ -206,7 +206,11 @@ def cascaded_channels(
     A relay scored with the beam pair (f, w) and reflection coefficients phi
     contributes w^H H_cr diag(phi) H_tc f = sum(b * phi * a), so the dense
     matrices are never built: each MN-vector is summed over the K antennas
-    one antenna at a time, using the row x column structure of the surface.
+    in one (M, N) pass per antenna, using the row x column structure of the
+    surface.  The squared along-column distances are shared by all K
+    antennas and computed once, and each pass takes its phasor from one
+    half-angle tangent instead of a cosine and a sine (see
+    ``_beamformed_segment``).
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -248,60 +252,77 @@ def _beamformed_segment(
     Element (m, n) sits at row m's position plus y_n along the door's
     column axis e, which is horizontal and orthogonal to every normal.  With
     A = row_m - antenna_k split into a part along e and a part across it,
-    r^2 = |A_across|^2 + (A . e + y_n)^2, while the numerators of the element
-    cosine u = -(A . normal_m) / r and of the ray's vertical component
-    -A_z / r depend on (m, k) only.  The (M, N) work arrays are reused
-    across antennas.
+    r^2 = (A . e + y_n)^2 + |A_across|^2.  The ULA lies along global x and
+    e is +-y, so (A . e + y_n)^2 is the same for every antenna: it is
+    computed once, and so are its row minima, from which the near-field
+    guard takes r_min.  The numerators c = -(A . normal_m) of the element
+    cosine u = c / r and A_z of the ray's vertical component depend on
+    (m, k) only, so u^2 sin^2(phi) = min(c^2 / r^2, 1) (r^2 - A_z^2) / r^2
+    on the r^2 at hand.
+
+    The phasor comes from the half-angle tangent t = tan(phi / 2):
+    cos phi = 2 / (1 + t^2) - 1 and sin phi = 2 t / (1 + t^2), so an antenna
+    of weight modulus |w| and amplitude a adds (g - |w|) a to the real part
+    and g t a to the imaginary part, with g = 2 |w| / (1 + t^2).  One
+    vectorised tan replaces a cos and a sin.  The identity has no singular
+    point: at phi / 2 = fl(pi / 2), t ~ 1.6e16 gives cos phi = -1 and
+    sin phi ~ 1e-16.  The (M, N) work arrays are reused across antennas.
     """
     rot = geometry.pose.rotation()
     rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
     axis = rot[:, 1]
     normals = geometry.normals
-    y = geometry.column_offsets_local
-    shape = (geometry.m_count, geometry.n_count)
+    along = (rows - antennas[0]) @ axis
+    along_sq = np.add(along[:, None], geometry.column_offsets_local)
+    np.square(along_sq, out=along_sq)
+    along_sq_min = along_sq.min(axis=1)
+    shape = along_sq.shape
     re, im = np.zeros(shape), np.zeros(shape)
-    r, inv_r, work, amp, trig = (np.empty(shape) for _ in range(5))
-    r_min = math.inf
+    r, amp, work, t = (np.empty(shape) for _ in range(4))
+    r_min_sq = math.inf
     for antenna, weight in zip(antennas, weights):
         rel = rows - antenna
-        along = rel @ axis
         across = rel - along[:, None] * axis
-        np.add(along[:, None], y, out=r)
-        np.square(r, out=r)
-        r += np.einsum("mi,mi->m", across, across)[:, None]
-        np.sqrt(r, out=r)
-        r_min = min(r_min, float(r.min()))
-        np.divide(1.0, r, out=inv_r)
+        across_sq = np.einsum("mi,mi->m", across, across)
+        np.add(along_sq, across_sq[:, None], out=r)
+        r_min_sq = min(r_min_sq, float(np.min(along_sq_min + across_sq)))
 
-        # sin^2(phi) = 1 - A_z^2 / r^2, and u^2 = min(c^2 / r^2, 1) on rows
-        # whose cosine numerator c is positive, 0 on the others
+        # u^2 = min(c^2 / r^2, 1) on rows whose c is positive, 0 on the
+        # others; r^2 - A_z^2 is summed from its horizontal parts, so it is
+        # never negative
         cos_num = -np.einsum("mi,mi->m", rel, normals)
         cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
-        np.square(inv_r, out=work)
-        np.multiply(work, -np.square(rel[:, 2:3]), out=amp)
-        amp += 1.0
-        np.maximum(amp, 0.0, out=amp)
-        work *= cos_num2[:, None]
-        np.minimum(work, 1.0, out=work)
-        work *= amp
+        np.divide(cos_num2[:, None], r, out=amp)
+        np.minimum(amp, 1.0, out=amp)
+        level = across[:, :2]
+        np.add(along_sq, np.einsum("mi,mi->m", level, level)[:, None], out=work)
+        amp *= work
+        amp /= r
         # (u^2 sin^2 phi)^{q/2} = u^q sin(phi)^q, and 0 wherever u <= 0 or
-        # sin(phi) = 0, also at q = 0
-        amp.fill(0.0)
-        np.power(work, 0.5 * q, out=amp, where=work > 0.0)
-        amp *= inv_r
-        amp *= abs(weight)
+        # sin(phi) = 0, also where q / 2 is 0 (q = 0, or q subnormal)
+        np.power(amp, 0.5 * q, out=amp, where=amp > 0.0)
+        np.sqrt(r, out=r)
+        amp /= r
 
-        # the phase, reduced to whole turns of r / lambda before the trig
+        # half the phase, reduced to whole turns of r / lambda before the tan
         np.divide(r, wavelength, out=work)
-        work -= np.rint(work)
-        work *= -TWO_PI
-        work += xi + np.angle(weight)
-        np.cos(work, out=trig)
-        trig *= amp
-        re += trig
-        np.sin(work, out=trig)
-        trig *= amp
-        im += trig
+        np.rint(work, out=t)
+        work -= t
+        work *= -math.pi
+        work += 0.5 * (xi + np.angle(weight))
+        np.tan(work, out=t)
+
+        # g = 2 |w| / (1 + t^2): re += (g - |w|) amp, im += g t amp
+        np.multiply(t, t, out=work)
+        work += 1.0
+        np.divide(2.0 * abs(weight), work, out=work)
+        t *= work
+        t *= amp
+        im += t
+        work -= abs(weight)
+        work *= amp
+        re += work
+    r_min = math.sqrt(r_min_sq)
     if r_min < MIN_DISTANCE_WAVELENGTHS * wavelength:
         raise ValueError(
             f"antenna-element distance {r_min:.3g} m violates the "

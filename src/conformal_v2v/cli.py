@@ -193,7 +193,7 @@ def _cmd_angle_pdf(args) -> int:
     config = _resolve(args)
     if args.rho is not None:
         config = config.replace(rho=args.rho)
-    spec = make_sweep("angle-pdf", config, grid=(config.rho,))
+    spec = make_sweep("angle-pdf", config)
     rows, stats = run_angle_pdf(spec)
     print(
         f"elevation {stats['elevation_mean_deg']:.2f} deg "

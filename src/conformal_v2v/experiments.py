@@ -54,7 +54,6 @@ DEFAULT_GRIDS: dict[str, tuple[float, ...]] = {
     "gain-frequency": (28.0, 60.0, 120.0),
     "blockage": (10.0, 20.0, 30.0, 40.0),
     "snr-ecdf": (10.0, 40.0),
-    "angle-pdf": (30.0,),
 }
 
 DEFAULT_TRIALS: dict[str, int] = {
@@ -83,7 +82,7 @@ class SweepSpec:
     seed: int
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_GRIDS:
+        if self.kind not in DEFAULT_TRIALS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
@@ -96,12 +95,17 @@ def make_sweep(
     config: SimConfig,
     grid: tuple[float, ...] | None = None,
 ) -> SweepSpec:
-    """SweepSpec with per-kind default grid/trials, honoring config overrides."""
-    if kind not in DEFAULT_GRIDS:
+    """SweepSpec with per-kind default grid/trials, honoring config overrides.
+
+    A kind without a default grid (``angle-pdf``) runs at ``config.rho``.
+    """
+    if kind not in DEFAULT_TRIALS:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    if grid is None:
+        grid = DEFAULT_GRIDS.get(kind, (config.rho,))
     return SweepSpec(
         kind=kind,
-        grid=tuple(grid) if grid is not None else DEFAULT_GRIDS[kind],
+        grid=tuple(grid),
         config=config,
         trials=config.trials if config.trials is not None else DEFAULT_TRIALS[kind],
         seed=config.seed,

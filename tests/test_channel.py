@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conformal_v2v.channel import (
@@ -23,6 +23,7 @@ from conformal_v2v.channel import (
     sample_direct_pathloss,
     steering_vector,
 )
+from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import AnglePair, DoorPose, azimuth, build_cirs_geometry, vec3
 from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
 from oracles import (
@@ -37,6 +38,7 @@ from oracles import (
 
 LAM = 299_792_458.0 / 28e9
 Q = 0.285
+MAX_RANGE_M = SimConfig().max_range_m
 
 
 def test_mean_pathloss_reference_values():
@@ -312,7 +314,8 @@ def cascade_cases(draw):
     Endpoints sit either in a random door-frame direction, behind the door
     included, or close to the tangent plane of a random row, so that part of
     the surface is lit and part is not; the distances stay clear of the
-    near-field guard.
+    near-field guard and reach the relay gating range, where the phase runs
+    to about 14,000 turns of r / lambda.
     """
     m = 2 * draw(st.integers(1, 8))
     n = draw(st.integers(1, 12))
@@ -341,7 +344,7 @@ def cascade_cases(draw):
                 + math.sin(beta) * np.array([0.0, 1.0, 0.0])
             )
         local = local / np.linalg.norm(local)
-        return centre + draw(st.floats(0.3, 40.0)) * (pose.rotation() @ local)
+        return centre + draw(st.floats(0.3, MAX_RANGE_M)) * (pose.rotation() @ local)
 
     k = draw(st.integers(1, 8))
     q = draw(st.sampled_from((0.0, 0.285, draw(st.floats(0.0, 3.0)))))
@@ -360,6 +363,22 @@ def cascade_cases(draw):
 
 
 @given(cascade_cases())
+@example(
+    # q / 2 underflows to 0, and every element is unlit for the one
+    # weighted antenna: the entries must stay exact zeros
+    case=(
+        build_cirs_geometry(
+            2, 1, 0.5, LAM / 4, LAM / 4, DoorPose(position=vec3(0.0, 0.0, 1.0), side="left")
+        ),
+        vec3(0.35017907, -0.7651474, 1.53896395),
+        vec3(-0.841467402, 0.0, 1.53896395),
+        4,
+        5e-324,
+        np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),
+        np.zeros(4, dtype=complex),
+        1.0,
+    )
+)
 @settings(max_examples=200, deadline=None)
 def test_beamformed_cascade_matches_the_dense_oracle(case):
     geom, p_t, p_r, k, q, f, w, amp_scale = case
@@ -408,6 +427,29 @@ def test_beamformed_cascade_matches_the_dense_oracle(case):
     cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), f, w, q)
     with pytest.raises(ValueError, match="wavelength model guard"):
         cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q)
+
+
+def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
+    # One antenna 16 m = 1024 wavelengths out along the normal of the
+    # reference element, with weight -1: the phase is exactly pi, so the
+    # kernel's half-angle tangent is taken at fl(pi / 2), its pole (the
+    # conjugated receive weight puts that leg at -fl(pi / 2)).
+    lam = 2.0**-6
+    pose = DoorPose(position=vec3(0.0, 0.0, 1.0), side="right")
+    geom = build_cirs_geometry(2, 1, 2.0, lam / 4, lam / 4, pose)
+    ref = geom.m_count // 2
+    endpoint = vec3(16.0, 0.0, 1.0)
+    assert np.linalg.norm(endpoint - element_positions(geom)[ref]) / lam == 1024.0
+    assert abs(math.tan(0.5 * float(np.angle(-1.0)))) > 1e16
+    f = w = np.array([-1.0 + 0.0j])
+    got = cascaded_channels(geom, endpoint, endpoint, 1, lam, f, w, Q)
+    h_tc, h_cr = dense_cascaded_channels(geom, endpoint, endpoint, 1, lam, Q)
+    want = beamformed(geom, h_tc, h_cr, f, w)
+    envelope = beamformed(geom, np.abs(h_tc), np.abs(h_cr), np.abs(f), np.abs(w))
+    for g, w_, e in zip(got, want, envelope):
+        assert np.all(np.isfinite(g))
+        assert abs(g[ref, 0]) > 0.0
+        assert np.max(np.abs(g - w_)) <= 1e-10 * np.max(np.abs(e))
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

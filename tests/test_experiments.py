@@ -64,6 +64,9 @@ def test_sweep_spec_validation_and_defaults():
     assert spec.seed == cfg.seed
     spec2 = make_sweep("blockage", cfg.replace(trials=77), grid=(5.0,))
     assert spec2.trials == 77 and spec2.grid == (5.0,)
+    # angle-pdf has no grid of its own: it runs at the configured density
+    assert make_sweep("angle-pdf", cfg.replace(rho=40.0)).grid == (40.0,)
+    assert make_sweep("angle-pdf", cfg).grid == (cfg.rho,)
     with pytest.raises(ValueError):
         make_sweep("warmup", cfg)
     with pytest.raises(ValueError):
