@@ -3,8 +3,10 @@
 
 Defaults: rho in {10, 40} cars/km/lane, r_d in {50, 100} m, R in {2, 8} m,
 200 trials per point on the full-size 400x400 surfaces (about 0.3 s per
-trial at rho 40 and r_d 100 on one core).  Extra CLI flags pass through,
-e.g.
+trial and radius at rho 40 and r_d 100 on one core).  A trial is one scene
+scored at every radius: the traffic, the direct link and each door's path
+phases (one per leg) are drawn once, so the direct ECDF is equal across
+radii by construction.  Extra CLI flags pass through, e.g.
 
     python3 scripts/run_snr_ecdf.py --trials 500 --threads 4
     python3 scripts/run_snr_ecdf.py --reduced --trials 50

@@ -188,7 +188,7 @@ def cascaded_channels(
     f: np.ndarray,
     w: np.ndarray,
     q: float = 0.285,
-    rng: np.random.Generator | None = None,
+    phases: tuple[float, float] = (0.0, 0.0),
     amp_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Beamformed segment channels a = H_tc f and b = w^H H_cr, each (M, N).
@@ -199,9 +199,10 @@ def cascaded_channels(
     each segment carries its square root), the endpoint antenna pattern, the
     normalized element rolloff u^q at the local ray cosine, and the exact
     spherical phasor.  The unit-cell gain G enters the cascade once, as in
-    the far-field law of the module docstring: G^{1/4} per segment.  One
-    random path phase is drawn per segment (zero when rng is None), first
-    for the TxV leg, then for the RxV leg.
+    the far-field law of the module docstring: G^{1/4} per segment.
+    ``phases = (xi_t, xi_r)`` are the path phases of the TxV and RxV legs,
+    one per segment; they belong to the door's legs, not to the surface, so
+    every surface scored on the same door takes the same pair.
 
     A relay scored with the beam pair (f, w) and reflection coefficients phi
     contributes w^H H_cr diag(phi) H_tc f = sum(b * phi * a), so the dense
@@ -232,8 +233,7 @@ def cascaded_channels(
         / (64.0 * math.pi**3)
     ) ** 0.25
     scale *= math.sqrt(amp_scale) * math.sqrt(unit_cell_gain(q))
-    xi_t = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
-    xi_r = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
+    xi_t, xi_r = phases
     a = scale * _beamformed_segment(geometry, tx, f, xi_t, wavelength, q)
     b = scale * _beamformed_segment(geometry, rx, w.conj(), xi_r, wavelength, q)
     return a, b

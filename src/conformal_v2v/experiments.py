@@ -2,8 +2,11 @@
 
 Determinism contract: every stochastic trial draws from an RNG substream
 seeded by (master seed, trial index), so results are independent of worker
-scheduling and identical between sequential and parallel runs.  Relayed links
-are evaluated one relay at a time: each candidate door is scored with its own
+scheduling and identical between sequential and parallel runs.  An SNR trial
+is one scene scored at every radius: the scene and every random draw, the
+path phases of each door's two legs included, come once per trial, so the
+direct column is equal across radii by construction.  Relayed links are
+evaluated one relay at a time: each candidate door is scored with its own
 beam pair on its own single-relay channel, and the winner is the door whose
 received amplitude is strongest.
 """
@@ -24,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .channel import (
+    TWO_PI,
     cascaded_channels,
     channel_gain_azimuth,
     channel_gain_elevation,
@@ -435,20 +439,11 @@ def _ranked_candidates(
     return [cand for _, cand in sorted(zip(budget, candidates))][:cap]
 
 
-def _tuned_profile(
-    config: SimConfig, geom, door: np.ndarray, p_t: np.ndarray, p_r: np.ndarray
-) -> PhaseProfile:
-    """Reflection profile steering the actual TxV -> door -> RxV pair."""
-    ang_t = pose_local_angles(geom.pose, p_t - door)
-    ang_r = pose_local_angles(geom.pose, p_r - door)
-    return optimal_phase(geom, ang_t, ang_r, config.wavelength_m)
-
-
 def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
     """Factory profile for (thetabar, phibar) -> (-thetabar, phibar).
 
     It depends on the element layout only, not on the door's pose, so one
-    profile serves every door of a trial.
+    profile per radius serves every door of a sweep.
     """
     return preconfigured_phase(
         geom, config.thetabar_rad, config.wavelength_m, config.phibar_rad
@@ -456,13 +451,16 @@ def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
 
 
 def _snr_trial(
-    config: SimConfig, radius: float, rho: float, r_d: float, seed: int, trial: int
-) -> tuple[float, float, float]:
-    """(direct, with_irs, with_ris) SNRs in dB for one shared scene.
+    config: SimConfig, surfaces, rho: float, r_d: float, seed: int, trial: int
+) -> list[tuple[float, float, float]]:
+    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface.
 
-    All three modes reuse the same scenario, path-loss draws, and cascade
-    phase draws, so mode-to-mode gaps reflect the relaying strategy rather
-    than sampling noise.  Each relayed mode picks relay and beams jointly by
+    The scene, gating, blocker counts, direct link, and each door's beams,
+    blockage draws and leg path phases (xi_t, xi_r) come once; every
+    (layout, fixed profile) of ``surfaces``, one per radius, is scored on
+    them.  The direct column is thus equal across radii by construction, and
+    the modes share every draw, so their gaps reflect the relaying strategy,
+    not sampling noise.  Each relayed mode picks relay and beams jointly by
     received power over single-relay channels.  Door c only ever meets its
     own beam pair (f_c, w_c), so its received amplitude is
     w_c^H H_d f_c + sum(b * phi * a) with the beamformed segment vectors
@@ -487,8 +485,8 @@ def _snr_trial(
         height,
         config.max_candidates,
     )
-    # one cascade assembly and one blockage draw per distinct door, in a
-    # fixed order so the RNG stream is identical for every mode
+    # one set of draws per distinct door, in a fixed order so the RNG stream
+    # is identical for every mode and every radius
     relays = sorted(set(irs) | set(ris))
     direct_blockers, legs = count_blockers(scen, relays, height)
 
@@ -510,62 +508,48 @@ def _snr_trial(
     # each door is scored only by the profile of the mode(s) that gated it;
     # best_snr takes a maximum, so the order of the amplitudes is immaterial
     irs_doors, ris_doors = set(irs), set(ris)
-    fixed = None
-    tuned_amp = [amp_direct]
-    fixed_amp = [amp_direct]
-    # the element layout is the same on every door; only the pose differs
-    layout = build_cirs_geometry(
-        config.m_elements,
-        config.n_elements,
-        radius,
-        config.element_spacing_m,
-        config.element_spacing_m,
-    )
+    tuned_amps = [[amp_direct] for _ in surfaces]
+    fixed_amps = [[amp_direct] for _ in surfaces]
     doors = scen.door_points(relays, height)
     for relay, door, (b_t, b_r) in zip(relays, doors, legs):
         _, side = relay
-        # the TxV steers toward the door, the RxV along the door-to-RxV ray
-        f = steering_vector(k, azimuth(p_t, door))
-        w = steering_vector(k, azimuth(door, p_r))
-        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
-        geom = replace(layout, pose=pose)
-        a, b = cascaded_channels(
-            geom,
-            p_t,
-            p_r,
-            k,
-            lam,
-            f,
-            w,
-            config.q_pattern,
-            rng,
-            amp_scale=config.cascade_amp_scale,
-        )
+        phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
         att_t = sample_blockage_db(
             b_t, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
         )
         att_r = sample_blockage_db(
             b_r, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
         )
-        segments = a * b
         blockage = 10.0 ** (-att_t / 20.0) * 10.0 ** (-att_r / 20.0)
+        # the TxV steers toward the door, the RxV along the door-to-RxV ray
+        f = steering_vector(k, azimuth(p_t, door))
+        w = steering_vector(k, azimuth(door, p_r))
         via_direct = beam_amplitude(h_d, f, w)
-        if relay in ris_doors:
-            tuned = _tuned_profile(config, geom, door, p_t, p_r)
-            tuned_amp.append(via_direct + blockage * tuned.weighted_sum(segments))
-        if relay in irs_doors:
-            if fixed is None:
-                fixed = _fixed_profile(config, geom)
-            fixed_amp.append(via_direct + blockage * fixed.weighted_sum(segments))
+        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
+        # the tuned profile steers the door-frame TxV -> door -> RxV pair
+        ang_t = pose_local_angles(pose, p_t - door)
+        ang_r = pose_local_angles(pose, p_r - door)
+        for (layout, fixed), tuned_amp, fixed_amp in zip(surfaces, tuned_amps, fixed_amps):
+            geom = replace(layout, pose=pose)
+            try:
+                a, b = cascaded_channels(
+                    geom, p_t, p_r, k, lam, f, w, config.q_pattern, phases,
+                    amp_scale=config.cascade_amp_scale,
+                )
+            except ValueError as exc:
+                raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
+            segments = a * b
+            if relay in ris_doors:
+                tuned = optimal_phase(geom, ang_t, ang_r, lam)
+                tuned_amp.append(via_direct + blockage * tuned.weighted_sum(segments))
+            if relay in irs_doors:
+                fixed_amp.append(via_direct + blockage * fixed.weighted_sum(segments))
 
     def snr(amplitudes) -> float:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
-    return (
-        snr([amp_direct]),
-        snr(fixed_amp),
-        snr(tuned_amp),
-    )
+    direct = snr([amp_direct])
+    return [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)]
 
 
 def run_snr_ecdf(
@@ -573,21 +557,27 @@ def run_snr_ecdf(
     r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
     radius_values: tuple[float, ...] = DEFAULT_RADII_M,
 ) -> dict[tuple[str, float, float, float], EcdfResult]:
-    """SNR ECDFs per (mode, radius, rho, r_d); rho values come from spec.grid."""
-    results: dict[tuple[str, float, float, float], EcdfResult] = {}
+    """SNR ECDFs per (mode, radius, rho, r_d); rho values come from spec.grid.
+
+    Each trial is one scene scored at every radius (see ``_snr_trial``); the
+    element layout and fixed profile of each radius are built once here.
+    """
+    cfg = spec.config
+    d = cfg.element_spacing_m
+    surfaces = []
     for radius in radius_values:
-        for rho in spec.grid:
-            for r_d in r_d_values:
-                worker = partial(
-                    _snr_trial, spec.config, float(radius), float(rho), float(r_d), spec.seed
-                )
-                point = f"snr-ecdf radius={radius:g} rho={rho:g} r_d={r_d:g}"
-                samples = np.array(
-                    _map_trials(worker, spec.trials, spec.config.threads, point)
-                )
+        layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
+        surfaces.append((layout, _fixed_profile(cfg, layout)))
+    results: dict[tuple[str, float, float, float], EcdfResult] = {}
+    for rho in spec.grid:
+        for r_d in r_d_values:
+            worker = partial(_snr_trial, cfg, surfaces, float(rho), float(r_d), spec.seed)
+            point = f"snr-ecdf rho={rho:g} r_d={r_d:g}"
+            samples = np.array(_map_trials(worker, spec.trials, cfg.threads, point))
+            for i, radius in enumerate(radius_values):
                 for col, mode in enumerate(MODES):
                     key = (mode, float(radius), float(rho), float(r_d))
-                    results[key] = EcdfResult(values=samples[:, col])
+                    results[key] = EcdfResult(values=samples[:, i, col])
     return results
 
 

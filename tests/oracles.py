@@ -165,7 +165,7 @@ def dense_cascaded_channels(
     k_antennas,
     wavelength,
     q=0.285,
-    rng=None,
+    phases=(0.0, 0.0),
     amp_scale=1.0,
 ):
     """Entry-exact segment matrices (H_tc of shape (MN, K), H_cr of (K, MN)).
@@ -188,8 +188,7 @@ def dense_cascaded_channels(
         / (64.0 * math.pi**3)
     ) ** 0.25
     seg_amp *= math.sqrt(amp_scale)
-    xi_t = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
-    xi_r = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
+    xi_t, xi_r = phases
 
     def segment(antennas, xi):
         diff = elem_pos[:, None, :] - antennas[None, :, :]   # (MN, K, 3) element<-antenna

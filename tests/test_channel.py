@@ -284,15 +284,16 @@ def test_cascade_shares_one_random_phase_per_segment():
     p_t, p_r = vec3(8.0, -15.0, 1.5), vec3(8.0, 15.0, 1.5)
     f, w = random_beams(np.random.default_rng(7), 2)
     plain_a, plain_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
-    seeded_a, seeded_b = cascaded_channels(
-        geom, p_t, p_r, 2, LAM, f, w, rng=np.random.default_rng(4)
+    xi_t, xi_r = 0.7, 2.9
+    phased_a, phased_b = cascaded_channels(
+        geom, p_t, p_r, 2, LAM, f, w, phases=(xi_t, xi_r)
     )
-    ratio_a = seeded_a / plain_a
-    ratio_b = seeded_b / plain_b
+    ratio_a = phased_a / plain_a
+    ratio_b = phased_b / plain_b
     assert np.abs(ratio_a) == pytest.approx(np.ones_like(ratio_a, dtype=float))
-    assert np.std(np.angle(ratio_a)) < 1e-12       # one phase for the whole segment
-    assert np.std(np.angle(ratio_b)) < 1e-12
-    assert abs(np.angle(ratio_a[0, 0]) - np.angle(ratio_b[0, 0])) > 1e-3
+    # one phase for the whole segment: xi_t on the TxV leg, xi_r on the RxV leg
+    assert np.angle(ratio_a) == pytest.approx(np.full(ratio_a.shape, xi_t), abs=1e-12)
+    assert np.angle(ratio_b) == pytest.approx(np.full(ratio_b.shape, xi_r), abs=1e-12)
 
 
 def test_cascade_rejects_near_field_endpoints():
@@ -362,7 +363,10 @@ def cascade_cases(draw):
     return geom, endpoint(), endpoint(), k, q, beams[0], beams[1], amp_scale
 
 
-@given(cascade_cases())
+path_phase = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
+
+
+@given(cascade_cases(), st.tuples(path_phase, path_phase))
 @example(
     # q / 2 underflows to 0, and every element is unlit for the one
     # weighted antenna: the entries must stay exact zeros
@@ -377,10 +381,11 @@ def cascade_cases(draw):
         np.array([0.0, 0.0, 0.0, 1.0], dtype=complex),
         np.zeros(4, dtype=complex),
         1.0,
-    )
+    ),
+    phases=(0.0, 0.0),
 )
 @settings(max_examples=200, deadline=None)
-def test_beamformed_cascade_matches_the_dense_oracle(case):
+def test_beamformed_cascade_matches_the_dense_oracle(case, phases):
     geom, p_t, p_r, k, q, f, w, amp_scale = case
     spacing = LAM / 2.0
     pos = element_positions(geom)
@@ -394,12 +399,8 @@ def test_beamformed_cascade_matches_the_dense_oracle(case):
         ray = diff / np.linalg.norm(diff, axis=2)[:, :, None]
         assume(np.all(np.abs(np.einsum("lki,li->lk", ray, normals)) > 1e-4))
         assume(np.all(1.0 - ray[:, :, 2] ** 2 > 1e-4))
-    h_tc, h_cr = dense_cascaded_channels(
-        geom, p_t, p_r, k, LAM, q, np.random.default_rng(1), amp_scale
-    )
-    got = cascaded_channels(
-        geom, p_t, p_r, k, LAM, f, w, q, np.random.default_rng(1), amp_scale
-    )
+    h_tc, h_cr = dense_cascaded_channels(geom, p_t, p_r, k, LAM, q, phases, amp_scale)
+    got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w, q, phases, amp_scale)
     want = beamformed(geom, h_tc, h_cr, f, w)
     # rounding scales with the sum of the K terms' moduli, which random
     # beams can make far larger than the modulus of their sum

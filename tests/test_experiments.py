@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -22,11 +23,11 @@ from conformal_v2v.experiments import (
     _fixed_profile,
     _map_trials,
     _ranked_candidates,
-    _tuned_profile,
     bootstrap_median_ci,
     element_counts_for_area,
     format_cell,
     gain_width_deg,
+    generate_scene,
     make_sweep,
     run_angle_pdf,
     run_blockage_sweep,
@@ -38,7 +39,14 @@ from conformal_v2v.experiments import (
     write_csv,
     write_sidecar,
 )
-from conformal_v2v.geometry import RoadConfig, Vehicle, azimuth, build_cirs_geometry
+from conformal_v2v.geometry import (
+    RoadConfig,
+    Vehicle,
+    azimuth,
+    build_cirs_geometry,
+    pose_local_angles,
+)
+from conformal_v2v.phase import optimal_phase
 from conformal_v2v.scenario import (
     candidate_relays_irs,
     candidate_relays_ris,
@@ -268,6 +276,49 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
 
 
+def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
+    # a sweep over two radii generates one scene per trial and gives each
+    # radius the samples of a sweep at that radius alone
+    spec = make_sweep("snr-ecdf", tiny_config(trials=5), grid=(40.0,))
+    scenes = []
+
+    def counting_scene(*args):
+        scenes.append(args)
+        return generate_scene(*args)
+
+    monkeypatch.setattr(experiments, "generate_scene", counting_scene)
+    both = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    assert len(scenes) == spec.trials
+    for radius in (2.0, 8.0):
+        alone = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
+        for mode in MODES:
+            key = (mode, radius, 40.0, 50.0)
+            assert np.array_equal(both[key].values, alone[key].values)
+    assert len(scenes) == 3 * spec.trials
+    assert np.array_equal(
+        both[("direct", 2.0, 40.0, 50.0)].values, both[("direct", 8.0, 40.0, 50.0)].values
+    )
+    # the surfaces do differ, so the radii are not trivially equal
+    assert not np.array_equal(
+        both[("with_ris", 2.0, 40.0, 50.0)].values, both[("with_ris", 8.0, 40.0, 50.0)].values
+    )
+
+
+def test_near_field_guard_in_a_worker_names_point_trial_and_radius(monkeypatch):
+    # at 0.1 GHz the guard distance is 30 m, which relay doors fall inside;
+    # two cores, so the trials run in a real process pool
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = SimConfig(f_ghz=0.1, m_elements=2, n_elements=2, trials=4, threads=2)
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
+    with pytest.raises(ValueError) as info:
+        run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    assert re.match(
+        r"^snr-ecdf rho=40 r_d=50, trial [0-3]: radius=[28]: antenna-element distance "
+        r".* violates the 10.0 wavelength model guard$",
+        str(info.value),
+    )
+
+
 def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
     # at rho = 0 the road holds only the two endpoints: there is no relay
     # candidate, so both relayed modes fall back to the direct beam pair, no
@@ -325,7 +376,13 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, f, w, cfg.q_pattern,
         amp_scale=cfg.cascade_amp_scale,
     )
-    p_tuned = abs(_tuned_profile(cfg, geom, door, p_t, p_r).weighted_sum(b * a)) ** 2
+    tuned = optimal_phase(
+        geom,
+        pose_local_angles(pose, p_t - door),
+        pose_local_angles(pose, p_r - door),
+        cfg.wavelength_m,
+    )
+    p_tuned = abs(tuned.weighted_sum(b * a)) ** 2
     p_fixed = abs(_fixed_profile(cfg, geom).weighted_sum(b * a)) ** 2
     shortfall_db = 10.0 * math.log10(p_tuned / p_fixed)
     assert shortfall_db <= 3.0
