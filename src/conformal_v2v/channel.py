@@ -158,23 +158,23 @@ def direct_channel(
     p_r: np.ndarray,
     k_antennas: int,
     loss_db: float,
-    rng: np.random.Generator | None,
+    phase: float = 0.0,
     q: float = 0.285,
 ) -> np.ndarray:
     """Rank-one direct channel H_d = alpha rho_r rho_t s s^H, shape (K, K).
 
     The steering vector s is evaluated at the azimuth of the TxV->RxV ray
-    (the shared plane-wave direction); alpha carries the path loss and a
-    uniform random phase (zero when rng is None).  s has unit-amplitude
-    entries, so every entry carries the amplitude |alpha| rho rho that the
-    cascaded segments carry per antenna pair.
+    (the shared plane-wave direction); alpha carries the path loss and the
+    path phase ``phase``, as ``cascaded_channels`` takes the path phases of
+    the relayed legs.  s has unit-amplitude entries, so every entry carries
+    the amplitude |alpha| rho rho that the cascaded segments carry per
+    antenna pair.
     """
     theta_d = azimuth(p_t, p_r)
     d = np.asarray(p_r, dtype=float) - np.asarray(p_t, dtype=float)
     rho_t = endpoint_pattern(d, q)
     rho_r = endpoint_pattern(-d, q)
-    xi = float(rng.uniform(0.0, TWO_PI)) if rng is not None else 0.0
-    alpha = 10.0 ** (-loss_db / 20.0) * np.exp(1j * xi)
+    alpha = 10.0 ** (-loss_db / 20.0) * np.exp(1j * phase)
     s = steering_vector(k_antennas, theta_d)
     return alpha * rho_r * rho_t * np.outer(s, s.conj())
 
@@ -391,16 +391,16 @@ def channel_gain_elevation(
     geometry: CirsGeometry,
     profile: PhaseProfile,
     phi_i: float,
-    phi_o: float,
     wavelength: float,
     q: float = 0.285,
 ) -> float:
-    """Normalized gain for an elevation-plane (theta = 0) angle pair, dB."""
+    """Normalized gain in the elevation plane (theta = 0) for specular
+    reflection, phi_o = pi - phi_i, dB."""
     return normalized_gain(
         geometry,
         profile,
         AnglePair(0.0, phi_i),
-        AnglePair(0.0, phi_o),
+        AnglePair(0.0, math.pi - phi_i),
         wavelength,
         q,
     )

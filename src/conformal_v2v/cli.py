@@ -175,7 +175,7 @@ def _cmd_snr_ecdf(args) -> int:
         _finish(args, config, name, ["snr_db", "ecdf"], rows,
                 {"experiment": "snr-ecdf", "mode": mode, "radius_m": radius,
                  "rho": rho, "r_d": r_d})
-    summary = snr_summary(results, spec.seed)
+    summary = snr_summary(results, spec.config.seed)
     for row in summary:
         print(
             f"{row['mode']} R={row['radius_m']:g} rho={row['rho']:g} "

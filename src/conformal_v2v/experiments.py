@@ -83,7 +83,6 @@ class SweepSpec:
     grid: tuple[float, ...]
     config: SimConfig
     trials: int
-    seed: int
 
     def __post_init__(self):
         if self.kind not in DEFAULT_TRIALS:
@@ -112,7 +111,6 @@ def make_sweep(
         grid=tuple(grid),
         config=config,
         trials=config.trials if config.trials is not None else DEFAULT_TRIALS[kind],
-        seed=config.seed,
     )
 
 
@@ -183,49 +181,45 @@ def element_counts_for_area(
     return 2 * half
 
 
-def _gain_geometry(radius: float, wavelength: float, spacing_wl: float):
-    d = spacing_wl * wavelength
-    count = element_counts_for_area(GAIN_AREA_M2, wavelength, spacing_wl)
-    return build_cirs_geometry(count, count, radius, d, d)
+def _gain_rows(
+    config: SimConfig, angles_deg, thetabar: float, gain, flat: bool = True, **tags
+) -> list[dict]:
+    """One row per angle of ``gain(geometry, profile, angle, wavelength, q)``.
 
-
-def _zero_profile(geometry) -> PhaseProfile:
-    return PhaseProfile(np.zeros(geometry.m_count), np.zeros(geometry.n_count))
+    Every surface spans GAIN_AREA_M2 at the configured element spacing:
+    ``gain_db_cirs`` is the configured radius with the fixed profile at the
+    design azimuth thetabar, ``gain_db_bare`` the same cylinder with zero
+    phases and, when ``flat``, ``gain_db_flat`` a flat reference (huge
+    radius, zero phases).  ``tags`` lead every row.
+    """
+    lam = config.wavelength_m
+    d = config.element_spacing_m
+    count = element_counts_for_area(GAIN_AREA_M2, lam, config.element_spacing_wl)
+    geom = build_cirs_geometry(count, count, config.radius_m, d, d)
+    zero = PhaseProfile(np.zeros(count), np.zeros(count))
+    surfaces = {"gain_db_cirs": (geom, preconfigured_phase(geom, thetabar, lam))}
+    if flat:
+        flat_geom = build_cirs_geometry(count, count, FLAT_RADIUS_M, d, d)
+        surfaces["gain_db_flat"] = (flat_geom, zero)
+    surfaces["gain_db_bare"] = (geom, zero)
+    rows = []
+    for angle_deg in angles_deg:
+        angle = math.radians(angle_deg)
+        gains = {
+            column: gain(g, profile, angle, lam, config.q_pattern)
+            for column, (g, profile) in surfaces.items()
+        }
+        rows.append({**tags, "angle_deg": float(angle_deg), **gains})
+    return rows
 
 
 def run_gain_elevation(spec: SweepSpec) -> list[dict]:
     """Specular elevation gain G(phi_i) with phi_o = pi - phi_i.
 
-    Columns: phi_i (deg), surface with the perpendicular profile (the fixed
-    profile at thetabar = 0), flat reference (huge radius, zero phases), and
-    the bare cylinder (zero phases).
+    The configured surface carries the perpendicular profile (the fixed
+    profile at thetabar = 0); see ``_gain_rows`` for the columns.
     """
-    cfg = spec.config
-    lam = cfg.wavelength_m
-    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl)
-    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl)
-    prof = preconfigured_phase(geom, 0.0, lam)
-    zero_c = _zero_profile(geom)
-    zero_f = _zero_profile(flat)
-    rows = []
-    for angle_deg in spec.grid:
-        phi_i = math.radians(angle_deg)
-        phi_o = math.pi - phi_i
-        rows.append(
-            {
-                "angle_deg": float(angle_deg),
-                "gain_db_cirs": channel_gain_elevation(
-                    geom, prof, phi_i, phi_o, lam, cfg.q_pattern
-                ),
-                "gain_db_flat": channel_gain_elevation(
-                    flat, zero_f, phi_i, phi_o, lam, cfg.q_pattern
-                ),
-                "gain_db_bare": channel_gain_elevation(
-                    geom, zero_c, phi_i, phi_o, lam, cfg.q_pattern
-                ),
-            }
-        )
-    return rows
+    return _gain_rows(spec.config, spec.grid, 0.0, channel_gain_elevation)
 
 
 def run_gain_azimuth(spec: SweepSpec) -> list[dict]:
@@ -235,64 +229,27 @@ def run_gain_azimuth(spec: SweepSpec) -> list[dict]:
     azimuth thetabar from the config, at the horizontal design elevation
     pi/2 since the whole figure lies in the azimuth plane.
     """
-    cfg = spec.config
-    lam = cfg.wavelength_m
-    geom = _gain_geometry(cfg.radius_m, lam, cfg.element_spacing_wl)
-    flat = _gain_geometry(FLAT_RADIUS_M, lam, cfg.element_spacing_wl)
-    prof = preconfigured_phase(geom, cfg.thetabar_rad, lam)
-    zero_c = _zero_profile(geom)
-    zero_f = _zero_profile(flat)
-    rows = []
-    for angle_deg in spec.grid:
-        theta_i = math.radians(angle_deg)
-        rows.append(
-            {
-                "angle_deg": float(angle_deg),
-                "gain_db_cirs": channel_gain_azimuth(
-                    geom, prof, theta_i, lam, cfg.q_pattern
-                ),
-                "gain_db_flat": channel_gain_azimuth(
-                    flat, zero_f, theta_i, lam, cfg.q_pattern
-                ),
-                "gain_db_bare": channel_gain_azimuth(
-                    geom, zero_c, theta_i, lam, cfg.q_pattern
-                ),
-            }
-        )
-    return rows
+    return _gain_rows(
+        spec.config, spec.grid, spec.config.thetabar_rad, channel_gain_azimuth
+    )
 
 
 def run_gain_frequency(spec: SweepSpec) -> list[dict]:
-    """Elevation gain curves across carrier frequencies at fixed aperture.
+    """Specular elevation gain curves across carrier frequencies at fixed aperture.
 
     spec.grid holds the frequencies in GHz; element counts rescale with
-    frequency to keep the physical area constant at quarter-wave spacing.
-    Every curve covers 30-150 deg in 1 deg steps.
+    frequency to keep the physical area constant at the configured spacing
+    in wavelengths.  Every curve covers 30-150 deg in 1 deg steps, with the
+    perpendicular profile and the bare cylinder but no flat reference; rows
+    come frequency-major.
     """
-    cfg = spec.config
     angles = np.arange(30.0, 150.0 + 1e-9, 1.0)
     rows = []
-    for f_ghz in spec.grid:
-        sub = cfg.replace(f_ghz=float(f_ghz))
-        lam = sub.wavelength_m
-        geom = _gain_geometry(sub.radius_m, lam, sub.element_spacing_wl)
-        prof = preconfigured_phase(geom, 0.0, lam)
-        zero_c = _zero_profile(geom)
-        for angle_deg in angles:
-            phi_i = math.radians(angle_deg)
-            phi_o = math.pi - phi_i
-            rows.append(
-                {
-                    "f_ghz": float(f_ghz),
-                    "angle_deg": float(angle_deg),
-                    "gain_db_cirs": channel_gain_elevation(
-                        geom, prof, phi_i, phi_o, lam, sub.q_pattern
-                    ),
-                    "gain_db_bare": channel_gain_elevation(
-                        geom, zero_c, phi_i, phi_o, lam, sub.q_pattern
-                    ),
-                }
-            )
+    for f_ghz in map(float, spec.grid):
+        sub = spec.config.replace(f_ghz=f_ghz)
+        rows += _gain_rows(
+            sub, angles, 0.0, channel_gain_elevation, flat=False, f_ghz=f_ghz
+        )
     return rows
 
 
@@ -357,12 +314,13 @@ def run_blockage_sweep(
     spec: SweepSpec, r_d_values: tuple[float, ...] = DEFAULT_R_D_M
 ) -> list[dict]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals."""
+    cfg = spec.config
     rows = []
     for rho in spec.grid:
         for r_d in r_d_values:
-            worker = partial(_blockage_trial, spec.config, float(rho), float(r_d), spec.seed)
+            worker = partial(_blockage_trial, cfg, float(rho), float(r_d), cfg.seed)
             flags = _map_trials(
-                worker, spec.trials, spec.config.threads, f"blockage rho={rho:g} r_d={r_d:g}"
+                worker, spec.trials, cfg.threads, f"blockage rho={rho:g} r_d={r_d:g}"
             )
             counts = [sum(f[i] for f in flags) for i in range(3)]
             for mode, blocked in zip(MODES, counts):
@@ -500,7 +458,8 @@ def _snr_trial(
         block_step_db=config.block_step_db,
         block_sigma_db=config.block_sigma_db,
     )
-    h_d = direct_channel(p_t, p_r, k, loss_db, rng, config.q_pattern)
+    xi = rng.uniform(0.0, TWO_PI)
+    h_d = direct_channel(p_t, p_r, k, loss_db, xi, config.q_pattern)
     # the direct beams steer along the TxV->RxV ray on both ends
     beam_d = steering_vector(k, azimuth(p_t, p_r))
     amp_direct = beam_amplitude(h_d, beam_d, beam_d)
@@ -571,7 +530,7 @@ def run_snr_ecdf(
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
     for rho in spec.grid:
         for r_d in r_d_values:
-            worker = partial(_snr_trial, cfg, surfaces, float(rho), float(r_d), spec.seed)
+            worker = partial(_snr_trial, cfg, surfaces, float(rho), float(r_d), cfg.seed)
             point = f"snr-ecdf rho={rho:g} r_d={r_d:g}"
             samples = np.array(_map_trials(worker, spec.trials, cfg.threads, point))
             for i, radius in enumerate(radius_values):
@@ -634,7 +593,7 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     bin_deg = 1.0
     rho = float(spec.grid[0])
     worker = partial(
-        _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.seed
+        _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.config.seed
     )
     parts = _map_trials(
         worker,

@@ -3,10 +3,10 @@
 A phase profile makes the curved surface steer an incident plane wave into a
 chosen reflected direction.  The general profile is linear in the element
 position with slope kbar - k (difference of reflected and incident
-wavevectors); the fixed profile is its specular case in closed form.  The
-closed forms of the elevation-plane, azimuth-plane and flat-surface cases,
-and the generalized reflection (Snell) law, serve as independent oracles in
-the test suite.
+wavevectors); the fixed profile is that law at its specular design pair.
+The closed forms of the specular, elevation-plane, azimuth-plane and
+flat-surface cases, and the generalized reflection (Snell) law, serve as
+independent oracles in the test suite.
 
 Angles are expressed in the door frame of the surface they configure: theta
 is azimuth from the outward reference normal (+x), phi is elevation from +z.
@@ -95,13 +95,6 @@ class PhaseProfile:
         return np.exp(1j * self.row_raw) @ values @ np.exp(1j * self.col_raw)
 
 
-def _check_geometry_wavelength(geometry: CirsGeometry, wavelength: float) -> None:
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    if geometry.element_count < 1:
-        raise ValueError("geometry has no elements")
-
-
 def optimal_phase(
     geometry: CirsGeometry,
     incidence: AnglePair,
@@ -113,7 +106,8 @@ def optimal_phase(
     Phi_{m,n} = -s*(2*pi/lambda) * p_{m,n} . (d_o + d_i) with p in the door
     frame and d_i, d_o the unit directions toward source and destination.
     """
-    _check_geometry_wavelength(geometry, wavelength)
+    if wavelength <= 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
     slope = incidence.direction() + reflection.direction()
     scale = -PHASE_SIGN * (TWO_PI / wavelength)
     return PhaseProfile(
@@ -128,30 +122,19 @@ def preconfigured_phase(
     wavelength: float,
     phibar: float = math.pi / 2.0,
 ) -> PhaseProfile:
-    """Fixed manufacturing profile: specular for the pair (thetabar, phibar) ->
-    (-thetabar, phibar).
+    """Fixed manufacturing profile: ``optimal_phase`` at the specular design
+    pair (thetabar, phibar) -> (-thetabar, phibar).
 
-    Phi_m = -s*(4*pi*R/lambda)[(cos psi_m - 1) sin(phibar) cos(thetabar)
-            + sin(psi_m) cos(phibar)],
-    which reduces to -s*(4*pi*R/lambda)(cos psi_m - 1) cos(thetabar) for the
-    horizontal design pair phibar = pi/2.  At thetabar = 0 and phibar = pi/2
-    it is the perpendicular profile, which flattens the surface for
-    broadside incidence.  A phibar below pi/2 serves rays that arrive from,
-    and leave toward, endpoints above the door.
+    The pair's azimuths cancel in the slope, so the profile has no column
+    term.  At thetabar = 0 and phibar = pi/2 it is the perpendicular
+    profile, which flattens the surface for broadside incidence.  A phibar
+    below pi/2 serves rays that arrive from, and leave toward, endpoints
+    above the door.
     """
     if not 0.0 <= thetabar <= math.pi / 2.0:
         raise ValueError(f"thetabar must lie in [0, pi/2], got {thetabar}")
     if not 0.0 < phibar < math.pi:
         raise ValueError(f"phibar must lie in (0, pi), got {phibar}")
-    _check_geometry_wavelength(geometry, wavelength)
-    psi = geometry.psi
-    raw_m = (
-        -PHASE_SIGN
-        * (4.0 * math.pi * geometry.radius / wavelength)
-        * (
-            (np.cos(psi) - 1.0) * math.sin(phibar) * math.cos(thetabar)
-            + np.sin(psi) * math.cos(phibar)
-        )
+    return optimal_phase(
+        geometry, AnglePair(thetabar, phibar), AnglePair(-thetabar, phibar), wavelength
     )
-    return PhaseProfile(row_raw=raw_m, col_raw=np.zeros(geometry.n_count))
-

@@ -24,6 +24,8 @@ from .geometry import DoorPose, RoadConfig, Vehicle, _isclose, specular_area
 
 Candidate = tuple[int, str]  # (vehicle index, door side)
 SIDES = ("left", "right")
+# draws per placement before it is dropped as unplaceable
+MAX_RETRIES = 100
 _SIGNS = np.array([-1.0, 1.0])  # outward x direction of each side's door
 
 
@@ -148,12 +150,11 @@ def generate_traffic(
     vehicle_length_m: float = 5.0,
     vehicle_width_m: float = 1.8,
     vehicle_height_m: float = 1.5,
-    max_retries: int = 100,
 ) -> Scenario:
     """Drop Poisson traffic on every lane around a fixed TxV-RxV pair.
 
     Per-lane vehicle counts are Poisson(rho * road_length_km); longitudinal
-    positions are uniform, redrawn up to ``max_retries`` times when two
+    positions are uniform, redrawn up to ``MAX_RETRIES`` times when two
     same-lane footprints would overlap (drops are counted, not silently
     clipped).  TxV sits at the road start of the center lane and RxV
     ``link_distance_m`` further down the same lane.  Draws come in the order
@@ -178,9 +179,6 @@ def generate_traffic(
     for lane in range(road.n_lanes):
         occupied = sorted((y_t, y_r)) if lane == center else []
         owed = int(rng.poisson(rho * length_km))
-        if max_retries < 1:
-            dropped += owed
-            continue
         tries = 0
         while owed:
             # every owed placement takes at least one more draw, so a batch of
@@ -193,7 +191,7 @@ def generate_traffic(
                     owed, tries = owed - 1, 0
                 else:
                     tries += 1
-                    if tries >= max_retries:
+                    if tries >= MAX_RETRIES:
                         dropped += 1
                         owed, tries = owed - 1, 0
 

@@ -1,7 +1,7 @@
 """Dense reference implementations that the package's fast paths are checked against.
 
 Phase oracles return dense (M, N) raw phase arrays built from closed forms
-that the package no longer carries; the gain oracle sums the four dense
+that the package does not carry; the gain oracle sums the four dense
 MN-vectors of the plane-wave cascade element by element; the cascade oracle
 builds the (MN, K) and (K, MN) segment matrices entry by entry, and the
 selection oracle scores every beam pair on one channel matrix.  None of
@@ -28,9 +28,30 @@ from conformal_v2v.channel import (
 from conformal_v2v.geometry import Vehicle, specular_area
 from conformal_v2v.link import beam_amplitude
 from conformal_v2v.phase import PHASE_SIGN
-from conformal_v2v.scenario import Scenario
+from conformal_v2v.scenario import MAX_RETRIES, Scenario
 
 TWO_PI = 2.0 * math.pi
+
+
+def specular_phase(geometry, thetabar, phibar, wavelength):
+    """Profile for the specular pair (thetabar, phibar) -> (-thetabar, phibar).
+
+    Closed form of the general rule, with no column term:
+    Phi_m = -s*(4*pi*R/lambda)[(cos psi_m - 1) sin(phibar) cos(thetabar)
+            + sin(psi_m) cos(phibar)],
+    which reduces to -s*(4*pi*R/lambda)(cos psi_m - 1) cos(thetabar) for the
+    horizontal design pair phibar = pi/2.
+    """
+    psi = geometry.psi
+    raw_m = (
+        -PHASE_SIGN
+        * (4.0 * math.pi * geometry.radius / wavelength)
+        * (
+            (np.cos(psi) - 1.0) * math.sin(phibar) * math.cos(thetabar)
+            + np.sin(psi) * math.cos(phibar)
+        )
+    )
+    return np.repeat(raw_m[:, None], geometry.n_count, axis=1)
 
 
 def elevation_phase(geometry, phi_i, phi_o, wavelength):
@@ -293,7 +314,6 @@ def scalar_generate_traffic(
     vehicle_length_m=5.0,
     vehicle_width_m=1.8,
     vehicle_height_m=1.5,
-    max_retries=100,
 ):
     """``generate_traffic`` drawing one uniform per attempt and testing each
     attempt against every vehicle already on its lane."""
@@ -321,7 +341,7 @@ def scalar_generate_traffic(
         count = int(rng.poisson(rho * length_km))
         for _ in range(count):
             placed = False
-            for _ in range(max_retries):
+            for _ in range(MAX_RETRIES):
                 y = float(rng.uniform(0.0, road.length))
                 if all(abs(y - other) >= vehicle_length_m for other in occupied):
                     occupied.append(y)

@@ -37,7 +37,7 @@ from conformal_v2v.geometry import (
     pose_local_angles,
     vec3,
 )
-from conformal_v2v.phase import optimal_phase, preconfigured_phase
+from conformal_v2v.phase import optimal_phase
 from conformal_v2v.scenario import generate_traffic
 from oracles import (
     azimuth_phase,
@@ -46,6 +46,7 @@ from oracles import (
     planar_phase,
     reflection_matrix,
     snell_residual,
+    specular_phase,
 )
 from test_channel import brute_force_cascade, random_beams
 
@@ -64,7 +65,7 @@ def test_closed_form_profiles_match_the_general_phase_law():
     geom = build_cirs_geometry(80, 4, 2.0, LAM / 4.0, LAM / 4.0)
     checks = []
 
-    perp = preconfigured_phase(geom, 0.0, LAM).phases_raw
+    perp = specular_phase(geom, 0.0, math.pi / 2.0, LAM)
     broadside = optimal_phase(
         geom, AnglePair(0.0, math.pi / 2.0), AnglePair(0.0, math.pi / 2.0), LAM
     ).phases_raw
@@ -98,7 +99,7 @@ def test_closed_form_profiles_match_the_general_phase_law():
 
     worst = 0.0
     for thetabar in np.linspace(0.0, math.pi / 2.0, 50):
-        a = preconfigured_phase(geom, thetabar, LAM).phases_raw
+        a = specular_phase(geom, thetabar, math.pi / 2.0, LAM)
         b = optimal_phase(
             geom,
             AnglePair(thetabar, math.pi / 2.0),
@@ -107,7 +108,7 @@ def test_closed_form_profiles_match_the_general_phase_law():
         ).phases_raw
         worst = max(worst, float(np.max(np.abs(a - b))))
     checks.append(
-        (worst <= 1e-9, f"preconfigured vs general specular pair: {worst:.3e} rad")
+        (worst <= 1e-9, f"specular closed form vs general specular pair: {worst:.3e} rad")
     )
 
     inc, out = AnglePair(0.3, 1.2), AnglePair(-0.5, 1.9)

@@ -145,7 +145,7 @@ def test_endpoint_pattern_depends_on_elevation_only():
 def test_direct_channel_is_rank_one_with_the_budgeted_magnitude():
     p_t, p_r = vec3(0.0, 0.0, 1.5), vec3(0.0, 50.0, 1.5)
     loss = 95.0
-    h = direct_channel(p_t, p_r, 4, loss, rng=None, q=Q)
+    h = direct_channel(p_t, p_r, 4, loss, phase=0.0, q=Q)
     assert h.shape == (4, 4)
     assert np.linalg.matrix_rank(h) == 1
     rho = pattern_from_cosine(1.0, Q)  # horizontal ray
@@ -153,16 +153,16 @@ def test_direct_channel_is_rank_one_with_the_budgeted_magnitude():
     # the per-pair amplitude scale of the cascaded segments
     expected_mag = 10.0 ** (-loss / 20.0) * rho * rho
     assert np.abs(h) == pytest.approx(np.full((4, 4), expected_mag))
-    # deterministic without an rng, random phase with one
-    assert direct_channel(p_t, p_r, 4, loss, rng=None, q=Q) == pytest.approx(h)
-    h2 = direct_channel(p_t, p_r, 4, loss, np.random.default_rng(3), q=Q)
-    assert np.abs(h2) == pytest.approx(np.abs(h))
+    # zero phase by default; a path phase rotates every entry by it
+    assert direct_channel(p_t, p_r, 4, loss, q=Q) == pytest.approx(h)
+    h2 = direct_channel(p_t, p_r, 4, loss, phase=1.3, q=Q)
+    assert h2 == pytest.approx(h * np.exp(1.3j))
     assert not np.allclose(h2, h)
 
 
 def test_direct_channel_rejects_coincident_endpoints():
     with pytest.raises(ValueError):
-        direct_channel(vec3(0, 0, 1.5), vec3(0, 0, 1.5), 2, 90.0, None)
+        direct_channel(vec3(0, 0, 1.5), vec3(0, 0, 1.5), 2, 90.0, 0.0)
 
 
 def test_direct_channel_takes_its_bearing_from_azimuth():
@@ -172,11 +172,11 @@ def test_direct_channel_takes_its_bearing_from_azimuth():
     with pytest.raises(ValueError) as from_azimuth:
         azimuth(p_t, above)
     with pytest.raises(ValueError) as from_channel:
-        direct_channel(p_t, above, 2, 90.0, None)
+        direct_channel(p_t, above, 2, 90.0, 0.0)
     assert str(from_channel.value) == str(from_azimuth.value)
     # and steers at azimuth's bearing: the matched beam collects K^2 |h|
     p_r = vec3(-4.0, 40.0, 1.2)
-    h = direct_channel(p_t, p_r, 4, 90.0, None)
+    h = direct_channel(p_t, p_r, 4, 90.0, 0.7)
     s = steering_vector(4, azimuth(p_t, p_r))
     assert abs(np.vdot(s, h @ s)) == pytest.approx(16.0 * abs(h[0, 0]))
 
@@ -483,7 +483,7 @@ def test_perfectly_coherent_gain_equals_element_count_floor():
     # flat limit at broadside: every term aligned, gain = -10 log10(MN)
     geom = build_cirs_geometry(8, 4, 1.0e9, LAM / 4, LAM / 4)
     zero = PhaseProfile(np.zeros(8), np.zeros(4))
-    g = channel_gain_elevation(geom, zero, math.pi / 2, math.pi / 2, LAM, Q)
+    g = channel_gain_elevation(geom, zero, math.pi / 2, LAM, Q)
     assert g == pytest.approx(-10.0 * math.log10(32.0), abs=1e-6)
 
 
@@ -491,8 +491,8 @@ def test_configured_cylinder_recovers_the_flat_gain():
     geom = build_cirs_geometry(60, 8, 2.0, LAM / 4, LAM / 4)
     prof = preconfigured_phase(geom, 0.0, LAM)
     zero = PhaseProfile(np.zeros(60), np.zeros(8))
-    g_conf = channel_gain_elevation(geom, prof, math.pi / 2, math.pi / 2, LAM, Q)
-    g_bare = channel_gain_elevation(geom, zero, math.pi / 2, math.pi / 2, LAM, Q)
+    g_conf = channel_gain_elevation(geom, prof, math.pi / 2, LAM, Q)
+    g_bare = channel_gain_elevation(geom, zero, math.pi / 2, LAM, Q)
     assert g_conf > g_bare
     assert g_conf == pytest.approx(-10.0 * math.log10(480.0), abs=0.05)
 
@@ -512,7 +512,7 @@ def test_azimuth_gain_defaults_to_specular_reflection():
 def test_normalized_gain_never_exceeds_coherent_bound(m_half, n):
     geom = build_cirs_geometry(2 * m_half, n, 2.0, LAM / 4, LAM / 4)
     prof = PhaseProfile(np.zeros(2 * m_half), np.zeros(n))
-    g = channel_gain_elevation(geom, prof, 1.2, math.pi - 1.2, LAM, Q)
+    g = channel_gain_elevation(geom, prof, 1.2, LAM, Q)
     assert g <= -10.0 * math.log10(2 * m_half * n) + 1e-9
 
 

@@ -11,7 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conformal_v2v import experiments
-from conformal_v2v.channel import cascaded_channels, steering_vector
+from conformal_v2v.channel import (
+    cascaded_channels,
+    channel_gain_elevation,
+    steering_vector,
+)
 from conformal_v2v.config import SimConfig
 from conformal_v2v.experiments import (
     DEFAULT_GRIDS,
@@ -32,6 +36,7 @@ from conformal_v2v.experiments import (
     run_angle_pdf,
     run_blockage_sweep,
     run_gain_elevation,
+    run_gain_frequency,
     run_snr_ecdf,
     snr_summary,
     trial_rng,
@@ -46,7 +51,7 @@ from conformal_v2v.geometry import (
     build_cirs_geometry,
     pose_local_angles,
 )
-from conformal_v2v.phase import optimal_phase
+from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
 from conformal_v2v.scenario import (
     candidate_relays_irs,
     candidate_relays_ris,
@@ -69,7 +74,6 @@ def test_sweep_spec_validation_and_defaults():
     spec = make_sweep("blockage", cfg)
     assert spec.grid == DEFAULT_GRIDS["blockage"]
     assert spec.trials == DEFAULT_TRIALS["blockage"]
-    assert spec.seed == cfg.seed
     spec2 = make_sweep("blockage", cfg.replace(trials=77), grid=(5.0,))
     assert spec2.trials == 77 and spec2.grid == (5.0,)
     # angle-pdf has no grid of its own: it runs at the configured density
@@ -78,9 +82,9 @@ def test_sweep_spec_validation_and_defaults():
     with pytest.raises(ValueError):
         make_sweep("warmup", cfg)
     with pytest.raises(ValueError):
-        SweepSpec(kind="blockage", grid=(), config=cfg, trials=1, seed=0)
+        SweepSpec(kind="blockage", grid=(), config=cfg, trials=1)
     with pytest.raises(ValueError):
-        SweepSpec(kind="blockage", grid=(10.0,), config=cfg, trials=0, seed=0)
+        SweepSpec(kind="blockage", grid=(10.0,), config=cfg, trials=0)
 
 
 def test_trial_rng_substreams_are_stable_and_distinct():
@@ -243,6 +247,36 @@ def test_elevation_gain_peaks_at_broadside_with_the_profile_applied():
     assert broadside["gain_db_cirs"] >= broadside["gain_db_flat"] - 1e-6
 
 
+def test_gain_frequency_table_is_frequency_major_over_fixed_apertures():
+    cfg = SimConfig().replace(trials=1)
+    spec = make_sweep("gain-frequency", cfg, grid=(2.0, 4.0))
+    rows = run_gain_frequency(spec)
+    angles = np.arange(30.0, 150.0 + 1e-9, 1.0)
+    assert len(angles) == 121
+    assert len(rows) == 2 * 121
+    for row in rows:
+        assert list(row) == ["f_ghz", "angle_deg", "gain_db_cirs", "gain_db_bare"]
+    for i, f_ghz in enumerate((2.0, 4.0)):
+        block = rows[121 * i : 121 * (i + 1)]
+        assert [r["f_ghz"] for r in block] == [f_ghz] * 121
+        assert [r["angle_deg"] for r in block] == angles.tolist()
+        sub = cfg.replace(f_ghz=f_ghz)
+        lam = sub.wavelength_m
+        count = element_counts_for_area(1.0, lam, sub.element_spacing_wl)
+        d = sub.element_spacing_m
+        geom = build_cirs_geometry(count, count, sub.radius_m, d, d)
+        perpendicular = preconfigured_phase(geom, 0.0, lam)
+        zero = PhaseProfile(np.zeros(count), np.zeros(count))
+        for row in block:
+            phi_i = math.radians(row["angle_deg"])
+            assert row["gain_db_cirs"] == channel_gain_elevation(
+                geom, perpendicular, phi_i, lam, sub.q_pattern
+            )
+            assert row["gain_db_bare"] == channel_gain_elevation(
+                geom, zero, phi_i, lam, sub.q_pattern
+            )
+
+
 def test_blockage_sweep_orders_the_modes_pointwise():
     cfg = SimConfig().replace(trials=300)
     spec = make_sweep("blockage", cfg, grid=(20.0, 40.0))
@@ -391,7 +425,7 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
 def test_snr_summary_reports_medians_with_intervals():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
     results = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
-    rows = snr_summary(results, seed=spec.seed)
+    rows = snr_summary(results, seed=spec.config.seed)
     assert len(rows) == len(results)
     for row in rows:
         assert row["median_ci_low_db"] <= row["median_db"] <= row["median_ci_high_db"]

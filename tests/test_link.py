@@ -47,12 +47,12 @@ def test_rescale_direct_multiplies_by_the_antenna_count():
     scale = 10.0 ** (-loss / 20.0) * pattern_from_cosine(1.0, 0.285) ** 2
     for k in (1, 2, K):
         s = steering_vector(k, math.pi / 2.0)
-        h = direct_channel(p_t, p_r, k, loss, None)
+        h = direct_channel(p_t, p_r, k, loss, 0.0)
         assert h == pytest.approx(scale * np.outer(s, s.conj()))
         a = s / math.sqrt(k)
         assert h == pytest.approx(float(k) * scale * np.outer(a, a.conj()))
     with pytest.raises(ValueError):
-        direct_channel(p_t, p_r, 0, loss, None)
+        direct_channel(p_t, p_r, 0, loss, 0.0)
 
 
 def test_beam_power_matches_the_quadratic_form():
@@ -112,7 +112,7 @@ def test_snr_budget_identity_on_an_unblocked_direct_link():
     loss_db = sample_direct_pathloss(50.0, 28.0, 0, np.random.default_rng(0),
                                      sigma_shadow_db=0.0)
     assert loss_db == pytest.approx(mean_pathloss_db(50.0, 28.0))
-    h = direct_channel(p_t, p_r, K, loss_db, None)
+    h = direct_channel(p_t, p_r, K, loss_db, 2.1)
     beam = steering_vector(K, azimuth(p_t, p_r))
     snr = best_snr([beam_amplitude(h, beam, beam)], 10.0, -88.0, K)
     rho = pattern_from_cosine(1.0, 0.285)

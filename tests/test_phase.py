@@ -21,6 +21,7 @@ from oracles import (
     planar_phase,
     reflection_matrix,
     snell_residual,
+    specular_phase,
 )
 
 LAM = 299_792_458.0 / 28e9
@@ -49,10 +50,9 @@ def test_perpendicular_profile_matches_hand_computed_value():
 
 def test_perpendicular_equals_identity_elevation_pair():
     geom = small_geometry()
-    a = AnglePair(0.0, math.pi / 2.0)
-    direct = optimal_phase(geom, a, a, LAM).phases_raw
-    closed = preconfigured_phase(geom, 0.0, LAM).phases_raw
-    assert np.max(np.abs(direct - closed)) < 1e-9
+    closed = elevation_phase(geom, math.pi / 2.0, math.pi / 2.0, LAM)
+    perpendicular = preconfigured_phase(geom, 0.0, LAM).phases_raw
+    assert np.max(np.abs(closed - perpendicular)) < 1e-9
 
 
 def test_elevation_product_form_equals_general_rule():
@@ -87,9 +87,11 @@ def test_azimuth_form_equals_general_rule():
 def test_preconfigured_is_specular_azimuth_profile_at_design_angle():
     geom = small_geometry()
     for thetabar in (0.0, math.pi / 4.0, math.radians(75.0)):
-        a = azimuth_phase(geom, thetabar, -thetabar, LAM)
+        a = specular_phase(geom, thetabar, math.pi / 2.0, LAM)
         b = preconfigured_phase(geom, thetabar, LAM).phases_raw
         assert np.max(np.abs(a - b)) < 1e-9
+        # the specular closed form is the azimuth-plane one at theta_o = -theta_i
+        assert np.max(np.abs(a - azimuth_phase(geom, thetabar, -thetabar, LAM))) < 1e-9
     with pytest.raises(ValueError):
         preconfigured_phase(geom, math.pi / 2.0 + 0.01, LAM)
 
@@ -98,9 +100,7 @@ def test_preconfigured_is_the_general_specular_pair_at_the_design_elevation():
     geom = small_geometry()
     for thetabar in (0.0, math.radians(75.0)):
         for phibar in (math.radians(80.0), math.radians(89.31), math.radians(100.0)):
-            a = optimal_phase(
-                geom, AnglePair(thetabar, phibar), AnglePair(-thetabar, phibar), LAM
-            ).phases_raw
+            a = specular_phase(geom, thetabar, phibar, LAM)
             b = preconfigured_phase(geom, thetabar, LAM, phibar).phases_raw
             assert np.max(np.abs(a - b)) < 1e-9
     for bad in (0.0, math.pi):
