@@ -19,6 +19,7 @@ model valid in the near field of large surfaces.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -31,6 +32,15 @@ TWO_PI = 2.0 * math.pi
 # per-element amplitude model breaks down when an antenna sits closer than
 # a few wavelengths to the nearest element
 MIN_DISTANCE_WAVELENGTHS = 10.0
+
+# pseudo-skeleton of a door's cascade product (``_skeleton``): the rank it
+# starts at, the probe columns that check it, the residual on them, relative
+# to their norm, at which the rank stops doubling, and the rcond of the
+# least-squares solve against the skeleton's core
+SKELETON_RANK = 24
+SKELETON_PROBES = 4
+SKELETON_TOL = 1e-11
+SKELETON_RCOND = 1e-13
 
 
 def mean_pathloss_db(distance_m: float, f_ghz: float) -> float:
@@ -191,27 +201,31 @@ def cascaded_channels(
     phases: tuple[float, float] = (0.0, 0.0),
     amp_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Beamformed segment channels a = H_tc f and b = w^H H_cr, each (M, N).
+    """Door product s = a * b of the beamformed segments, as factors (left, right).
 
-    H_tc (MN, K) and H_cr (K, MN) are the entry-exact segment channels.
-    Each entry combines the per-segment amplitude (G d_m d_n lambda^2 /
-    (64 pi^3))^{1/4} / r (``amp_scale`` multiplies the cascade PRODUCT, so
-    each segment carries its square root), the endpoint antenna pattern, the
-    normalized element rolloff u^q at the local ray cosine, and the exact
-    spherical phasor.  The unit-cell gain G enters the cascade once, as in
-    the far-field law of the module docstring: G^{1/4} per segment.
-    ``phases = (xi_t, xi_r)`` are the path phases of the TxV and RxV legs,
-    one per segment; they belong to the door's legs, not to the surface, so
-    every surface scored on the same door takes the same pair.
+    a = H_tc f and b = w^H H_cr are (M, N); H_tc (MN, K) and H_cr (K, MN)
+    are the entry-exact segment channels.  Each entry combines the
+    per-segment amplitude (G d_m d_n lambda^2 / (64 pi^3))^{1/4} / r
+    (``amp_scale`` multiplies the cascade PRODUCT, so each segment carries
+    its square root), the endpoint antenna pattern, the normalized element
+    rolloff u^q at the local ray cosine, and the exact spherical phasor.  The
+    unit-cell gain G enters the cascade once, as in the far-field law of the
+    module docstring: G^{1/4} per segment.  ``phases = (xi_t, xi_r)`` are the
+    path phases of the TxV and RxV legs, one per segment; they belong to the
+    door's legs, not to the surface, so every surface scored on the same
+    door takes the same pair.
 
     A relay scored with the beam pair (f, w) and reflection coefficients phi
-    contributes w^H H_cr diag(phi) H_tc f = sum(b * phi * a), so the dense
-    matrices are never built: each MN-vector is summed over the K antennas
-    in one (M, N) pass per antenna, using the row x column structure of the
-    surface.  The squared along-column distances are shared by all K
-    antennas and computed once, and each pass takes its phasor from one
-    half-angle tangent instead of a cosine and a sine (see
-    ``_beamformed_segment``).
+    contributes w^H H_cr diag(phi) H_tc f = sum(phi * s), which
+    ``PhaseProfile.weighted_sum(left, right)`` evaluates from the factors
+    with s ~ left @ right, left (M, r) and right (r, N).  s is numerically
+    low-rank: an element's squared distance to an antenna is a row term plus
+    a column term, and only their mixed curvature adds rank.  So s is taken
+    from a pseudo-skeleton (see ``_skeleton``) whose entries come from
+    ``_beamformed_segment`` on row and column subsets of the surface; the
+    dense matrices are never built.  The near-field guard takes the closest
+    antenna-element pair over every element of the surface
+    (``_near_field_guard``), not over the subsets.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -226,6 +240,8 @@ def cascaded_channels(
     # lambda/2 apart, the spacing that steering_vector's phase step encodes
     tx = antenna_positions(p_t, k_antennas, wavelength / 2.0)
     rx = antenna_positions(p_r, k_antennas, wavelength / 2.0)
+    for antennas in (tx, rx):
+        _near_field_guard(geometry, antennas, wavelength)
 
     # segment amplitude times the endpoint pattern's peak sqrt(G)
     scale = (
@@ -234,9 +250,103 @@ def cascaded_channels(
     ) ** 0.25
     scale *= math.sqrt(amp_scale) * math.sqrt(unit_cell_gain(q))
     xi_t, xi_r = phases
-    a = scale * _beamformed_segment(geometry, tx, f, xi_t, wavelength, q)
-    b = scale * _beamformed_segment(geometry, rx, w.conj(), xi_r, wavelength, q)
-    return a, b
+
+    def product(view: CirsGeometry) -> np.ndarray:
+        a = scale * _beamformed_segment(view, tx, f, xi_t, wavelength, q)
+        b = scale * _beamformed_segment(view, rx, w.conj(), xi_r, wavelength, q)
+        return a * b
+
+    return _skeleton(geometry, product)
+
+
+def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with ``product(geometry)`` ~ left @ right, from subsets.
+
+    Pseudo-skeleton approximation (Goreinov, Tyrtyshnikov and Zamarashkin,
+    Linear Algebra Appl. 261, 1997): with r evenly spaced columns J and rows
+    I, left = s[:, J] and right = pinv(s[I, J]) s[I, :], taken as the
+    least-squares solution of s[I, J] right = s[I, :] with the core's
+    singular values below SKELETON_RCOND of its largest dropped.  (Forming
+    pinv(s[I, J]) first would amplify rounding by the inverse of those
+    singular values.)  ``product`` evaluates s on row- or
+    column-subset views of the surface.  The columns of s are smooth in n,
+    since lighting depends on the row and the antenna only; its rows are
+    not, so J is checked on SKELETON_PROBES columns between those of J.
+    While their residual exceeds SKELETON_TOL of their norm, r doubles from
+    SKELETON_RANK.  Once r reaches min(M, N) the skeleton is the whole
+    surface and the product is exact: (s, I) or (I, s).
+    """
+    m, n = geometry.m_count, geometry.n_count
+    rank = SKELETON_RANK
+    while rank < min(m, n):
+        cols = _spread(n, rank)
+        gaps = np.flatnonzero(np.diff(cols) > 1)
+        mids = (cols[gaps] + cols[gaps + 1]) // 2
+        probes = mids[_spread(mids.size, min(SKELETON_PROBES, mids.size))]
+        s_cols = product(_column_view(geometry, np.concatenate([cols, probes])))
+        s_rows = product(_row_view(geometry, _spread(m, rank)))
+        left = s_cols[:, :rank]
+        right = np.linalg.lstsq(s_rows[:, cols], s_rows, rcond=SKELETON_RCOND)[0]
+        probed = s_cols[:, rank:]
+        residual = np.linalg.norm(probed - left @ right[:, probes])
+        if residual <= SKELETON_TOL * np.linalg.norm(probed):
+            return left, right
+        rank *= 2
+    if n <= m:
+        return product(geometry), np.eye(n)
+    return np.eye(m), product(geometry)
+
+
+def _spread(count: int, k: int) -> np.ndarray:
+    """k distinct, evenly spaced indices of range(count), both ends included."""
+    return np.rint(np.linspace(0, count - 1, k)).astype(int)
+
+
+def _row_view(geometry: CirsGeometry, rows: np.ndarray) -> CirsGeometry:
+    """The surface restricted to the given rows, in the same pose."""
+    return replace(
+        geometry,
+        m_count=rows.size,
+        psi=geometry.psi[rows],
+        row_positions_local=geometry.row_positions_local[rows],
+        normals_local=geometry.normals_local[rows],
+    )
+
+
+def _column_view(geometry: CirsGeometry, cols: np.ndarray) -> CirsGeometry:
+    """The surface restricted to the given columns, in the same pose."""
+    return replace(
+        geometry, n_count=cols.size, column_offsets_local=geometry.column_offsets_local[cols]
+    )
+
+
+def _near_field_guard(
+    geometry: CirsGeometry, antennas: np.ndarray, wavelength: float
+) -> None:
+    """Raise ValueError if an antenna is closer than the model guard to ANY element.
+
+    r^2 = (A . e + y_n)^2 + |A_across|^2 as in ``_beamformed_segment``.
+    The first term is shared by the antennas, and its minimum over a row's
+    columns is at one of the two offsets y_n around -A . e, so the closest
+    pair over the whole surface costs O(K (M + N)).
+    """
+    rot = geometry.pose.rotation()
+    rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
+    axis = rot[:, 1]
+    along = (rows - antennas[0]) @ axis
+    offsets = np.sort(geometry.column_offsets_local)
+    above = np.searchsorted(offsets, -along)
+    below = offsets[np.maximum(above - 1, 0)]
+    above = offsets[np.minimum(above, offsets.size - 1)]
+    along_sq_min = np.minimum((along + below) ** 2, (along + above) ** 2)
+    across = rows - antennas[:, None, :] - along[:, None] * axis  # (K, M, 3)
+    across_sq = np.einsum("kmi,kmi->km", across, across)
+    r_min = math.sqrt(float(np.min(along_sq_min + across_sq)))
+    if r_min < MIN_DISTANCE_WAVELENGTHS * wavelength:
+        raise ValueError(
+            f"antenna-element distance {r_min:.3g} m violates the "
+            f"{MIN_DISTANCE_WAVELENGTHS} wavelength model guard"
+        )
 
 
 def _beamformed_segment(
@@ -254,11 +364,11 @@ def _beamformed_segment(
     A = row_m - antenna_k split into a part along e and a part across it,
     r^2 = (A . e + y_n)^2 + |A_across|^2.  The ULA lies along global x and
     e is +-y, so (A . e + y_n)^2 is the same for every antenna: it is
-    computed once, and so are its row minima, from which the near-field
-    guard takes r_min.  The numerators c = -(A . normal_m) of the element
+    computed once.  The numerators c = -(A . normal_m) of the element
     cosine u = c / r and A_z of the ray's vertical component depend on
     (m, k) only, so u^2 sin^2(phi) = min(c^2 / r^2, 1) (r^2 - A_z^2) / r^2
-    on the r^2 at hand.
+    on the r^2 at hand.  The near-field guard is not applied here: the
+    kernel runs on subsets of a surface (``_near_field_guard``).
 
     The phasor comes from the half-angle tangent t = tan(phi / 2):
     cos phi = 2 / (1 + t^2) - 1 and sin phi = 2 t / (1 + t^2), so an antenna
@@ -275,17 +385,14 @@ def _beamformed_segment(
     along = (rows - antennas[0]) @ axis
     along_sq = np.add(along[:, None], geometry.column_offsets_local)
     np.square(along_sq, out=along_sq)
-    along_sq_min = along_sq.min(axis=1)
     shape = along_sq.shape
     re, im = np.zeros(shape), np.zeros(shape)
     r, amp, work, t = (np.empty(shape) for _ in range(4))
-    r_min_sq = math.inf
     for antenna, weight in zip(antennas, weights):
         rel = rows - antenna
         across = rel - along[:, None] * axis
         across_sq = np.einsum("mi,mi->m", across, across)
         np.add(along_sq, across_sq[:, None], out=r)
-        r_min_sq = min(r_min_sq, float(np.min(along_sq_min + across_sq)))
 
         # u^2 = min(c^2 / r^2, 1) on rows whose c is positive, 0 on the
         # others; r^2 - A_z^2 is summed from its horizontal parts, so it is
@@ -322,12 +429,6 @@ def _beamformed_segment(
         work -= abs(weight)
         work *= amp
         re += work
-    r_min = math.sqrt(r_min_sq)
-    if r_min < MIN_DISTANCE_WAVELENGTHS * wavelength:
-        raise ValueError(
-            f"antenna-element distance {r_min:.3g} m violates the "
-            f"{MIN_DISTANCE_WAVELENGTHS} wavelength model guard"
-        )
     return re + 1j * im
 
 

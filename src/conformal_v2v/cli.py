@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -160,7 +161,7 @@ def _cmd_blockage(args) -> int:
 def _cmd_snr_ecdf(args) -> int:
     config = _resolve(args)
     spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
-    results = run_snr_ecdf(
+    results, ranks = run_snr_ecdf(
         spec,
         r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
         radius_values=tuple(args.radius) or DEFAULT_RADII_M,
@@ -174,7 +175,8 @@ def _cmd_snr_ecdf(args) -> int:
         ]
         _finish(args, config, name, ["snr_db", "ecdf"], rows,
                 {"experiment": "snr-ecdf", "mode": mode, "radius_m": radius,
-                 "rho": rho, "r_d": r_d})
+                 "rho": rho, "r_d": r_d,
+                 "telemetry": {"cascade_ranks": dict(ranks[(radius, rho, r_d)])}})
     summary = snr_summary(results, spec.config.seed)
     for row in summary:
         print(
@@ -185,7 +187,8 @@ def _cmd_snr_ecdf(args) -> int:
     _finish(args, config, "snr_summary.csv",
             ["mode", "radius_m", "rho", "r_d", "trials", "median_db",
              "median_ci_low_db", "median_ci_high_db"], summary,
-            {"experiment": "snr-ecdf"})
+            {"experiment": "snr-ecdf",
+             "telemetry": {"cascade_ranks": dict(sum(ranks.values(), Counter()))}})
     return 0
 
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import platform
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
@@ -410,8 +411,9 @@ def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
 
 def _snr_trial(
     config: SimConfig, surfaces, rho: float, r_d: float, seed: int, trial: int
-) -> list[tuple[float, float, float]]:
-    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface.
+) -> tuple[list[tuple[float, float, float]], list[Counter]]:
+    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface,
+    and per surface the count of door cascades at each skeleton rank.
 
     The scene, gating, blocker counts, direct link, and each door's beams,
     blockage draws and leg path phases (xi_t, xi_r) come once; every
@@ -421,8 +423,10 @@ def _snr_trial(
     not sampling noise.  Each relayed mode picks relay and beams jointly by
     received power over single-relay channels.  Door c only ever meets its
     own beam pair (f_c, w_c), so its received amplitude is
-    w_c^H H_d f_c + sum(b * phi * a) with the beamformed segment vectors
-    a = H_tc f_c and b = w_c^H H_cr.
+    w_c^H H_d f_c + sum(phi * a * b) with the beamformed segment vectors
+    a = H_tc f_c and b = w_c^H H_cr.  Both profiles of a door score the one
+    factorisation of a * b that ``cascaded_channels`` returns; its rank is
+    counted under ``_rank_label``.
     """
     rng = trial_rng(seed, trial)
     scen = generate_scene(config, rho, r_d, rng)
@@ -469,6 +473,7 @@ def _snr_trial(
     irs_doors, ris_doors = set(irs), set(ris)
     tuned_amps = [[amp_direct] for _ in surfaces]
     fixed_amps = [[amp_direct] for _ in surfaces]
+    ranks = [Counter() for _ in surfaces]
     doors = scen.door_points(relays, height)
     for relay, door, (b_t, b_r) in zip(relays, doors, legs):
         _, side = relay
@@ -488,38 +493,52 @@ def _snr_trial(
         # the tuned profile steers the door-frame TxV -> door -> RxV pair
         ang_t = pose_local_angles(pose, p_t - door)
         ang_r = pose_local_angles(pose, p_r - door)
-        for (layout, fixed), tuned_amp, fixed_amp in zip(surfaces, tuned_amps, fixed_amps):
+        for (layout, fixed), tuned_amp, fixed_amp, rank in zip(
+            surfaces, tuned_amps, fixed_amps, ranks
+        ):
             geom = replace(layout, pose=pose)
             try:
-                a, b = cascaded_channels(
+                left, right = cascaded_channels(
                     geom, p_t, p_r, k, lam, f, w, config.q_pattern, phases,
                     amp_scale=config.cascade_amp_scale,
                 )
             except ValueError as exc:
                 raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
-            segments = a * b
+            rank[_rank_label(geom, left)] += 1
             if relay in ris_doors:
                 tuned = optimal_phase(geom, ang_t, ang_r, lam)
-                tuned_amp.append(via_direct + blockage * tuned.weighted_sum(segments))
+                tuned_amp.append(via_direct + blockage * tuned.weighted_sum(left, right))
             if relay in irs_doors:
-                fixed_amp.append(via_direct + blockage * fixed.weighted_sum(segments))
+                fixed_amp.append(via_direct + blockage * fixed.weighted_sum(left, right))
 
     def snr(amplitudes) -> float:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
     direct = snr([amp_direct])
-    return [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)]
+    return [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)], ranks
+
+
+def _rank_label(geometry, left: np.ndarray) -> str:
+    """Skeleton rank of a factored door product, "exact" at min(M, N)."""
+    rank = left.shape[1]
+    return "exact" if rank == min(geometry.m_count, geometry.n_count) else str(rank)
 
 
 def run_snr_ecdf(
     spec: SweepSpec,
     r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
     radius_values: tuple[float, ...] = DEFAULT_RADII_M,
-) -> dict[tuple[str, float, float, float], EcdfResult]:
-    """SNR ECDFs per (mode, radius, rho, r_d); rho values come from spec.grid.
+) -> tuple[
+    dict[tuple[str, float, float, float], EcdfResult],
+    dict[tuple[float, float, float], Counter],
+]:
+    """SNR ECDFs per (mode, radius, rho, r_d), and cascade ranks per (radius, rho, r_d).
 
-    Each trial is one scene scored at every radius (see ``_snr_trial``); the
-    element layout and fixed profile of each radius are built once here.
+    rho values come from spec.grid.  Each trial is one scene scored at every
+    radius (see ``_snr_trial``); the element layout and fixed profile of
+    each radius are built once here.  The second dict counts, summed over
+    the trials of every worker process, how many door cascades used each
+    skeleton rank ("exact" when the skeleton is the whole surface).
     """
     cfg = spec.config
     d = cfg.element_spacing_m
@@ -528,16 +547,21 @@ def run_snr_ecdf(
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
         surfaces.append((layout, _fixed_profile(cfg, layout)))
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
+    ranks: dict[tuple[float, float, float], Counter] = {}
     for rho in spec.grid:
         for r_d in r_d_values:
             worker = partial(_snr_trial, cfg, surfaces, float(rho), float(r_d), cfg.seed)
             point = f"snr-ecdf rho={rho:g} r_d={r_d:g}"
-            samples = np.array(_map_trials(worker, spec.trials, cfg.threads, point))
+            trials = _map_trials(worker, spec.trials, cfg.threads, point)
+            samples = np.array([snrs for snrs, _ in trials])
             for i, radius in enumerate(radius_values):
+                ranks[(float(radius), float(rho), float(r_d))] = sum(
+                    (counts[i] for _, counts in trials), Counter()
+                )
                 for col, mode in enumerate(MODES):
                     key = (mode, float(radius), float(rho), float(r_d))
                     results[key] = EcdfResult(values=samples[:, i, col])
-    return results
+    return results, ranks
 
 
 def snr_summary(
@@ -656,10 +680,54 @@ def write_csv(path: str | Path, columns: list[str], rows: list[dict]) -> Path:
     return path
 
 
+def _git_revision(start: Path) -> str | None:
+    """Commit checked out where ``start`` lies, or None outside a git checkout.
+
+    The nearest ``.git`` at or above ``start`` (a directory, or a file
+    naming one as ``gitdir: <path>``) gives HEAD; a symbolic HEAD resolves
+    through its ref file or ``packed-refs``, in the ``commondir`` of a
+    linked worktree.  Read from the files, without running git.
+    """
+    try:
+        for folder in (start, *start.parents):
+            git = folder / ".git"
+            if git.is_file():
+                text = git.read_text().strip()
+                if text.startswith("gitdir:"):
+                    git = folder / text[len("gitdir:"):].strip()
+            if git.is_dir():
+                break
+        else:
+            return None
+        head = (git / "HEAD").read_text().strip()
+        if not head.startswith("ref:"):
+            return head or None
+        ref = head[len("ref:"):].strip()
+        commondir = git / "commondir"
+        common = git / commondir.read_text().strip() if commondir.is_file() else git
+        for refs in (git, common):
+            if (refs / ref).is_file():
+                return (refs / ref).read_text().strip()
+        packed = common / "packed-refs"
+        if packed.is_file():
+            for line in packed.read_text().splitlines():
+                sha, _, name = line.partition(" ")
+                if name == ref:
+                    return sha
+    except OSError:
+        pass
+    return None
+
+
 def write_sidecar(
     csv_path: str | Path, config: SimConfig, seed: int, extra: dict | None = None
 ) -> Path:
-    """JSON provenance next to a CSV: resolved config, seed, versions, extras."""
+    """JSON provenance next to a CSV: resolved config, seed, versions, extras.
+
+    Provenance names the package, numpy and Python versions and the git
+    revision of the source tree the package was imported from (None when it
+    is not a checkout).
+    """
     csv_path = Path(csv_path)
     payload = {
         "config": config.to_dict(),
@@ -668,6 +736,7 @@ def write_sidecar(
             "package": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
+            "git": _git_revision(Path(__file__).resolve().parent),
         },
     }
     if extra:

@@ -84,15 +84,25 @@ class PhaseProfile:
         """Wrapped phases in [0, 2*pi), shape (M, N)."""
         return wrap_phase(self.phases_raw)
 
-    def weighted_sum(self, values: np.ndarray) -> complex:
-        """sum_{m,n} values[m, n] exp(j*Phi_{m,n}) for an (M, N) array.
+    def weighted_sum(self, left: np.ndarray, right: np.ndarray) -> complex:
+        """sum_{m,n} s[m, n] exp(j*Phi_{m,n}) for s = left @ right.
 
-        Computed as exp(j*row)^T values exp(j*col), without the dense
-        coefficients.
+        ``left`` is (M, r) and ``right`` (r, N), as ``cascaded_channels``
+        factors a door's product.  The coefficients are the outer product of
+        exp(j*row) and exp(j*col), so the sum is (exp(j*row)^T left) .
+        (right exp(j*col)): O(r (M + N)), without the dense coefficients or
+        s itself.
         """
-        if values.shape != self.shape:
-            raise ValueError(f"values {values.shape} vs profile {self.shape}")
-        return np.exp(1j * self.row_raw) @ values @ np.exp(1j * self.col_raw)
+        m, n = self.shape
+        if (
+            left.ndim != 2
+            or right.ndim != 2
+            or left.shape[0] != m
+            or right.shape[1] != n
+            or left.shape[1] != right.shape[0]
+        ):
+            raise ValueError(f"factors {left.shape} @ {right.shape} vs profile {self.shape}")
+        return (np.exp(1j * self.row_raw) @ left) @ (right @ np.exp(1j * self.col_raw))
 
 
 def optimal_phase(

@@ -48,7 +48,7 @@ from oracles import (
     snell_residual,
     specular_phase,
 )
-from test_channel import brute_force_cascade, random_beams
+from test_channel import brute_force_cascade, kernel_segments, random_beams
 
 LAM = 299_792_458.0 / 28e9
 
@@ -141,14 +141,15 @@ def test_tuned_cascade_is_coherent_for_exactly_one_sign_convention():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(60, 60, 2.0, LAM / 4.0, LAM / 4.0, pose)
     p_t, p_r = vec3(25.0, -35.0, 1.5), vec3(25.0, 35.0, 1.5)
-    a, b = cascaded_channels(geom, p_t, p_r, 1, LAM, [1.0], [1.0])
+    left, right = cascaded_channels(geom, p_t, p_r, 1, LAM, [1.0], [1.0])
     incidence = pose_local_angles(pose, p_t - pose.position)
     reflection = pose_local_angles(pose, p_r - pose.position)
     coeff = reflection_matrix(optimal_phase(geom, incidence, reflection, LAM).phases_raw)
-    terms = b.ravel() * coeff * a.ravel()
+    product = (left @ right).ravel()
+    terms = coeff * product
     envelope = float(np.sum(np.abs(terms)))
     ratio = float(np.abs(np.sum(terms))) / envelope
-    flipped = float(np.abs(np.sum(b.ravel() * np.conj(coeff) * a.ravel()))) / envelope
+    flipped = float(np.abs(np.sum(np.conj(coeff) * product))) / envelope
     verify(
         [
             (ratio >= 0.99, f"coherence with the adopted sign: {ratio:.4f}"),
@@ -160,6 +161,7 @@ def test_tuned_cascade_is_coherent_for_exactly_one_sign_convention():
 def test_cascaded_matrices_match_the_elementwise_scalar_sum():
     rng = np.random.default_rng(31)
     worst = 0.0
+    exact = True
     for _ in range(100):
         m = 2 * int(rng.integers(1, 5))
         n = int(rng.integers(1, 9))
@@ -171,11 +173,20 @@ def test_cascaded_matrices_match_the_elementwise_scalar_sum():
         p_t = vec3(rng.uniform(4.0, 30.0), rng.uniform(-30.0, -4.0), 1.5)
         p_r = vec3(rng.uniform(4.0, 30.0), rng.uniform(4.0, 30.0), 1.5)
         f, w = random_beams(rng, k)
-        got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        got = kernel_segments(geom, p_t, p_r, k, LAM, f, w)
         want = beamformed(geom, *brute_force_cascade(geom, p_t, p_r, k, LAM), f, w)
         for g, w_ in zip(got, want):
             worst = max(worst, float(np.max(np.abs(g - w_)) / np.max(np.abs(w_))))
-    verify([(worst <= 1e-10, f"max relative deviation over 100 draws: {worst:.3e}")])
+        # these surfaces are no larger than the skeleton: the cascade's
+        # factored product is exactly the product of the two segments
+        left, right = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        exact = exact and np.array_equal(left @ right, got[0] * got[1])
+    verify(
+        [
+            (worst <= 1e-10, f"max relative deviation over 100 draws: {worst:.3e}"),
+            (exact, f"factored product equals the segment product: {exact}"),
+        ]
+    )
 
 
 def test_elevation_beamwidth_windows_and_relief_over_the_bare_surface():
@@ -295,7 +306,7 @@ def test_median_snr_gains_dominance_and_radius_insensitivity():
         m_elements=100, n_elements=100, cascade_amp_scale=16.0, trials=200
     )
     spec = make_sweep("snr-ecdf", cfg, grid=(10.0, 40.0))
-    results = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
 
     def med(mode, radius, rho):
         return results[(mode, radius, rho, 50.0)].median

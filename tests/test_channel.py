@@ -7,8 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conformal_v2v import channel
 from conformal_v2v.channel import (
     MIN_DISTANCE_WAVELENGTHS,
+    SKELETON_RANK,
+    _beamformed_segment,
     antenna_positions,
     blockage_mean_db,
     cascaded_channels,
@@ -24,7 +27,14 @@ from conformal_v2v.channel import (
     steering_vector,
 )
 from conformal_v2v.config import SimConfig
-from conformal_v2v.geometry import AnglePair, DoorPose, azimuth, build_cirs_geometry, vec3
+from conformal_v2v.geometry import (
+    AnglePair,
+    DoorPose,
+    azimuth,
+    build_cirs_geometry,
+    pose_local_angles,
+    vec3,
+)
 from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
 from oracles import (
     beamformed,
@@ -228,6 +238,38 @@ def random_beams(rng, k):
     return f, w
 
 
+def kernel_segments(geom, p_t, p_r, k, lam, f, w, q=Q, phases=(0.0, 0.0), amp_scale=1.0):
+    """a = H_tc f and b = w^H H_cr, (M, N), from the cascade's kernel on the whole surface.
+
+    ``cascaded_channels`` returns only the factored product a * b, so the
+    per-segment properties are checked on its kernel, scaled as the cascade
+    scales it: the per-segment amplitude of the far-field law, sqrt(amp_scale)
+    and the endpoint pattern's peak sqrt(G).
+    """
+    g = 2.0 * (2.0 * q + 1.0)
+    scale = (g * geom.d_m * geom.d_n * lam**2 / (64.0 * math.pi**3)) ** 0.25
+    scale *= math.sqrt(amp_scale) * math.sqrt(g)
+    tx, rx = (antenna_positions(p, k, lam / 2.0) for p in (p_t, p_r))
+    f, w = np.asarray(f, dtype=complex), np.asarray(w, dtype=complex)
+    a = scale * _beamformed_segment(geom, tx, f, phases[0], lam, q)
+    b = scale * _beamformed_segment(geom, rx, w.conj(), phases[1], lam, q)
+    return a, b
+
+
+def assert_scores_match(left, right, want, envelope, profiles):
+    """Each profile scores left @ right as the dense product want[0] * want[1].
+
+    Rounding scales with the sum of the terms' moduli, which random beams
+    can make far larger than the modulus of their sum: the bound is 1e-10
+    of the product of the envelopes, summed over the surface.
+    """
+    bound = 1e-10 * float(np.sum(np.abs(envelope[0] * envelope[1])))
+    dense = (want[0] * want[1]).ravel()
+    for prof in profiles:
+        got = prof.weighted_sum(left, right)
+        assert abs(got - np.sum(reflection_matrix(prof.phases_raw) * dense)) <= bound
+
+
 def test_cascade_power_matches_the_far_field_ris_law_at_broadside():
     # Tang et al. (IEEE TWC 2021) at broadside with both patterns at their
     # peak: P_r / P_t = G_t G_r G (MN)^2 d_m d_n lam^2 / (64 pi^3 r_t^2 r_r^2).
@@ -237,12 +279,12 @@ def test_cascade_power_matches_the_far_field_ris_law_at_broadside():
     pose = DoorPose(position=vec3(0.0, -(n - 1) * d / 2.0, 0.9), side="right")
     geom = build_cirs_geometry(m, n, 1.0e6, d, d, pose)
     r_t, r_r = 10.0, 25.0
-    a, b = cascaded_channels(
+    left, right = cascaded_channels(
         geom, vec3(r_t, 0.0, 0.9), vec3(r_r, 0.0, 0.9), 1, LAM, [1.0], [1.0]
     )
     broadside = AnglePair(0.0, math.pi / 2.0)
     phi = reflection_matrix(optimal_phase(geom, broadside, broadside, LAM).phases_raw)
-    power = abs(np.sum(b.ravel() * phi * a.ravel())) ** 2
+    power = abs(np.sum(phi * (left @ right).ravel())) ** 2
     g = 2.0 * (2.0 * Q + 1.0)  # G_t = G_r = G for q = 0.285
     closed = g**3 * (m * n) ** 2 * d * d * LAM**2 / (64.0 * math.pi**3 * r_t**2 * r_r**2)
     assert power == pytest.approx(closed, rel=1e-3)
@@ -259,10 +301,13 @@ def test_cascaded_channel_matches_scalar_reference():
         p_t = vec3(rng.uniform(5, 30), rng.uniform(-30, -5), 1.5)
         p_r = vec3(rng.uniform(5, 30), rng.uniform(5, 30), 1.5)
         f, w = random_beams(rng, k)
-        got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        got = kernel_segments(geom, p_t, p_r, k, LAM, f, w)
         want = beamformed(geom, *brute_force_cascade(geom, p_t, p_r, k, LAM), f, w)
         for g, w_ in zip(got, want):
             assert np.max(np.abs(g - w_)) <= 1e-10 * np.max(np.abs(w_))
+        # no larger than the skeleton, the factored product is the kernel's
+        left, right = cascaded_channels(geom, p_t, p_r, k, LAM, f, w)
+        assert np.array_equal(left @ right, got[0] * got[1])
 
 
 def test_cascade_amp_scale_multiplies_the_product_once():
@@ -270,12 +315,12 @@ def test_cascade_amp_scale_multiplies_the_product_once():
     geom = build_cirs_geometry(4, 4, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(10.0, -20.0, 1.5), vec3(10.0, 20.0, 1.5)
     f, w = random_beams(np.random.default_rng(6), 2)
-    base_a, base_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
-    sc_a, sc_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w, amp_scale=16.0)
-    assert sc_a == pytest.approx(4.0 * base_a)
-    assert sc_b == pytest.approx(4.0 * base_b)
-    # cascade product therefore scales by amp_scale exactly
-    assert np.sum(sc_b * sc_a) == pytest.approx(16.0 * np.sum(base_b * base_a))
+    base = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
+    scaled = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w, amp_scale=16.0)
+    assert scaled[0] @ scaled[1] == pytest.approx(16.0 * (base[0] @ base[1]))
+    # so every profile's score scales by amp_scale exactly
+    prof = PhaseProfile(np.array([0.3, 1.0, -2.0, 0.5]), np.array([0.0, 2.5, -1.0, 0.7]))
+    assert prof.weighted_sum(*scaled) == pytest.approx(16.0 * prof.weighted_sum(*base))
 
 
 def test_cascade_shares_one_random_phase_per_segment():
@@ -283,17 +328,22 @@ def test_cascade_shares_one_random_phase_per_segment():
     geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
     p_t, p_r = vec3(8.0, -15.0, 1.5), vec3(8.0, 15.0, 1.5)
     f, w = random_beams(np.random.default_rng(7), 2)
-    plain_a, plain_b = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
+    plain_a, plain_b = kernel_segments(geom, p_t, p_r, 2, LAM, f, w)
     xi_t, xi_r = 0.7, 2.9
-    phased_a, phased_b = cascaded_channels(
-        geom, p_t, p_r, 2, LAM, f, w, phases=(xi_t, xi_r)
-    )
+    phased_a, phased_b = kernel_segments(geom, p_t, p_r, 2, LAM, f, w, phases=(xi_t, xi_r))
     ratio_a = phased_a / plain_a
     ratio_b = phased_b / plain_b
     assert np.abs(ratio_a) == pytest.approx(np.ones_like(ratio_a, dtype=float))
     # one phase for the whole segment: xi_t on the TxV leg, xi_r on the RxV leg
     assert np.angle(ratio_a) == pytest.approx(np.full(ratio_a.shape, xi_t), abs=1e-12)
     assert np.angle(ratio_b) == pytest.approx(np.full(ratio_b.shape, xi_r), abs=1e-12)
+    # and the door product turns by their sum
+    plain = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
+    phased = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w, phases=(xi_t, xi_r))
+    ratio = (phased[0] @ phased[1]) / (plain[0] @ plain[1])
+    assert np.abs(ratio) == pytest.approx(np.ones_like(ratio, dtype=float))
+    turn = np.angle(ratio * np.exp(-1j * (xi_t + xi_r)))
+    assert turn == pytest.approx(np.zeros(ratio.shape), abs=1e-12)
 
 
 def test_cascade_rejects_near_field_endpoints():
@@ -308,15 +358,78 @@ def test_cascade_rejects_near_field_endpoints():
         cascaded_channels(geom, vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5), 2, LAM, [1], [1])
 
 
+def draw_endpoint(draw, geom, distance, tangent_only=False):
+    """An endpoint ``distance`` metres from the surface centre.
+
+    It sits either in a random door-frame direction, behind the door
+    included, or close to the tangent plane of a random row, so that part of
+    the surface is lit and part is not.
+    """
+    centre = element_positions(geom).mean(axis=0)
+    if not tangent_only and draw(st.booleans()):
+        local = AnglePair(draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, math.pi)))
+        local = local.direction()
+    else:
+        psi = geom.psi[draw(st.integers(0, geom.m_count - 1))]
+        normal = np.array([math.cos(psi), 0.0, math.sin(psi)])
+        tangent = np.array([-math.sin(psi), 0.0, math.cos(psi)])
+        beta = draw(st.floats(-math.pi, math.pi))
+        local = (
+            draw(st.floats(-0.05, 0.05)) * normal
+            + math.cos(beta) * tangent
+            + math.sin(beta) * np.array([0.0, 1.0, 0.0])
+        )
+    local = local / np.linalg.norm(local)
+    return centre + draw(distance) * (geom.pose.rotation() @ local)
+
+
+def draw_beams(draw, k):
+    """A beam pair whose entries have random phases and moduli, zero included."""
+    return [
+        np.array(
+            [
+                draw(st.sampled_from((0.0, draw(st.floats(1e-3, 3.0)))))
+                * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+                for _ in range(k)
+            ]
+        )
+        for _ in range(2)
+    ]
+
+
+def random_profile(geom, seed):
+    """Unit-modulus profile with uniform random row and column phases."""
+    rng = np.random.default_rng(seed)
+    return PhaseProfile(
+        rng.uniform(0.0, 2.0 * math.pi, geom.m_count),
+        rng.uniform(0.0, 2.0 * math.pi, geom.n_count),
+    )
+
+
+def assume_clear_of_pattern_jumps(geom, legs):
+    """Skip cases in which a ray grazes an element or runs vertically.
+
+    There (u = 0 or sin phi = 0) the ray sits on a jump of the pattern
+    rules, which rounding decides either way, and u^q and sin(phi)^q are
+    ill-conditioned close to one.
+    """
+    pos = element_positions(geom)
+    normals = np.repeat(geom.normals, geom.n_count, axis=0)
+    for ants in legs:
+        diff = ants[None, :, :] - pos[:, None, :]
+        ray = diff / np.linalg.norm(diff, axis=2)[:, :, None]
+        assume(np.all(np.abs(np.einsum("lki,li->lk", ray, normals)) > 1e-4))
+        assume(np.all(1.0 - ray[:, :, 2] ** 2 > 1e-4))
+
+
 @st.composite
 def cascade_cases(draw):
     """A posed surface, two endpoints, K, q, beams and an amplitude scale.
 
-    Endpoints sit either in a random door-frame direction, behind the door
-    included, or close to the tangent plane of a random row, so that part of
-    the surface is lit and part is not; the distances stay clear of the
-    near-field guard and reach the relay gating range, where the phase runs
-    to about 14,000 turns of r / lambda.
+    The surface is no larger than the skeleton rank, so the cascade is
+    exact.  Endpoints come from ``draw_endpoint``; the distances stay clear
+    of the near-field guard and reach the relay gating range, where the
+    phase runs to about 14,000 turns of r / lambda.
     """
     m = 2 * draw(st.integers(1, 8))
     n = draw(st.integers(1, 12))
@@ -328,45 +441,19 @@ def cascade_cases(draw):
         side=draw(st.sampled_from(("left", "right"))),
     )
     geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
-    centre = element_positions(geom).mean(axis=0)
-
-    def endpoint():
-        if draw(st.booleans()):
-            local = AnglePair(draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.0, math.pi)))
-            local = local.direction()
-        else:
-            psi = geom.psi[draw(st.integers(0, m - 1))]
-            normal = np.array([math.cos(psi), 0.0, math.sin(psi)])
-            tangent = np.array([-math.sin(psi), 0.0, math.cos(psi)])
-            beta = draw(st.floats(-math.pi, math.pi))
-            local = (
-                draw(st.floats(-0.05, 0.05)) * normal
-                + math.cos(beta) * tangent
-                + math.sin(beta) * np.array([0.0, 1.0, 0.0])
-            )
-        local = local / np.linalg.norm(local)
-        return centre + draw(st.floats(0.3, MAX_RANGE_M)) * (pose.rotation() @ local)
-
+    distance = st.floats(0.3, MAX_RANGE_M)
+    p_t, p_r = draw_endpoint(draw, geom, distance), draw_endpoint(draw, geom, distance)
     k = draw(st.integers(1, 8))
     q = draw(st.sampled_from((0.0, 0.285, draw(st.floats(0.0, 3.0)))))
-    beams = [
-        np.array(
-            [
-                draw(st.sampled_from((0.0, draw(st.floats(1e-3, 3.0)))))
-                * np.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
-                for _ in range(k)
-            ]
-        )
-        for _ in range(2)
-    ]
+    f, w = draw_beams(draw, k)
     amp_scale = draw(st.floats(0.01, 1000.0))
-    return geom, endpoint(), endpoint(), k, q, beams[0], beams[1], amp_scale
+    return geom, p_t, p_r, k, q, f, w, amp_scale
 
 
 path_phase = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
 
 
-@given(cascade_cases(), st.tuples(path_phase, path_phase))
+@given(cascade_cases(), st.tuples(path_phase, path_phase), st.integers(0, 2**32 - 1))
 @example(
     # q / 2 underflows to 0, and every element is unlit for the one
     # weighted antenna: the entries must stay exact zeros
@@ -383,24 +470,15 @@ path_phase = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
         1.0,
     ),
     phases=(0.0, 0.0),
+    seed=0,
 )
 @settings(max_examples=200, deadline=None)
-def test_beamformed_cascade_matches_the_dense_oracle(case, phases):
+def test_beamformed_cascade_matches_the_dense_oracle(case, phases, seed):
     geom, p_t, p_r, k, q, f, w, amp_scale = case
-    spacing = LAM / 2.0
     pos = element_positions(geom)
-    normals = np.repeat(geom.normals, geom.n_count, axis=0)
-    legs = [antenna_positions(p, k, spacing) for p in (p_t, p_r)]
-    # A ray that grazes an element (u = 0) or runs vertically (sin phi = 0)
-    # sits on a jump of the pattern rules, which rounding decides either way,
-    # and u^q and sin(phi)^q are ill-conditioned close to one; keep clear.
-    for ants in legs:
-        diff = ants[None, :, :] - pos[:, None, :]
-        ray = diff / np.linalg.norm(diff, axis=2)[:, :, None]
-        assume(np.all(np.abs(np.einsum("lki,li->lk", ray, normals)) > 1e-4))
-        assume(np.all(1.0 - ray[:, :, 2] ** 2 > 1e-4))
+    assume_clear_of_pattern_jumps(geom, [antenna_positions(p, k, LAM / 2.0) for p in (p_t, p_r)])
     h_tc, h_cr = dense_cascaded_channels(geom, p_t, p_r, k, LAM, q, phases, amp_scale)
-    got = cascaded_channels(geom, p_t, p_r, k, LAM, f, w, q, phases, amp_scale)
+    got = kernel_segments(geom, p_t, p_r, k, LAM, f, w, q, phases, amp_scale)
     want = beamformed(geom, h_tc, h_cr, f, w)
     # rounding scales with the sum of the K terms' moduli, which random
     # beams can make far larger than the modulus of their sum
@@ -410,6 +488,10 @@ def test_beamformed_cascade_matches_the_dense_oracle(case, phases):
         # unlit elements are exact zeros in both
         assert np.array_equal(g == 0, w_ == 0)
         assert np.max(np.abs(g - w_), initial=0.0) <= 1e-10 * np.max(np.abs(e), initial=0.0)
+    # no larger than the skeleton, the factored product is the kernel's
+    left, right = cascaded_channels(geom, p_t, p_r, k, LAM, f, w, q, phases, amp_scale)
+    assert np.array_equal(left @ right, got[0] * got[1])
+    assert_scores_match(left, right, want, envelope, [random_profile(geom, seed)])
 
     # the near-field guard fires on the closest antenna-element pair of
     # either leg, at MIN_DISTANCE_WAVELENGTHS wavelengths
@@ -430,6 +512,56 @@ def test_beamformed_cascade_matches_the_dense_oracle(case, phases):
         cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q)
 
 
+@st.composite
+def skeleton_cases(draw):
+    """A surface larger than the skeleton rank, partly lit from near legs.
+
+    Both endpoints sit close to the tangent plane of a random row, the TxV
+    about 4 m out, where the door product's rank peaks, and the RxV near or
+    far; both door sides and the two simulated radii are drawn.
+    """
+    m = 2 * draw(st.integers(13, 80))
+    n = draw(st.integers(25, 160))
+    radius = draw(st.sampled_from((2.0, 8.0)))
+    pose = DoorPose(
+        position=vec3(draw(st.floats(-20.0, 20.0)), draw(st.floats(-100.0, 100.0)), 0.9),
+        side=draw(st.sampled_from(("left", "right"))),
+    )
+    geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
+    near = st.floats(3.5, 5.0)
+    p_t = draw_endpoint(draw, geom, near, tangent_only=True)
+    p_r = draw_endpoint(draw, geom, st.one_of(near, st.floats(5.0, MAX_RANGE_M)), True)
+    k = draw(st.integers(1, 8))
+    q = draw(st.sampled_from((0.0, 0.285, draw(st.floats(0.0, 3.0)))))
+    f, w = draw_beams(draw, k)
+    return geom, p_t, p_r, k, q, f, w
+
+
+@given(skeleton_cases(), st.tuples(path_phase, path_phase), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_factored_cascade_scores_large_surfaces_as_the_dense_oracle(case, phases, seed):
+    # the skeleton path runs, since its first rank is below min(M, N), and
+    # may double up to the exact product; the tuned, fixed and a random
+    # profile score its factors as they score the dense product
+    geom, p_t, p_r, k, q, f, w = case
+    assert SKELETON_RANK < min(geom.m_count, geom.n_count)
+    assume_clear_of_pattern_jumps(geom, [antenna_positions(p, k, LAM / 2.0) for p in (p_t, p_r)])
+    h_tc, h_cr = dense_cascaded_channels(geom, p_t, p_r, k, LAM, q, phases)
+    want = beamformed(geom, h_tc, h_cr, f, w)
+    envelope = beamformed(geom, np.abs(h_tc), np.abs(h_cr), np.abs(f), np.abs(w))
+    left, right = cascaded_channels(geom, p_t, p_r, k, LAM, f, w, q, phases)
+    centre = geom.pose.position
+    tuned = optimal_phase(
+        geom,
+        pose_local_angles(geom.pose, p_t - centre),
+        pose_local_angles(geom.pose, p_r - centre),
+        LAM,
+    )
+    cfg = SimConfig()
+    fixed = preconfigured_phase(geom, cfg.thetabar_rad, LAM, cfg.phibar_rad)
+    assert_scores_match(left, right, want, envelope, [tuned, fixed, random_profile(geom, seed)])
+
+
 def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
     # One antenna 16 m = 1024 wavelengths out along the normal of the
     # reference element, with weight -1: the phase is exactly pi, so the
@@ -443,7 +575,7 @@ def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
     assert np.linalg.norm(endpoint - element_positions(geom)[ref]) / lam == 1024.0
     assert abs(math.tan(0.5 * float(np.angle(-1.0)))) > 1e16
     f = w = np.array([-1.0 + 0.0j])
-    got = cascaded_channels(geom, endpoint, endpoint, 1, lam, f, w, Q)
+    got = kernel_segments(geom, endpoint, endpoint, 1, lam, f, w, Q)
     h_tc, h_cr = dense_cascaded_channels(geom, endpoint, endpoint, 1, lam, Q)
     want = beamformed(geom, h_tc, h_cr, f, w)
     envelope = beamformed(geom, np.abs(h_tc), np.abs(h_cr), np.abs(f), np.abs(w))
@@ -451,6 +583,54 @@ def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
         assert np.all(np.isfinite(g))
         assert abs(g[ref, 0]) > 0.0
         assert np.max(np.abs(g - w_)) <= 1e-10 * np.max(np.abs(e))
+    left, right = cascaded_channels(geom, endpoint, endpoint, 1, lam, f, w, Q)
+    assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+    assert np.array_equal(left @ right, got[0] * got[1])
+
+
+def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
+    # A full-size door whose element closest to the TxV lies on no row and no
+    # column that the cascade evaluates: the guard still fires at the edge
+    # the dense distances give, so it cannot take r_min from the subsets.
+    cfg = SimConfig()
+    d = cfg.element_spacing_m
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
+    geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, 2.0, d, d, pose)
+    m0, n0 = geom.m_count // 2, 100  # the reference row, normal along +x
+    pos = element_positions(geom)
+    p_t = pos[m0 * geom.n_count + n0] + vec3(4.0, 0.0, 0.0)
+    p_r = vec3(30.0, 60.0, 1.5)
+    k = 2
+    beam = np.ones(k, dtype=complex)
+
+    def nearest(lam):
+        ants = antenna_positions(p_t, k, lam / 2.0)
+        r = np.linalg.norm(pos[:, None, :] - ants[None, :, :], axis=2)
+        return float(np.min(r)), int(np.argmin(r)) // k
+
+    # fixed point of lambda = r_min(lambda) / MIN_DISTANCE_WAVELENGTHS (the
+    # RxV is far); r_min moves by (K - 1) / 4 per unit of lambda
+    edge = LAM
+    for _ in range(20):
+        edge = nearest(edge)[0] / MIN_DISTANCE_WAVELENGTHS
+    assert nearest(edge)[1] == m0 * geom.n_count + n0
+
+    views = []
+    kernel = channel._beamformed_segment
+
+    def recording(view, *args):
+        views.append(view)
+        return kernel(view, *args)
+
+    monkeypatch.setattr(channel, "_beamformed_segment", recording)
+    left, right = cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), beam, beam)
+    assert left.shape[1] < geom.n_count
+    for view in views:
+        row_seen = geom.psi[m0] in view.psi
+        column_seen = geom.column_offsets_local[n0] in view.column_offsets_local
+        assert not (row_seen and column_seen)
+    with pytest.raises(ValueError, match="wavelength model guard"):
+        cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), beam, beam)
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
 
 from conformal_v2v.cli import main
+from conformal_v2v.experiments import _git_revision
 
 TINY_SURFACE = [
     "--set", "m_elements=16",
@@ -145,6 +147,17 @@ def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
         assert snrs == sorted(snrs)
     _, summary = read_csv(tmp_path / "snr_summary.csv")
     assert len(summary) == 3
+    # the sidecars count the door cascades by rank: the whole 16 x 16
+    # surface is its own skeleton, and one point sums to the whole run
+    ranks = [
+        json.loads((tmp_path / f"snr_ecdf_{mode}_R2_rho30_rd50.json").read_text())
+        ["telemetry"]["cascade_ranks"]
+        for mode in ("direct", "with_irs", "with_ris")
+    ]
+    assert ranks[0] == ranks[1] == ranks[2]
+    assert list(ranks[0]) == ["exact"] and ranks[0]["exact"] > 0
+    summary_side = json.loads((tmp_path / "snr_summary.json").read_text())
+    assert summary_side["telemetry"]["cascade_ranks"] == ranks[0]
 
 
 def test_snr_ecdf_reruns_are_byte_identical(tmp_path):
@@ -245,8 +258,12 @@ def test_sidecars_record_package_and_library_versions(tmp_path):
 
     assert main(["scenario-dump", "--out-dir", str(tmp_path), "--seed", "3"]) == 0
     sidecar = json.loads((tmp_path / "scenario.json").read_text())
+    revision = _git_revision(Path(conformal_v2v.__file__).resolve().parent)
     assert sidecar["provenance"] == {
         "package": conformal_v2v.__version__,
         "numpy": np.__version__,
         "python": platform.python_version(),
+        "git": revision,
     }
+    # the revision is a 40-digit hex commit, or None outside a checkout
+    assert revision is None or re.fullmatch(r"[0-9a-f]{40}", revision)

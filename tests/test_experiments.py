@@ -3,6 +3,7 @@
 import json
 import math
 import re
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -25,6 +26,7 @@ from conformal_v2v.experiments import (
     SweepSpec,
     _blockage_trial,
     _fixed_profile,
+    _git_revision,
     _map_trials,
     _ranked_candidates,
     bootstrap_median_ci,
@@ -58,7 +60,8 @@ from conformal_v2v.scenario import (
     door_pose,
     generate_traffic,
 )
-from oracles import door_center, scene_from_vehicles
+from oracles import door_center, reflection_matrix, scene_from_vehicles
+from test_channel import kernel_segments
 
 LAM28 = 299_792_458.0 / 28e9
 
@@ -296,7 +299,7 @@ def test_blockage_sweep_orders_the_modes_pointwise():
 
 def test_snr_ecdf_modes_dominate_direct_samplewise():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert set(results) == {(m, 2.0, 30.0, 50.0) for m in MODES}
     direct = results[("direct", 2.0, 30.0, 50.0)].values
     irs = results[("with_irs", 2.0, 30.0, 50.0)].values
@@ -306,7 +309,7 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert np.all(irs >= direct - 1e-9)
     assert np.all(ris >= direct - 1e-9)
     assert np.all(ris >= irs - 1e-9)  # tuned profile can only beat a fixed one
-    again = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    again, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
 
 
@@ -321,10 +324,10 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
         return generate_scene(*args)
 
     monkeypatch.setattr(experiments, "generate_scene", counting_scene)
-    both = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    both, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
     assert len(scenes) == spec.trials
     for radius in (2.0, 8.0):
-        alone = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
+        alone, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
         for mode in MODES:
             key = (mode, radius, 40.0, 50.0)
             assert np.array_equal(both[key].values, alone[key].values)
@@ -365,12 +368,13 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
 
     monkeypatch.setattr(experiments, "cascaded_channels", no_cascade)
     cfg = tiny_config(trials=6)
-    results = run_snr_ecdf(
+    results, ranks = run_snr_ecdf(
         make_sweep("snr-ecdf", cfg, grid=(0.0,)),
         r_d_values=(50.0, 100.0),
         radius_values=(2.0,),
     )
     assert calls == []
+    assert all(not counts for counts in ranks.values())
     for r_d in (50.0, 100.0):
         direct = results[("direct", 2.0, 0.0, r_d)].values
         assert np.all(np.isfinite(direct))
@@ -406,7 +410,7 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     p_t, p_r = scen.p_t, scen.p_r
     f = steering_vector(cfg.k_antennas, azimuth(p_t, door))
     w = steering_vector(cfg.k_antennas, azimuth(door, p_r))
-    a, b = cascaded_channels(
+    left, right = cascaded_channels(
         geom, p_t, p_r, cfg.k_antennas, cfg.wavelength_m, f, w, cfg.q_pattern,
         amp_scale=cfg.cascade_amp_scale,
     )
@@ -416,15 +420,82 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         pose_local_angles(pose, p_r - door),
         cfg.wavelength_m,
     )
-    p_tuned = abs(tuned.weighted_sum(b * a)) ** 2
-    p_fixed = abs(_fixed_profile(cfg, geom).weighted_sum(b * a)) ** 2
+    p_tuned = abs(tuned.weighted_sum(left, right)) ** 2
+    p_fixed = abs(_fixed_profile(cfg, geom).weighted_sum(left, right)) ** 2
     shortfall_db = 10.0 * math.log10(p_tuned / p_fixed)
     assert shortfall_db <= 3.0
 
 
+def test_factored_cascade_scores_seeded_full_size_doors():
+    # the nearest relay doors of seeded full-size trials, at both radii:
+    # each profile scores the skeleton's factors as it scores the product of
+    # the kernel's segments over the whole surface, within 1e-10 of sum|s|
+    cfg = SimConfig()
+    lam, k, d = cfg.wavelength_m, cfg.k_antennas, cfg.element_spacing_m
+    height = cfg.door_center_height_m
+    rng = np.random.default_rng(14)
+    doors = 0
+    for trial in range(2):
+        scen = generate_scene(cfg, 40.0, 100.0, trial_rng(9, trial))
+        relays = _ranked_candidates(
+            scen, candidate_relays_ris(scen, cfg.max_range_m, height), height, 1
+        )
+        p_t, p_r = scen.p_t, scen.p_r
+        for (_, side), door in zip(relays, scen.door_points(relays, height)):
+            pose = door_pose(door, side, cfg.n_elements, d)
+            f = steering_vector(k, azimuth(p_t, door))
+            w = steering_vector(k, azimuth(door, p_r))
+            phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 2))
+            for radius in (2.0, 8.0):
+                geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d, pose)
+                left, right = cascaded_channels(
+                    geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases
+                )
+                assert left.shape[1] < cfg.n_elements
+                a, b = kernel_segments(geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases)
+                product = (a * b).ravel()
+                tuned = optimal_phase(
+                    geom,
+                    pose_local_angles(pose, p_t - door),
+                    pose_local_angles(pose, p_r - door),
+                    lam,
+                )
+                for prof in (tuned, _fixed_profile(cfg, geom)):
+                    want = np.sum(reflection_matrix(prof.phases_raw) * product)
+                    got = prof.weighted_sum(left, right)
+                    assert abs(got - want) <= 1e-10 * float(np.sum(np.abs(product)))
+                doors += 1
+    assert doors == 4
+
+
+def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch):
+    # a 64 x 64 surface takes the skeleton path: every cascaded door counts
+    # once under its rank, and a process pool sums to the same counts
+    cfg = tiny_config(m_elements=64, n_elements=64, cascade_amp_scale=39.0625, trials=4)
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
+    calls = Counter()
+    cascade = experiments.cascaded_channels
+
+    def counting(geometry, *args, **kwargs):
+        calls[geometry.radius] += 1
+        return cascade(geometry, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "cascaded_channels", counting)
+    _, ranks = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    assert set(ranks) == {(2.0, 40.0, 50.0), (8.0, 40.0, 50.0)}
+    for (radius, _, _), counts in ranks.items():
+        assert sum(counts.values()) == calls[radius] > 0
+        assert counts["24"] > 0 and set(counts) <= {"24", "48", "exact"}
+
+    monkeypatch.setattr(experiments, "cascaded_channels", cascade)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
+    assert run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))[1] == ranks
+
+
 def test_snr_summary_reports_medians_with_intervals():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     rows = snr_summary(results, seed=spec.config.seed)
     assert len(rows) == len(results)
     for row in rows:
@@ -467,6 +538,39 @@ def test_csv_and_sidecar_round_trip(tmp_path):
     assert payload["kind"] == "unit"
     assert payload["config"]["m_elements"] == 400
     assert side.name == "t.json"
+
+
+def test_git_revision_is_read_from_the_checkout_files(tmp_path):
+    main_sha, dev_sha, loose_sha = "1f" * 20, "a0" * 20, "c3" * 20
+    git = tmp_path / "repo" / ".git"
+    (git / "refs" / "heads").mkdir(parents=True)
+    inside = tmp_path / "repo" / "src" / "pkg"
+    inside.mkdir(parents=True)
+    (git / "HEAD").write_text("ref: refs/heads/main\n")
+    (git / "packed-refs").write_text(
+        "# pack-refs with: peeled fully-peeled sorted\n"
+        f"{dev_sha} refs/heads/dev\n{main_sha} refs/heads/main\n"
+    )
+    assert _git_revision(inside) == main_sha
+    # a loose ref file is newer than packed-refs
+    (git / "refs" / "heads" / "main").write_text(loose_sha + "\n")
+    assert _git_revision(inside) == loose_sha
+    # a linked worktree names its git directory in a .git file and finds
+    # the shared refs through commondir
+    worktree = tmp_path / "worktree"
+    private = git / "worktrees" / "worktree"
+    private.mkdir(parents=True)
+    worktree.mkdir()
+    (worktree / ".git").write_text(f"gitdir: {private}\n")
+    (private / "HEAD").write_text("ref: refs/heads/dev\n")
+    (private / "commondir").write_text("../..\n")
+    assert _git_revision(worktree) == dev_sha
+    # a detached HEAD is the revision itself; an unborn branch has none
+    (git / "HEAD").write_text(main_sha + "\n")
+    assert _git_revision(inside) == main_sha
+    (git / "HEAD").write_text("ref: refs/heads/unborn\n")
+    assert _git_revision(inside) is None
+    assert _git_revision(tmp_path / "elsewhere") is None
 
 
 @given(

@@ -139,21 +139,33 @@ def test_profile_coefficients_are_wrap_invariant(x):
     assert reflection_matrix(a.phases_raw) == pytest.approx(
         reflection_matrix(b.phases_raw), abs=1e-12
     )
-    values = np.array([[1.0 + 2.0j, -0.5j]])
-    assert a.weighted_sum(values) == pytest.approx(b.weighted_sum(values), abs=1e-12)
+    left, right = np.array([[1.0 + 2.0j]]), np.array([[1.0, -0.5j]])
+    assert a.weighted_sum(left, right) == pytest.approx(b.weighted_sum(left, right), abs=1e-12)
 
 
-@given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1)
+)
 @settings(max_examples=50, deadline=None)
-def test_weighted_sum_matches_the_dense_coefficients(m, n, seed):
+def test_weighted_sum_matches_the_dense_coefficients(m, n, r, seed):
     rng = np.random.default_rng(seed)
     prof = PhaseProfile(rng.uniform(-300.0, 300.0, m), rng.uniform(-300.0, 300.0, n))
-    values = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    left = rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))
+    right = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    values = left @ right
     want = np.sum(values.ravel() * reflection_matrix(prof.phases_raw))
     scale = float(np.sum(np.abs(values)))
-    assert abs(prof.weighted_sum(values) - want) <= 1e-12 * scale
-    with pytest.raises(ValueError):
-        prof.weighted_sum(np.zeros((m + 1, n)))
+    assert abs(prof.weighted_sum(left, right) - want) <= 1e-12 * scale
+    # a dense (M, N) array is its own left factor over the identity
+    assert abs(prof.weighted_sum(values, np.eye(n)) - want) <= 1e-12 * scale
+    for bad in (
+        (np.zeros((m + 1, r)), right),
+        (left, np.zeros((r, n + 1))),
+        (left, np.zeros((r + 1, n))),
+        (values.ravel(), np.eye(n)),
+    ):
+        with pytest.raises(ValueError):
+            prof.weighted_sum(*bad)
 
 
 def test_profile_validation():
