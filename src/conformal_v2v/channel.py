@@ -33,14 +33,12 @@ TWO_PI = 2.0 * math.pi
 # a few wavelengths to the nearest element
 MIN_DISTANCE_WAVELENGTHS = 10.0
 
-# pseudo-skeleton of a door's cascade product (``_skeleton``): the rank it
-# starts at, the probe columns that check it, the residual on them, relative
-# to their norm, at which the rank stops doubling, and the rcond of the
-# least-squares solve against the skeleton's core
+# skeleton of a door's cascade product (``_skeleton``): the number of
+# columns it starts from, the probe columns that check it, and the residual
+# on them, relative to their norm, at which the column count stops doubling
 SKELETON_RANK = 24
 SKELETON_PROBES = 4
 SKELETON_TOL = 1e-11
-SKELETON_RCOND = 1e-13
 
 
 def mean_pathloss_db(distance_m: float, f_ghz: float) -> float:
@@ -221,7 +219,7 @@ def cascaded_channels(
     with s ~ left @ right, left (M, r) and right (r, N).  s is numerically
     low-rank: an element's squared distance to an antenna is a row term plus
     a column term, and only their mixed curvature adds rank.  So s is taken
-    from a pseudo-skeleton (see ``_skeleton``) whose entries come from
+    from a skeleton (see ``_skeleton``) whose entries come from
     ``_beamformed_segment`` on row and column subsets of the surface; the
     dense matrices are never built.  The near-field guard takes the closest
     antenna-element pair over every element of the surface
@@ -262,19 +260,20 @@ def cascaded_channels(
 def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
     """(left, right) with ``product(geometry)`` ~ left @ right, from subsets.
 
-    Pseudo-skeleton approximation (Goreinov, Tyrtyshnikov and Zamarashkin,
-    Linear Algebra Appl. 261, 1997): with r evenly spaced columns J and rows
-    I, left = s[:, J] and right = pinv(s[I, J]) s[I, :], taken as the
-    least-squares solution of s[I, J] right = s[I, :] with the core's
-    singular values below SKELETON_RCOND of its largest dropped.  (Forming
-    pinv(s[I, J]) first would amplify rounding by the inverse of those
-    singular values.)  ``product`` evaluates s on row- or
-    column-subset views of the surface.  The columns of s are smooth in n,
-    since lighting depends on the row and the antenna only; its rows are
-    not, so J is checked on SKELETON_PROBES columns between those of J.
-    While their residual exceeds SKELETON_TOL of their norm, r doubles from
-    SKELETON_RANK.  Once r reaches min(M, N) the skeleton is the whole
-    surface and the product is exact: (s, I) or (I, s).
+    A CUR-type skeleton whose rows are chosen by the discrete empirical
+    interpolation method (DEIM: Chaturantabut and Sorensen, SIAM J. Sci.
+    Comput. 32, 2010; for CUR, Sorensen and Embree, SIAM J. Sci. Comput. 38,
+    2016).  ``product`` evaluates s on row- or column-subset views of the
+    surface.  The columns of s are smooth in n, since lighting depends on the
+    row and the antenna only, so r evenly spaced columns J span them: left =
+    U, the left singular vectors of s[:, J] whose singular values exceed
+    SKELETON_TOL / 10 of the largest (an all-zero product keeps none).  DEIM
+    picks one row of s per column of U, so U[I] is square and well
+    conditioned, and right = U[I]^{-1} s[I, :] interpolates s on those rows.
+    The rows of s are not smooth, so J is checked on SKELETON_PROBES columns
+    between those of J.  While their residual exceeds SKELETON_TOL of their
+    norm, r doubles from SKELETON_RANK.  Once r reaches min(M, N) the
+    skeleton is the whole surface and the product is exact: (s, I) or (I, s).
     """
     m, n = geometry.m_count, geometry.n_count
     rank = SKELETON_RANK
@@ -284,9 +283,10 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
         mids = (cols[gaps] + cols[gaps + 1]) // 2
         probes = mids[_spread(mids.size, min(SKELETON_PROBES, mids.size))]
         s_cols = product(_column_view(geometry, np.concatenate([cols, probes])))
-        s_rows = product(_row_view(geometry, _spread(m, rank)))
-        left = s_cols[:, :rank]
-        right = np.linalg.lstsq(s_rows[:, cols], s_rows, rcond=SKELETON_RCOND)[0]
+        u, sigma, _ = np.linalg.svd(s_cols[:, :rank], full_matrices=False)
+        left = u[:, sigma > 0.1 * SKELETON_TOL * sigma[0]]
+        rows = _deim(left)
+        right = np.linalg.solve(left[rows], product(_row_view(geometry, rows)))
         probed = s_cols[:, rank:]
         residual = np.linalg.norm(probed - left @ right[:, probes])
         if residual <= SKELETON_TOL * np.linalg.norm(probed):
@@ -295,6 +295,21 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
     if n <= m:
         return product(geometry), np.eye(n)
     return np.eye(m), product(geometry)
+
+
+def _deim(basis: np.ndarray) -> np.ndarray:
+    """DEIM row indices of an orthonormal (M, r) basis, one per column.
+
+    Each column's interpolation error on the rows picked so far is the
+    column minus its interpolant from the previous columns, and the next
+    row is where that error is largest.
+    """
+    rows = np.empty(basis.shape[1], dtype=int)
+    for j in range(basis.shape[1]):
+        picked = rows[:j]
+        coef = np.linalg.solve(basis[picked, :j], basis[picked, j])
+        rows[j] = np.argmax(np.abs(basis[:, j] - basis[:, :j] @ coef))
+    return rows
 
 
 def _spread(count: int, k: int) -> np.ndarray:

@@ -20,8 +20,10 @@ import os
 import platform
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import partial
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -128,21 +130,55 @@ def _run_trial(worker, point: str, trial: int):
         raise ValueError(f"{point}, trial {trial}: {exc}") from exc
 
 
-def _map_trials(worker, n_trials: int, threads: int, point: str) -> list:
-    """worker(trial_index) over range(n_trials), optionally process-parallel.
+def _map_trials(points, n_trials: int, threads: int) -> list[list]:
+    """worker(trial) over range(n_trials) for each (point, worker) of ``points``.
 
-    Results come back in trial order either way, so reductions see the same
-    sequence regardless of scheduling.  At most one worker process runs per
-    core and per trial.  A trial that raises aborts the sweep with a
-    ValueError naming the sweep ``point`` and the trial index.
+    Returns one list of n_trials results per point, in trial order whether
+    the trials run here or in a process pool, so reductions see the same
+    sequence regardless of scheduling.  Every point of a sweep shares one
+    pool of at most one worker process per core and per trial; each worker
+    is spawned fresh and runs BLAS on one thread (``_one_blas_thread``).  A
+    trial that raises aborts the sweep with a ValueError naming its
+    ``point`` and the trial index.
     """
-    run = partial(_run_trial, worker, point)
-    workers = min(threads, os.cpu_count() or 1, n_trials)
-    if workers <= 1:
-        return [run(i) for i in range(n_trials)]
-    chunk = max(1, n_trials // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(n_trials), chunksize=chunk))
+    workers = [worker for _, worker in points for _ in range(n_trials)]
+    labels = [point for point, _ in points for _ in range(n_trials)]
+    trials = [trial for _ in points for trial in range(n_trials)]
+    processes = min(threads, os.cpu_count() or 1, n_trials)
+    if processes <= 1:
+        flat = list(map(_run_trial, workers, labels, trials))
+    else:
+        chunk = max(1, len(trials) // (processes * 8))
+        with _one_blas_thread(), ProcessPoolExecutor(
+            max_workers=processes, mp_context=get_context("spawn")
+        ) as pool:
+            flat = list(pool.map(_run_trial, workers, labels, trials, chunksize=chunk))
+    return [flat[k * n_trials : (k + 1) * n_trials] for k in range(len(points))]
+
+
+# thread-count variables of OpenBLAS, OpenMP and MKL
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread():
+    """Set the BLAS thread counts to 1 for the processes spawned inside, then restore them.
+
+    A BLAS library reads its thread count once, when it loads, so this acts
+    on freshly spawned worker processes and not on this one (a forked worker
+    would inherit this process's loaded BLAS).  With several threads each,
+    workers that fill the cores spin on each other's cores.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARIABLES}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
 
 def generate_scene(
@@ -316,27 +352,27 @@ def run_blockage_sweep(
 ) -> list[dict]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals."""
     cfg = spec.config
+    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
+    points = [
+        (f"blockage rho={rho:g} r_d={r_d:g}", partial(_blockage_trial, cfg, rho, r_d, cfg.seed))
+        for rho, r_d in grid
+    ]
     rows = []
-    for rho in spec.grid:
-        for r_d in r_d_values:
-            worker = partial(_blockage_trial, cfg, float(rho), float(r_d), cfg.seed)
-            flags = _map_trials(
-                worker, spec.trials, cfg.threads, f"blockage rho={rho:g} r_d={r_d:g}"
+    for (rho, r_d), flags in zip(grid, _map_trials(points, spec.trials, cfg.threads)):
+        counts = [sum(f[i] for f in flags) for i in range(3)]
+        for mode, blocked in zip(MODES, counts):
+            lo, hi = wilson_interval(blocked, spec.trials)
+            rows.append(
+                {
+                    "rho": rho,
+                    "r_d": r_d,
+                    "mode": mode,
+                    "p_block": blocked / spec.trials,
+                    "ci_low": lo,
+                    "ci_high": hi,
+                    "trials": spec.trials,
+                }
             )
-            counts = [sum(f[i] for f in flags) for i in range(3)]
-            for mode, blocked in zip(MODES, counts):
-                lo, hi = wilson_interval(blocked, spec.trials)
-                rows.append(
-                    {
-                        "rho": float(rho),
-                        "r_d": float(r_d),
-                        "mode": mode,
-                        "p_block": blocked / spec.trials,
-                        "ci_low": lo,
-                        "ci_high": hi,
-                        "trials": spec.trials,
-                    }
-                )
     return rows
 
 
@@ -413,7 +449,7 @@ def _snr_trial(
     config: SimConfig, surfaces, rho: float, r_d: float, seed: int, trial: int
 ) -> tuple[list[tuple[float, float, float]], list[Counter]]:
     """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface,
-    and per surface the count of door cascades at each skeleton rank.
+    and per surface the count of door cascades at each numerical rank.
 
     The scene, gating, blocker counts, direct link, and each door's beams,
     blockage draws and leg path phases (xi_t, xi_r) come once; every
@@ -519,7 +555,7 @@ def _snr_trial(
 
 
 def _rank_label(geometry, left: np.ndarray) -> str:
-    """Skeleton rank of a factored door product, "exact" at min(M, N)."""
+    """Numerical rank a door's skeleton kept, "exact" for the whole surface at min(M, N)."""
     rank = left.shape[1]
     return "exact" if rank == min(geometry.m_count, geometry.n_count) else str(rank)
 
@@ -537,8 +573,9 @@ def run_snr_ecdf(
     rho values come from spec.grid.  Each trial is one scene scored at every
     radius (see ``_snr_trial``); the element layout and fixed profile of
     each radius are built once here.  The second dict counts, summed over
-    the trials of every worker process, how many door cascades used each
-    skeleton rank ("exact" when the skeleton is the whole surface).
+    the trials of every worker process, how many door cascades kept each
+    numerical rank in their skeleton ("exact" when the skeleton is the whole
+    surface).
     """
     cfg = spec.config
     d = cfg.element_spacing_m
@@ -548,19 +585,20 @@ def run_snr_ecdf(
         surfaces.append((layout, _fixed_profile(cfg, layout)))
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
     ranks: dict[tuple[float, float, float], Counter] = {}
-    for rho in spec.grid:
-        for r_d in r_d_values:
-            worker = partial(_snr_trial, cfg, surfaces, float(rho), float(r_d), cfg.seed)
-            point = f"snr-ecdf rho={rho:g} r_d={r_d:g}"
-            trials = _map_trials(worker, spec.trials, cfg.threads, point)
-            samples = np.array([snrs for snrs, _ in trials])
-            for i, radius in enumerate(radius_values):
-                ranks[(float(radius), float(rho), float(r_d))] = sum(
-                    (counts[i] for _, counts in trials), Counter()
-                )
-                for col, mode in enumerate(MODES):
-                    key = (mode, float(radius), float(rho), float(r_d))
-                    results[key] = EcdfResult(values=samples[:, i, col])
+    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
+    points = [
+        (
+            f"snr-ecdf rho={rho:g} r_d={r_d:g}",
+            partial(_snr_trial, cfg, surfaces, rho, r_d, cfg.seed),
+        )
+        for rho, r_d in grid
+    ]
+    for (rho, r_d), trials in zip(grid, _map_trials(points, spec.trials, cfg.threads)):
+        samples = np.array([snrs for snrs, _ in trials])
+        for i, radius in enumerate(radius_values):
+            ranks[(float(radius), rho, r_d)] = sum((counts[i] for _, counts in trials), Counter())
+            for col, mode in enumerate(MODES):
+                results[(mode, float(radius), rho, r_d)] = EcdfResult(values=samples[:, i, col])
     return results, ranks
 
 
@@ -619,12 +657,8 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     worker = partial(
         _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.config.seed
     )
-    parts = _map_trials(
-        worker,
-        spec.trials,
-        spec.config.threads,
-        f"angle-pdf rho={rho:g} r_d={spec.config.link_distance_m:g}",
-    )
+    point = f"angle-pdf rho={rho:g} r_d={spec.config.link_distance_m:g}"
+    parts = _map_trials([(point, worker)], spec.trials, spec.config.threads)[0]
     elev = np.array([v for p in parts for v in p[0]])
     azim = np.array([v for p in parts for v in p[1]])
     if elev.size == 0:

@@ -592,6 +592,9 @@ def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
     # A full-size door whose element closest to the TxV lies on no row and no
     # column that the cascade evaluates: the guard still fires at the edge
     # the dense distances give, so it cannot take r_min from the subsets.
+    # The RxV is behind the door, so the product is zero and the skeleton
+    # evaluates no row at all: its rows are picked from the product, and on
+    # a lit door they include the brightest, closest one.
     cfg = SimConfig()
     d = cfg.element_spacing_m
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
@@ -599,7 +602,7 @@ def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
     m0, n0 = geom.m_count // 2, 100  # the reference row, normal along +x
     pos = element_positions(geom)
     p_t = pos[m0 * geom.n_count + n0] + vec3(4.0, 0.0, 0.0)
-    p_r = vec3(30.0, 60.0, 1.5)
+    p_r = vec3(-30.0, 60.0, 1.5)
     k = 2
     beam = np.ones(k, dtype=complex)
 
@@ -625,12 +628,31 @@ def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
     monkeypatch.setattr(channel, "_beamformed_segment", recording)
     left, right = cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), beam, beam)
     assert left.shape[1] < geom.n_count
+    assert views
     for view in views:
         row_seen = geom.psi[m0] in view.psi
         column_seen = geom.column_offsets_local[n0] in view.column_offsets_local
         assert not (row_seen and column_seen)
     with pytest.raises(ValueError, match="wavelength model guard"):
         cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), beam, beam)
+
+
+def test_unlit_large_surface_factors_to_a_zero_product():
+    # both endpoints behind a door larger than the skeleton: every element
+    # is unlit, so the product is zero, and its factors are finite and
+    # multiply to exactly zero
+    cfg = SimConfig()
+    d = cfg.element_spacing_m
+    pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
+    geom = build_cirs_geometry(64, 48, 2.0, d, d, pose)
+    assert SKELETON_RANK < min(geom.m_count, geom.n_count)
+    p_t, p_r = vec3(-5.0, -3.0, 1.5), vec3(-30.0, 60.0, 1.5)
+    k = 4
+    f, w = steering_vector(k, 0.3), steering_vector(k, -1.2)
+    left, right = cascaded_channels(geom, p_t, p_r, k, LAM, f, w, Q, (0.4, 2.5))
+    assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
+    assert np.array_equal(left @ right, np.zeros((geom.m_count, geom.n_count)))
+    assert preconfigured_phase(geom, 0.0, LAM).weighted_sum(left, right) == 0.0
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

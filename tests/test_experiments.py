@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import re
 from collections import Counter
 from functools import partial
@@ -11,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_v2v import experiments
+from conformal_v2v import channel, experiments
 from conformal_v2v.channel import (
+    SKELETON_RANK,
     cascaded_channels,
     channel_gain_elevation,
     steering_vector,
@@ -101,10 +103,36 @@ def test_trial_rng_substreams_are_stable_and_distinct():
 
 
 def test_process_pool_matches_the_sequential_trial_order():
-    worker = partial(_blockage_trial, SimConfig(), 30.0, 100.0, 0)
-    seq = _map_trials(worker, 24, threads=1, point="rho=30")
-    par = _map_trials(worker, 24, threads=2, point="rho=30")
+    # two points share one pool and come back per point, in trial order
+    points = [
+        (f"seed={seed}", partial(_blockage_trial, SimConfig(), 30.0, 100.0, seed))
+        for seed in (0, 1)
+    ]
+    seq = _map_trials(points, 24, threads=1)
+    par = _map_trials(points, 24, threads=2)
     assert seq == par
+    assert seq[1] == [points[1][1](trial) for trial in range(24)]
+
+
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def blas_threads_of_process(trial):
+    """The process id and BLAS thread-count variables a trial runs with."""
+    return os.getpid(), tuple(os.environ.get(name) for name in BLAS_THREAD_VARIABLES)
+
+
+def test_pool_workers_run_blas_on_one_thread(monkeypatch):
+    # a pooled sweep's workers see one BLAS thread whatever the parent set,
+    # and the parent's environment is left as it was
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    (out,) = _map_trials([("rho=30", blas_threads_of_process)], 4, threads=2)
+    assert dict(os.environ) == before
+    assert all(pid != os.getpid() for pid, _ in out)
+    assert [variables for _, variables in out] == [("1", "1", "1")] * 4
 
 
 @pytest.mark.parametrize(
@@ -126,7 +154,7 @@ def test_worker_count_is_clamped_to_cores_and_trials(
     class RecordingPool:
         """Records the requested worker count and maps in this process."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             started.append(max_workers)
 
         def __enter__(self):
@@ -135,13 +163,13 @@ def test_worker_count_is_clamped_to_cores_and_trials(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, iterable, chunksize=1):
+        def map(self, fn, *iterables, chunksize=1):
             assert chunksize >= 1
-            return map(fn, iterable)
+            return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
-    out = _map_trials(lambda i: i * i, n_trials, threads, point="rho=30")
+    (out,) = _map_trials([("rho=30", lambda i: i * i)], n_trials, threads)
     assert out == [i * i for i in range(n_trials)]
     assert started == ([] if workers is None else [workers])
 
@@ -153,7 +181,7 @@ def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch
         return trial
 
     with pytest.raises(ValueError, match=r"^rho=10, trial 3: antenna-element") as info:
-        _map_trials(worker, 5, 1, point="rho=10")
+        _map_trials([("rho=10", worker)], 5, 1)
     assert isinstance(info.value.__cause__, ValueError)
     assert "model guard" in str(info.value.__cause__)
 
@@ -426,15 +454,25 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     assert shortfall_db <= 3.0
 
 
-def test_factored_cascade_scores_seeded_full_size_doors():
+def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
     # the nearest relay doors of seeded full-size trials, at both radii:
     # each profile scores the skeleton's factors as it scores the product of
-    # the kernel's segments over the whole surface, within 1e-10 of sum|s|
+    # the kernel's segments over the whole surface, within 1e-10 of sum|s|;
+    # every door stops at the first skeleton, one column pass of
+    # SKELETON_RANK columns, without doubling
+    column_view = channel._column_view
     cfg = SimConfig()
     lam, k, d = cfg.wavelength_m, cfg.k_antennas, cfg.element_spacing_m
     height = cfg.door_center_height_m
     rng = np.random.default_rng(14)
     doors = 0
+    column_views = []
+
+    def recording(geometry, cols):
+        column_views.append(cols)
+        return column_view(geometry, cols)
+
+    monkeypatch.setattr(channel, "_column_view", recording)
     for trial in range(2):
         scen = generate_scene(cfg, 40.0, 100.0, trial_rng(9, trial))
         relays = _ranked_candidates(
@@ -448,10 +486,12 @@ def test_factored_cascade_scores_seeded_full_size_doors():
             phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 2))
             for radius in (2.0, 8.0):
                 geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d, pose)
+                column_views.clear()
                 left, right = cascaded_channels(
                     geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases
                 )
-                assert left.shape[1] < cfg.n_elements
+                assert left.shape[1] <= SKELETON_RANK
+                assert len(column_views) == 1
                 a, b = kernel_segments(geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases)
                 product = (a * b).ravel()
                 tuned = optimal_phase(
@@ -470,7 +510,9 @@ def test_factored_cascade_scores_seeded_full_size_doors():
 
 def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch):
     # a 64 x 64 surface takes the skeleton path: every cascaded door counts
-    # once under its rank, and a process pool sums to the same counts
+    # once under the numerical rank its skeleton kept, which is below
+    # SKELETON_RANK for these low-rank doors, and a process pool sums to the
+    # same counts
     cfg = tiny_config(m_elements=64, n_elements=64, cascade_amp_scale=39.0625, trials=4)
     spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
     calls = Counter()
@@ -485,7 +527,7 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
     assert set(ranks) == {(2.0, 40.0, 50.0), (8.0, 40.0, 50.0)}
     for (radius, _, _), counts in ranks.items():
         assert sum(counts.values()) == calls[radius] > 0
-        assert counts["24"] > 0 and set(counts) <= {"24", "48", "exact"}
+        assert set(counts) <= {str(rank) for rank in range(1, SKELETON_RANK)}
 
     monkeypatch.setattr(experiments, "cascaded_channels", cascade)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
