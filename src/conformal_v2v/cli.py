@@ -145,7 +145,7 @@ def _cmd_blockage(args) -> int:
     config = _resolve(args)
     spec = make_sweep("blockage", config, grid=tuple(args.rho) or None)
     r_d_values = tuple(args.r_d) or DEFAULT_R_D_M
-    rows = run_blockage_sweep(spec, r_d_values=r_d_values)
+    rows, telemetry = run_blockage_sweep(spec, r_d_values=r_d_values)
     for row in rows:
         print(
             f"rho={row['rho']:g} r_d={row['r_d']:g} {row['mode']}: "
@@ -154,7 +154,9 @@ def _cmd_blockage(args) -> int:
         )
     _finish(args, config, "blockage.csv",
             ["rho", "r_d", "mode", "p_block", "ci_low", "ci_high", "trials"], rows,
-            {"experiment": "blockage", "r_d_values": list(r_d_values)})
+            {"experiment": "blockage", "r_d_values": list(r_d_values),
+             "telemetry": [{"rho": rho, "r_d": r_d, **counts}
+                           for (rho, r_d), counts in telemetry.items()]})
     return 0
 
 

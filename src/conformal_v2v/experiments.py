@@ -50,6 +50,7 @@ from .scenario import (
     candidate_relays_ris,
     count_blockers,
     door_pose,
+    draw_scenes,
     generate_traffic,
 )
 
@@ -122,38 +123,58 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _run_trial(worker, point: str, trial: int):
-    """worker(trial), re-raising a failure as a ValueError naming point and trial."""
+def _run_trial(worker, point: str, trial: int | range):
+    """worker(trial), re-raising a failure as a ValueError naming point and trial.
+
+    ``trial`` is a trial index, or a range of trials that the worker runs as
+    one chunk.  A chunk that raises runs again one trial at a time, so the
+    error names, and chains from, the first trial that fails on its own (the
+    chunk's first trial, with the chunk's error, if none does).
+    """
     try:
         return worker(trial)
     except Exception as exc:
+        if isinstance(trial, range):
+            if len(trial) > 1:
+                for one in trial:
+                    _run_trial(worker, point, range(one, one + 1))
+            trial = trial[0]
         raise ValueError(f"{point}, trial {trial}: {exc}") from exc
 
 
-def _map_trials(points, n_trials: int, threads: int) -> list[list]:
+def _map_trials(
+    points, n_trials: int, threads: int, chunk: int | None = None
+) -> list[list]:
     """worker(trial) over range(n_trials) for each (point, worker) of ``points``.
 
-    Returns one list of n_trials results per point, in trial order whether
-    the trials run here or in a process pool, so reductions see the same
-    sequence regardless of scheduling.  Every point of a sweep shares one
-    pool of at most one worker process per core and per trial; each worker
+    With ``chunk``, each worker takes a range of up to ``chunk`` consecutive
+    trials in place of one trial, and returns one result for the range.
+    Returns one list of results per point, in trial order whether the trials
+    run here or in a process pool, so reductions see the same sequence
+    regardless of scheduling.  Every point of a sweep shares one pool of at
+    most one worker process per core and per trial (or chunk); each worker
     is spawned fresh and runs BLAS on one thread (``_one_blas_thread``).  A
     trial that raises aborts the sweep with a ValueError naming its
-    ``point`` and the trial index.
+    ``point`` and the trial index (``_run_trial``).
     """
-    workers = [worker for _, worker in points for _ in range(n_trials)]
-    labels = [point for point, _ in points for _ in range(n_trials)]
-    trials = [trial for _ in points for trial in range(n_trials)]
-    processes = min(threads, os.cpu_count() or 1, n_trials)
+    if chunk is None:
+        items: list = list(range(n_trials))
+    else:
+        items = [range(t, min(t + chunk, n_trials)) for t in range(0, n_trials, chunk)]
+    n_items = len(items)
+    workers = [worker for _, worker in points for _ in items]
+    labels = [point for point, _ in points for _ in items]
+    trials = [item for _ in points for item in items]
+    processes = min(threads, os.cpu_count() or 1, n_items)
     if processes <= 1:
         flat = list(map(_run_trial, workers, labels, trials))
     else:
-        chunk = max(1, len(trials) // (processes * 8))
+        chunksize = max(1, len(trials) // (processes * 8))
         with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=processes, mp_context=get_context("spawn")
         ) as pool:
-            flat = list(pool.map(_run_trial, workers, labels, trials, chunksize=chunk))
-    return [flat[k * n_trials : (k + 1) * n_trials] for k in range(len(points))]
+            flat = list(pool.map(_run_trial, workers, labels, trials, chunksize=chunksize))
+    return [flat[k * n_items : (k + 1) * n_items] for k in range(len(points))]
 
 
 # thread-count variables of OpenBLAS, OpenMP and MKL
@@ -181,17 +202,20 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def generate_scene(
-    config: SimConfig, rho: float, r_d: float, rng: np.random.Generator | int
-) -> Scenario:
-    """One traffic scene on the configured road and vehicles (see generate_traffic)."""
-    road = RoadConfig(
+def _road(config: SimConfig) -> RoadConfig:
+    return RoadConfig(
         length=config.road_length_m,
         n_lanes=config.n_lanes,
         lane_width=config.lane_width_m,
     )
+
+
+def generate_scene(
+    config: SimConfig, rho: float, r_d: float, rng: np.random.Generator | int
+) -> Scenario:
+    """One traffic scene on the configured road and vehicles (see generate_traffic)."""
     return generate_traffic(
-        road,
+        _road(config),
         rho,
         rng,
         link_distance_m=r_d,
@@ -337,30 +361,71 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _blockage_trial(
-    config: SimConfig, rho: float, r_d: float, seed: int, trial: int
-) -> tuple[bool, bool, bool]:
-    """(direct, with_irs, with_ris) blockage flags for one shared scene."""
-    scen = generate_scene(config, rho, r_d, trial_rng(seed, trial))
-    return blocked_modes(
-        scen, config.door_length_m, config.door_center_height_m, config.max_range_m
+# trials a blockage worker draws, gates and blockage-tests as one chunk of
+# scenes, so each numpy call of those passes serves this many trials
+BLOCKAGE_CHUNK = 25
+
+
+def _blockage_chunk(
+    config: SimConfig, rho: float, r_d: float, seed: int, trials: range
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blockage flags (T, 3), (IRS, RIS) candidate counts (T, 2) and dropped
+    placements (T,) of each trial of ``trials``.
+
+    Each trial draws its scene from its own substream, as a one-trial sweep
+    would; the chunk's scenes are then gated and blockage-tested together
+    (``blocked_modes``).
+    """
+    scenes = draw_scenes(
+        _road(config),
+        rho,
+        (trial_rng(seed, trial) for trial in trials),
+        link_distance_m=r_d,
+        vehicle_length_m=config.vehicle_length_m,
+        vehicle_width_m=config.vehicle_width_m,
+        vehicle_height_m=config.vehicle_height_m,
     )
+    flags, candidates = blocked_modes(
+        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
+    )
+    return flags, candidates, scenes.dropped
 
 
 def run_blockage_sweep(
     spec: SweepSpec, r_d_values: tuple[float, ...] = DEFAULT_R_D_M
-) -> list[dict]:
-    """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals."""
+) -> tuple[list[dict], dict[tuple[float, float], dict]]:
+    """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals,
+    and telemetry per (rho, r_d).
+
+    A point's telemetry gives the placements dropped over its trials and the
+    IRS and RIS candidate doors per trial (mean and max), every trial's
+    scene gated whether or not its direct ray is blocked.
+    """
     cfg = spec.config
     grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
     points = [
-        (f"blockage rho={rho:g} r_d={r_d:g}", partial(_blockage_trial, cfg, rho, r_d, cfg.seed))
+        (
+            f"blockage rho={rho:g} r_d={r_d:g}",
+            partial(_blockage_chunk, cfg, rho, r_d, cfg.seed),
+        )
         for rho, r_d in grid
     ]
     rows = []
-    for (rho, r_d), flags in zip(grid, _map_trials(points, spec.trials, cfg.threads)):
-        counts = [sum(f[i] for f in flags) for i in range(3)]
-        for mode, blocked in zip(MODES, counts):
+    telemetry = {}
+    swept = _map_trials(points, spec.trials, cfg.threads, BLOCKAGE_CHUNK)
+    for (rho, r_d), chunks in zip(grid, swept):
+        flags, candidates, dropped = (np.concatenate(part) for part in zip(*chunks))
+        telemetry[(rho, r_d)] = {
+            "dropped": int(dropped.sum()),
+            **{
+                f"{mode}_candidates": {
+                    "mean": int(counts.sum()) / spec.trials,
+                    "max": int(counts.max()),
+                }
+                for mode, counts in zip(("irs", "ris"), candidates.T)
+            },
+        }
+        for mode, blocked in zip(MODES, flags.sum(axis=0).tolist()):
             lo, hi = wilson_interval(blocked, spec.trials)
             rows.append(
                 {
@@ -373,7 +438,7 @@ def run_blockage_sweep(
                     "trials": spec.trials,
                 }
             )
-    return rows
+    return rows, telemetry
 
 
 # --- SNR ECDFs ----------------------------------------------------------------

@@ -237,15 +237,16 @@ class Vehicle:
 class SpecularArea:
     """Rectangle (plan view) in which a door can act as a specular relay."""
 
-    center: np.ndarray
+    center: np.ndarray  # (..., 3), one center per endpoint pair
     width: float   # lateral extent (x)
     length: float  # longitudinal extent (y)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Whether each (..., 3) point lies in the rectangle (plan view)."""
+        """Whether each (..., 3) point lies in the rectangle (plan view); the
+        point and center batch shapes broadcast."""
         p = np.asarray(points, dtype=float)
-        return (np.abs(p[..., 0] - self.center[0]) <= self.width / 2.0) & (
-            np.abs(p[..., 1] - self.center[1]) <= self.length / 2.0
+        return (np.abs(p[..., 0] - self.center[..., 0]) <= self.width / 2.0) & (
+            np.abs(p[..., 1] - self.center[..., 1]) <= self.length / 2.0
         )
 
 
@@ -261,15 +262,17 @@ def specular_area(
     """Candidate region for fixed-phase door relays.
 
     Centered longitudinally at the transmitter-receiver midpoint, spanning all
-    lanes laterally, and two door lengths along the road.
+    lanes laterally, and two door lengths along the road.  ``p_t`` and
+    ``p_r`` are (..., 3), one area per endpoint pair.
     """
     p_t = np.asarray(p_t, dtype=float)
     p_r = np.asarray(p_r, dtype=float)
-    if _isclose(p_t[:2], p_r[:2]).all():
+    if _isclose(p_t[..., :2], p_r[..., :2]).all(axis=-1).any():
         raise ValueError("endpoints must be distinct in the road plane")
-    mid_y = 0.5 * (p_t[1] + p_r[1])
+    center = np.zeros(np.broadcast_shapes(p_t.shape, p_r.shape))
+    center[..., 1] = 0.5 * (p_t[..., 1] + p_r[..., 1])
     return SpecularArea(
-        center=np.array([0.0, mid_y, 0.0]),
+        center=center,
         width=road.width,
         length=2.0 * door_length,
     )

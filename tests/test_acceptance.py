@@ -274,7 +274,7 @@ def test_gain_and_beamwidth_trends_across_carrier_frequencies():
 def test_blockage_rescue_rates_from_door_mounted_relays():
     cfg = SimConfig().replace(trials=10_000)
     spec = make_sweep("blockage", cfg, grid=(10.0, 20.0, 30.0, 40.0))
-    rows = run_blockage_sweep(spec, r_d_values=(100.0,))
+    rows, _ = run_blockage_sweep(spec, r_d_values=(100.0,))
     p = {(r["rho"], r["mode"]): r["p_block"] for r in rows}
     direct = [p[(rho, "direct")] for rho in spec.grid]
     base = p[(30.0, "direct")]

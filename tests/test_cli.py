@@ -130,6 +130,12 @@ def test_blockage_table_has_the_documented_header(tmp_path):
     assert len(rows) == 3
     assert {r["mode"] for r in rows} == {"direct", "with_irs", "with_ris"}
     assert all(0.0 <= float(r["p_block"]) <= 1.0 for r in rows)
+    (point,) = json.loads((tmp_path / "blockage.json").read_text())["telemetry"]
+    assert (point["rho"], point["r_d"]) == (20.0, 100.0)
+    assert point["dropped"] == 0
+    for mode in ("irs", "ris"):
+        counts = point[f"{mode}_candidates"]
+        assert 0.0 <= counts["mean"] <= counts["max"]
 
 
 def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):

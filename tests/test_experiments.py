@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_v2v import channel, experiments
+from conformal_v2v import channel, experiments, scenario
 from conformal_v2v.channel import (
     SKELETON_RANK,
     cascaded_channels,
@@ -25,8 +25,9 @@ from conformal_v2v.experiments import (
     DEFAULT_TRIALS,
     MODES,
     EcdfResult,
+    BLOCKAGE_CHUNK,
     SweepSpec,
-    _blockage_trial,
+    _blockage_chunk,
     _fixed_profile,
     _git_revision,
     _map_trials,
@@ -62,8 +63,16 @@ from conformal_v2v.scenario import (
     door_pose,
     generate_traffic,
 )
-from oracles import door_center, reflection_matrix, scene_from_vehicles
+from oracles import (
+    door_center,
+    reflection_matrix,
+    scalar_candidates_irs,
+    scalar_candidates_ris,
+    scalar_generate_traffic,
+    scene_from_vehicles,
+)
 from test_channel import kernel_segments
+from test_scenario import reference_modes
 
 LAM28 = 299_792_458.0 / 28e9
 
@@ -103,15 +112,21 @@ def test_trial_rng_substreams_are_stable_and_distinct():
 
 
 def test_process_pool_matches_the_sequential_trial_order():
-    # two points share one pool and come back per point, in trial order
+    # two points share one pool and come back per point, in trial order, one
+    # result per chunk of trials (the last chunk short)
     points = [
-        (f"seed={seed}", partial(_blockage_trial, SimConfig(), 30.0, 100.0, seed))
+        (f"seed={seed}", partial(_blockage_chunk, SimConfig(), 30.0, 100.0, seed))
         for seed in (0, 1)
     ]
-    seq = _map_trials(points, 24, threads=1)
-    par = _map_trials(points, 24, threads=2)
+
+    def listed(per_point):
+        return [[[part.tolist() for part in out] for out in chunks] for chunks in per_point]
+
+    seq = listed(_map_trials(points, 24, threads=1, chunk=5))
+    par = listed(_map_trials(points, 24, threads=2, chunk=5))
     assert seq == par
-    assert seq[1] == [points[1][1](trial) for trial in range(24)]
+    ranges = [range(t, min(t + 5, 24)) for t in range(0, 24, 5)]
+    assert seq[1] == listed([[points[1][1](trials) for trials in ranges]])[0]
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -185,15 +200,29 @@ def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch
     assert isinstance(info.value.__cause__, ValueError)
     assert "model guard" in str(info.value.__cause__)
 
-    def fail_once(config, rho, r_d, seed, trial):
-        if rho == 40.0 and trial == 2:
-            raise ZeroDivisionError("float division by zero")
-        return (False, False, False)
+    # a chunk that raises names the failing trial, not the chunk
+    def chunk_worker(trials):
+        if 3 in trials:
+            raise ValueError("antenna-element distance violates the model guard")
+        return list(trials)
 
-    monkeypatch.setattr(experiments, "_blockage_trial", fail_once)
-    spec = make_sweep(
-        "blockage", SimConfig().replace(trials=4, threads=1), grid=(10.0, 40.0)
-    )
+    with pytest.raises(ValueError, match=r"^rho=10, trial 3: antenna-element") as info:
+        _map_trials([("rho=10", chunk_worker)], 5, 1, chunk=2)
+    assert "model guard" in str(info.value.__cause__)
+
+    # trial 2 of the rho = 40 point fails while drawing its scene, inside a
+    # chunk of four trials
+    cfg = SimConfig().replace(trials=4, threads=1)
+    failing = trial_rng(cfg.seed, 2).bit_generator.state
+    placements = scenario._placements
+
+    def fail_once(road, rho, rng, *args):
+        if rho == 40.0 and rng.bit_generator.state == failing:
+            raise ZeroDivisionError("float division by zero")
+        return placements(road, rho, rng, *args)
+
+    monkeypatch.setattr(scenario, "_placements", fail_once)
+    spec = make_sweep("blockage", cfg, grid=(10.0, 40.0))
     with pytest.raises(ValueError, match=r"^blockage rho=40 r_d=100, trial 2: float") as info:
         run_blockage_sweep(spec, r_d_values=(100.0,))
     assert isinstance(info.value.__cause__, ZeroDivisionError)
@@ -311,7 +340,7 @@ def test_gain_frequency_table_is_frequency_major_over_fixed_apertures():
 def test_blockage_sweep_orders_the_modes_pointwise():
     cfg = SimConfig().replace(trials=300)
     spec = make_sweep("blockage", cfg, grid=(20.0, 40.0))
-    rows = run_blockage_sweep(spec, r_d_values=(100.0,))
+    rows, _ = run_blockage_sweep(spec, r_d_values=(100.0,))
     assert len(rows) == 2 * 1 * len(MODES)
     by_key = {(r["rho"], r["mode"]): r for r in rows}
     for rho in (20.0, 40.0):
@@ -323,6 +352,78 @@ def test_blockage_sweep_orders_the_modes_pointwise():
             assert row["trials"] == 300
     # denser traffic blocks the direct path more often
     assert by_key[(40.0, "direct")]["p_block"] >= by_key[(20.0, "direct")]["p_block"]
+
+
+def reference_blockage_sweep(cfg, rhos, r_ds):
+    """``run_blockage_sweep`` rows and telemetry, one trial at a time, from the
+    one-draw-at-a-time scene, per-door gating and per-segment references."""
+    road = RoadConfig(
+        length=cfg.road_length_m, n_lanes=cfg.n_lanes, lane_width=cfg.lane_width_m
+    )
+    h, n = cfg.door_center_height_m, cfg.trials
+    rows, telemetry = [], {}
+    for rho in rhos:
+        for r_d in r_ds:
+            scenes = [
+                scalar_generate_traffic(
+                    road, rho, trial_rng(cfg.seed, trial), r_d,
+                    cfg.vehicle_length_m, cfg.vehicle_width_m, cfg.vehicle_height_m,
+                )
+                for trial in range(n)
+            ]
+            flags = [reference_modes(s, cfg.door_length_m, h, cfg.max_range_m) for s in scenes]
+            irs = [len(scalar_candidates_irs(s, cfg.door_length_m, h)) for s in scenes]
+            ris = [len(scalar_candidates_ris(s, cfg.max_range_m, h)) for s in scenes]
+            telemetry[(rho, r_d)] = {
+                "dropped": sum(s.dropped for s in scenes),
+                "irs_candidates": {"mean": sum(irs) / n, "max": max(irs)},
+                "ris_candidates": {"mean": sum(ris) / n, "max": max(ris)},
+            }
+            for mode, column in zip(MODES, zip(*flags)):
+                lo, hi = wilson_interval(sum(column), n)
+                rows.append({
+                    "rho": rho, "r_d": r_d, "mode": mode, "p_block": sum(column) / n,
+                    "ci_low": lo, "ci_high": hi, "trials": n,
+                })
+    return rows, telemetry
+
+
+@pytest.mark.parametrize("trials", [1, BLOCKAGE_CHUNK - 1, BLOCKAGE_CHUNK, BLOCKAGE_CHUNK + 1])
+def test_blockage_sweep_matches_the_per_trial_reference_at_chunk_edges(trials):
+    # rho = 0 leaves only the endpoints: no door and no leg segment
+    cfg = SimConfig().replace(trials=trials, seed=3)
+    spec = make_sweep("blockage", cfg, grid=(0.0, 40.0))
+    got = run_blockage_sweep(spec, r_d_values=(50.0, 100.0))
+    assert got == reference_blockage_sweep(cfg, (0.0, 40.0), (50.0, 100.0))
+
+
+def test_a_chunk_with_every_direct_ray_clear_tests_no_leg(monkeypatch):
+    # at this seed no trial of the chunk has a blocker on its direct ray, so
+    # the gated doors get no leg segment
+    cfg = SimConfig().replace(trials=BLOCKAGE_CHUNK, seed=8)
+    segments = []
+    count = scenario._segment_counts
+
+    def spy(scenes, seg_scene, *args):
+        segments.append(len(seg_scene))
+        return count(scenes, seg_scene, *args)
+
+    monkeypatch.setattr(scenario, "_segment_counts", spy)
+    rows, telemetry = run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,)), (50.0,))
+    assert segments == [BLOCKAGE_CHUNK, 0]
+    assert all(row["p_block"] == 0.0 for row in rows)
+    assert telemetry[(2.0, 50.0)]["ris_candidates"]["max"] > 0
+    assert (rows, telemetry) == reference_blockage_sweep(cfg, (2.0,), (50.0,))
+
+
+def test_pooled_blockage_sweep_matches_the_sequential_one(monkeypatch):
+    # three chunks per point over two workers: rows and telemetry are summed
+    # to the same values
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    cfg = SimConfig().replace(trials=2 * BLOCKAGE_CHUNK + 1, seed=7)
+    seq = run_blockage_sweep(make_sweep("blockage", cfg, grid=(10.0, 40.0)), (100.0,))
+    pooled = make_sweep("blockage", cfg.replace(threads=2), grid=(10.0, 40.0))
+    assert run_blockage_sweep(pooled, (100.0,)) == seq
 
 
 def test_snr_ecdf_modes_dominate_direct_samplewise():
@@ -408,7 +509,7 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
         assert np.all(np.isfinite(direct))
         for mode in ("with_irs", "with_ris"):
             assert np.array_equal(results[(mode, 2.0, 0.0, r_d)].values, direct)
-    rows = run_blockage_sweep(make_sweep("blockage", cfg, grid=(0.0,)))
+    rows, _ = run_blockage_sweep(make_sweep("blockage", cfg, grid=(0.0,)))
     assert len(rows) == 2 * len(MODES)
     assert all(row["p_block"] == 0.0 for row in rows)
 

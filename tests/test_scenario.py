@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
+    Scenes,
+    _segment_counts,
     blocked_modes,
     candidate_relays_irs,
     candidate_relays_ris,
     count_blockers,
     door_pose,
+    draw_scenes,
     generate_traffic,
 )
 from oracles import (
@@ -82,6 +85,26 @@ def reference_counts(scenario, doors, door_center_height=0.9):
             reference_segment_count(scenario, door, scenario.p_r, excluded={idx}),
         ))
     return direct, legs
+
+
+def reference_modes(scenario, door_length_m=1.0, door_center_height=0.9, max_range_m=150.0):
+    """(direct, with_irs, with_ris) of one scene from the per-segment and
+    per-door references."""
+    direct, _ = reference_counts(scenario, [], door_center_height)
+    if direct == 0:
+        return False, False, False
+    irs = scalar_candidates_irs(scenario, door_length_m, door_center_height)
+    ris = scalar_candidates_ris(scenario, max_range_m, door_center_height)
+    doors = sorted(set(irs) | set(ris))
+    _, legs = reference_counts(scenario, doors, door_center_height)
+    clear = {door for door, (first, second) in zip(doors, legs) if first == second == 0}
+    return True, clear.isdisjoint(irs), clear.isdisjoint(ris)
+
+
+def modes(scenario, **kwargs):
+    """``blocked_modes`` flags of a chunk of one scene, as a tuple."""
+    flags, _ = blocked_modes(Scenes.of([scenario]), **kwargs)
+    return tuple(flags[0].tolist())
 
 
 def scene(*extra: Vehicle, link_m: float = 100.0):
@@ -275,17 +298,23 @@ def test_count_blockers_ignores_the_relay_itself():
 
 
 def test_blocked_modes_on_crafted_scenes():
-    assert blocked_modes(scene()) == (False, False, False)
+    assert modes(scene()) == (False, False, False)
 
     blocker = Vehicle(x=0.0, y=50.0, lane=2)
     relay = Vehicle(x=5.0, y=52.5, lane=3)
 
-    assert blocked_modes(scene(blocker)) == (True, True, True)  # no candidates
-    assert blocked_modes(scene(blocker, relay)) == (True, False, False)
+    assert modes(scene(blocker)) == (True, True, True)  # no candidates
+    assert modes(scene(blocker, relay)) == (True, False, False)
 
     # relay far from the specular strip helps only the tunable mode
     distant_relay = Vehicle(x=5.0, y=20.0, lane=3)
-    assert blocked_modes(scene(blocker, distant_relay)) == (True, True, False)
+    assert modes(scene(blocker, distant_relay)) == (True, True, False)
+
+    # the same scenes as one chunk, with their (IRS, RIS) candidate counts
+    chunk = [scene(), scene(blocker), scene(blocker, relay), scene(blocker, distant_relay)]
+    flags, candidates = blocked_modes(Scenes.of(chunk))
+    assert flags.tolist() == [list(modes(s)) for s in chunk]
+    assert candidates.tolist() == [[0, 0], [0, 0], [1, 1], [0, 1]]
 
 
 def test_a_blocked_relay_segment_defeats_the_rescue():
@@ -294,7 +323,7 @@ def test_a_blocked_relay_segment_defeats_the_rescue():
     # parked across the relay's second segment (door -> receiver)
     second_leg = Vehicle(x=2.5, y=80.0, lane=2, width=4.0)
     s = scene(blocker, relay, second_leg)
-    assert blocked_modes(s) == (True, True, True)
+    assert modes(s) == (True, True, True)
 
 
 # --- array layers against the one-vehicle-at-a-time oracles ---------------------
@@ -321,6 +350,16 @@ def test_generate_traffic_matches_the_one_draw_at_a_time_reference(
     for name in ("x", "y", "lane", "length", "width", "height"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
     assert got.dropped == want.dropped
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    # a chunk draws the same scene, and the same number of draws, per generator
+    rng = np.random.default_rng(seed)
+    chunk = draw_scenes(road, rho, [rng], link_distance_m=link)
+    for name in ("x", "y", "length", "width", "height"):
+        assert np.array_equal(getattr(chunk, name), getattr(want, name))
+    assert chunk.scene.tolist() == [0] * len(want.x)
+    assert (chunk.txv.tolist(), chunk.rxv.tolist(), chunk.dropped.tolist()) == (
+        [0], [1], [want.dropped]
+    )
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -373,3 +412,76 @@ def test_door_gating_boundaries():
     s = scene(Vehicle(x=0.9, y=52.5, lane=2))
     assert candidate_relays_irs(s) == candidate_relays_ris(s) == []
     assert scalar_candidates_irs(s) == scalar_candidates_ris(s) == []
+
+
+# vehicles of mixed length: the pair lookup reaches back by the longest box
+mixed_vehicles = st.lists(
+    st.builds(
+        Vehicle,
+        x=st.one_of(st.floats(-15.0, 15.0), st.integers(-20, 20).map(lambda i: 0.9 * i)),
+        y=st.one_of(st.floats(-50.0, 550.0), st.integers(0, 44).map(lambda i: 2.5 * i)),
+        length=st.one_of(st.sampled_from([0.5, 5.0, 12.0, 40.0]), st.floats(0.1, 60.0)),
+        width=st.floats(1.0, 3.0),
+        lane=st.integers(0, 4),
+    ),
+    max_size=10,
+)
+
+
+@given(
+    st.lists(
+        st.tuples(mixed_vehicles, st.floats(1.0, 400.0)), min_size=1, max_size=4
+    ),
+    st.floats(10.0, 400.0),
+)
+@settings(max_examples=100, deadline=None)
+def test_chunk_kernel_matches_the_per_scene_references(crafted, max_range):
+    # every door of every scene of a chunk, counted in one pass, against the
+    # one-segment-at-a-time reference; and the chunk's flags against the
+    # per-scene reference rule
+    scenes = [scene(*vehicles, link_m=link) for vehicles, link in crafted]
+    chunk = Scenes.of(scenes)
+    seg_scene, starts, ends, relay, want = [], [], [], [], []
+    for k, s in enumerate(scenes):
+        doors = [(i, side) for i in range(2, len(s.vehicles)) for side in ("left", "right")]
+        try:
+            direct, legs = reference_counts(s, doors)
+        except ValueError:
+            # a door level with an endpoint: the chunk raises as the scene does
+            with pytest.raises(ValueError):
+                _segment_counts(
+                    chunk, np.full(1 + 2 * len(doors), k),
+                    *segments_of(s, doors), legs_relay(doors),
+                )
+            return
+        seg, end = segments_of(s, doors)
+        seg_scene += [k] * len(seg)
+        starts += list(seg)
+        ends += list(end)
+        relay += legs_relay(doors).tolist()
+        want += [direct, *(count for pair in legs for count in pair)]
+    offsets = np.cumsum([0] + [len(s.vehicles) for s in scenes])[np.array(seg_scene)]
+    relay = np.where(np.array(relay) < 0, -1, np.array(relay) + offsets)
+    got = _segment_counts(chunk, np.array(seg_scene), np.array(starts), np.array(ends), relay)
+    assert got.tolist() == want
+
+    flags, candidates = blocked_modes(Scenes.of(scenes), max_range_m=max_range)
+    assert flags.tolist() == [list(reference_modes(s, max_range_m=max_range)) for s in scenes]
+    assert candidates.tolist() == [
+        [len(scalar_candidates_irs(s)), len(scalar_candidates_ris(s, max_range))]
+        for s in scenes
+    ]
+
+
+def segments_of(scenario, doors, door_center_height=0.9):
+    """(starts, ends) of the direct ray and both legs of every door, in plan view."""
+    p_t, p_r = scenario.p_t[:2], scenario.p_r[:2]
+    points = [door_center(scenario.vehicles[i], side, door_center_height)[:2] for i, side in doors]
+    starts = [p_t, *(q for point in points for q in (p_t, point))]
+    ends = [p_r, *(q for point in points for q in (point, p_r))]
+    return np.array(starts).reshape(-1, 2), np.array(ends).reshape(-1, 2)
+
+
+def legs_relay(doors):
+    """Relay row of the direct ray (-1) and of both legs of every door."""
+    return np.array([-1, *(i for i, _ in doors for _ in range(2))])
