@@ -493,11 +493,14 @@ def _segment_counts(
         for axis in range(2)
     ]
     # runs of segments with about _PAIR_BUDGET pairs each keep the pair
-    # arrays small and of one size: a chunk's tens of thousands of pairs in
-    # one pass ran slower and raised peak memory
+    # arrays small and of few sizes: a chunk's tens of thousands of pairs in
+    # one pass ran slower and raised peak memory.  The last run keeps at
+    # least half a budget, so its arrays stay above the sizes numpy caches
+    # after use (under 1 KiB, up to 7 blocks of each size).
     done = np.cumsum(sizes)
     total = int(done[-1]) if len(done) else 0
-    cuts = np.searchsorted(done, np.arange(_PAIR_BUDGET, total, _PAIR_BUDGET)).tolist()
+    cuts = np.arange(_PAIR_BUDGET, total - _PAIR_BUDGET // 2, _PAIR_BUDGET)
+    cuts = np.searchsorted(done, cuts).tolist()
     counts = np.empty(len(starts), dtype=np.intp)
     for a, b in zip([0, *cuts], [*cuts, len(starts)]):
         n = sizes[a:b]
@@ -555,19 +558,11 @@ def blocked_modes(
     ray is blocked AND no door of the mode (specular-area doors for with_irs,
     any in-range door for with_ris) has both legs clear; a mode without doors
     stays blocked.  Every gated door counts here, while SNR trials keep only
-    the max_candidates doors with the smallest r_t * r_r per mode.  Legs are
-    counted only in scenes whose direct ray is blocked.  ``Scenes.of`` makes
-    a chunk of given scenes, one scene included.
+    the max_candidates doors with the smallest r_t * r_r per mode.  The
+    direct rays and both legs of every gated door are counted in one pass.
+    ``Scenes.of`` makes a chunk of given scenes, one scene included.
     """
     n_scenes = len(scenes.txv)
-    ends = scenes.ends
-    direct = (
-        _segment_counts(
-            scenes, np.arange(n_scenes), ends[:, 0, :2], ends[:, 1, :2],
-            np.full(n_scenes, -1),
-        )
-        > 0
-    )
     points, door_ends, facing = _facing_doors(scenes, door_center_height)
     irs = facing & _in_strip(points, door_ends, scenes.road, door_length_m)
     ris = _in_range(points, door_ends, facing, max_range_m)
@@ -577,16 +572,26 @@ def blocked_modes(
         axis=1,
     )
 
-    rows, cols = np.nonzero((irs | ris) & direct[scenes.scene][:, None])
+    # the direct rays, then both legs of every gated door, in one pass
+    rows, cols = np.nonzero(irs | ris)
     door_scene = scenes.scene[rows]
     doors = points[rows, cols, :2]
-    starts = np.empty((2 * len(rows), 2))
+    ends = scenes.ends[:, :, :2]
+    n_seg = n_scenes + 2 * len(rows)
+    starts = np.empty((n_seg, 2))
     stops = np.empty_like(starts)
-    starts[0::2], stops[0::2] = ends[door_scene, 0, :2], doors
-    starts[1::2], stops[1::2] = doors, ends[door_scene, 1, :2]
-    legs = _segment_counts(
-        scenes, np.repeat(door_scene, 2), starts, stops, np.repeat(rows, 2)
-    ).reshape(-1, 2)
+    starts[:n_scenes], stops[:n_scenes] = ends[:, 0], ends[:, 1]
+    starts[n_scenes::2], stops[n_scenes::2] = ends[door_scene, 0], doors
+    starts[n_scenes + 1::2], stops[n_scenes + 1::2] = doors, ends[door_scene, 1]
+    counts = _segment_counts(
+        scenes,
+        np.concatenate([np.arange(n_scenes), np.repeat(door_scene, 2)]),
+        starts,
+        stops,
+        np.concatenate([np.full(n_scenes, -1), np.repeat(rows, 2)]),
+    )
+    direct = counts[:n_scenes] > 0
+    legs = counts[n_scenes:].reshape(-1, 2)
     clear = (legs == 0).all(axis=1)
     flags = np.stack([direct, direct, direct], axis=1)
     for column, mask in ((1, irs), (2, ris)):
