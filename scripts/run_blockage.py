@@ -5,6 +5,10 @@ Defaults: rho in {10, 20, 30, 40} cars/km/lane, r_d in {50, 100} m,
 10^4 trials per point.  Extra CLI flags pass through, e.g.
 
     python3 scripts/run_blockage.py --trials 1000 --threads 4
+
+The default run (8 points x 10^4 trials) took 15.3-16.4 s sequentially and
+9.5-10.8 s with --threads 2, wall clock including start-up, on 2 vCPUs
+(Python 3.11.7, numpy 2.4.6, one BLAS thread).
 """
 
 import sys

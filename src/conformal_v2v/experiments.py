@@ -379,7 +379,7 @@ def _blockage_chunk(
     scenes = draw_scenes(
         _road(config),
         rho,
-        (trial_rng(seed, trial) for trial in trials),
+        [trial_rng(seed, trial) for trial in trials],
         link_distance_m=r_d,
         vehicle_length_m=config.vehicle_length_m,
         vehicle_width_m=config.vehicle_width_m,
