@@ -431,7 +431,7 @@ def candidate_relays_ris(
     return _candidates(_in_range(points, ends, facing, max_range_m))
 
 
-def _slab_hits(segments, columns, seg, pos, eps=_EPS) -> np.ndarray:
+def _slab_hits(segments, columns, seg, pos) -> np.ndarray:
     """(P,) mask: whether open plan-view segment ``seg[k]`` crosses box ``pos[k]``.
 
     ``segments`` holds per axis the (S,) start coordinates, steps (1 where
@@ -452,7 +452,7 @@ def _slab_hits(segments, columns, seg, pos, eps=_EPS) -> np.ndarray:
         t2 = (hi - p) / step
         tmin = np.where(moving, np.maximum(tmin, np.minimum(t1, t2)), tmin)
         tmax = np.where(moving, np.minimum(tmax, np.maximum(t1, t2)), tmax)
-    return ok & (tmin <= tmax) & (tmax > eps) & (tmin < 1.0 - eps)
+    return ok & (tmin <= tmax) & (tmax > _EPS) & (tmin < 1.0 - _EPS)
 
 
 def _segment_counts(
