@@ -23,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import AnglePair, CirsGeometry, azimuth
+from .geometry import CirsGeometry, azimuth
 from .phase import PhaseProfile
 
 TWO_PI = 2.0 * math.pi
@@ -453,25 +453,29 @@ def _beamformed_segment(
 def normalized_gain(
     geometry: CirsGeometry,
     profile: PhaseProfile,
-    incidence: AnglePair,
-    reflection: AnglePair,
+    incidence: np.ndarray,
+    reflection: np.ndarray,
     wavelength: float,
     q: float = 0.285,
-) -> float:
-    """Path-loss-free cascade gain |sum_l c_l phi_l t_l|^2, normalized, in dB.
+) -> np.ndarray:
+    """Path-loss-free cascade gains |sum_l c_l phi_l t_l|^2, normalized, in dB, (A,).
 
-    t and c are the single-antenna far-field segment vectors toward the
-    incidence and reflection directions d (the plane-wave limit of the
-    spherical phasor: rho(n_l . d) exp(+j (2 pi / lambda) d . p_l)).  The
-    three factors are Frobenius-normalized, so the result only reflects
-    phase alignment and pattern rolloff, not absolute link budget; 0 dB is
-    a fully coherent lossless surface with flat patterns.
+    ``incidence`` and ``reflection`` hold A unit directions, shape (A, 3)
+    (a single (3,) direction is the case A = 1), in the door frame; row a
+    of each scores one angle pair.  t and c are the single-antenna
+    far-field segment vectors toward the incidence and reflection
+    directions d (the plane-wave limit of the spherical phasor:
+    rho(n_l . d) exp(+j (2 pi / lambda) d . p_l)).  The three factors are
+    Frobenius-normalized, so the result only reflects phase alignment and
+    pattern rolloff, not absolute link budget; 0 dB is a fully coherent
+    lossless surface with flat patterns.  A pair that lights no element on
+    either side, or whose terms cancel exactly, reads -inf.
 
     Element (m, n) sits at row m's position plus y_n along the door-frame y
     axis, its normal depends on m only, and the profile phase is
     row_m + col_n.  So every factor is a row vector times a unit-modulus
     column vector, and the sum and the three norms are products of an
-    M-sum and an N-sum: O(M + N) work per angle pair.
+    M-sum and an N-sum: O(A (M + N)) work for A angle pairs, in one pass.
     """
     m_count, n_count = profile.shape
     if (m_count, n_count) != (geometry.m_count, geometry.n_count):
@@ -479,44 +483,77 @@ def normalized_gain(
             f"profile shape {profile.shape} vs geometry "
             f"{(geometry.m_count, geometry.n_count)}"
         )
-    d_i, d_o = incidence.direction(), reflection.direction()
-    slope = (TWO_PI / wavelength) * (d_i + d_o)
-    rho_i = pattern_from_cosine(geometry.normals_local @ d_i, q)
-    rho_o = pattern_from_cosine(geometry.normals_local @ d_o, q)
-    if not (rho_i.any() and rho_o.any()):
-        return -math.inf
-    # the gain does not depend on the patterns' scale; a peak of 1 keeps the
-    # squared norms from underflowing for rays that graze every element
-    rho_i = rho_i / rho_i.max()
-    rho_o = rho_o / rho_o.max()
-    row_sum = np.sum(
-        rho_i * rho_o * np.exp(1j * (geometry.row_positions_local @ slope + profile.row_raw))
-    )
-    col_sum = np.sum(
-        np.exp(1j * (geometry.column_offsets_local * slope[1] + profile.col_raw))
-    )
-    # |t|^2 = N sum_m rho_i^2, |c|^2 = N sum_m rho_o^2 and |phi|^2 = M N
-    norms = float(np.sum(rho_i**2) * np.sum(rho_o**2)) * n_count**3 * m_count
-    coherent = abs(row_sum) ** 2 * abs(col_sum) ** 2 / norms
-    if coherent == 0:
-        return -math.inf
-    return 10.0 * math.log10(coherent)
+    d_i = np.atleast_2d(np.asarray(incidence, dtype=float))
+    d_o = np.atleast_2d(np.asarray(reflection, dtype=float))
+    slope = (TWO_PI / wavelength) * (d_i + d_o)  # (A, 3)
+    rho_i = cosine_rolloff(d_i @ geometry.normals_local.T, q)  # (A, M)
+    rho_o = cosine_rolloff(d_o @ geometry.normals_local.T, q)
+    # the gain does not depend on the patterns' scale, so they enter without
+    # the element gain sqrt(G), and each angle's peak is scaled to 1, which
+    # keeps the squared norms from underflowing for rays that graze every
+    # element.  An unlit side stays all zero, and so does its row sum
+    for rho in (rho_i, rho_o):
+        peak = rho.max(axis=1, keepdims=True)
+        rho /= np.where(peak > 0.0, peak, 1.0)
+    cos_row, sin_row = _unit_phasor(slope @ geometry.row_positions_local.T + profile.row_raw)
+    cos_col, sin_col = _unit_phasor(slope[:, 1:2] * geometry.column_offsets_local + profile.col_raw)
+    weight = rho_i * rho_o
+    row_sq = np.sum(weight * cos_row, axis=1) ** 2 + np.sum(weight * sin_row, axis=1) ** 2
+    col_sq = np.sum(cos_col, axis=1) ** 2 + np.sum(sin_col, axis=1) ** 2
+    # |t|^2 = N sum_m rho_i^2, |c|^2 = N sum_m rho_o^2 and |phi|^2 = M N.
+    # Only an unlit pair has norms 0; its coherent sum stays 0, so -inf dB
+    norms = np.sum(rho_i**2, axis=1) * np.sum(rho_o**2, axis=1) * float(n_count**3 * m_count)
+    coherent = row_sq * col_sq / np.where(norms > 0.0, norms, 1.0)
+    gain = np.full(coherent.shape, -np.inf)
+    np.log10(coherent, out=gain, where=coherent > 0.0)
+    return 10.0 * gain
+
+
+def _unit_phasor(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of ``phase`` in radians, from the half-angle tangent.
+
+    The phase is reduced to whole turns first, so t = tan(phase / 2) takes
+    an argument in [-pi/2, pi/2]: cos = 2 / (1 + t^2) - 1 and
+    sin = 2 t / (1 + t^2), as in ``_beamformed_segment``.  One tan replaces
+    a cos and a sin.
+    """
+    t = phase / TWO_PI
+    t -= np.rint(t)
+    t *= math.pi
+    np.tan(t, out=t)
+    g = t * t
+    g += 1.0
+    np.divide(2.0, g, out=g)
+    t *= g
+    g -= 1.0
+    return g, t
+
+
+def _directions(theta, phi) -> np.ndarray:
+    """``AnglePair(theta, phi).direction()`` for arrays of angles, shape (A, 3)."""
+    sin_phi = np.sin(phi)
+    out = np.empty(np.broadcast(theta, phi).shape + (3,))
+    out[:, 0] = sin_phi * np.cos(theta)
+    out[:, 1] = sin_phi * np.sin(theta)
+    out[:, 2] = np.cos(phi)
+    return out
 
 
 def channel_gain_elevation(
     geometry: CirsGeometry,
     profile: PhaseProfile,
-    phi_i: float,
+    phi_i,
     wavelength: float,
     q: float = 0.285,
-) -> float:
-    """Normalized gain in the elevation plane (theta = 0) for specular
-    reflection, phi_o = pi - phi_i, dB."""
+) -> np.ndarray:
+    """Normalized gains in the elevation plane (theta = 0) for specular
+    reflection, phi_o = pi - phi_i, dB, one per angle of ``phi_i``, (A,)."""
+    phi_i = np.atleast_1d(np.asarray(phi_i, dtype=float))
     return normalized_gain(
         geometry,
         profile,
-        AnglePair(0.0, phi_i),
-        AnglePair(0.0, math.pi - phi_i),
+        _directions(0.0, phi_i),
+        _directions(0.0, math.pi - phi_i),
         wavelength,
         q,
     )
@@ -525,16 +562,18 @@ def channel_gain_elevation(
 def channel_gain_azimuth(
     geometry: CirsGeometry,
     profile: PhaseProfile,
-    theta_i: float,
+    theta_i,
     wavelength: float,
     q: float = 0.285,
-) -> float:
-    """Normalized gain in the azimuth plane (phi = pi/2) for specular reflection."""
+) -> np.ndarray:
+    """Normalized gains in the azimuth plane (phi = pi/2) for specular
+    reflection, theta_o = -theta_i, dB, one per angle of ``theta_i``, (A,)."""
+    theta_i = np.atleast_1d(np.asarray(theta_i, dtype=float))
     return normalized_gain(
         geometry,
         profile,
-        AnglePair(theta_i, math.pi / 2.0),
-        AnglePair(-theta_i, math.pi / 2.0),
+        _directions(theta_i, math.pi / 2.0),
+        _directions(-theta_i, math.pi / 2.0),
         wavelength,
         q,
     )

@@ -138,18 +138,22 @@ class SimConfig:
             raise ValueError(f"trials must be a positive integer or null, got {self.trials!r}")
         if not (isinstance(self.seed, int) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, v in dataclasses.asdict(self).items():
+        for name in _FIELDS:
+            v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        # every field holds a number or None (see _coerce): a flat copy is a deep one
+        return {name: getattr(self, name) for name in _FIELDS}
 
     def replace(self, **changes) -> "SimConfig":
         return dataclasses.replace(self, **changes)
 
 
-_FIELD_NAMES = {f.name for f in dataclasses.fields(SimConfig)}
+# field names in declaration order
+_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig))
+_FIELD_NAMES = set(_FIELDS)
 # in declaration order, so validate() reports the first bad field first; the
 # annotations are strings under ``from __future__ import annotations``
 _INT_FIELDS = tuple(f.name for f in dataclasses.fields(SimConfig) if f.type == "int")

@@ -19,11 +19,9 @@ import math
 import os
 import platform
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
-from multiprocessing import get_context
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -152,7 +150,8 @@ def _map_trials(
     Returns one list of results per point, in trial order whether the trials
     run here or in a process pool, so reductions see the same sequence
     regardless of scheduling.  Every point of a sweep shares one pool of at
-    most one worker process per core and per trial (or chunk); each worker
+    most one worker process per core and per trial (or chunk), counting the
+    trials of every point; each worker
     is spawned fresh and runs BLAS on one thread (``_one_blas_thread``).  A
     trial that raises aborts the sweep with a ValueError naming its
     ``point`` and the trial index (``_run_trial``).
@@ -165,10 +164,15 @@ def _map_trials(
     workers = [worker for _, worker in points for _ in items]
     labels = [point for point, _ in points for _ in items]
     trials = [item for _ in points for item in items]
-    processes = min(threads, os.cpu_count() or 1, n_items)
+    processes = min(threads, os.cpu_count() or 1, len(trials))
     if processes <= 1:
         flat = list(map(_run_trial, workers, labels, trials))
     else:
+        # imported here, so that runs without a pool do not pay for loading
+        # the process-pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         chunksize = max(1, len(trials) // (processes * 8))
         with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=processes, mp_context=get_context("spawn")
@@ -245,13 +249,14 @@ def element_counts_for_area(
 def _gain_rows(
     config: SimConfig, angles_deg, thetabar: float, gain, flat: bool = True, **tags
 ) -> list[dict]:
-    """One row per angle of ``gain(geometry, profile, angle, wavelength, q)``.
+    """One row per angle of ``gain(geometry, profile, angles, wavelength, q)``.
 
     Every surface spans GAIN_AREA_M2 at the configured element spacing:
     ``gain_db_cirs`` is the configured radius with the fixed profile at the
     design azimuth thetabar, ``gain_db_bare`` the same cylinder with zero
     phases and, when ``flat``, ``gain_db_flat`` a flat reference (huge
-    radius, zero phases).  ``tags`` lead every row.
+    radius, zero phases).  ``gain`` scores each surface over the whole
+    angle grid in one call.  ``tags`` lead every row.
     """
     lam = config.wavelength_m
     d = config.element_spacing_m
@@ -263,15 +268,15 @@ def _gain_rows(
         flat_geom = build_cirs_geometry(count, count, FLAT_RADIUS_M, d, d)
         surfaces["gain_db_flat"] = (flat_geom, zero)
     surfaces["gain_db_bare"] = (geom, zero)
-    rows = []
-    for angle_deg in angles_deg:
-        angle = math.radians(angle_deg)
-        gains = {
-            column: gain(g, profile, angle, lam, config.q_pattern)
-            for column, (g, profile) in surfaces.items()
-        }
-        rows.append({**tags, "angle_deg": float(angle_deg), **gains})
-    return rows
+    angles = np.radians(angles_deg)
+    columns = {
+        column: gain(g, profile, angles, lam, config.q_pattern).tolist()
+        for column, (g, profile) in surfaces.items()
+    }
+    return [
+        {**tags, "angle_deg": float(angle_deg), **dict(zip(columns, gains))}
+        for angle_deg, *gains in zip(angles_deg, *columns.values())
+    ]
 
 
 def run_gain_elevation(spec: SweepSpec) -> list[dict]:
@@ -818,6 +823,16 @@ def _git_revision(start: Path) -> str | None:
     return None
 
 
+@cache
+def _package_revision() -> str | None:
+    """``_git_revision`` of the source tree this package was imported from.
+
+    Read once per process: the code a process runs was loaded when it
+    imported the package, and a later checkout does not change it.
+    """
+    return _git_revision(Path(__file__).resolve().parent)
+
+
 def write_sidecar(
     csv_path: str | Path, config: SimConfig, seed: int, extra: dict | None = None
 ) -> Path:
@@ -835,7 +850,7 @@ def write_sidecar(
             "package": __version__,
             "numpy": np.__version__,
             "python": platform.python_version(),
-            "git": _git_revision(Path(__file__).resolve().parent),
+            "git": _package_revision(),
         },
     }
     if extra:

@@ -141,14 +141,14 @@ def plane_wave_vectors(geometry, incidence, reflection, wavelength, q):
 
     Plane-wave limit of the spherical phasor: exp(-j 2 pi r / lambda) ->
     common factor times exp(+j (2 pi / lambda) d_hat . p) for unit direction
-    d_hat toward the far endpoint.
+    d_hat toward the far endpoint; ``incidence`` and ``reflection`` are those
+    (3,) directions.
     """
     pos = geometry.positions_local.reshape(geometry.element_count, 3)
     normals = np.repeat(geometry.normals_local, geometry.n_count, axis=0)
     k0 = TWO_PI / wavelength
 
-    def vec(angles):
-        d = angles.direction()
+    def vec(d):
         rho = pattern_from_cosine(normals @ d, q)
         return rho * np.exp(1j * k0 * (pos @ d))
 
@@ -159,7 +159,8 @@ def dense_normalized_gain(geometry, phi, incidence, reflection, wavelength, q):
     """|sum_l c_l phi_l t_l|^2 over the three Frobenius norms, dB, from dense vectors.
 
     ``phi`` is a flat (MN,) coefficient vector, for instance from
-    ``reflection_matrix``.
+    ``reflection_matrix``; ``incidence`` and ``reflection`` are one (3,)
+    unit direction each.
     """
     t, c = plane_wave_vectors(geometry, incidence, reflection, wavelength, q)
     phi = np.asarray(phi)

@@ -1,5 +1,6 @@
 """Experiment drivers: sweeps, Monte-Carlo plumbing, and table output."""
 
+import concurrent.futures
 import json
 import math
 import os
@@ -151,18 +152,22 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "threads, cores, n_trials, workers",
+    "threads, cores, n_trials, n_points, workers",
     [
-        (1000, 4, 50, 4),
-        (1000, 4, 3, 3),
-        (3, 8, 50, 3),
-        (1000, None, 50, None),
-        (1, 8, 50, None),
-        (8, 8, 1, None),
+        pytest.param(1000, 4, 50, 1, 4, id="1000-4-50-4"),
+        pytest.param(1000, 4, 3, 1, 3, id="1000-4-3-3"),
+        pytest.param(3, 8, 50, 1, 3, id="3-8-50-3"),
+        pytest.param(1000, None, 50, 1, None, id="1000-None-50-None"),
+        pytest.param(1, 8, 50, 1, None, id="1-8-50-None"),
+        pytest.param(8, 8, 1, 1, None, id="8-8-1-None"),
+        # the clamp counts the trials of every point: one trial at each of
+        # eight points fills a pool of two, three points a pool of three
+        pytest.param(2, 4, 1, 8, 2, id="2-4-1x8-2"),
+        pytest.param(1000, 4, 1, 3, 3, id="1000-4-1x3-3"),
     ],
 )
 def test_worker_count_is_clamped_to_cores_and_trials(
-    monkeypatch, threads, cores, n_trials, workers
+    monkeypatch, threads, cores, n_trials, n_points, workers
 ):
     started = []
 
@@ -182,10 +187,12 @@ def test_worker_count_is_clamped_to_cores_and_trials(
             assert chunksize >= 1
             return map(fn, *iterables)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    # _map_trials imports the pool class when it starts a pool
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
-    (out,) = _map_trials([("rho=30", lambda i: i * i)], n_trials, threads)
-    assert out == [i * i for i in range(n_trials)]
+    points = [(f"rho={k}", partial(lambda k, i: k + i * i, k)) for k in range(n_points)]
+    out = _map_trials(points, n_trials, threads)
+    assert out == [[k + i * i for i in range(n_trials)] for k in range(n_points)]
     assert started == ([] if workers is None else [workers])
 
 
@@ -327,14 +334,13 @@ def test_gain_frequency_table_is_frequency_major_over_fixed_apertures():
         geom = build_cirs_geometry(count, count, sub.radius_m, d, d)
         perpendicular = preconfigured_phase(geom, 0.0, lam)
         zero = PhaseProfile(np.zeros(count), np.zeros(count))
-        for row in block:
-            phi_i = math.radians(row["angle_deg"])
-            assert row["gain_db_cirs"] == channel_gain_elevation(
-                geom, perpendicular, phi_i, lam, sub.q_pattern
-            )
-            assert row["gain_db_bare"] == channel_gain_elevation(
-                geom, zero, phi_i, lam, sub.q_pattern
-            )
+        phi_i = np.radians([row["angle_deg"] for row in block])
+        assert [row["gain_db_cirs"] for row in block] == channel_gain_elevation(
+            geom, perpendicular, phi_i, lam, sub.q_pattern
+        ).tolist()
+        assert [row["gain_db_bare"] for row in block] == channel_gain_elevation(
+            geom, zero, phi_i, lam, sub.q_pattern
+        ).tolist()
 
 
 def test_blockage_sweep_orders_the_modes_pointwise():
