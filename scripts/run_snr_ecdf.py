@@ -9,9 +9,10 @@ count doubles where four probe columns disagree by more than 1e-11), so a
 full-size trial costs about 0.12 s per radius at rho 40 and r_d 100 on one
 core.  A trial is one scene scored at every radius: the traffic, the direct
 link and each door's path phases (one per leg) are drawn once, so the
-direct ECDF is equal across radii by construction.  Each sidecar counts
-the door cascades at each numerical rank under "telemetry".  Extra CLI
-flags pass through, e.g.
+direct ECDF is equal across radii by construction.  Each sidecar counts,
+under "telemetry", the door cascades at each numerical rank, the IRS and
+RIS doors gated per trial, the trials max_candidates truncated and the
+dropped placements.  Extra CLI flags pass through, e.g.
 
     python3 scripts/run_snr_ecdf.py --trials 500 --threads 4
     python3 scripts/run_snr_ecdf.py --reduced --trials 50

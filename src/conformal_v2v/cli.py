@@ -20,8 +20,9 @@ from .config import SimConfig, resolve_config
 from .experiments import (
     DEFAULT_R_D_M,
     DEFAULT_RADII_M,
+    door_telemetry,
+    draw_chunk,
     gain_width_deg,
-    generate_scene,
     make_sweep,
     run_angle_pdf,
     run_blockage_sweep,
@@ -35,7 +36,7 @@ from .experiments import (
 )
 from .geometry import AnglePair, build_cirs_geometry
 from .phase import optimal_phase, preconfigured_phase
-from .scenario import candidate_relays_irs, candidate_relays_ris, count_blockers
+from .scenario import relay_doors
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -163,12 +164,13 @@ def _cmd_blockage(args) -> int:
 def _cmd_snr_ecdf(args) -> int:
     config = _resolve(args)
     spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
-    results, ranks = run_snr_ecdf(
+    results, ranks, counts = run_snr_ecdf(
         spec,
         r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
         radius_values=tuple(args.radius) or DEFAULT_RADII_M,
     )
     for (mode, radius, rho, r_d), ecdf in sorted(results.items()):
+        doors = door_telemetry(counts[(rho, r_d)], config.max_candidates)
         name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd{r_d:g}.csv"
         n = len(ecdf)
         rows = [
@@ -178,7 +180,7 @@ def _cmd_snr_ecdf(args) -> int:
         _finish(args, config, name, ["snr_db", "ecdf"], rows,
                 {"experiment": "snr-ecdf", "mode": mode, "radius_m": radius,
                  "rho": rho, "r_d": r_d,
-                 "telemetry": {"cascade_ranks": dict(ranks[(radius, rho, r_d)])}})
+                 "telemetry": {"cascade_ranks": dict(ranks[(radius, rho, r_d)]), **doors}})
     summary = snr_summary(results, spec.config.seed)
     for row in summary:
         print(
@@ -190,7 +192,9 @@ def _cmd_snr_ecdf(args) -> int:
             ["mode", "radius_m", "rho", "r_d", "trials", "median_db",
              "median_ci_low_db", "median_ci_high_db"], summary,
             {"experiment": "snr-ecdf",
-             "telemetry": {"cascade_ranks": dict(sum(ranks.values(), Counter()))}})
+             "telemetry": {"cascade_ranks": dict(sum(ranks.values(), Counter())),
+                           **door_telemetry(np.concatenate(list(counts.values())),
+                                            config.max_candidates)}})
     return 0
 
 
@@ -255,26 +259,30 @@ def _cmd_scenario_dump(args) -> int:
     config = _resolve(args)
     flags = {"rho": args.rho, "link_distance_m": args.r_d}
     config = config.replace(**{k: v for k, v in flags.items() if v is not None})
-    scen = generate_scene(config, config.rho, config.link_distance_m, config.seed)
-    roles = {scen.txv: "txv", scen.rxv: "rxv"}
+    # the scene comes from the master seed itself, not from a trial substream
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed))
+    scenes = draw_chunk(config, config.rho, config.link_distance_m, [rng])
+    doors = relay_doors(
+        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
+    )
+    roles = {int(scenes.txv[0]): "txv", int(scenes.rxv[0]): "rxv"}
     fields = ("lane", "x", "y", "length", "width", "height")
     rows = [
         {"index": i, **dict(zip(fields, values)), "role": roles.get(i, "traffic")}
-        for i, values in enumerate(zip(*(getattr(scen, f).tolist() for f in fields)))
+        for i, values in enumerate(zip(*(getattr(scenes, f).tolist() for f in fields)))
     ]
-    irs = candidate_relays_irs(scen, config.door_length_m, config.door_center_height_m)
-    ris = candidate_relays_ris(scen, config.max_range_m, config.door_center_height_m)
-    direct_blockers, _ = count_blockers(scen)
+    dropped, direct_blockers = int(scenes.dropped[0]), int(doors.direct[0])
+    irs, ris = int(doors.irs.sum()), int(doors.ris.sum())
     print(
-        f"{len(rows)} vehicles ({scen.dropped} dropped), "
+        f"{len(rows)} vehicles ({dropped} dropped), "
         f"direct blockers {direct_blockers}, "
-        f"{len(irs)} fixed-surface candidates, {len(ris)} tunable candidates"
+        f"{irs} fixed-surface candidates, {ris} tunable candidates"
     )
     _finish(args, config, "scenario.csv",
             ["index", *fields, "role"], rows,
-            {"experiment": "scenario-dump", "dropped": scen.dropped,
+            {"experiment": "scenario-dump", "dropped": dropped,
              "direct_blockers": direct_blockers,
-             "irs_candidates": len(irs), "ris_candidates": len(ris)})
+             "irs_candidates": irs, "ris_candidates": ris})
     return 0
 
 

@@ -42,14 +42,13 @@ from .geometry import RoadConfig, azimuth, build_cirs_geometry, pose_local_angle
 from .link import beam_amplitude, best_snr
 from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
-    Scenario,
+    SIDES,
+    Doors,
+    Scenes,
     blocked_modes,
-    candidate_relays_irs,
-    candidate_relays_ris,
-    count_blockers,
     door_pose,
     draw_scenes,
-    generate_traffic,
+    relay_doors,
 )
 
 MODES = ("direct", "with_irs", "with_ris")
@@ -214,19 +213,39 @@ def _road(config: SimConfig) -> RoadConfig:
     )
 
 
-def generate_scene(
-    config: SimConfig, rho: float, r_d: float, rng: np.random.Generator | int
-) -> Scenario:
-    """One traffic scene on the configured road and vehicles (see generate_traffic)."""
-    return generate_traffic(
+def draw_chunk(
+    config: SimConfig, rho: float, r_d: float, rngs: list[np.random.Generator]
+) -> Scenes:
+    """One scene per generator on the configured road and vehicles, as one
+    chunk (see ``draw_scenes``)."""
+    return draw_scenes(
         _road(config),
         rho,
-        rng,
+        rngs,
         link_distance_m=r_d,
         vehicle_length_m=config.vehicle_length_m,
         vehicle_width_m=config.vehicle_width_m,
         vehicle_height_m=config.vehicle_height_m,
     )
+
+
+def door_telemetry(counts: np.ndarray, cap: int | None = None) -> dict:
+    """Sidecar telemetry of a sweep point from its trials' (T, 3) counts of
+    IRS doors, RIS doors and dropped placements.
+
+    Gives the dropped placements summed and the gated doors of each mode
+    per trial (mean and max); with ``cap``, also the trials in which each
+    mode gated more than ``cap`` doors (``irs_truncated``, ``ris_truncated``).
+    """
+    telemetry = {"dropped": int(counts[:, 2].sum())}
+    for mode, column in zip(("irs", "ris"), counts[:, :2].T):
+        telemetry[f"{mode}_candidates"] = {
+            "mean": int(column.sum()) / len(column),
+            "max": int(column.max()),
+        }
+        if cap is not None:
+            telemetry[f"{mode}_truncated"] = int(np.count_nonzero(column > cap))
+    return telemetry
 
 
 # --- normalized gain sweeps -------------------------------------------------
@@ -366,34 +385,27 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# trials a blockage worker draws, gates and blockage-tests as one chunk of
-# scenes, so each numpy call of those passes serves this many trials
-BLOCKAGE_CHUNK = 25
+# trials a blockage or angle-pdf worker draws, gates and blockage-tests as
+# one chunk of scenes, so each numpy call of those passes serves this many
+# trials
+SCENE_CHUNK = 25
 
 
 def _blockage_chunk(
     config: SimConfig, rho: float, r_d: float, seed: int, trials: range
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Blockage flags (T, 3), (IRS, RIS) candidate counts (T, 2) and dropped
-    placements (T,) of each trial of ``trials``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Blockage flags (T, 3) and (T, 3) counts of IRS doors, RIS doors and
+    dropped placements of each trial of ``trials``.
 
     Each trial draws its scene from its own substream, as a one-trial sweep
     would; the chunk's scenes are then gated and blockage-tested together
     (``blocked_modes``).
     """
-    scenes = draw_scenes(
-        _road(config),
-        rho,
-        [trial_rng(seed, trial) for trial in trials],
-        link_distance_m=r_d,
-        vehicle_length_m=config.vehicle_length_m,
-        vehicle_width_m=config.vehicle_width_m,
-        vehicle_height_m=config.vehicle_height_m,
-    )
+    scenes = draw_chunk(config, rho, r_d, [trial_rng(seed, trial) for trial in trials])
     flags, candidates = blocked_modes(
         scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
     )
-    return flags, candidates, scenes.dropped
+    return flags, np.column_stack([candidates, scenes.dropped])
 
 
 def run_blockage_sweep(
@@ -402,9 +414,9 @@ def run_blockage_sweep(
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals,
     and telemetry per (rho, r_d).
 
-    A point's telemetry gives the placements dropped over its trials and the
-    IRS and RIS candidate doors per trial (mean and max), every trial's
-    scene gated whether or not its direct ray is blocked.
+    A point's telemetry (``door_telemetry``) gives the placements dropped
+    over its trials and the IRS and RIS candidate doors per trial (mean and
+    max), every trial's scene gated whether or not its direct ray is blocked.
     """
     cfg = spec.config
     grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
@@ -417,19 +429,10 @@ def run_blockage_sweep(
     ]
     rows = []
     telemetry = {}
-    swept = _map_trials(points, spec.trials, cfg.threads, BLOCKAGE_CHUNK)
+    swept = _map_trials(points, spec.trials, cfg.threads, SCENE_CHUNK)
     for (rho, r_d), chunks in zip(grid, swept):
-        flags, candidates, dropped = (np.concatenate(part) for part in zip(*chunks))
-        telemetry[(rho, r_d)] = {
-            "dropped": int(dropped.sum()),
-            **{
-                f"{mode}_candidates": {
-                    "mean": int(counts.sum()) / spec.trials,
-                    "max": int(counts.max()),
-                }
-                for mode, counts in zip(("irs", "ris"), candidates.T)
-            },
-        }
+        flags, counts = (np.concatenate(part) for part in zip(*chunks))
+        telemetry[(rho, r_d)] = door_telemetry(counts)
         for mode, blocked in zip(MODES, flags.sum(axis=0).tolist()):
             lo, hi = wilson_interval(blocked, spec.trials)
             rows.append(
@@ -492,16 +495,16 @@ def bootstrap_median_ci(
     )
 
 
-def _ranked_candidates(
-    scen: Scenario, candidates, door_center_height: float, cap: int
-) -> list:
-    """Cap a candidate list by cascade budget (smallest r_t * r_r first).
+def _ranked_candidates(doors: Doors, mask: np.ndarray, cap: int) -> np.ndarray:
+    """Indices of the ``mask`` doors by cascade budget (smallest r_t * r_r
+    first), at most ``cap`` of them.
 
-    Ties in r_t * r_r go to the lower vehicle index, then to the left door.
+    Ties in r_t * r_r go to the lower vehicle row, then to the left door.
     """
-    r = scen.endpoint_distances(scen.door_points(candidates, door_center_height))
-    budget = (r[:, 0] * r[:, 1]).tolist()
-    return [cand for _, cand in sorted(zip(budget, candidates))][:cap]
+    picked = np.flatnonzero(mask)
+    r = doors.r[picked]
+    order = np.lexsort((doors.side[picked], doors.row[picked], r[:, 0] * r[:, 1]))
+    return picked[order[:cap]]
 
 
 def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
@@ -517,9 +520,10 @@ def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
 
 def _snr_trial(
     config: SimConfig, surfaces, rho: float, r_d: float, seed: int, trial: int
-) -> tuple[list[tuple[float, float, float]], list[Counter]]:
-    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface,
-    and per surface the count of door cascades at each numerical rank.
+) -> tuple[list[tuple[float, float, float]], list[Counter], tuple[int, int, int]]:
+    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface;
+    per surface the count of door cascades at each numerical rank; and the
+    scene's counts of IRS doors, RIS doors and dropped placements.
 
     The scene, gating, blocker counts, direct link, and each door's beams,
     blockage draws and leg path phases (xi_t, xi_r) come once; every
@@ -535,33 +539,24 @@ def _snr_trial(
     counted under ``_rank_label``.
     """
     rng = trial_rng(seed, trial)
-    scen = generate_scene(config, rho, r_d, rng)
-    p_t, p_r = scen.p_t, scen.p_r
+    scenes = draw_chunk(config, rho, r_d, [rng])
+    doors = relay_doors(
+        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
+    )
+    [(p_t, p_r)] = scenes.ends
     lam = config.wavelength_m
     k = config.k_antennas
-    height = config.door_center_height_m
 
-    irs = _ranked_candidates(
-        scen,
-        candidate_relays_irs(scen, config.door_length_m, height),
-        height,
-        config.max_candidates,
-    )
-    ris = _ranked_candidates(
-        scen,
-        candidate_relays_ris(scen, config.max_range_m, height),
-        height,
-        config.max_candidates,
-    )
-    # one set of draws per distinct door, in a fixed order so the RNG stream
-    # is identical for every mode and every radius
+    irs = _ranked_candidates(doors, doors.irs, config.max_candidates).tolist()
+    ris = _ranked_candidates(doors, doors.ris, config.max_candidates).tolist()
+    # one set of draws per distinct door, in a fixed (row, side) order so the
+    # RNG stream is identical for every mode and every radius
     relays = sorted(set(irs) | set(ris))
-    direct_blockers, legs = count_blockers(scen, relays, height)
 
     loss_db = sample_direct_pathloss(
         float(np.linalg.norm(p_r - p_t)),
         config.f_ghz,
-        direct_blockers,
+        int(doors.direct[0]),
         rng,
         sigma_shadow_db=config.sigma_shadow_db,
         block_mu1_db=config.block_mu1_db,
@@ -580,9 +575,9 @@ def _snr_trial(
     tuned_amps = [[amp_direct] for _ in surfaces]
     fixed_amps = [[amp_direct] for _ in surfaces]
     ranks = [Counter() for _ in surfaces]
-    doors = scen.door_points(relays, height)
-    for relay, door, (b_t, b_r) in zip(relays, doors, legs):
-        _, side = relay
+    for relay in relays:
+        door, side = doors.points[relay], SIDES[doors.side[relay]]
+        b_t, b_r = doors.legs[relay]
         phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
         att_t = sample_blockage_db(
             b_t, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
@@ -621,7 +616,9 @@ def _snr_trial(
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
     direct = snr([amp_direct])
-    return [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)], ranks
+    snrs = [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)]
+    counts = (int(doors.irs.sum()), int(doors.ris.sum()), int(scenes.dropped[0]))
+    return snrs, ranks, counts
 
 
 def _rank_label(geometry, left: np.ndarray) -> str:
@@ -637,15 +634,19 @@ def run_snr_ecdf(
 ) -> tuple[
     dict[tuple[str, float, float, float], EcdfResult],
     dict[tuple[float, float, float], Counter],
+    dict[tuple[float, float], np.ndarray],
 ]:
-    """SNR ECDFs per (mode, radius, rho, r_d), and cascade ranks per (radius, rho, r_d).
+    """SNR ECDFs per (mode, radius, rho, r_d), cascade ranks per (radius,
+    rho, r_d), and door counts per (rho, r_d).
 
     rho values come from spec.grid.  Each trial is one scene scored at every
     radius (see ``_snr_trial``); the element layout and fixed profile of
     each radius are built once here.  The second dict counts, summed over
     the trials of every worker process, how many door cascades kept each
     numerical rank in their skeleton ("exact" when the skeleton is the whole
-    surface).
+    surface).  The third holds each point's (T, 3) per-trial counts of IRS
+    doors, RIS doors and dropped placements, in trial order, for
+    ``door_telemetry``.
     """
     cfg = spec.config
     d = cfg.element_spacing_m
@@ -655,6 +656,7 @@ def run_snr_ecdf(
         surfaces.append((layout, _fixed_profile(cfg, layout)))
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
     ranks: dict[tuple[float, float, float], Counter] = {}
+    counts: dict[tuple[float, float], np.ndarray] = {}
     grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
     points = [
         (
@@ -664,12 +666,15 @@ def run_snr_ecdf(
         for rho, r_d in grid
     ]
     for (rho, r_d), trials in zip(grid, _map_trials(points, spec.trials, cfg.threads)):
-        samples = np.array([snrs for snrs, _ in trials])
+        samples = np.array([snrs for snrs, _, _ in trials])
+        counts[(rho, r_d)] = np.array([doors for _, _, doors in trials])
         for i, radius in enumerate(radius_values):
-            ranks[(float(radius), rho, r_d)] = sum((counts[i] for _, counts in trials), Counter())
+            ranks[(float(radius), rho, r_d)] = sum(
+                (cascades[i] for _, cascades, _ in trials), Counter()
+            )
             for col, mode in enumerate(MODES):
                 results[(mode, float(radius), rho, r_d)] = EcdfResult(values=samples[:, i, col])
-    return results, ranks
+    return results, ranks, counts
 
 
 def snr_summary(
@@ -698,19 +703,26 @@ def snr_summary(
 # --- incidence-angle statistics ------------------------------------------------
 
 
-def _angle_trial(
-    config: SimConfig, rho: float, r_d: float, seed: int, trial: int
+def _angle_chunk(
+    config: SimConfig, rho: float, r_d: float, seed: int, trials: range
 ) -> tuple[list[float], list[float]]:
-    """Door-frame incidence elevations/azimuths (deg) over one scene."""
-    rng = trial_rng(seed, trial)
-    scen = generate_scene(config, rho, r_d, rng)
+    """Door-frame incidence elevations/azimuths (deg) over the RIS doors of
+    the scenes of ``trials``, in trial order.
+
+    Each trial draws its scene from its own substream, as a one-trial sweep
+    would; the chunk's scenes are gated together (``relay_doors``).
+    """
+    scenes = draw_chunk(config, rho, r_d, [trial_rng(seed, trial) for trial in trials])
+    doors = relay_doors(
+        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
+    )
+    p_t = scenes.ends[doors.scene, 0]
     elev: list[float] = []
     azim: list[float] = []
-    height = config.door_center_height_m
-    cands = candidate_relays_ris(scen, config.max_range_m, height)
-    for (_, side), door in zip(cands, scen.door_points(cands, height)):
+    for relay in np.flatnonzero(doors.ris).tolist():
+        door, side = doors.points[relay], SIDES[doors.side[relay]]
         pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
-        ang = pose_local_angles(pose, scen.p_t - door)
+        ang = pose_local_angles(pose, p_t[relay] - door)
         elev.append(math.degrees(ang.phi))
         azim.append(math.degrees(ang.theta))
     return elev, azim
@@ -725,10 +737,10 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     bin_deg = 1.0
     rho = float(spec.grid[0])
     worker = partial(
-        _angle_trial, spec.config, rho, spec.config.link_distance_m, spec.config.seed
+        _angle_chunk, spec.config, rho, spec.config.link_distance_m, spec.config.seed
     )
     point = f"angle-pdf rho={rho:g} r_d={spec.config.link_distance_m:g}"
-    parts = _map_trials([(point, worker)], spec.trials, spec.config.threads)[0]
+    parts = _map_trials([(point, worker)], spec.trials, spec.config.threads, SCENE_CHUNK)[0]
     elev = np.array([v for p in parts for v in p[0]])
     azim = np.array([v for p in parts for v in p[1]])
     if elev.size == 0:

@@ -1,19 +1,20 @@
-"""Random highway scenes: Poisson traffic, relay candidates, blockage.
+"""Random highway scenes: Poisson traffic, relay doors, blockage.
 
 Scenes are plan-view snapshots: every vehicle is an axis-aligned box on a
 lane, the two link endpoints (TxV, RxV) sit in the center lane, and blockage
 of a path is a 2D segment-vs-footprint intersection test (all roofs share
 the same height, so a same-height ray is blocked exactly by the boxes its
 plan-view projection crosses).  ``_segment_counts`` is the one place that
-test is made; ``count_blockers`` and ``blocked_modes`` read their counts
-from it.
+test is made, and ``relay_doors`` the one place doors are gated.
 
-A scene is stored as per-vehicle arrays, and a chunk of scenes (``Scenes``)
-as one set of them with a scene id.  Door gating and the blockage test work
-on a chunk without a per-scene or per-door loop; the one-scene functions
-(``candidate_relays_irs``, ``candidate_relays_ris``, ``count_blockers``) run
-them on a chunk of one.  Generation loops over position draws only, testing
-each against its two same-lane neighbours.
+A chunk of scenes (``Scenes``) is one set of per-vehicle arrays with a scene
+id; every experiment draws its scenes as a chunk (``draw_scenes``), one
+scene included.  ``relay_doors`` gates the doors of a whole chunk and counts
+the blockers of its direct rays and relay legs without a per-scene or
+per-door loop; ``blocked_modes`` reduces that to the blockage sweep's mode
+flags.  Generation loops over position draws only, testing each against its
+two same-lane neighbours.  ``Scenario`` holds one scene, with ``Vehicle``
+rows, for code that inspects a scene vehicle by vehicle.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .geometry import DoorPose, RoadConfig, Vehicle, _isclose, specular_area
 
-Candidate = tuple[int, str]  # (vehicle index, door side)
 SIDES = ("left", "right")
 # draws per placement before it is dropped as unplaceable
 MAX_RETRIES = 100
@@ -138,18 +138,6 @@ class Scenario:
         """RxV roof-array position."""
         return np.array([self.x[self.rxv], self.y[self.rxv], self.height[self.rxv]])
 
-    def door_points(
-        self, doors: Sequence[Candidate], door_center_height: float
-    ) -> np.ndarray:
-        """(C, 3) mid-door reference points of the given (index, side) doors."""
-        rows = [i for i, _ in doors]
-        cols = [SIDES.index(side) for _, side in doors]
-        return _door_points(self.x, self.y, self.width, door_center_height)[rows, cols]
-
-    def endpoint_distances(self, points: np.ndarray) -> np.ndarray:
-        """(..., 2) distances (r_t, r_r) of (..., 3) points from both roof arrays."""
-        return _distances(np.asarray(points), np.stack([self.p_t, self.p_r]))
-
 
 @dataclass(frozen=True, eq=False)
 class Scenes:
@@ -165,6 +153,7 @@ class Scenes:
     road: RoadConfig
     x: np.ndarray
     y: np.ndarray
+    lane: np.ndarray
     length: np.ndarray
     width: np.ndarray
     height: np.ndarray
@@ -172,31 +161,6 @@ class Scenes:
     txv: np.ndarray
     rxv: np.ndarray
     dropped: np.ndarray
-
-    @classmethod
-    def of(cls, scenarios: Sequence[Scenario]) -> Scenes:
-        """The given scenes as one chunk, in order."""
-        road = scenarios[0].road
-        if any(s.road != road for s in scenarios):
-            raise ValueError("the scenes of a chunk must share one road")
-        sizes = [len(s.x) for s in scenarios]
-        offsets = np.cumsum([0, *sizes[:-1]])
-
-        def rows(name):
-            return np.concatenate([getattr(s, name) for s in scenarios])
-
-        return cls(
-            road=road,
-            x=rows("x"),
-            y=rows("y"),
-            length=rows("length"),
-            width=rows("width"),
-            height=rows("height"),
-            scene=np.repeat(np.arange(len(sizes)), sizes),
-            txv=offsets + [s.txv for s in scenarios],
-            rxv=offsets + [s.rxv for s in scenarios],
-            dropped=np.array([s.dropped for s in scenarios]),
-        )
 
     @property
     def ends(self) -> np.ndarray:
@@ -342,6 +306,7 @@ def draw_scenes(
         road=road,
         x=_lane_centers(road)[lanes],
         y=np.array(ys),
+        lane=np.array(lanes, dtype=int),
         length=np.full(n, vehicle_length_m),
         width=np.full(n, vehicle_width_m),
         height=np.full(n, vehicle_height_m),
@@ -360,7 +325,7 @@ def door_pose(
     The pose origin is the surface reference element (column n = 0); the
     columns extend (n_elements - 1) * element_spacing_m along the vehicle
     from there, so the origin is shifted back by half that extent to center
-    the surface on ``door`` (a point from ``Scenario.door_points``).
+    the surface on ``door`` (a point from ``relay_doors``).
     """
     offset = (n_elements - 1) * element_spacing_m / 2.0
     shift = -offset if side == "right" else offset
@@ -386,49 +351,6 @@ def _facing_doors(scenes: Scenes, door_center_height: float):
     facing[s.txv] = False
     facing[s.rxv] = False
     return points, ends, facing
-
-
-def _in_strip(points, ends, road: RoadConfig, door_length_m: float) -> np.ndarray:
-    """Whether each door point lies in its scene's specular area."""
-    area = specular_area(ends[:, None, 0], ends[:, None, 1], road, door_length_m)
-    return area.contains(points)
-
-
-def _in_range(points, ends, facing, max_range_m: float) -> np.ndarray:
-    """Which of the ``facing`` doors lie within ``max_range_m`` of both endpoints."""
-    if max_range_m <= 0:
-        raise ValueError(f"max_range_m must be positive, got {max_range_m}")
-    rows, cols = np.nonzero(facing)
-    mask = np.zeros_like(facing)
-    r = _distances(points[rows, cols], ends[rows])
-    mask[rows, cols] = (r <= max_range_m).all(axis=-1)
-    return mask
-
-
-def _candidates(mask: np.ndarray) -> list[Candidate]:
-    """(index, side) of every set entry of a (V, 2) door mask, in row order."""
-    rows, cols = np.nonzero(mask)
-    return [(i, SIDES[c]) for i, c in zip(rows.tolist(), cols.tolist())]
-
-
-def candidate_relays_irs(
-    scenario: Scenario,
-    door_length_m: float = 1.0,
-    door_center_height: float = 0.9,
-) -> list[Candidate]:
-    """Doors inside the specular area that face both endpoints."""
-    points, ends, facing = _facing_doors(Scenes.of([scenario]), door_center_height)
-    return _candidates(facing & _in_strip(points, ends, scenario.road, door_length_m))
-
-
-def candidate_relays_ris(
-    scenario: Scenario,
-    max_range_m: float = 150.0,
-    door_center_height: float = 0.9,
-) -> list[Candidate]:
-    """Doors within range of both endpoints that face both endpoints."""
-    points, ends, facing = _facing_doors(Scenes.of([scenario]), door_center_height)
-    return _candidates(_in_range(points, ends, facing, max_range_m))
 
 
 def _slab_hits(segments, columns, seg, pos) -> np.ndarray:
@@ -511,37 +433,86 @@ def _segment_counts(
     return counts
 
 
-def count_blockers(
-    scenario: Scenario,
-    doors: Sequence[Candidate] = (),
-    door_center_height: float = 0.9,
-) -> tuple[int, np.ndarray]:
-    """Blocker counts of the direct ray and of both relay legs of every door.
+@dataclass(frozen=True, eq=False)
+class Doors:
+    """The gated relay doors of a chunk of scenes, in (vehicle row, side) order.
 
-    The segments are the direct ray TxV->RxV, then TxV->door and door->RxV
-    for each door in order, each between the roof array and the door
-    reference point in plan view.  A vehicle blocks a segment when its
-    footprint crosses the open segment; the TxV and RxV never count, and
-    neither does a door's own vehicle on its two legs (``_segment_counts``).
-
-    Returns (direct count, (C, 2) int array of (first, second) leg counts).
+    Door k is the ``SIDES[side[k]]`` door of row ``row[k]`` of the chunk,
+    in scene ``scene[k]``: its mid-door reference point is ``points[k]``
+    and its distances from the scene's TxV and RxV roof arrays are
+    ``r[k]`` = (r_t, r_r).  ``irs[k]`` and ``ris[k]`` say which modes gate
+    it, and ``legs[k]`` holds the blocker counts of its legs TxV -> door
+    and door -> RxV.  ``direct[s]`` is the blocker count of scene s's
+    TxV -> RxV ray.
     """
-    doors = list(doors)
-    n_seg = 1 + 2 * len(doors)
-    p_t, p_r = scenario.p_t[:2], scenario.p_r[:2]
-    starts = np.empty((n_seg, 2))
-    ends = np.empty((n_seg, 2))
-    starts[0], ends[0] = p_t, p_r
-    relay = np.full(n_seg, -1)
-    if doors:
-        points = scenario.door_points(doors, door_center_height)[:, :2]
-        starts[1::2], ends[1::2] = p_t, points
-        starts[2::2], ends[2::2] = points, p_r
-        relay[1:] = np.repeat([idx for idx, _ in doors], 2)
-    counts = _segment_counts(
-        Scenes.of([scenario]), np.zeros(n_seg, dtype=int), starts, ends, relay
+
+    scene: np.ndarray
+    row: np.ndarray
+    side: np.ndarray
+    points: np.ndarray
+    r: np.ndarray
+    irs: np.ndarray
+    ris: np.ndarray
+    legs: np.ndarray
+    direct: np.ndarray
+
+
+def relay_doors(
+    scenes: Scenes,
+    door_length_m: float = 1.0,
+    door_center_height: float = 0.9,
+    max_range_m: float = 150.0,
+) -> Doors:
+    """Every door of a chunk that either mode gates, with its blocker counts.
+
+    A door must face both endpoints of its scene (``_facing_doors``).  A
+    pre-configured C-IRS door (``irs``) must also lie in the scene's
+    specular area, two door lengths along the road; a tunable C-RIS door
+    (``ris``) must lie within ``max_range_m`` of both endpoints.  The
+    direct rays and both legs of every gated door are counted in one
+    ``_segment_counts`` pass; a door's own vehicle never blocks its legs.
+    """
+    if max_range_m <= 0:
+        raise ValueError(f"max_range_m must be positive, got {max_range_m}")
+    points, ends, facing = _facing_doors(scenes, door_center_height)
+    rows, sides = np.nonzero(facing)
+    points, ends = points[rows, sides], ends[rows]
+    area = specular_area(ends[:, 0], ends[:, 1], scenes.road, door_length_m)
+    irs = area.contains(points)
+    r = _distances(points, ends)
+    ris = (r <= max_range_m).all(axis=1)
+    gated = irs | ris
+    rows, sides, points, ends, r, irs, ris = (
+        column[gated] for column in (rows, sides, points, ends, r, irs, ris)
     )
-    return int(counts[0]), counts[1:].reshape(-1, 2)
+    scene = scenes.scene[rows]
+
+    # the direct rays, then both legs of every gated door, in one pass
+    n_scenes = len(scenes.txv)
+    n_seg = n_scenes + 2 * len(rows)
+    starts = np.empty((n_seg, 2))
+    stops = np.empty_like(starts)
+    starts[:n_scenes], stops[:n_scenes] = scenes.ends[:, :, :2].transpose(1, 0, 2)
+    starts[n_scenes::2], stops[n_scenes::2] = ends[:, 0, :2], points[:, :2]
+    starts[n_scenes + 1::2], stops[n_scenes + 1::2] = points[:, :2], ends[:, 1, :2]
+    counts = _segment_counts(
+        scenes,
+        np.concatenate([np.arange(n_scenes), np.repeat(scene, 2)]),
+        starts,
+        stops,
+        np.concatenate([np.full(n_scenes, -1), np.repeat(rows, 2)]),
+    )
+    return Doors(
+        scene=scene,
+        row=rows,
+        side=sides,
+        points=points,
+        r=r,
+        irs=irs,
+        ris=ris,
+        legs=counts[n_scenes:].reshape(-1, 2),
+        direct=counts[:n_scenes],
+    )
 
 
 def blocked_modes(
@@ -553,47 +524,22 @@ def blocked_modes(
     """Whether each scene's link is blocked under each mode, and its candidates.
 
     Returns the (S, 3) flags (direct, with_irs, with_ris) and the (S, 2)
-    counts of (IRS, RIS) candidate doors of every scene of the chunk.
-    direct: any blocker on the TxV-RxV ray.  with_irs / with_ris: the direct
-    ray is blocked AND no door of the mode (specular-area doors for with_irs,
-    any in-range door for with_ris) has both legs clear; a mode without doors
-    stays blocked.  Every gated door counts here, while SNR trials keep only
-    the max_candidates doors with the smallest r_t * r_r per mode.  The
-    direct rays and both legs of every gated door are counted in one pass.
-    ``Scenes.of`` makes a chunk of given scenes, one scene included.
+    counts of (IRS, RIS) candidate doors of every scene of the chunk, both
+    from ``relay_doors``.  direct: any blocker on the TxV-RxV ray.
+    with_irs / with_ris: the direct ray is blocked AND no door the mode
+    gates has both legs clear; a mode without doors stays blocked.  Every
+    gated door counts here, while SNR trials keep only the max_candidates
+    doors with the smallest r_t * r_r per mode.
     """
+    doors = relay_doors(scenes, door_length_m, door_center_height, max_range_m)
     n_scenes = len(scenes.txv)
-    points, door_ends, facing = _facing_doors(scenes, door_center_height)
-    irs = facing & _in_strip(points, door_ends, scenes.road, door_length_m)
-    ris = _in_range(points, door_ends, facing, max_range_m)
-    sides = np.repeat(scenes.scene, 2)
+    direct = doors.direct > 0
+    clear = (doors.legs == 0).all(axis=1)
+    flags = np.stack([direct, direct, direct], axis=1)
+    for column, mask in ((1, doors.irs), (2, doors.ris)):
+        flags[doors.scene[clear & mask], column] = False
     candidates = np.stack(
-        [np.bincount(sides[mask.ravel()], minlength=n_scenes) for mask in (irs, ris)],
+        [np.bincount(doors.scene[m], minlength=n_scenes) for m in (doors.irs, doors.ris)],
         axis=1,
     )
-
-    # the direct rays, then both legs of every gated door, in one pass
-    rows, cols = np.nonzero(irs | ris)
-    door_scene = scenes.scene[rows]
-    doors = points[rows, cols, :2]
-    ends = scenes.ends[:, :, :2]
-    n_seg = n_scenes + 2 * len(rows)
-    starts = np.empty((n_seg, 2))
-    stops = np.empty_like(starts)
-    starts[:n_scenes], stops[:n_scenes] = ends[:, 0], ends[:, 1]
-    starts[n_scenes::2], stops[n_scenes::2] = ends[door_scene, 0], doors
-    starts[n_scenes + 1::2], stops[n_scenes + 1::2] = doors, ends[door_scene, 1]
-    counts = _segment_counts(
-        scenes,
-        np.concatenate([np.arange(n_scenes), np.repeat(door_scene, 2)]),
-        starts,
-        stops,
-        np.concatenate([np.full(n_scenes, -1), np.repeat(rows, 2)]),
-    )
-    direct = counts[:n_scenes] > 0
-    legs = counts[n_scenes:].reshape(-1, 2)
-    clear = (legs == 0).all(axis=1)
-    flags = np.stack([direct, direct, direct], axis=1)
-    for column, mask in ((1, irs), (2, ris)):
-        flags[door_scene[clear & mask[rows, cols]], column] = False
     return flags, candidates

@@ -8,7 +8,8 @@ selection oracle scores every beam pair on one channel matrix.  None of
 them uses the row + column factorization that ``PhaseProfile``,
 ``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.  The
 scene oracles place traffic one uniform draw at a time and gate relay doors
-one ``Vehicle`` at a time, where ``scenario`` works on per-vehicle arrays.
+one ``Vehicle`` at a time, where ``scenario`` works on per-vehicle arrays;
+``scenes_of`` joins hand-built scenes into the chunk the package gates.
 ``snell_residual`` checks a phase gradient against the generalized
 reflection law.
 """
@@ -28,7 +29,7 @@ from conformal_v2v.channel import (
 from conformal_v2v.geometry import Vehicle, specular_area
 from conformal_v2v.link import beam_amplitude
 from conformal_v2v.phase import PHASE_SIGN
-from conformal_v2v.scenario import MAX_RETRIES, Scenario
+from conformal_v2v.scenario import MAX_RETRIES, Scenario, Scenes
 
 TWO_PI = 2.0 * math.pi
 
@@ -299,6 +300,27 @@ def scene_from_vehicles(road, vehicles, txv=0, rxv=1, dropped=0):
     columns = ("x", "y", "lane", "length", "width", "height")
     rows = {name: [getattr(v, name) for v in vehicles] for name in columns}
     return Scenario(road=road, **rows, txv=txv, rxv=rxv, dropped=dropped)
+
+
+def scenes_of(scenarios):
+    """The given ``Scenario`` objects as one ``Scenes`` chunk, in order."""
+    road = scenarios[0].road
+    if any(s.road != road for s in scenarios):
+        raise ValueError("the scenes of a chunk must share one road")
+    sizes = [len(s.x) for s in scenarios]
+    offsets = np.cumsum([0, *sizes[:-1]])
+
+    def rows(name):
+        return np.concatenate([getattr(s, name) for s in scenarios])
+
+    return Scenes(
+        road=road,
+        **{name: rows(name) for name in ("x", "y", "lane", "length", "width", "height")},
+        scene=np.repeat(np.arange(len(sizes)), sizes),
+        txv=offsets + [s.txv for s in scenarios],
+        rxv=offsets + [s.rxv for s in scenarios],
+        dropped=np.array([s.dropped for s in scenarios]),
+    )
 
 
 def door_center(vehicle, side, door_height):

@@ -6,6 +6,10 @@ property of a public class, must be referenced somewhere in the code of
 from the tests do not count: a closed form or view that only a test reads
 belongs in ``tests/oracles.py``, not in the package.
 
+A private top-level function or class of ``src/`` must likewise be used
+somewhere in ``src/`` outside its own definition, so that no helper outlives
+its last caller.
+
 A reference is a use of the name (``name`` or ``obj.name``); an import alone
 is not one.  Names are matched without types, so a method shares a reference
 with any attribute of the same name.
@@ -20,13 +24,16 @@ PACKAGE = ROOT / "src" / "conformal_v2v"
 CALLER_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
 
 
-def _definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name, node) of each public definition."""
+def _definitions(tree: ast.Module, module: str, private: bool = False):
+    """(qualified name, bare name, node) of each public definition, or with
+    ``private`` of each private top-level function and class."""
     for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if node.name.startswith("_") != private:
             continue
         yield f"{module}.{node.name}", node.name, node
-        if isinstance(node, ast.ClassDef):
+        if isinstance(node, ast.ClassDef) and not private:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                     yield f"{module}.{node.name}.{item.name}", item.name, item
@@ -43,23 +50,30 @@ def _uses(tree: ast.AST) -> Counter:
     return found
 
 
-def unreferenced(modules: dict[str, ast.Module], callers: list[ast.Module]) -> list[str]:
-    """Public definitions of ``modules`` that no code in ``callers`` uses,
-    counting no use inside the definition itself."""
+def unreferenced(
+    modules: dict[str, ast.Module], callers: list[ast.Module], private: bool = False
+) -> list[str]:
+    """Public (or with ``private``, private) definitions of ``modules`` that no
+    code in ``callers`` uses, counting no use inside the definition itself."""
     used = sum((_uses(tree) for tree in callers), Counter())
     return [
         qualname
         for module, tree in modules.items()
-        for qualname, name, node in _definitions(tree, module)
+        for qualname, name, node in _definitions(tree, module, private)
         if used[name] == _uses(node)[name]
     ]
 
 
-def test_every_public_name_has_a_caller_outside_the_tests():
-    def parse(path):
-        return ast.parse(path.read_text(), filename=str(path))
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
-    modules = {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+def package_modules() -> dict[str, ast.Module]:
+    return {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    modules = package_modules()
     callers = [
         parse(path)
         for folder in CALLER_DIRS
@@ -67,6 +81,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if path.parent != PACKAGE
     ]
     assert unreferenced(modules, [*modules.values(), *callers]) == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    modules = package_modules()
+    assert unreferenced(modules, list(modules.values()), private=True) == []
 
 
 def test_a_name_used_only_by_its_own_definition_is_flagged():
@@ -77,9 +96,15 @@ def test_a_name_used_only_by_its_own_definition_is_flagged():
         "class Box:\n"
         "    def read(self):\n        return self.read\n\n"
         "    def unused(self):\n        return None\n\n"
-        "    def _private(self):\n        return None\n"
+        "    def _private(self):\n        return None\n\n"
+        "def _helper():\n    return _Kept()\n\n"
+        "class _Kept:\n    pass\n\n"
+        "def _orphan(n):\n    return _orphan(n - 1)\n"
     )
-    other = ast.parse("from m import Box\n")
+    other = ast.parse("from m import Box, _orphan\n")
     assert unreferenced({"m": tree}, [tree, other]) == [
         "m.used", "m.recursive", "m.Box", "m.Box.read", "m.Box.unused"
+    ]
+    assert unreferenced({"m": tree}, [tree, other], private=True) == [
+        "m._helper", "m._orphan"
     ]

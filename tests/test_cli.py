@@ -153,17 +153,24 @@ def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
         assert snrs == sorted(snrs)
     _, summary = read_csv(tmp_path / "snr_summary.csv")
     assert len(summary) == 3
-    # the sidecars count the door cascades by rank: the whole 16 x 16
-    # surface is its own skeleton, and one point sums to the whole run
-    ranks = [
+    # the sidecars count the door cascades by rank (the whole 16 x 16
+    # surface is its own skeleton) and the doors each trial gated, and one
+    # point sums to the whole run
+    telemetry = [
         json.loads((tmp_path / f"snr_ecdf_{mode}_R2_rho30_rd50.json").read_text())
-        ["telemetry"]["cascade_ranks"]
+        ["telemetry"]
         for mode in ("direct", "with_irs", "with_ris")
     ]
-    assert ranks[0] == ranks[1] == ranks[2]
-    assert list(ranks[0]) == ["exact"] and ranks[0]["exact"] > 0
+    assert telemetry[0] == telemetry[1] == telemetry[2]
+    ranks = telemetry[0]["cascade_ranks"]
+    assert list(ranks) == ["exact"] and ranks["exact"] > 0
+    assert sorted(telemetry[0]) == [
+        "cascade_ranks", "dropped", "irs_candidates", "irs_truncated",
+        "ris_candidates", "ris_truncated",
+    ]
+    assert telemetry[0]["ris_candidates"]["max"] >= 1
     summary_side = json.loads((tmp_path / "snr_summary.json").read_text())
-    assert summary_side["telemetry"]["cascade_ranks"] == ranks[0]
+    assert summary_side["telemetry"] == telemetry[0]
 
 
 def test_snr_ecdf_reruns_are_byte_identical(tmp_path):

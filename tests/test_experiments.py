@@ -26,7 +26,7 @@ from conformal_v2v.experiments import (
     DEFAULT_TRIALS,
     MODES,
     EcdfResult,
-    BLOCKAGE_CHUNK,
+    SCENE_CHUNK,
     SweepSpec,
     _blockage_chunk,
     _fixed_profile,
@@ -34,10 +34,11 @@ from conformal_v2v.experiments import (
     _map_trials,
     _ranked_candidates,
     bootstrap_median_ci,
+    door_telemetry,
+    draw_chunk,
     element_counts_for_area,
     format_cell,
     gain_width_deg,
-    generate_scene,
     make_sweep,
     run_angle_pdf,
     run_blockage_sweep,
@@ -58,12 +59,7 @@ from conformal_v2v.geometry import (
     pose_local_angles,
 )
 from conformal_v2v.phase import PhaseProfile, optimal_phase, preconfigured_phase
-from conformal_v2v.scenario import (
-    candidate_relays_irs,
-    candidate_relays_ris,
-    door_pose,
-    generate_traffic,
-)
+from conformal_v2v.scenario import SIDES, door_pose, generate_traffic, relay_doors
 from oracles import (
     door_center,
     reflection_matrix,
@@ -71,9 +67,10 @@ from oracles import (
     scalar_candidates_ris,
     scalar_generate_traffic,
     scene_from_vehicles,
+    scenes_of,
 )
 from test_channel import kernel_segments
-from test_scenario import reference_modes
+from test_scenario import door_pairs, gated, reference_modes
 
 LAM28 = 299_792_458.0 / 28e9
 
@@ -394,7 +391,7 @@ def reference_blockage_sweep(cfg, rhos, r_ds):
     return rows, telemetry
 
 
-@pytest.mark.parametrize("trials", [1, BLOCKAGE_CHUNK - 1, BLOCKAGE_CHUNK, BLOCKAGE_CHUNK + 1])
+@pytest.mark.parametrize("trials", [1, SCENE_CHUNK - 1, SCENE_CHUNK, SCENE_CHUNK + 1])
 def test_blockage_sweep_matches_the_per_trial_reference_at_chunk_edges(trials):
     # rho = 0 leaves only the endpoints: no door and no leg segment
     cfg = SimConfig().replace(trials=trials, seed=3)
@@ -406,7 +403,7 @@ def test_blockage_sweep_matches_the_per_trial_reference_at_chunk_edges(trials):
 def test_a_chunk_with_every_direct_ray_clear_matches_the_reference():
     # at this seed no trial of the chunk has a blocker on its direct ray,
     # while its scenes hold gated doors
-    cfg = SimConfig().replace(trials=BLOCKAGE_CHUNK, seed=8)
+    cfg = SimConfig().replace(trials=SCENE_CHUNK, seed=8)
     rows, telemetry = run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,)), (50.0,))
     assert all(row["p_block"] == 0.0 for row in rows)
     assert telemetry[(2.0, 50.0)]["ris_candidates"]["max"] > 0
@@ -417,7 +414,7 @@ def test_pooled_blockage_sweep_matches_the_sequential_one(monkeypatch):
     # three chunks per point over two workers: rows and telemetry are summed
     # to the same values
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    cfg = SimConfig().replace(trials=2 * BLOCKAGE_CHUNK + 1, seed=7)
+    cfg = SimConfig().replace(trials=2 * SCENE_CHUNK + 1, seed=7)
     seq = run_blockage_sweep(make_sweep("blockage", cfg, grid=(10.0, 40.0)), (100.0,))
     pooled = make_sweep("blockage", cfg.replace(threads=2), grid=(10.0, 40.0))
     assert run_blockage_sweep(pooled, (100.0,)) == seq
@@ -425,7 +422,7 @@ def test_pooled_blockage_sweep_matches_the_sequential_one(monkeypatch):
 
 def test_snr_ecdf_modes_dominate_direct_samplewise():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert set(results) == {(m, 2.0, 30.0, 50.0) for m in MODES}
     direct = results[("direct", 2.0, 30.0, 50.0)].values
     irs = results[("with_irs", 2.0, 30.0, 50.0)].values
@@ -435,7 +432,7 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert np.all(irs >= direct - 1e-9)
     assert np.all(ris >= direct - 1e-9)
     assert np.all(ris >= irs - 1e-9)  # tuned profile can only beat a fixed one
-    again, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    again, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
 
 
@@ -446,14 +443,15 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
     scenes = []
 
     def counting_scene(*args):
-        scenes.append(args)
-        return generate_scene(*args)
+        chunk = draw_chunk(*args)
+        scenes.extend(chunk.txv.tolist())
+        return chunk
 
-    monkeypatch.setattr(experiments, "generate_scene", counting_scene)
-    both, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    monkeypatch.setattr(experiments, "draw_chunk", counting_scene)
+    both, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
     assert len(scenes) == spec.trials
     for radius in (2.0, 8.0):
-        alone, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
+        alone, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
         for mode in MODES:
             key = (mode, radius, 40.0, 50.0)
             assert np.array_equal(both[key].values, alone[key].values)
@@ -494,7 +492,7 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
 
     monkeypatch.setattr(experiments, "cascaded_channels", no_cascade)
     cfg = tiny_config(trials=6)
-    results, ranks = run_snr_ecdf(
+    results, ranks, _ = run_snr_ecdf(
         make_sweep("snr-ecdf", cfg, grid=(0.0,)),
         r_d_values=(50.0, 100.0),
         radius_values=(2.0,),
@@ -523,9 +521,8 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
     mid_y = 0.5 * (ends.p_t[1] + ends.p_r[1])
     relay = Vehicle(x=road.lane_center(road.n_lanes - 1), y=mid_y, lane=road.n_lanes - 1)
     scen = scene_from_vehicles(road, (*ends.vehicles, relay))
-    assert candidate_relays_irs(scen, cfg.door_length_m, cfg.door_center_height_m) == [
-        (2, "left")
-    ]
+    irs, _ = gated(scen, cfg.door_length_m, cfg.door_center_height_m, cfg.max_range_m)
+    assert irs == [(2, "left")]
 
     door = door_center(relay, "left", cfg.door_center_height_m)
     pose = door_pose(door, "left", cfg.n_elements, cfg.element_spacing_m)
@@ -572,12 +569,11 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
 
     monkeypatch.setattr(channel, "_column_view", recording)
     for trial in range(2):
-        scen = generate_scene(cfg, 40.0, 100.0, trial_rng(9, trial))
-        relays = _ranked_candidates(
-            scen, candidate_relays_ris(scen, cfg.max_range_m, height), height, 1
-        )
-        p_t, p_r = scen.p_t, scen.p_r
-        for (_, side), door in zip(relays, scen.door_points(relays, height)):
+        scenes = draw_chunk(cfg, 40.0, 100.0, [trial_rng(9, trial)])
+        gate = relay_doors(scenes, cfg.door_length_m, height, cfg.max_range_m)
+        [(p_t, p_r)] = scenes.ends
+        for relay in _ranked_candidates(gate, gate.ris, 1):
+            door, side = gate.points[relay], SIDES[gate.side[relay]]
             pose = door_pose(door, side, cfg.n_elements, d)
             f = steering_vector(k, azimuth(p_t, door))
             w = steering_vector(k, azimuth(door, p_r))
@@ -621,7 +617,7 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
         return cascade(geometry, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "cascaded_channels", counting)
-    _, ranks = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    _, ranks, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
     assert set(ranks) == {(2.0, 40.0, 50.0), (8.0, 40.0, 50.0)}
     for (radius, _, _), counts in ranks.items():
         assert sum(counts.values()) == calls[radius] > 0
@@ -633,9 +629,63 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
     assert run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))[1] == ranks
 
 
+def reference_snr_counts(cfg, rho, r_d):
+    """Per-trial (IRS doors, RIS doors, dropped placements) of an SNR point,
+    from the one-draw-at-a-time scene and the per-door gating references."""
+    road = RoadConfig(
+        length=cfg.road_length_m, n_lanes=cfg.n_lanes, lane_width=cfg.lane_width_m
+    )
+    h = cfg.door_center_height_m
+    rows = []
+    for trial in range(cfg.trials):
+        s = scalar_generate_traffic(
+            road, rho, trial_rng(cfg.seed, trial), r_d,
+            cfg.vehicle_length_m, cfg.vehicle_width_m, cfg.vehicle_height_m,
+        )
+        rows.append([
+            len(scalar_candidates_irs(s, cfg.door_length_m, h)),
+            len(scalar_candidates_ris(s, cfg.max_range_m, h)),
+            s.dropped,
+        ])
+    return rows
+
+
+def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
+    # a cap of 2 truncates the RIS doors of most trials; on the one-lane
+    # 120 m road placements are dropped and no door faces the link
+    cfg = tiny_config(trials=5, max_candidates=2, seed=4)
+    crowded = cfg.replace(road_length_m=120.0, n_lanes=1)
+    for config, rhos in ((cfg, (10.0, 40.0)), (crowded, (400.0,))):
+        spec = make_sweep("snr-ecdf", config, grid=rhos)
+        _, _, counts = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+        assert list(counts) == [(rho, 50.0) for rho in rhos]
+        for (rho, r_d), got in counts.items():
+            want = reference_snr_counts(config, rho, r_d)
+            assert got.tolist() == want
+            irs, ris, dropped = (list(column) for column in zip(*want))
+            assert door_telemetry(got, config.max_candidates) == {
+                "dropped": sum(dropped),
+                "irs_candidates": {"mean": sum(irs) / len(irs), "max": max(irs)},
+                "ris_candidates": {"mean": sum(ris) / len(ris), "max": max(ris)},
+                "irs_truncated": sum(n > 2 for n in irs),
+                "ris_truncated": sum(n > 2 for n in ris),
+            }
+    telemetry = door_telemetry(counts[(400.0, 50.0)])
+    assert telemetry["dropped"] > 0 and telemetry["ris_candidates"]["max"] == 0
+
+    # a process pool returns the same counts, in trial order
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
+    _, _, seq = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    assert door_telemetry(seq[(40.0, 50.0)], 2)["ris_truncated"] > 0
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
+    _, _, counts = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0,))
+    assert counts[(40.0, 50.0)].tolist() == seq[(40.0, 50.0)].tolist()
+
+
 def test_snr_summary_reports_medians_with_intervals():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     rows = snr_summary(results, seed=spec.config.seed)
     assert len(rows) == len(results)
     for row in rows:
@@ -657,6 +707,34 @@ def test_angle_histograms_integrate_to_one():
         )
         assert mass == pytest.approx(1.0, abs=1e-9)
     assert 0.0 < stats["elevation_mean_deg"] < 180.0
+
+
+def test_angle_pdf_matches_the_per_trial_reference_across_chunks():
+    # three chunks, the last of one trial: the samples of every RIS door,
+    # from the one-draw-at-a-time scenes and the per-door gating reference
+    cfg = SimConfig().replace(trials=2 * SCENE_CHUNK + 1, seed=6)
+    road = RoadConfig(cfg.road_length_m, cfg.n_lanes, cfg.lane_width_m)
+    h = cfg.door_center_height_m
+    elev, azim = [], []
+    for trial in range(cfg.trials):
+        s = scalar_generate_traffic(
+            road, cfg.rho, trial_rng(cfg.seed, trial), cfg.link_distance_m,
+            cfg.vehicle_length_m, cfg.vehicle_width_m, cfg.vehicle_height_m,
+        )
+        for i, side in scalar_candidates_ris(s, cfg.max_range_m, h):
+            door = door_center(s.vehicles[i], side, h)
+            pose = door_pose(door, side, cfg.n_elements, cfg.element_spacing_m)
+            ang = pose_local_angles(pose, s.p_t - door)
+            elev.append(math.degrees(ang.phi))
+            azim.append(math.degrees(ang.theta))
+    _, stats = run_angle_pdf(make_sweep("angle-pdf", cfg))
+    assert stats == {
+        "elevation_mean_deg": float(np.mean(elev)),
+        "elevation_std_deg": float(np.std(elev)),
+        "azimuth_mean_deg": float(np.mean(azim)),
+        "azimuth_std_deg": float(np.std(azim)),
+        "samples": len(elev),
+    }
 
 
 def test_format_cell_renders_floats_compactly():
@@ -722,7 +800,9 @@ def test_git_revision_is_read_from_the_checkout_files(tmp_path):
 @settings(max_examples=100, deadline=None)
 def test_ranked_candidates_match_the_per_door_budget_key(rho, seed, r_d, cap):
     scen = generate_traffic(RoadConfig(), rho, seed, link_distance_m=r_d)
-    cands = candidate_relays_ris(scen, 1000.0)
+    doors = relay_doors(scenes_of([scen]), max_range_m=1000.0)
+    pairs = door_pairs(doors)
+    cands = [pair for pair, ris in zip(pairs, doors.ris.tolist()) if ris]
 
     def key(cand):
         door = door_center(scen.vehicles[cand[0]], cand[1], 0.9)
@@ -730,4 +810,19 @@ def test_ranked_candidates_match_the_per_door_budget_key(rho, seed, r_d, cap):
         r_r = float(np.linalg.norm(door - scen.p_r))
         return (r_t * r_r, *cand)
 
-    assert _ranked_candidates(scen, cands, 0.9, cap) == sorted(cands, key=key)[:cap]
+    ranked = _ranked_candidates(doors, doors.ris, cap)
+    assert [pairs[k] for k in ranked] == sorted(cands, key=key)[:cap]
+
+
+def test_ranked_candidates_break_budget_ties_by_row():
+    # mirror-image cars two lanes either side of the link present doors at
+    # x = +-4.1 with equal r_t * r_r: the lower row ranks first
+    road = RoadConfig()
+    ends = generate_traffic(road, 0.0, 0, link_distance_m=100.0)
+    cars = [Vehicle(x=5.0, y=40.0, lane=3), Vehicle(x=-5.0, y=40.0, lane=1)]
+    for pair in (cars, cars[::-1]):
+        scen = scene_from_vehicles(road, (*ends.vehicles, *pair))
+        doors = relay_doors(scenes_of([scen]))
+        budget = doors.r[:, 0] * doors.r[:, 1]
+        assert len(budget) == 2 and budget[0] == budget[1]
+        assert doors.row[_ranked_candidates(doors, doors.ris, 2)].tolist() == [2, 3]

