@@ -6,9 +6,9 @@ Defaults: rho in {10, 20, 30, 40} cars/km/lane, r_d in {50, 100} m,
 
     python3 scripts/run_blockage.py --trials 1000 --threads 4
 
-The default run (8 points x 10^4 trials) took 15.3-16.4 s sequentially and
-9.5-10.8 s with --threads 2, wall clock including start-up, on 2 vCPUs
-(Python 3.11.7, numpy 2.4.6, one BLAS thread).
+The default run (8 points x 10^4 trials) took 12.1-14.2 s sequentially and
+7.1-9.0 s with --threads 2, wall clock including start-up (3 runs each), on
+2 vCPUs (Python 3.11.7, numpy 2.4.6, no BLAS thread variable set).
 """
 
 import sys

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -20,16 +19,17 @@ from .config import SimConfig, resolve_config
 from .experiments import (
     DEFAULT_R_D_M,
     DEFAULT_RADII_M,
-    door_telemetry,
     draw_chunk,
     gain_width_deg,
     make_sweep,
+    merge_records,
     run_angle_pdf,
     run_blockage_sweep,
     run_gain_azimuth,
     run_gain_elevation,
     run_gain_frequency,
     run_snr_ecdf,
+    sidecar_telemetry,
     snr_summary,
     write_csv,
     write_sidecar,
@@ -146,7 +146,7 @@ def _cmd_blockage(args) -> int:
     config = _resolve(args)
     spec = make_sweep("blockage", config, grid=tuple(args.rho) or None)
     r_d_values = tuple(args.r_d) or DEFAULT_R_D_M
-    rows, telemetry = run_blockage_sweep(spec, r_d_values=r_d_values)
+    rows, records = run_blockage_sweep(spec, r_d_values=r_d_values)
     for row in rows:
         print(
             f"rho={row['rho']:g} r_d={row['r_d']:g} {row['mode']}: "
@@ -156,21 +156,21 @@ def _cmd_blockage(args) -> int:
     _finish(args, config, "blockage.csv",
             ["rho", "r_d", "mode", "p_block", "ci_low", "ci_high", "trials"], rows,
             {"experiment": "blockage", "r_d_values": list(r_d_values),
-             "telemetry": [{"rho": rho, "r_d": r_d, **counts}
-                           for (rho, r_d), counts in telemetry.items()]})
+             "telemetry": [{"rho": rho, "r_d": r_d, **sidecar_telemetry(record)}
+                           for (rho, r_d), record in records.items()]})
     return 0
 
 
 def _cmd_snr_ecdf(args) -> int:
     config = _resolve(args)
     spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
-    results, ranks, counts = run_snr_ecdf(
+    results, records = run_snr_ecdf(
         spec,
         r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
         radius_values=tuple(args.radius) or DEFAULT_RADII_M,
     )
+    cap = config.max_candidates
     for (mode, radius, rho, r_d), ecdf in sorted(results.items()):
-        doors = door_telemetry(counts[(rho, r_d)], config.max_candidates)
         name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd{r_d:g}.csv"
         n = len(ecdf)
         rows = [
@@ -180,7 +180,7 @@ def _cmd_snr_ecdf(args) -> int:
         _finish(args, config, name, ["snr_db", "ecdf"], rows,
                 {"experiment": "snr-ecdf", "mode": mode, "radius_m": radius,
                  "rho": rho, "r_d": r_d,
-                 "telemetry": {"cascade_ranks": dict(ranks[(radius, rho, r_d)]), **doors}})
+                 "telemetry": sidecar_telemetry(records[(rho, r_d)], cap, radius)})
     summary = snr_summary(results, spec.config.seed)
     for row in summary:
         print(
@@ -192,9 +192,7 @@ def _cmd_snr_ecdf(args) -> int:
             ["mode", "radius_m", "rho", "r_d", "trials", "median_db",
              "median_ci_low_db", "median_ci_high_db"], summary,
             {"experiment": "snr-ecdf",
-             "telemetry": {"cascade_ranks": dict(sum(ranks.values(), Counter())),
-                           **door_telemetry(np.concatenate(list(counts.values())),
-                                            config.max_candidates)}})
+             "telemetry": sidecar_telemetry(merge_records(list(records.values())), cap)})
     return 0
 
 

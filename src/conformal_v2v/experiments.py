@@ -120,50 +120,57 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _run_trial(worker, point: str, trial: int | range):
-    """worker(trial), re-raising a failure as a ValueError naming point and trial.
+def _run_trial(worker, point: str, trials: range) -> dict:
+    """worker(trials), re-raising a failure as a ValueError naming point and trial.
 
-    ``trial`` is a trial index, or a range of trials that the worker runs as
-    one chunk.  A chunk that raises runs again one trial at a time, so the
-    error names, and chains from, the first trial that fails on its own (the
-    chunk's first trial, with the chunk's error, if none does).
+    A chunk of several trials that raises runs again one trial at a time, so
+    the error names, and chains from, the first trial that fails on its own
+    (the chunk's first trial, with the chunk's error, if none does).
     """
     try:
-        return worker(trial)
+        return worker(trials)
     except Exception as exc:
-        if isinstance(trial, range):
-            if len(trial) > 1:
-                for one in trial:
-                    _run_trial(worker, point, range(one, one + 1))
-            trial = trial[0]
-        raise ValueError(f"{point}, trial {trial}: {exc}") from exc
+        if len(trials) > 1:
+            for one in trials:
+                _run_trial(worker, point, range(one, one + 1))
+        raise ValueError(f"{point}, trial {trials[0]}: {exc}") from exc
+
+
+def merge_records(records: list[dict]) -> dict:
+    """One record from the records of consecutive runs of trials: each
+    column concatenated in order, each Counter summed."""
+    return {
+        name: sum((r[name] for r in records), Counter())
+        if isinstance(value, Counter)
+        else np.concatenate([r[name] for r in records])
+        for name, value in records[0].items()
+    }
 
 
 def _map_trials(
-    points, n_trials: int, threads: int, chunk: int | None = None
-) -> list[list]:
-    """worker(trial) over range(n_trials) for each (point, worker) of ``points``.
+    spec: SweepSpec, r_d_values: tuple[float, ...], worker, chunk: int = 1
+) -> dict[tuple[float, float], dict]:
+    """The record of all ``spec.trials`` trials at each (rho, r_d) of the sweep.
 
-    With ``chunk``, each worker takes a range of up to ``chunk`` consecutive
-    trials in place of one trial, and returns one result for the range.
-    Returns one list of results per point, in trial order whether the trials
-    run here or in a process pool, so reductions see the same sequence
-    regardless of scheduling.  Every point of a sweep shares one pool of at
-    most one worker process per core and per trial (or chunk), counting the
-    trials of every point; each worker
-    is spawned fresh and runs BLAS on one thread (``_one_blas_thread``).  A
-    trial that raises aborts the sweep with a ValueError naming its
-    ``point`` and the trial index (``_run_trial``).
+    ``worker(rho, r_d, trials)`` returns the record of a range of up to
+    ``chunk`` consecutive trials: a dict of named columns, arrays with one
+    row per trial (or per door) in trial order, and named Counters.  Each
+    point's records merge in trial order (``merge_records``) whether the
+    chunks run here or in a process pool, so a point's record is the same
+    whatever the scheduling.  Every point of a sweep shares one pool of at
+    most one worker process per core and per chunk, counting the chunks of
+    every point; each worker is spawned fresh and runs BLAS on one thread
+    (``_one_blas_thread``).  A trial that raises aborts the sweep with a
+    ValueError naming the point, as ``"<kind> rho=.. r_d=.."``, and the
+    trial index (``_run_trial``).
     """
-    if chunk is None:
-        items: list = list(range(n_trials))
-    else:
-        items = [range(t, min(t + chunk, n_trials)) for t in range(0, n_trials, chunk)]
-    n_items = len(items)
-    workers = [worker for _, worker in points for _ in items]
-    labels = [point for point, _ in points for _ in items]
-    trials = [item for _ in points for item in items]
-    processes = min(threads, os.cpu_count() or 1, len(trials))
+    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
+    n = spec.trials
+    chunks = [range(t, min(t + chunk, n)) for t in range(0, n, chunk)]
+    workers = [partial(worker, rho, r_d) for rho, r_d in grid for _ in chunks]
+    labels = [f"{spec.kind} rho={rho:g} r_d={r_d:g}" for rho, r_d in grid for _ in chunks]
+    trials = chunks * len(grid)
+    processes = min(spec.config.threads, os.cpu_count() or 1, len(trials))
     if processes <= 1:
         flat = list(map(_run_trial, workers, labels, trials))
     else:
@@ -177,7 +184,8 @@ def _map_trials(
             max_workers=processes, mp_context=get_context("spawn")
         ) as pool:
             flat = list(pool.map(_run_trial, workers, labels, trials, chunksize=chunksize))
-    return [flat[k * n_items : (k + 1) * n_items] for k in range(len(points))]
+    k = len(chunks)
+    return {point: merge_records(flat[i * k : (i + 1) * k]) for i, point in enumerate(grid)}
 
 
 # thread-count variables of OpenBLAS, OpenMP and MKL
@@ -229,22 +237,33 @@ def draw_chunk(
     )
 
 
-def door_telemetry(counts: np.ndarray, cap: int | None = None) -> dict:
-    """Sidecar telemetry of a sweep point from its trials' (T, 3) counts of
-    IRS doors, RIS doors and dropped placements.
+def sidecar_telemetry(
+    record: dict, cap: int | None = None, radius: float | None = None
+) -> dict:
+    """Sidecar telemetry of a blockage or SNR record (see ``_map_trials``).
 
-    Gives the dropped placements summed and the gated doors of each mode
-    per trial (mean and max); with ``cap``, also the trials in which each
-    mode gated more than ``cap`` doors (``irs_truncated``, ``ris_truncated``).
+    Gives the dropped placements summed and the doors each mode gated per
+    trial (mean and max of the ``irs_doors`` and ``ris_doors`` columns);
+    with ``cap``, also the trials in which each mode gated more than ``cap``
+    doors (``irs_truncated``, ``ris_truncated``).  A record with
+    ``cascade_ranks``, a Counter over (radius, rank label), adds the door
+    cascades per rank label at ``radius``, or summed over every radius.
     """
-    telemetry = {"dropped": int(counts[:, 2].sum())}
-    for mode, column in zip(("irs", "ris"), counts[:, :2].T):
+    telemetry = {"dropped": int(record["dropped"].sum())}
+    for mode in ("irs", "ris"):
+        column = record[f"{mode}_doors"]
         telemetry[f"{mode}_candidates"] = {
             "mean": int(column.sum()) / len(column),
             "max": int(column.max()),
         }
         if cap is not None:
             telemetry[f"{mode}_truncated"] = int(np.count_nonzero(column > cap))
+    if "cascade_ranks" in record:
+        ranks = Counter()
+        for (at, label), count in record["cascade_ranks"].items():
+            if radius is None or at == radius:
+                ranks[label] += count
+        telemetry["cascade_ranks"] = dict(ranks)
     return telemetry
 
 
@@ -391,49 +410,36 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
 SCENE_CHUNK = 25
 
 
-def _blockage_chunk(
-    config: SimConfig, rho: float, r_d: float, seed: int, trials: range
-) -> tuple[np.ndarray, np.ndarray]:
-    """Blockage flags (T, 3) and (T, 3) counts of IRS doors, RIS doors and
-    dropped placements of each trial of ``trials``.
+def _blockage_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> dict:
+    """Record of ``trials``: per trial, the (direct, with_irs, with_ris)
+    ``blocked`` flags, the gated ``irs_doors`` and ``ris_doors``, and the
+    ``dropped`` placements.
 
     Each trial draws its scene from its own substream, as a one-trial sweep
     would; the chunk's scenes are then gated and blockage-tested together
     (``blocked_modes``).
     """
-    scenes = draw_chunk(config, rho, r_d, [trial_rng(seed, trial) for trial in trials])
+    scenes = draw_chunk(config, rho, r_d, [trial_rng(config.seed, t) for t in trials])
     flags, candidates = blocked_modes(
         scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
     )
-    return flags, np.column_stack([candidates, scenes.dropped])
+    irs, ris = candidates.T
+    return {"blocked": flags, "irs_doors": irs, "ris_doors": ris, "dropped": scenes.dropped}
 
 
 def run_blockage_sweep(
     spec: SweepSpec, r_d_values: tuple[float, ...] = DEFAULT_R_D_M
 ) -> tuple[list[dict], dict[tuple[float, float], dict]]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals,
-    and telemetry per (rho, r_d).
+    and the record of each (rho, r_d) (see ``_blockage_chunk``).
 
-    A point's telemetry (``door_telemetry``) gives the placements dropped
-    over its trials and the IRS and RIS candidate doors per trial (mean and
-    max), every trial's scene gated whether or not its direct ray is blocked.
+    Every trial's scene is gated, whether or not its direct ray is blocked.
     """
-    cfg = spec.config
-    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
-    points = [
-        (
-            f"blockage rho={rho:g} r_d={r_d:g}",
-            partial(_blockage_chunk, cfg, rho, r_d, cfg.seed),
-        )
-        for rho, r_d in grid
-    ]
     rows = []
-    telemetry = {}
-    swept = _map_trials(points, spec.trials, cfg.threads, SCENE_CHUNK)
-    for (rho, r_d), chunks in zip(grid, swept):
-        flags, counts = (np.concatenate(part) for part in zip(*chunks))
-        telemetry[(rho, r_d)] = door_telemetry(counts)
-        for mode, blocked in zip(MODES, flags.sum(axis=0).tolist()):
+    worker = partial(_blockage_chunk, spec.config)
+    records = _map_trials(spec, r_d_values, worker, SCENE_CHUNK)
+    for (rho, r_d), record in records.items():
+        for mode, blocked in zip(MODES, record["blocked"].sum(axis=0).tolist()):
             lo, hi = wilson_interval(blocked, spec.trials)
             rows.append(
                 {
@@ -446,7 +452,7 @@ def run_blockage_sweep(
                     "trials": spec.trials,
                 }
             )
-    return rows, telemetry
+    return rows, records
 
 
 # --- SNR ECDFs ----------------------------------------------------------------
@@ -518,12 +524,12 @@ def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
     )
 
 
-def _snr_trial(
-    config: SimConfig, surfaces, rho: float, r_d: float, seed: int, trial: int
-) -> tuple[list[tuple[float, float, float]], list[Counter], tuple[int, int, int]]:
-    """(direct, with_irs, with_ris) SNRs in dB for one scene, one per surface;
-    per surface the count of door cascades at each numerical rank; and the
-    scene's counts of IRS doors, RIS doors and dropped placements.
+def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: range) -> dict:
+    """Record of a one-trial range: the trial's (1, R, 3) ``snr_db``, the
+    (direct, with_irs, with_ris) SNRs in dB on each of the R ``surfaces``;
+    its scene's gated ``irs_doors`` and ``ris_doors`` and ``dropped``
+    placements; and ``cascade_ranks``, its door cascades counted per
+    (radius, numerical rank).
 
     The scene, gating, blocker counts, direct link, and each door's beams,
     blockage draws and leg path phases (xi_t, xi_r) come once; every
@@ -538,7 +544,8 @@ def _snr_trial(
     factorisation of a * b that ``cascaded_channels`` returns; its rank is
     counted under ``_rank_label``.
     """
-    rng = trial_rng(seed, trial)
+    [trial] = trials
+    rng = trial_rng(config.seed, trial)
     scenes = draw_chunk(config, rho, r_d, [rng])
     doors = relay_doors(
         scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
@@ -574,7 +581,7 @@ def _snr_trial(
     irs_doors, ris_doors = set(irs), set(ris)
     tuned_amps = [[amp_direct] for _ in surfaces]
     fixed_amps = [[amp_direct] for _ in surfaces]
-    ranks = [Counter() for _ in surfaces]
+    ranks = Counter()
     for relay in relays:
         door, side = doors.points[relay], SIDES[doors.side[relay]]
         b_t, b_r = doors.legs[relay]
@@ -594,9 +601,7 @@ def _snr_trial(
         # the tuned profile steers the door-frame TxV -> door -> RxV pair
         ang_t = pose_local_angles(pose, p_t - door)
         ang_r = pose_local_angles(pose, p_r - door)
-        for (layout, fixed), tuned_amp, fixed_amp, rank in zip(
-            surfaces, tuned_amps, fixed_amps, ranks
-        ):
+        for (layout, fixed), tuned_amp, fixed_amp in zip(surfaces, tuned_amps, fixed_amps):
             geom = replace(layout, pose=pose)
             try:
                 left, right = cascaded_channels(
@@ -605,7 +610,7 @@ def _snr_trial(
                 )
             except ValueError as exc:
                 raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
-            rank[_rank_label(geom, left)] += 1
+            ranks[layout.radius, _rank_label(geom, left)] += 1
             if relay in ris_doors:
                 tuned = optimal_phase(geom, ang_t, ang_r, lam)
                 tuned_amp.append(via_direct + blockage * tuned.weighted_sum(left, right))
@@ -617,8 +622,13 @@ def _snr_trial(
 
     direct = snr([amp_direct])
     snrs = [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)]
-    counts = (int(doors.irs.sum()), int(doors.ris.sum()), int(scenes.dropped[0]))
-    return snrs, ranks, counts
+    return {
+        "snr_db": np.array([snrs]),
+        "irs_doors": np.array([doors.irs.sum()]),
+        "ris_doors": np.array([doors.ris.sum()]),
+        "dropped": scenes.dropped,
+        "cascade_ranks": ranks,
+    }
 
 
 def _rank_label(geometry, left: np.ndarray) -> str:
@@ -632,21 +642,14 @@ def run_snr_ecdf(
     r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
     radius_values: tuple[float, ...] = DEFAULT_RADII_M,
 ) -> tuple[
-    dict[tuple[str, float, float, float], EcdfResult],
-    dict[tuple[float, float, float], Counter],
-    dict[tuple[float, float], np.ndarray],
+    dict[tuple[str, float, float, float], EcdfResult], dict[tuple[float, float], dict]
 ]:
-    """SNR ECDFs per (mode, radius, rho, r_d), cascade ranks per (radius,
-    rho, r_d), and door counts per (rho, r_d).
+    """SNR ECDFs per (mode, radius, rho, r_d), and the record of each
+    (rho, r_d) (see ``_snr_trial``).
 
     rho values come from spec.grid.  Each trial is one scene scored at every
     radius (see ``_snr_trial``); the element layout and fixed profile of
-    each radius are built once here.  The second dict counts, summed over
-    the trials of every worker process, how many door cascades kept each
-    numerical rank in their skeleton ("exact" when the skeleton is the whole
-    surface).  The third holds each point's (T, 3) per-trial counts of IRS
-    doors, RIS doors and dropped placements, in trial order, for
-    ``door_telemetry``.
+    each radius are built once here.
     """
     cfg = spec.config
     d = cfg.element_spacing_m
@@ -655,26 +658,13 @@ def run_snr_ecdf(
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
         surfaces.append((layout, _fixed_profile(cfg, layout)))
     results: dict[tuple[str, float, float, float], EcdfResult] = {}
-    ranks: dict[tuple[float, float, float], Counter] = {}
-    counts: dict[tuple[float, float], np.ndarray] = {}
-    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
-    points = [
-        (
-            f"snr-ecdf rho={rho:g} r_d={r_d:g}",
-            partial(_snr_trial, cfg, surfaces, rho, r_d, cfg.seed),
-        )
-        for rho, r_d in grid
-    ]
-    for (rho, r_d), trials in zip(grid, _map_trials(points, spec.trials, cfg.threads)):
-        samples = np.array([snrs for snrs, _, _ in trials])
-        counts[(rho, r_d)] = np.array([doors for _, _, doors in trials])
+    records = _map_trials(spec, r_d_values, partial(_snr_trial, cfg, surfaces))
+    for (rho, r_d), record in records.items():
         for i, radius in enumerate(radius_values):
-            ranks[(float(radius), rho, r_d)] = sum(
-                (cascades[i] for _, cascades, _ in trials), Counter()
-            )
             for col, mode in enumerate(MODES):
-                results[(mode, float(radius), rho, r_d)] = EcdfResult(values=samples[:, i, col])
-    return results, ranks, counts
+                samples = record["snr_db"][:, i, col]
+                results[(mode, float(radius), rho, r_d)] = EcdfResult(values=samples)
+    return results, records
 
 
 def snr_summary(
@@ -703,16 +693,14 @@ def snr_summary(
 # --- incidence-angle statistics ------------------------------------------------
 
 
-def _angle_chunk(
-    config: SimConfig, rho: float, r_d: float, seed: int, trials: range
-) -> tuple[list[float], list[float]]:
-    """Door-frame incidence elevations/azimuths (deg) over the RIS doors of
-    the scenes of ``trials``, in trial order.
+def _angle_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> dict:
+    """Record of the door-frame incidence ``elevation`` and ``azimuth``
+    (deg), one row per RIS door of the scenes of ``trials``, in trial order.
 
     Each trial draws its scene from its own substream, as a one-trial sweep
     would; the chunk's scenes are gated together (``relay_doors``).
     """
-    scenes = draw_chunk(config, rho, r_d, [trial_rng(seed, trial) for trial in trials])
+    scenes = draw_chunk(config, rho, r_d, [trial_rng(config.seed, t) for t in trials])
     doors = relay_doors(
         scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
     )
@@ -725,24 +713,21 @@ def _angle_chunk(
         ang = pose_local_angles(pose, p_t[relay] - door)
         elev.append(math.degrees(ang.phi))
         azim.append(math.degrees(ang.theta))
-    return elev, azim
+    return {"elevation": np.array(elev), "azimuth": np.array(azim)}
 
 
 def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
-    """Empirical PDFs of candidate-door incidence angles, in 1 deg bins.
+    """Empirical PDFs of candidate-door incidence angles, in 1 deg bins, at
+    the one rho of spec.grid and the configured link distance.
 
     Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
     """
     bin_deg = 1.0
-    rho = float(spec.grid[0])
-    worker = partial(
-        _angle_chunk, spec.config, rho, spec.config.link_distance_m, spec.config.seed
-    )
-    point = f"angle-pdf rho={rho:g} r_d={spec.config.link_distance_m:g}"
-    parts = _map_trials([(point, worker)], spec.trials, spec.config.threads, SCENE_CHUNK)[0]
-    elev = np.array([v for p in parts for v in p[0]])
-    azim = np.array([v for p in parts for v in p[1]])
+    worker = partial(_angle_chunk, spec.config)
+    r_d = (spec.config.link_distance_m,)
+    [record] = _map_trials(spec, r_d, worker, SCENE_CHUNK).values()
+    elev, azim = record["elevation"], record["azimuth"]
     if elev.size == 0:
         raise ValueError("no relay candidates observed; increase rho or trials")
 

@@ -306,7 +306,7 @@ def test_median_snr_gains_dominance_and_radius_insensitivity():
         m_elements=100, n_elements=100, cascade_amp_scale=16.0, trials=200
     )
     spec = make_sweep("snr-ecdf", cfg, grid=(10.0, 40.0))
-    results, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
 
     def med(mode, radius, rho):
         return results[(mode, radius, rho, 50.0)].median

@@ -4,12 +4,20 @@ import csv
 import json
 import math
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from conformal_v2v.cli import main
-from conformal_v2v.experiments import _git_revision
+from conformal_v2v.config import SimConfig
+from conformal_v2v.experiments import _git_revision, make_sweep, run_snr_ecdf
+from test_experiments import (
+    reference_blockage_sweep,
+    reference_door_telemetry,
+    reference_snr_counts,
+    tiny_config,
+)
 
 TINY_SURFACE = [
     "--set", "m_elements=16",
@@ -122,20 +130,28 @@ def test_scenario_dump_marks_the_endpoint_vehicles(tmp_path, capsys):
 
 def test_blockage_table_has_the_documented_header(tmp_path):
     code = main(["blockage", "--out-dir", str(tmp_path), "--trials", "40",
-                 "--rho", "20", "--r-d", "100"])
+                 "--rho", "20", "--rho", "40", "--r-d", "100"])
     assert code == 0
     text = (tmp_path / "blockage.csv").read_text().splitlines()
     assert text[0] == "rho,r_d,mode,p_block,ci_low,ci_high,trials"
     header, rows = read_csv(tmp_path / "blockage.csv")
-    assert len(rows) == 3
+    assert len(rows) == 6
     assert {r["mode"] for r in rows} == {"direct", "with_irs", "with_ris"}
     assert all(0.0 <= float(r["p_block"]) <= 1.0 for r in rows)
-    (point,) = json.loads((tmp_path / "blockage.json").read_text())["telemetry"]
-    assert (point["rho"], point["r_d"]) == (20.0, 100.0)
-    assert point["dropped"] == 0
-    for mode in ("irs", "ris"):
-        counts = point[f"{mode}_candidates"]
-        assert 0.0 <= counts["mean"] <= counts["max"]
+    # one telemetry entry per point, in grid order, each the per-trial
+    # reference's counts of its own point
+    telemetry = json.loads((tmp_path / "blockage.json").read_text())["telemetry"]
+    grid = [(point["rho"], point["r_d"]) for point in telemetry]
+    assert grid == [(20.0, 100.0), (40.0, 100.0)]
+    for point in telemetry:
+        assert point["dropped"] == 0
+        for mode in ("irs", "ris"):
+            counts = point[f"{mode}_candidates"]
+            assert 0.0 <= counts["mean"] <= counts["max"]
+    _, _, want = reference_blockage_sweep(SimConfig(trials=40), (20.0, 40.0), (100.0,))
+    assert want[(20.0, 100.0)] != want[(40.0, 100.0)]
+    assert list(want) == grid
+    assert telemetry == [{"rho": rho, "r_d": r_d, **want[(rho, r_d)]} for rho, r_d in grid]
 
 
 def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
@@ -173,14 +189,52 @@ def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
     assert summary_side["telemetry"] == telemetry[0]
 
 
+def test_snr_ecdf_sidecars_carry_their_own_point_and_radius(tmp_path):
+    # two densities and two radii: each ECDF sidecar carries its own point's
+    # door counts and its own radius' cascade ranks; the summary carries the
+    # counts over every trial and the ranks summed over radii and points
+    argv = ["snr-ecdf", "--out-dir", str(tmp_path), "--trials", "4", "--seed", "4",
+            "--rho", "10", "--rho", "40", "--r-d", "50", "--radius", "2", "--radius", "8",
+            "--set", "max_candidates=2", *TINY_SURFACE]
+    assert main(argv) == 0
+    config = tiny_config(trials=4, seed=4, max_candidates=2)
+    counts = {rho: reference_snr_counts(config, rho, 50.0) for rho in (10.0, 40.0)}
+    doors = {rho: reference_door_telemetry(rows, 2) for rho, rows in counts.items()}
+    assert doors[10.0] != doors[40.0]
+    spec = make_sweep("snr-ecdf", config, grid=(10.0, 40.0))
+    _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    ranks = {
+        (rho, radius): Counter(
+            {label: n for (at, label), n in record["cascade_ranks"].items() if at == radius}
+        )
+        for (rho, _), record in records.items()
+        for radius in (2.0, 8.0)
+    }
+    # every door is scored at both radii of its trial: the 16 x 16 surface
+    # is its own skeleton
+    assert ranks[(40.0, 2.0)] == ranks[(40.0, 8.0)] and ranks[(40.0, 2.0)]["exact"] > 0
+    for (rho, radius), point_ranks in ranks.items():
+        for mode in ("direct", "with_irs", "with_ris"):
+            name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd50.json"
+            telemetry = json.loads((tmp_path / name).read_text())["telemetry"]
+            assert telemetry == {**doors[rho], "cascade_ranks": point_ranks}
+    summary = json.loads((tmp_path / "snr_summary.json").read_text())["telemetry"]
+    assert summary == {
+        **reference_door_telemetry(counts[10.0] + counts[40.0], 2),
+        "cascade_ranks": sum(ranks.values(), Counter()),
+    }
+
+
 def test_snr_ecdf_reruns_are_byte_identical(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     argv = ["snr-ecdf", "--trials", "5", "--rho", "30", "--r-d", "50",
             "--radius", "2", "--seed", "7", *TINY_SURFACE]
     assert main(argv + ["--out-dir", str(out1)]) == 0
     assert main(argv + ["--out-dir", str(out2)]) == 0
-    files = sorted(p.name for p in out1.glob("*.csv"))
-    assert files
+    # the tables and their JSON sidecars
+    files = sorted(p.name for p in out1.iterdir())
+    assert {Path(name).suffix for name in files} == {".csv", ".json"}
+    assert files == sorted(p.name for p in out2.iterdir())
     for name in files:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 

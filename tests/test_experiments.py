@@ -34,17 +34,18 @@ from conformal_v2v.experiments import (
     _map_trials,
     _ranked_candidates,
     bootstrap_median_ci,
-    door_telemetry,
     draw_chunk,
     element_counts_for_area,
     format_cell,
     gain_width_deg,
     make_sweep,
+    merge_records,
     run_angle_pdf,
     run_blockage_sweep,
     run_gain_elevation,
     run_gain_frequency,
     run_snr_ecdf,
+    sidecar_telemetry,
     snr_summary,
     trial_rng,
     wilson_interval,
@@ -109,30 +110,44 @@ def test_trial_rng_substreams_are_stable_and_distinct():
     assert not np.allclose(a, d)
 
 
+def listed(record: dict) -> dict:
+    """A record with its array columns as lists, for == comparisons."""
+    return {
+        name: column if isinstance(column, Counter) else column.tolist()
+        for name, column in record.items()
+    }
+
+
 def test_process_pool_matches_the_sequential_trial_order():
-    # two points share one pool and come back per point, in trial order, one
-    # result per chunk of trials (the last chunk short)
-    points = [
-        (f"seed={seed}", partial(_blockage_chunk, SimConfig(), 30.0, 100.0, seed))
-        for seed in (0, 1)
-    ]
+    # two points share one pool and come back per point, each merged in
+    # trial order from its chunks of trials (the last chunk short)
+    cfg = SimConfig().replace(trials=24)
+    worker = partial(_blockage_chunk, cfg)
 
-    def listed(per_point):
-        return [[[part.tolist() for part in out] for out in chunks] for chunks in per_point]
+    def swept(threads):
+        spec = make_sweep("blockage", cfg.replace(threads=threads), grid=(10.0, 30.0))
+        records = _map_trials(spec, (100.0,), worker, chunk=5)
+        return {point: listed(record) for point, record in records.items()}
 
-    seq = listed(_map_trials(points, 24, threads=1, chunk=5))
-    par = listed(_map_trials(points, 24, threads=2, chunk=5))
-    assert seq == par
+    seq = swept(1)
+    assert seq == swept(2)
+    assert list(seq) == [(10.0, 100.0), (30.0, 100.0)]
     ranges = [range(t, min(t + 5, 24)) for t in range(0, 24, 5)]
-    assert seq[1] == listed([[points[1][1](trials) for trials in ranges]])[0]
+    chunks = [worker(30.0, 100.0, trials) for trials in ranges]
+    assert seq[(30.0, 100.0)] == listed(merge_records(chunks))
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_threads_of_process(trial):
-    """The process id and BLAS thread-count variables a trial runs with."""
-    return os.getpid(), tuple(os.environ.get(name) for name in BLAS_THREAD_VARIABLES)
+def blas_threads_of_process(rho, r_d, trials):
+    """Record of the process id and BLAS thread-count variables each trial
+    runs with."""
+    variables = [os.environ.get(name) for name in BLAS_THREAD_VARIABLES]
+    return {
+        "pid": np.array([os.getpid()] * len(trials)),
+        "blas": np.array([variables] * len(trials)),
+    }
 
 
 def test_pool_workers_run_blas_on_one_thread(monkeypatch):
@@ -142,10 +157,11 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     before = dict(os.environ)
-    (out,) = _map_trials([("rho=30", blas_threads_of_process)], 4, threads=2)
+    spec = make_sweep("blockage", SimConfig(trials=4, threads=2), grid=(30.0,))
+    (out,) = _map_trials(spec, (100.0,), blas_threads_of_process).values()
     assert dict(os.environ) == before
-    assert all(pid != os.getpid() for pid, _ in out)
-    assert [variables for _, variables in out] == [("1", "1", "1")] * 4
+    assert all(pid != os.getpid() for pid in out["pid"].tolist())
+    assert out["blas"].tolist() == [["1", "1", "1"]] * 4
 
 
 @pytest.mark.parametrize(
@@ -187,31 +203,42 @@ def test_worker_count_is_clamped_to_cores_and_trials(
     # _map_trials imports the pool class when it starts a pool
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
-    points = [(f"rho={k}", partial(lambda k, i: k + i * i, k)) for k in range(n_points)]
-    out = _map_trials(points, n_trials, threads)
-    assert out == [[k + i * i for i in range(n_trials)] for k in range(n_points)]
+    grid = tuple(float(k) for k in range(n_points))
+    spec = make_sweep("blockage", SimConfig(trials=n_trials, threads=threads), grid=grid)
+
+    def worker(rho, r_d, trials):
+        return {"value": np.array([rho + i * i for i in trials])}
+
+    out = _map_trials(spec, (100.0,), worker)
+    assert {point: record["value"].tolist() for point, record in out.items()} == {
+        (float(k), 100.0): [k + i * i for i in range(n_trials)] for k in range(n_points)
+    }
     assert started == ([] if workers is None else [workers])
 
 
 def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch):
-    def worker(trial):
+    spec = make_sweep("snr-ecdf", SimConfig(trials=5), grid=(10.0,))
+
+    def worker(rho, r_d, trials):
+        [trial] = trials
         if trial == 3:
             raise ValueError("antenna-element distance violates the model guard")
-        return trial
+        return {"trial": np.array([trial])}
 
-    with pytest.raises(ValueError, match=r"^rho=10, trial 3: antenna-element") as info:
-        _map_trials([("rho=10", worker)], 5, 1)
+    point = r"^snr-ecdf rho=10 r_d=50, trial 3: antenna-element"
+    with pytest.raises(ValueError, match=point) as info:
+        _map_trials(spec, (50.0,), worker)
     assert isinstance(info.value.__cause__, ValueError)
     assert "model guard" in str(info.value.__cause__)
 
     # a chunk that raises names the failing trial, not the chunk
-    def chunk_worker(trials):
+    def chunk_worker(rho, r_d, trials):
         if 3 in trials:
             raise ValueError("antenna-element distance violates the model guard")
-        return list(trials)
+        return {"trial": np.array(trials)}
 
-    with pytest.raises(ValueError, match=r"^rho=10, trial 3: antenna-element") as info:
-        _map_trials([("rho=10", chunk_worker)], 5, 1, chunk=2)
+    with pytest.raises(ValueError, match=point) as info:
+        _map_trials(spec, (50.0,), chunk_worker, chunk=2)
     assert "model guard" in str(info.value.__cause__)
 
     # trial 2 of the rho = 40 point fails while drawing its scene, inside a
@@ -358,13 +385,14 @@ def test_blockage_sweep_orders_the_modes_pointwise():
 
 
 def reference_blockage_sweep(cfg, rhos, r_ds):
-    """``run_blockage_sweep`` rows and telemetry, one trial at a time, from the
-    one-draw-at-a-time scene, per-door gating and per-segment references."""
+    """``run_blockage_sweep`` rows, listed records and sidecar telemetry, one
+    trial at a time, from the one-draw-at-a-time scene, per-door gating and
+    per-segment references."""
     road = RoadConfig(
         length=cfg.road_length_m, n_lanes=cfg.n_lanes, lane_width=cfg.lane_width_m
     )
     h, n = cfg.door_center_height_m, cfg.trials
-    rows, telemetry = [], {}
+    rows, records, telemetry = [], {}, {}
     for rho in rhos:
         for r_d in r_ds:
             scenes = [
@@ -377,6 +405,10 @@ def reference_blockage_sweep(cfg, rhos, r_ds):
             flags = [reference_modes(s, cfg.door_length_m, h, cfg.max_range_m) for s in scenes]
             irs = [len(scalar_candidates_irs(s, cfg.door_length_m, h)) for s in scenes]
             ris = [len(scalar_candidates_ris(s, cfg.max_range_m, h)) for s in scenes]
+            records[(rho, r_d)] = {
+                "blocked": [list(f) for f in flags], "irs_doors": irs, "ris_doors": ris,
+                "dropped": [s.dropped for s in scenes],
+            }
             telemetry[(rho, r_d)] = {
                 "dropped": sum(s.dropped for s in scenes),
                 "irs_candidates": {"mean": sum(irs) / n, "max": max(irs)},
@@ -388,7 +420,15 @@ def reference_blockage_sweep(cfg, rhos, r_ds):
                     "rho": rho, "r_d": r_d, "mode": mode, "p_block": sum(column) / n,
                     "ci_low": lo, "ci_high": hi, "trials": n,
                 })
-    return rows, telemetry
+    return rows, records, telemetry
+
+
+def sidecar_view(sweep):
+    """``run_blockage_sweep``'s rows, listed records and sidecar telemetry."""
+    rows, records = sweep
+    telemetry = {point: sidecar_telemetry(record) for point, record in records.items()}
+    listed_records = {point: listed(record) for point, record in records.items()}
+    return rows, listed_records, telemetry
 
 
 @pytest.mark.parametrize("trials", [1, SCENE_CHUNK - 1, SCENE_CHUNK, SCENE_CHUNK + 1])
@@ -396,7 +436,7 @@ def test_blockage_sweep_matches_the_per_trial_reference_at_chunk_edges(trials):
     # rho = 0 leaves only the endpoints: no door and no leg segment
     cfg = SimConfig().replace(trials=trials, seed=3)
     spec = make_sweep("blockage", cfg, grid=(0.0, 40.0))
-    got = run_blockage_sweep(spec, r_d_values=(50.0, 100.0))
+    got = sidecar_view(run_blockage_sweep(spec, r_d_values=(50.0, 100.0)))
     assert got == reference_blockage_sweep(cfg, (0.0, 40.0), (50.0, 100.0))
 
 
@@ -404,25 +444,26 @@ def test_a_chunk_with_every_direct_ray_clear_matches_the_reference():
     # at this seed no trial of the chunk has a blocker on its direct ray,
     # while its scenes hold gated doors
     cfg = SimConfig().replace(trials=SCENE_CHUNK, seed=8)
-    rows, telemetry = run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,)), (50.0,))
+    got = sidecar_view(run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,)), (50.0,)))
+    rows, _, telemetry = got
     assert all(row["p_block"] == 0.0 for row in rows)
     assert telemetry[(2.0, 50.0)]["ris_candidates"]["max"] > 0
-    assert (rows, telemetry) == reference_blockage_sweep(cfg, (2.0,), (50.0,))
+    assert got == reference_blockage_sweep(cfg, (2.0,), (50.0,))
 
 
 def test_pooled_blockage_sweep_matches_the_sequential_one(monkeypatch):
-    # three chunks per point over two workers: rows and telemetry are summed
+    # three chunks per point over two workers: rows and records are merged
     # to the same values
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = SimConfig().replace(trials=2 * SCENE_CHUNK + 1, seed=7)
     seq = run_blockage_sweep(make_sweep("blockage", cfg, grid=(10.0, 40.0)), (100.0,))
     pooled = make_sweep("blockage", cfg.replace(threads=2), grid=(10.0, 40.0))
-    assert run_blockage_sweep(pooled, (100.0,)) == seq
+    assert sidecar_view(run_blockage_sweep(pooled, (100.0,))) == sidecar_view(seq)
 
 
 def test_snr_ecdf_modes_dominate_direct_samplewise():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert set(results) == {(m, 2.0, 30.0, 50.0) for m in MODES}
     direct = results[("direct", 2.0, 30.0, 50.0)].values
     irs = results[("with_irs", 2.0, 30.0, 50.0)].values
@@ -432,7 +473,7 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert np.all(irs >= direct - 1e-9)
     assert np.all(ris >= direct - 1e-9)
     assert np.all(ris >= irs - 1e-9)  # tuned profile can only beat a fixed one
-    again, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    again, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
 
 
@@ -448,10 +489,10 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
         return chunk
 
     monkeypatch.setattr(experiments, "draw_chunk", counting_scene)
-    both, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    both, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
     assert len(scenes) == spec.trials
     for radius in (2.0, 8.0):
-        alone, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
+        alone, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
         for mode in MODES:
             key = (mode, radius, 40.0, 50.0)
             assert np.array_equal(both[key].values, alone[key].values)
@@ -492,13 +533,13 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
 
     monkeypatch.setattr(experiments, "cascaded_channels", no_cascade)
     cfg = tiny_config(trials=6)
-    results, ranks, _ = run_snr_ecdf(
+    results, records = run_snr_ecdf(
         make_sweep("snr-ecdf", cfg, grid=(0.0,)),
         r_d_values=(50.0, 100.0),
         radius_values=(2.0,),
     )
     assert calls == []
-    assert all(not counts for counts in ranks.values())
+    assert all(not record["cascade_ranks"] for record in records.values())
     for r_d in (50.0, 100.0):
         direct = results[("direct", 2.0, 0.0, r_d)].values
         assert np.all(np.isfinite(direct))
@@ -617,16 +658,20 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
         return cascade(geometry, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "cascaded_channels", counting)
-    _, ranks, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
-    assert set(ranks) == {(2.0, 40.0, 50.0), (8.0, 40.0, 50.0)}
-    for (radius, _, _), counts in ranks.items():
+    _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    assert list(records) == [(40.0, 50.0)]
+    ranks = records[(40.0, 50.0)]["cascade_ranks"]
+    assert {radius for radius, _ in ranks} == {2.0, 8.0}
+    for radius in (2.0, 8.0):
+        counts = sidecar_telemetry(records[(40.0, 50.0)], radius=radius)["cascade_ranks"]
         assert sum(counts.values()) == calls[radius] > 0
         assert set(counts) <= {str(rank) for rank in range(1, SKELETON_RANK)}
 
     monkeypatch.setattr(experiments, "cascaded_channels", cascade)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
-    assert run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))[1] == ranks
+    _, again = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    assert again[(40.0, 50.0)]["cascade_ranks"] == ranks
 
 
 def reference_snr_counts(cfg, rho, r_d):
@@ -650,6 +695,18 @@ def reference_snr_counts(cfg, rho, r_d):
     return rows
 
 
+def reference_door_telemetry(rows, cap):
+    """Sidecar door telemetry of per-trial (IRS doors, RIS doors, dropped) rows."""
+    irs, ris, dropped = (list(column) for column in zip(*rows))
+    return {
+        "dropped": sum(dropped),
+        "irs_candidates": {"mean": sum(irs) / len(irs), "max": max(irs)},
+        "ris_candidates": {"mean": sum(ris) / len(ris), "max": max(ris)},
+        "irs_truncated": sum(n > cap for n in irs),
+        "ris_truncated": sum(n > cap for n in ris),
+    }
+
+
 def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
     # a cap of 2 truncates the RIS doors of most trials; on the one-lane
     # 120 m road placements are dropped and no door faces the link
@@ -657,35 +714,92 @@ def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
     crowded = cfg.replace(road_length_m=120.0, n_lanes=1)
     for config, rhos in ((cfg, (10.0, 40.0)), (crowded, (400.0,))):
         spec = make_sweep("snr-ecdf", config, grid=rhos)
-        _, _, counts = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
-        assert list(counts) == [(rho, 50.0) for rho in rhos]
-        for (rho, r_d), got in counts.items():
+        _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+        assert list(records) == [(rho, 50.0) for rho in rhos]
+        for (rho, r_d), record in records.items():
             want = reference_snr_counts(config, rho, r_d)
-            assert got.tolist() == want
-            irs, ris, dropped = (list(column) for column in zip(*want))
-            assert door_telemetry(got, config.max_candidates) == {
-                "dropped": sum(dropped),
-                "irs_candidates": {"mean": sum(irs) / len(irs), "max": max(irs)},
-                "ris_candidates": {"mean": sum(ris) / len(ris), "max": max(ris)},
-                "irs_truncated": sum(n > 2 for n in irs),
-                "ris_truncated": sum(n > 2 for n in ris),
-            }
-    telemetry = door_telemetry(counts[(400.0, 50.0)])
+            columns = (record[name] for name in ("irs_doors", "ris_doors", "dropped"))
+            assert np.column_stack(list(columns)).tolist() == want
+            telemetry = sidecar_telemetry(record, config.max_candidates)
+            ranks = telemetry.pop("cascade_ranks")
+            assert sum(ranks.values()) == sum(record["cascade_ranks"].values())
+            assert telemetry == reference_door_telemetry(want, 2)
+    telemetry = sidecar_telemetry(records[(400.0, 50.0)])
     assert telemetry["dropped"] > 0 and telemetry["ris_candidates"]["max"] == 0
 
-    # a process pool returns the same counts, in trial order
+    # a process pool returns the same records, in trial order
     spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
-    _, _, seq = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
-    assert door_telemetry(seq[(40.0, 50.0)], 2)["ris_truncated"] > 0
+    _, seq = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    assert sidecar_telemetry(seq[(40.0, 50.0)], 2)["ris_truncated"] > 0
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
-    _, _, counts = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0,))
-    assert counts[(40.0, 50.0)].tolist() == seq[(40.0, 50.0)].tolist()
+    _, records = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0,))
+    assert listed(records[(40.0, 50.0)]) == listed(seq[(40.0, 50.0)])
+
+
+TRIAL_ROWS = st.tuples(
+    st.integers(0, 6),
+    st.integers(0, 6),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.sampled_from([2.0, 8.0]), st.sampled_from(["exact", "3", "5"]))),
+)
+
+
+@given(
+    data=st.data(),
+    n_trials=st.integers(1, 40),
+    rho=st.sampled_from([0.0, 10.0, 40.0]),
+    seed=st.integers(0, 2**16),
+    cap=st.integers(0, 6),
+)
+@settings(max_examples=50, deadline=None)
+def test_merged_chunk_records_equal_the_record_of_the_whole_run(
+    data, n_trials, rho, seed, cap
+):
+    # any split of a run's trials into chunks merges to the record of the
+    # concatenated trials, for the blockage worker and for SNR-shaped records
+    # with a Counter; the formatter of the merged record reads its mean, max,
+    # sum, cap counts and ranks straight from the trial columns
+    cuts = sorted(data.draw(st.sets(st.integers(1, n_trials))) - {n_trials})
+    bounds = [0, *cuts, n_trials]
+    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+    blockage = partial(_blockage_chunk, SimConfig(seed=seed), rho, 100.0)
+    merged = merge_records([blockage(trials) for trials in ranges])
+    assert listed(merged) == listed(blockage(range(n_trials)))
+
+    rows = data.draw(st.lists(TRIAL_ROWS, min_size=n_trials, max_size=n_trials))
+
+    def record_of(trials):
+        return {
+            "snr_db": np.array([[[t, -t, 0.5 * t]] for t in trials], dtype=float),
+            "irs_doors": np.array([rows[t][0] for t in trials]),
+            "ris_doors": np.array([rows[t][1] for t in trials]),
+            "dropped": np.array([rows[t][2] for t in trials]),
+            "cascade_ranks": Counter(key for t in trials for key in rows[t][3]),
+        }
+
+    merged = merge_records([record_of(trials) for trials in ranges])
+    assert listed(merged) == listed(record_of(range(n_trials)))
+    irs, ris, dropped, ranks = zip(*rows)
+    for radius in (None, 2.0, 8.0):
+        labels = Counter(
+            label for keys in ranks for at, label in keys if radius in (None, at)
+        )
+        assert sidecar_telemetry(merged, cap, radius) == {
+            "dropped": sum(dropped),
+            "irs_candidates": {"mean": sum(irs) / n_trials, "max": max(irs)},
+            "ris_candidates": {"mean": sum(ris) / n_trials, "max": max(ris)},
+            "irs_truncated": sum(n > cap for n in irs),
+            "ris_truncated": sum(n > cap for n in ris),
+            "cascade_ranks": dict(labels),
+        }
+    assert "irs_truncated" not in sidecar_telemetry(merged)
 
 
 def test_snr_summary_reports_medians_with_intervals():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     rows = snr_summary(results, seed=spec.config.seed)
     assert len(rows) == len(results)
     for row in rows:
