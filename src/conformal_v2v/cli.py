@@ -36,7 +36,6 @@ from .experiments import (
 )
 from .geometry import AnglePair, build_cirs_geometry
 from .phase import optimal_phase, preconfigured_phase
-from .scenario import relay_doors
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -259,10 +258,7 @@ def _cmd_scenario_dump(args) -> int:
     config = config.replace(**{k: v for k, v in flags.items() if v is not None})
     # the scene comes from the master seed itself, not from a trial substream
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    scenes = draw_chunk(config, config.rho, config.link_distance_m, [rng])
-    doors = relay_doors(
-        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
-    )
+    scenes, doors = draw_chunk(config, config.rho, config.link_distance_m, [rng])
     roles = {int(scenes.txv[0]): "txv", int(scenes.rxv[0]): "rxv"}
     fields = ("lane", "x", "y", "length", "width", "height")
     rows = [

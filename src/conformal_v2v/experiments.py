@@ -223,10 +223,11 @@ def _road(config: SimConfig) -> RoadConfig:
 
 def draw_chunk(
     config: SimConfig, rho: float, r_d: float, rngs: list[np.random.Generator]
-) -> Scenes:
+) -> tuple[Scenes, Doors]:
     """One scene per generator on the configured road and vehicles, as one
-    chunk (see ``draw_scenes``)."""
-    return draw_scenes(
+    chunk (see ``draw_scenes``), and its doors gated under the configured
+    door length, height and range (``relay_doors``)."""
+    scenes = draw_scenes(
         _road(config),
         rho,
         rngs,
@@ -235,6 +236,10 @@ def draw_chunk(
         vehicle_width_m=config.vehicle_width_m,
         vehicle_height_m=config.vehicle_height_m,
     )
+    doors = relay_doors(
+        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
+    )
+    return scenes, doors
 
 
 def sidecar_telemetry(
@@ -417,12 +422,11 @@ def _blockage_chunk(config: SimConfig, rho: float, r_d: float, trials: range) ->
 
     Each trial draws its scene from its own substream, as a one-trial sweep
     would; the chunk's scenes are then gated and blockage-tested together
-    (``blocked_modes``).
+    (``draw_chunk``) and reduced to mode flags (``blocked_modes``).
     """
-    scenes = draw_chunk(config, rho, r_d, [trial_rng(config.seed, t) for t in trials])
-    flags, candidates = blocked_modes(
-        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
-    )
+    rngs = [trial_rng(config.seed, t) for t in trials]
+    scenes, doors = draw_chunk(config, rho, r_d, rngs)
+    flags, candidates = blocked_modes(doors)
     irs, ris = candidates.T
     return {"blocked": flags, "irs_doors": irs, "ris_doors": ris, "dropped": scenes.dropped}
 
@@ -546,10 +550,7 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     """
     [trial] = trials
     rng = trial_rng(config.seed, trial)
-    scenes = draw_chunk(config, rho, r_d, [rng])
-    doors = relay_doors(
-        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
-    )
+    scenes, doors = draw_chunk(config, rho, r_d, [rng])
     [(p_t, p_r)] = scenes.ends
     lam = config.wavelength_m
     k = config.k_antennas
@@ -698,12 +699,10 @@ def _angle_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> di
     (deg), one row per RIS door of the scenes of ``trials``, in trial order.
 
     Each trial draws its scene from its own substream, as a one-trial sweep
-    would; the chunk's scenes are gated together (``relay_doors``).
+    would; the chunk's scenes are gated together (``draw_chunk``).
     """
-    scenes = draw_chunk(config, rho, r_d, [trial_rng(config.seed, t) for t in trials])
-    doors = relay_doors(
-        scenes, config.door_length_m, config.door_center_height_m, config.max_range_m
-    )
+    rngs = [trial_rng(config.seed, t) for t in trials]
+    scenes, doors = draw_chunk(config, rho, r_d, rngs)
     p_t = scenes.ends[doors.scene, 0]
     elev: list[float] = []
     azim: list[float] = []
@@ -723,6 +722,9 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
     """
+    if len(spec.grid) != 1:
+        grid = ", ".join(f"{rho:g}" for rho in spec.grid)
+        raise ValueError(f"angle-pdf runs at one rho, got the grid ({grid})")
     bin_deg = 1.0
     worker = partial(_angle_chunk, spec.config)
     r_d = (spec.config.link_distance_m,)

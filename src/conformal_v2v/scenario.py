@@ -8,21 +8,24 @@ plan-view projection crosses).  ``_segment_counts`` is the one place that
 test is made, and ``relay_doors`` the one place doors are gated.
 
 A chunk of scenes (``Scenes``) is one set of per-vehicle arrays with a scene
-id; every experiment draws its scenes as a chunk (``draw_scenes``), one
-scene included.  ``relay_doors`` gates the doors of a whole chunk and counts
-the blockers of its direct rays and relay legs without a per-scene or
-per-door loop; ``blocked_modes`` reduces that to the blockage sweep's mode
-flags.  Generation loops over position draws only, testing each against its
-two same-lane neighbours.  ``Scenario`` holds one scene, with ``Vehicle``
-rows, for code that inspects a scene vehicle by vehicle.
+id, and the only scene storage: every scene is drawn as a chunk
+(``draw_scenes``), one scene included.  ``relay_doors`` gates the doors of a
+whole chunk and counts the blockers of its direct rays and relay legs
+without a per-scene or per-door loop; ``blocked_modes`` reduces its ``Doors``
+record to the blockage sweep's mode flags.  Generation loops over position
+draws only, testing each against its two same-lane neighbours.  ``Scenario``
+is a read-only row view of a one-scene chunk (``generate_traffic``): its
+``Vehicle`` rows, TxV first and RxV second, for code that inspects a scene
+vehicle by vehicle.
 """
 
 from __future__ import annotations
 
 import bisect
-from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -65,89 +68,43 @@ def _distances(points: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.sqrt(d[..., None, :] @ d[..., :, None])[..., 0, 0]
 
 
-class _VehicleRows(Sequence):
-    """Read-only view of a scene's rows as ``Vehicle`` objects, built on access."""
-
-    def __init__(self, scene: Scenario):
-        self._scene = scene
-
-    def __len__(self) -> int:
-        return len(self._scene.x)
-
-    def __getitem__(self, i) -> Vehicle:
-        s = self._scene
-        return Vehicle(
-            x=float(s.x[i]),
-            y=float(s.y[i]),
-            length=float(s.length[i]),
-            width=float(s.width[i]),
-            height=float(s.height[i]),
-            lane=int(s.lane[i]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Scenario:
-    """One plan-view scene as (V,) per-vehicle arrays.
+    """One scene as ``Vehicle`` rows: the TxV, the RxV, then the traffic.
 
-    Vehicle i is a box centered at (x[i], y[i]) on lane ``lane[i]``, ``length``
-    along the road (y) and ``width`` across it; its roof array sits at
-    ``height``.  ``footprints`` holds the (V, 4) boxes (xmin, xmax, ymin,
-    ymax), and ``vehicles`` views the rows as ``Vehicle`` objects.
+    A row view of a one-scene chunk (``generate_traffic``) for code that
+    inspects a scene vehicle by vehicle; ``Scenes`` is the scene storage.
     """
 
     road: RoadConfig
-    x: np.ndarray
-    y: np.ndarray
-    lane: np.ndarray
-    length: np.ndarray
-    width: np.ndarray
-    height: np.ndarray
-    txv: int
-    rxv: int
+    vehicles: tuple[Vehicle, ...]
     dropped: int = 0  # placements abandoned after the retry budget
-    footprints: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        for name in ("x", "y", "length", "width", "height"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "lane", np.asarray(self.lane, dtype=int))
-        n = len(self.x)
-        for name in ("x", "y", "lane", "length", "width", "height"):
-            if getattr(self, name).shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},)")
-        if self.txv == self.rxv:
-            raise ValueError("txv and rxv must differ")
-        for idx in (self.txv, self.rxv):
-            if not 0 <= idx < n:
-                raise ValueError(f"endpoint index {idx} out of range")
-        boxes = _boxes(self.x, self.y, self.length, self.width)
-        object.__setattr__(self, "footprints", boxes)
-
-    @property
-    def vehicles(self) -> Sequence[Vehicle]:
-        return _VehicleRows(self)
+    txv: ClassVar[int] = 0
+    rxv: ClassVar[int] = 1
 
     @property
     def p_t(self) -> np.ndarray:
         """TxV roof-array position."""
-        return np.array([self.x[self.txv], self.y[self.txv], self.height[self.txv]])
+        v = self.vehicles[self.txv]
+        return np.array([v.x, v.y, v.height])
 
     @property
     def p_r(self) -> np.ndarray:
         """RxV roof-array position."""
-        return np.array([self.x[self.rxv], self.y[self.rxv], self.height[self.rxv]])
+        v = self.vehicles[self.rxv]
+        return np.array([v.x, v.y, v.height])
 
 
 @dataclass(frozen=True, eq=False)
 class Scenes:
     """A chunk of plan-view scenes as one set of (V,) per-vehicle arrays.
 
-    Row i is a vehicle of scene ``scene[i]``, with the columns of
-    ``Scenario``; the rows of a scene are contiguous and scenes come in
-    order.  Scene s has its TxV at row ``txv[s]``, its RxV at row
-    ``rxv[s]`` and ``dropped[s]`` abandoned placements.  Every scene of a
-    chunk lies on ``road``.
+    Row i is a vehicle of scene ``scene[i]``: a box centered at (x[i], y[i])
+    on lane ``lane[i]``, ``length`` along the road (y) and ``width`` across
+    it, its roof array at ``height``.  The rows of a scene are contiguous and
+    scenes come in order.  Scene s has its TxV at row ``txv[s]``, its RxV
+    right after it and ``dropped[s]`` abandoned placements.  Every scene of
+    a chunk lies on ``road``.
     """
 
     road: RoadConfig
@@ -159,8 +116,12 @@ class Scenes:
     height: np.ndarray
     scene: np.ndarray
     txv: np.ndarray
-    rxv: np.ndarray
     dropped: np.ndarray
+
+    @property
+    def rxv(self) -> np.ndarray:
+        """(S,) RxV row of every scene."""
+        return self.txv + 1
 
     @property
     def ends(self) -> np.ndarray:
@@ -200,7 +161,7 @@ def _placements(
     vehicle_length_m: float,
 ) -> tuple[list[int], list[float], int]:
     """Lane and center y of every vehicle of one scene, TxV and RxV first,
-    and the number of dropped placements; see ``generate_traffic``."""
+    and the number of dropped placements; see ``draw_scenes``."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
     center = road.n_lanes // 2
@@ -240,44 +201,22 @@ def _placements(
     return lanes, ys, dropped
 
 
-def _lane_centers(road: RoadConfig) -> np.ndarray:
-    return np.array([road.lane_center(lane) for lane in range(road.n_lanes)])
-
-
 def generate_traffic(
     road: RoadConfig,
     rho: float,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     link_distance_m: float = 100.0,
     vehicle_length_m: float = 5.0,
     vehicle_width_m: float = 1.8,
     vehicle_height_m: float = 1.5,
 ) -> Scenario:
-    """Drop Poisson traffic on every lane around a fixed TxV-RxV pair.
-
-    Per-lane vehicle counts are Poisson(rho * road_length_km); longitudinal
-    positions are uniform, redrawn up to ``MAX_RETRIES`` times when two
-    same-lane footprints would overlap (drops are counted, not silently
-    clipped).  TxV sits at the road start of the center lane and RxV
-    ``link_distance_m`` further down the same lane.  Draws come in the order
-    of one placement at a time, each retried until it fits or runs out.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
-    lanes, ys, dropped = _placements(road, rho, rng, link_distance_m, vehicle_length_m)
-    n = len(ys)
-    return Scenario(
-        road=road,
-        x=_lane_centers(road)[lanes],
-        y=np.array(ys),
-        lane=np.array(lanes),
-        length=np.full(n, vehicle_length_m),
-        width=np.full(n, vehicle_width_m),
-        height=np.full(n, vehicle_height_m),
-        txv=0,
-        rxv=1,
-        dropped=dropped,
+    """The one-scene chunk ``draw_scenes`` draws from ``rng``, as ``Vehicle`` rows."""
+    s = draw_scenes(
+        road, rho, [rng], link_distance_m, vehicle_length_m, vehicle_width_m, vehicle_height_m
     )
+    columns = (s.x, s.y, s.length, s.width, s.height, s.lane)
+    rows = zip(*(column.tolist() for column in columns))
+    return Scenario(road, tuple(Vehicle(*row) for row in rows), int(s.dropped[0]))
 
 
 def draw_scenes(
@@ -289,8 +228,16 @@ def draw_scenes(
     vehicle_width_m: float = 1.8,
     vehicle_height_m: float = 1.5,
 ) -> Scenes:
-    """One scene per generator of ``rngs``, each drawn as ``generate_traffic``
-    draws it from that generator, as one chunk."""
+    """One scene per generator of ``rngs``, as one chunk: Poisson traffic on
+    every lane around a fixed TxV-RxV pair.
+
+    Per-lane vehicle counts are Poisson(rho * road_length_km); longitudinal
+    positions are uniform, redrawn up to ``MAX_RETRIES`` times when two
+    same-lane footprints would overlap (drops are counted, not silently
+    clipped).  TxV sits at the road start of the center lane and RxV
+    ``link_distance_m`` further down the same lane.  Draws come in the order
+    of one placement at a time, each retried until it fits or runs out.
+    """
     lanes: list[int] = []
     ys: list[float] = []
     txv, dropped = [], []
@@ -302,9 +249,10 @@ def draw_scenes(
         dropped.append(drop)
     n = len(ys)
     txv = np.array(txv)
+    centers = np.array([road.lane_center(lane) for lane in range(road.n_lanes)])
     return Scenes(
         road=road,
-        x=_lane_centers(road)[lanes],
+        x=centers[lanes],
         y=np.array(ys),
         lane=np.array(lanes, dtype=int),
         length=np.full(n, vehicle_length_m),
@@ -312,7 +260,6 @@ def draw_scenes(
         height=np.full(n, vehicle_height_m),
         scene=np.repeat(np.arange(len(txv)), np.diff(txv, append=n)),
         txv=txv,
-        rxv=txv + 1,
         dropped=np.array(dropped),
     )
 
@@ -515,24 +462,18 @@ def relay_doors(
     )
 
 
-def blocked_modes(
-    scenes: Scenes,
-    door_length_m: float = 1.0,
-    door_center_height: float = 0.9,
-    max_range_m: float = 150.0,
-) -> tuple[np.ndarray, np.ndarray]:
+def blocked_modes(doors: Doors) -> tuple[np.ndarray, np.ndarray]:
     """Whether each scene's link is blocked under each mode, and its candidates.
 
     Returns the (S, 3) flags (direct, with_irs, with_ris) and the (S, 2)
-    counts of (IRS, RIS) candidate doors of every scene of the chunk, both
-    from ``relay_doors``.  direct: any blocker on the TxV-RxV ray.
+    counts of (IRS, RIS) candidate doors of every scene of a chunk gated by
+    ``relay_doors``.  direct: any blocker on the TxV-RxV ray.
     with_irs / with_ris: the direct ray is blocked AND no door the mode
     gates has both legs clear; a mode without doors stays blocked.  Every
     gated door counts here, while SNR trials keep only the max_candidates
     doors with the smallest r_t * r_r per mode.
     """
-    doors = relay_doors(scenes, door_length_m, door_center_height, max_range_m)
-    n_scenes = len(scenes.txv)
+    n_scenes = len(doors.direct)
     direct = doors.direct > 0
     clear = (doors.legs == 0).all(axis=1)
     flags = np.stack([direct, direct, direct], axis=1)

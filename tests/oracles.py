@@ -295,11 +295,9 @@ def beamformed(geometry, h_tc, h_cr, f, w):
 # --- scenes: one vehicle and one door at a time --------------------------------
 
 
-def scene_from_vehicles(road, vehicles, txv=0, rxv=1, dropped=0):
-    """``Scenario`` whose rows are the given ``Vehicle`` objects."""
-    columns = ("x", "y", "lane", "length", "width", "height")
-    rows = {name: [getattr(v, name) for v in vehicles] for name in columns}
-    return Scenario(road=road, **rows, txv=txv, rxv=rxv, dropped=dropped)
+def scene_from_vehicles(road, vehicles, dropped=0):
+    """``Scenario`` whose rows are the given ``Vehicle`` objects, TxV and RxV first."""
+    return Scenario(road=road, vehicles=tuple(vehicles), dropped=dropped)
 
 
 def scenes_of(scenarios):
@@ -307,18 +305,19 @@ def scenes_of(scenarios):
     road = scenarios[0].road
     if any(s.road != road for s in scenarios):
         raise ValueError("the scenes of a chunk must share one road")
-    sizes = [len(s.x) for s in scenarios]
+    sizes = [len(s.vehicles) for s in scenarios]
     offsets = np.cumsum([0, *sizes[:-1]])
+    vehicles = [v for s in scenarios for v in s.vehicles]
 
-    def rows(name):
-        return np.concatenate([getattr(s, name) for s in scenarios])
+    def rows(name, dtype=float):
+        return np.array([getattr(v, name) for v in vehicles], dtype=dtype)
 
     return Scenes(
         road=road,
-        **{name: rows(name) for name in ("x", "y", "lane", "length", "width", "height")},
+        **{name: rows(name) for name in ("x", "y", "length", "width", "height")},
+        lane=rows("lane", int),
         scene=np.repeat(np.arange(len(sizes)), sizes),
         txv=offsets + [s.txv for s in scenarios],
-        rxv=offsets + [s.rxv for s in scenarios],
         dropped=np.array([s.dropped for s in scenarios]),
     )
 
@@ -340,8 +339,6 @@ def scalar_generate_traffic(
 ):
     """``generate_traffic`` drawing one uniform per attempt and testing each
     attempt against every vehicle already on its lane."""
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(np.random.SeedSequence(int(rng)))
     center = road.n_lanes // 2
     y_t = vehicle_length_m / 2.0
     y_r = y_t + link_distance_m

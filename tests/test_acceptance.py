@@ -419,7 +419,7 @@ def test_sampled_statistics_match_their_models_and_runs_are_deterministic(tmp_pa
     lam = 30.0 * road.length / 1000.0
     counts = []
     for seed in range(300):
-        scene = generate_traffic(road, 30.0, seed)
+        scene = generate_traffic(road, 30.0, np.random.default_rng(seed))
         assert scene.dropped == 0
         for lane in (0, 1, 3, 4):  # off the endpoint lane
             counts.append(sum(1 for v in scene.vehicles if v.lane == lane))

@@ -484,9 +484,9 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
     scenes = []
 
     def counting_scene(*args):
-        chunk = draw_chunk(*args)
+        chunk, doors = draw_chunk(*args)
         scenes.extend(chunk.txv.tolist())
-        return chunk
+        return chunk, doors
 
     monkeypatch.setattr(experiments, "draw_chunk", counting_scene)
     both, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
@@ -558,7 +558,8 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         m_elements=100, n_elements=100, cascade_amp_scale=16.0, radius_m=radius
     )
     road = RoadConfig(cfg.road_length_m, cfg.n_lanes, cfg.lane_width_m)
-    ends = generate_traffic(road, 0.0, 0, link_distance_m=cfg.link_distance_m)
+    rng = np.random.default_rng(0)
+    ends = generate_traffic(road, 0.0, rng, link_distance_m=cfg.link_distance_m)
     mid_y = 0.5 * (ends.p_t[1] + ends.p_r[1])
     relay = Vehicle(x=road.lane_center(road.n_lanes - 1), y=mid_y, lane=road.n_lanes - 1)
     scen = scene_from_vehicles(road, (*ends.vehicles, relay))
@@ -599,7 +600,6 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
     column_view = channel._column_view
     cfg = SimConfig()
     lam, k, d = cfg.wavelength_m, cfg.k_antennas, cfg.element_spacing_m
-    height = cfg.door_center_height_m
     rng = np.random.default_rng(14)
     doors = 0
     column_views = []
@@ -610,8 +610,7 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
 
     monkeypatch.setattr(channel, "_column_view", recording)
     for trial in range(2):
-        scenes = draw_chunk(cfg, 40.0, 100.0, [trial_rng(9, trial)])
-        gate = relay_doors(scenes, cfg.door_length_m, height, cfg.max_range_m)
+        scenes, gate = draw_chunk(cfg, 40.0, 100.0, [trial_rng(9, trial)])
         [(p_t, p_r)] = scenes.ends
         for relay in _ranked_candidates(gate, gate.ris, 1):
             door, side = gate.points[relay], SIDES[gate.side[relay]]
@@ -823,6 +822,12 @@ def test_angle_histograms_integrate_to_one():
     assert 0.0 < stats["elevation_mean_deg"] < 180.0
 
 
+def test_angle_pdf_rejects_a_grid_of_several_rhos():
+    spec = make_sweep("angle-pdf", SimConfig().replace(trials=2), grid=(10.0, 40.0))
+    with pytest.raises(ValueError, match=r"one rho, got the grid \(10, 40\)"):
+        run_angle_pdf(spec)
+
+
 def test_angle_pdf_matches_the_per_trial_reference_across_chunks():
     # three chunks, the last of one trial: the samples of every RIS door,
     # from the one-draw-at-a-time scenes and the per-door gating reference
@@ -913,7 +918,8 @@ def test_git_revision_is_read_from_the_checkout_files(tmp_path):
 )
 @settings(max_examples=100, deadline=None)
 def test_ranked_candidates_match_the_per_door_budget_key(rho, seed, r_d, cap):
-    scen = generate_traffic(RoadConfig(), rho, seed, link_distance_m=r_d)
+    rng = np.random.default_rng(seed)
+    scen = generate_traffic(RoadConfig(), rho, rng, link_distance_m=r_d)
     doors = relay_doors(scenes_of([scen]), max_range_m=1000.0)
     pairs = door_pairs(doors)
     cands = [pair for pair, ris in zip(pairs, doors.ris.tolist()) if ris]
@@ -932,7 +938,7 @@ def test_ranked_candidates_break_budget_ties_by_row():
     # mirror-image cars two lanes either side of the link present doors at
     # x = +-4.1 with equal r_t * r_r: the lower row ranks first
     road = RoadConfig()
-    ends = generate_traffic(road, 0.0, 0, link_distance_m=100.0)
+    ends = generate_traffic(road, 0.0, np.random.default_rng(0), link_distance_m=100.0)
     cars = [Vehicle(x=5.0, y=40.0, lane=3), Vehicle(x=-5.0, y=40.0, lane=1)]
     for pair in (cars, cars[::-1]):
         scen = scene_from_vehicles(road, (*ends.vehicles, *pair))

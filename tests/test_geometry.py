@@ -149,13 +149,9 @@ def test_lane_centers_are_symmetric_about_road_axis():
 def test_vehicle_box_and_doors():
     v = Vehicle(x=5.0, y=30.0, length=5.0, width=1.8, height=1.5, lane=3)
     assert v.footprint == (5.0 - 0.9, 5.0 + 0.9, 27.5, 32.5)
-    s = Scenario(
-        road=RoadConfig(), x=[5.0, 0.0], y=[30.0, 80.0], lane=[3, 2],
-        length=[5.0, 5.0], width=[1.8, 1.8], height=[1.5, 1.5], txv=0, rxv=1,
-    )
-    assert s.vehicles[0] == v
-    assert s.footprints[0].tolist() == list(v.footprint)
+    s = Scenario(road=RoadConfig(), vehicles=(v, Vehicle(x=0.0, y=80.0, lane=2)))
     assert s.p_t == pytest.approx([5.0, 30.0, 1.5])
+    assert s.p_r == pytest.approx([0.0, 80.0, 1.5])
     doors = [door_center(s.vehicles[0], side, 0.9) for side in ("right", "left")]
     assert doors == pytest.approx(np.array([[5.9, 30.0, 0.9], [4.1, 30.0, 0.9]]))
     # the outward door normal is the door frame's +x axis

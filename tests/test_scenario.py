@@ -9,6 +9,7 @@ from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
     SIDES,
+    _boxes,
     _segment_counts,
     blocked_modes,
     door_pose,
@@ -102,7 +103,7 @@ def reference_modes(scenario, door_length_m=1.0, door_center_height=0.9, max_ran
 
 def modes(scenario, **kwargs):
     """``blocked_modes`` flags of a chunk of one scene, as a tuple."""
-    flags, _ = blocked_modes(scenes_of([scenario]), **kwargs)
+    flags, _ = blocked_modes(relay_doors(scenes_of([scenario]), **kwargs))
     return tuple(flags[0].tolist())
 
 
@@ -143,25 +144,30 @@ def scene(*extra: Vehicle, link_m: float = 100.0):
     return scene_from_vehicles(ROAD, (txv, rxv, *extra))
 
 
+def seeded(seed):
+    """The generator of an int seed, as ``scenario-dump`` makes it."""
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def test_generated_traffic_is_reproducible_from_an_int_seed():
-    a = generate_traffic(ROAD, 20.0, 42)
-    b = generate_traffic(ROAD, 20.0, np.random.default_rng(np.random.SeedSequence(42)))
-    assert tuple(a.vehicles) == tuple(b.vehicles)
+    a = generate_traffic(ROAD, 20.0, seeded(42))
+    b = generate_traffic(ROAD, 20.0, seeded(42))
+    assert a.vehicles == b.vehicles
     assert a.dropped == b.dropped
-    c = generate_traffic(ROAD, 20.0, 43)
-    assert tuple(c.vehicles) != tuple(a.vehicles)
+    c = generate_traffic(ROAD, 20.0, seeded(43))
+    assert c.vehicles != a.vehicles
 
 
 def test_endpoints_sit_on_the_center_lane_at_the_link_distance():
-    s = generate_traffic(ROAD, 15.0, 0, link_distance_m=80.0)
+    s = generate_traffic(ROAD, 15.0, seeded(0), link_distance_m=80.0)
     assert s.txv == 0 and s.rxv == 1
-    assert s.lane[s.txv] == 2 and s.lane[s.rxv] == 2
+    assert s.vehicles[s.txv].lane == 2 and s.vehicles[s.rxv].lane == 2
     assert s.p_t == pytest.approx([0.0, 2.5, 1.5])
     assert s.p_r == pytest.approx([0.0, 82.5, 1.5])
 
 
 def test_same_lane_vehicles_never_overlap():
-    s = generate_traffic(ROAD, 60.0, 7)
+    s = generate_traffic(ROAD, 60.0, seeded(7))
     for lane in range(ROAD.n_lanes):
         ys = sorted(v.y for v in s.vehicles if v.lane == lane)
         gaps = np.diff(ys)
@@ -170,7 +176,7 @@ def test_same_lane_vehicles_never_overlap():
 
 def test_retry_budget_drops_placements_on_a_saturated_road():
     tight = RoadConfig(length=60.0, n_lanes=1, lane_width=5.0)
-    s = generate_traffic(tight, 4000.0, 1, link_distance_m=50.0)
+    s = generate_traffic(tight, 4000.0, seeded(1), link_distance_m=50.0)
     assert s.dropped > 0
     # the survivors still respect the spacing rule
     ys = sorted(v.y for v in s.vehicles)
@@ -179,18 +185,9 @@ def test_retry_budget_drops_placements_on_a_saturated_road():
 
 def test_generate_traffic_validates_inputs():
     with pytest.raises(ValueError):
-        generate_traffic(ROAD, -1.0, 0)
+        generate_traffic(ROAD, -1.0, seeded(0))
     with pytest.raises(ValueError):
-        generate_traffic(RoadConfig(length=50.0), 10.0, 0, link_distance_m=100.0)
-
-
-def test_scenario_rejects_degenerate_endpoint_indices():
-    txv = Vehicle(x=0.0, y=2.5, lane=2)
-    rxv = Vehicle(x=0.0, y=50.0, lane=2)
-    with pytest.raises(ValueError):
-        scene_from_vehicles(ROAD, (txv, rxv), txv=0, rxv=0)
-    with pytest.raises(ValueError):
-        scene_from_vehicles(ROAD, (txv, rxv), txv=0, rxv=5)
+        generate_traffic(RoadConfig(length=50.0), 10.0, seeded(0), link_distance_m=100.0)
 
 
 def test_a_same_lane_car_between_the_endpoints_blocks():
@@ -342,7 +339,7 @@ def test_blocked_modes_on_crafted_scenes():
 
     # the same scenes as one chunk, with their (IRS, RIS) candidate counts
     chunk = [scene(), scene(blocker), scene(blocker, relay), scene(blocker, distant_relay)]
-    flags, candidates = blocked_modes(scenes_of(chunk))
+    flags, candidates = blocked_modes(relay_doors(scenes_of(chunk)))
     assert flags.tolist() == [list(modes(s)) for s in chunk]
     assert candidates.tolist() == [[0, 0], [0, 0], [1, 1], [0, 1]]
 
@@ -377,20 +374,46 @@ def test_generate_traffic_matches_the_one_draw_at_a_time_reference(
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_traffic(road, rho, rng, link_distance_m=link)
     want = scalar_generate_traffic(road, rho, ref_rng, link_distance_m=link)
-    for name in ("x", "y", "lane", "length", "width", "height"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert got.vehicles == want.vehicles
     assert got.dropped == want.dropped
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     # a chunk draws the same scene, and the same number of draws, per generator
     rng = np.random.default_rng(seed)
     chunk = draw_scenes(road, rho, [rng], link_distance_m=link)
     for name in ("x", "y", "length", "width", "height"):
-        assert np.array_equal(getattr(chunk, name), getattr(want, name))
-    assert chunk.scene.tolist() == [0] * len(want.x)
+        assert getattr(chunk, name).tolist() == [getattr(v, name) for v in want.vehicles]
+    assert chunk.scene.tolist() == [0] * len(want.vehicles)
     assert (chunk.txv.tolist(), chunk.rxv.tolist(), chunk.dropped.tolist()) == (
         [0], [1], [want.dropped]
     )
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "road, rho, link",
+    [
+        (ROAD, 0.0, 100.0),
+        (ROAD, 40.0, 100.0),
+        # a saturated short road, where every scene drops placements
+        (RoadConfig(length=60.0, n_lanes=1), 4000.0, 50.0),
+    ],
+    ids=["empty", "typical", "saturated"],
+)
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_generate_traffic_is_the_one_scene_chunk(road, rho, link, seed):
+    # bench/checks.py recounts scenes through these rows, drops, endpoint
+    # positions and footprints: they are exactly those of the chunk
+    got = generate_traffic(road, rho, seeded(seed), link_distance_m=link)
+    chunk = draw_scenes(road, rho, [seeded(seed)], link_distance_m=link)
+    for name in ("x", "y", "length", "width", "height", "lane"):
+        assert [getattr(v, name) for v in got.vehicles] == getattr(chunk, name).tolist()
+    assert (got.txv, got.rxv) == (chunk.txv[0], chunk.rxv[0]) == (0, 1)
+    assert got.dropped == chunk.dropped[0]
+    assert (got.dropped > 0) == (rho == 4000.0)
+    assert np.array_equal(np.stack([got.p_t, got.p_r]), chunk.ends[0])
+    boxes = _boxes(chunk.x, chunk.y, chunk.length, chunk.width)
+    assert [v.footprint for v in got.vehicles] == [tuple(box) for box in boxes.tolist()]
 
 
 free_vehicles = st.lists(
@@ -410,7 +433,7 @@ def scenes(draw):
     """Generated traffic, or hand-placed vehicles of any width around the link."""
     if draw(st.booleans()):
         return generate_traffic(
-            ROAD, draw(st.floats(0.0, 60.0)), draw(st.integers(0, 2**32 - 1)),
+            ROAD, draw(st.floats(0.0, 60.0)), seeded(draw(st.integers(0, 2**32 - 1))),
             link_distance_m=draw(st.floats(10.0, 400.0)),
         )
     return scene(*draw(free_vehicles), link_m=draw(st.floats(1.0, 400.0)))
@@ -494,7 +517,7 @@ def test_chunk_kernel_matches_the_per_scene_references(crafted, max_range):
     got = _segment_counts(chunk, np.array(seg_scene), np.array(starts), np.array(ends), relay)
     assert got.tolist() == want
 
-    flags, candidates = blocked_modes(scenes_of(scenes), max_range_m=max_range)
+    flags, candidates = blocked_modes(relay_doors(chunk, max_range_m=max_range))
     assert flags.tolist() == [list(reference_modes(s, max_range_m=max_range)) for s in scenes]
     assert candidates.tolist() == [
         [len(scalar_candidates_irs(s)), len(scalar_candidates_ris(s, max_range))]
