@@ -33,10 +33,10 @@ TWO_PI = 2.0 * math.pi
 # a few wavelengths to the nearest element
 MIN_DISTANCE_WAVELENGTHS = 10.0
 
-# skeleton of a door's cascade product (``_skeleton``): the number of
-# columns it starts from, the probe columns that check it, and the residual
-# on them, relative to their norm, at which the column count stops doubling
-SKELETON_RANK = 24
+# skeleton of a door's cascade product (``_skeleton``): the evenly spaced
+# columns of its first pass, the probe columns that check each pass, and the
+# residual on them, relative to their norm, at which a pass is accepted
+SKELETON_START_COLUMNS = 12
 SKELETON_PROBES = 4
 SKELETON_TOL = 1e-11
 
@@ -220,10 +220,11 @@ def cascaded_channels(
     low-rank: an element's squared distance to an antenna is a row term plus
     a column term, and only their mixed curvature adds rank.  So s is taken
     from a skeleton (see ``_skeleton``) whose entries come from
-    ``_beamformed_segment`` on row and column subsets of the surface; the
-    dense matrices are never built.  The near-field guard takes the closest
-    antenna-element pair over every element of the surface
-    (``_near_field_guard``), not over the subsets.
+    ``_beamformed_segment`` on row and column subsets of the surface, each
+    column evaluated at most once; the dense matrices are never built, and
+    s itself only where the skeleton is the whole surface.  The near-field
+    guard takes the closest antenna-element pair over every element of the
+    surface (``_near_field_guard``), not over the subsets.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -265,36 +266,60 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
     Comput. 32, 2010; for CUR, Sorensen and Embree, SIAM J. Sci. Comput. 38,
     2016).  ``product`` evaluates s on row- or column-subset views of the
     surface.  The columns of s are smooth in n, since lighting depends on the
-    row and the antenna only, so r evenly spaced columns J span them: left =
+    row and the antenna only, so evenly spaced columns J span them: left =
     U, the left singular vectors of s[:, J] whose singular values exceed
     SKELETON_TOL / 10 of the largest (an all-zero product keeps none).  DEIM
     picks one row of s per column of U, so U[I] is square and well
     conditioned, and right = U[I]^{-1} s[I, :] interpolates s on those rows.
-    The rows of s are not smooth, so J is checked on SKELETON_PROBES columns
-    between those of J.  While their residual exceeds SKELETON_TOL of their
-    norm, r doubles from SKELETON_RANK.  Once r reaches min(M, N) the
-    skeleton is the whole surface and the product is exact: (s, I) or (I, s).
+
+    The rows of s are not smooth, so each pass checks J on SKELETON_PROBES
+    probe columns P taken from the midpoints of J's gaps, and is accepted
+    once the DEIM residual on them is at most SKELETON_TOL of their norm.
+    The interpolant lies in span(U), so its residual is never below that of
+    the orthogonal projection, |P - U U^H P|: a pass whose projection
+    residual already exceeds the bound fails without the row pass.  The
+    first pass takes SKELETON_START_COLUMNS columns, and a failed pass adds
+    every midpoint of J's gaps to J (12 -> 23 -> 45 -> ...), so its probes
+    become columns; a column is evaluated once, whatever the number of
+    passes.  Once J and P would reach min(M, N) columns the skeleton is the
+    whole surface and the product exact, (s, I) or (I, s), assembled from
+    the columns evaluated so far and the rest.
     """
     m, n = geometry.m_count, geometry.n_count
-    rank = SKELETON_RANK
-    while rank < min(m, n):
-        cols = _spread(n, rank)
+    block = np.empty((m, 0), dtype=complex)  # every column evaluated so far
+    place = np.full(n, -1)  # each column's index in block, -1 if unevaluated
+
+    def columns(idx: np.ndarray) -> np.ndarray:
+        """s[:, idx], evaluating only the columns not evaluated before."""
+        nonlocal block
+        new = idx[place[idx] < 0]
+        if new.size:
+            place[new] = block.shape[1] + np.arange(new.size)
+            block = np.hstack([block, product(_column_view(geometry, new))])
+        return block[:, place[idx]]
+
+    cols = _spread(n, SKELETON_START_COLUMNS)
+    while True:
         gaps = np.flatnonzero(np.diff(cols) > 1)
         mids = (cols[gaps] + cols[gaps + 1]) // 2
         probes = mids[_spread(mids.size, min(SKELETON_PROBES, mids.size))]
-        s_cols = product(_column_view(geometry, np.concatenate([cols, probes])))
-        u, sigma, _ = np.linalg.svd(s_cols[:, :rank], full_matrices=False)
+        if cols.size + probes.size >= min(m, n):
+            break
+        s_cols = columns(np.concatenate([cols, probes]))
+        probed = s_cols[:, cols.size:]
+        bound = SKELETON_TOL * np.linalg.norm(probed)
+        u, sigma, _ = np.linalg.svd(s_cols[:, : cols.size], full_matrices=False)
         left = u[:, sigma > 0.1 * SKELETON_TOL * sigma[0]]
-        rows = _deim(left)
-        right = np.linalg.solve(left[rows], product(_row_view(geometry, rows)))
-        probed = s_cols[:, rank:]
-        residual = np.linalg.norm(probed - left @ right[:, probes])
-        if residual <= SKELETON_TOL * np.linalg.norm(probed):
-            return left, right
-        rank *= 2
+        if np.linalg.norm(probed - left @ (left.conj().T @ probed)) <= bound:
+            rows = _deim(left)
+            right = np.linalg.solve(left[rows], product(_row_view(geometry, rows)))
+            if np.linalg.norm(probed - left @ right[:, probes]) <= bound:
+                return left, right
+        cols = np.union1d(cols, mids)
+    s = columns(np.arange(n))
     if n <= m:
-        return product(geometry), np.eye(n)
-    return np.eye(m), product(geometry)
+        return s, np.eye(n)
+    return np.eye(m), s
 
 
 def _deim(basis: np.ndarray) -> np.ndarray:
@@ -391,33 +416,40 @@ def _beamformed_segment(
     and g t a to the imaginary part, with g = 2 |w| / (1 + t^2).  One
     vectorised tan replaces a cos and a sin.  The identity has no singular
     point: at phi / 2 = fl(pi / 2), t ~ 1.6e16 gives cos phi = -1 and
-    sin phi ~ 1e-16.  The (M, N) work arrays are reused across antennas.
+    sin phi ~ 1e-16.  The row terms of every antenna (|A_across|^2, c^2,
+    the horizontal part of |A_across|^2) are (K, M) arrays taken before the
+    antenna loop, and the weights' half phases and moduli (scalar ``abs``,
+    which the array ``np.abs`` can differ from in the last bit) are taken
+    once per antenna; only the (M, N) work, in arrays reused across
+    antennas, runs per antenna.
     """
     rot = geometry.pose.rotation()
     rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
     axis = rot[:, 1]
-    normals = geometry.normals
     along = (rows - antennas[0]) @ axis
     along_sq = np.add(along[:, None], geometry.column_offsets_local)
     np.square(along_sq, out=along_sq)
+
+    rel = rows - antennas[:, None, :]  # (K, M, 3)
+    across = rel - along[:, None] * axis
+    across_sq = np.einsum("kmi,kmi->km", across, across)
+    # u^2 = min(c^2 / r^2, 1) on rows whose c is positive, 0 on the others;
+    # r^2 - A_z^2 is summed from its horizontal parts, so it is never negative
+    cos_num = -np.einsum("kmi,mi->km", rel, geometry.normals)
+    cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
+    level = across[..., :2]
+    level_sq = np.einsum("kmi,kmi->km", level, level)
+    half_phase = [0.5 * (xi + np.angle(weight)) for weight in weights]
+    moduli = [abs(weight) for weight in weights]
+
     shape = along_sq.shape
     re, im = np.zeros(shape), np.zeros(shape)
     r, amp, work, t = (np.empty(shape) for _ in range(4))
-    for antenna, weight in zip(antennas, weights):
-        rel = rows - antenna
-        across = rel - along[:, None] * axis
-        across_sq = np.einsum("mi,mi->m", across, across)
-        np.add(along_sq, across_sq[:, None], out=r)
-
-        # u^2 = min(c^2 / r^2, 1) on rows whose c is positive, 0 on the
-        # others; r^2 - A_z^2 is summed from its horizontal parts, so it is
-        # never negative
-        cos_num = -np.einsum("mi,mi->m", rel, normals)
-        cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
-        np.divide(cos_num2[:, None], r, out=amp)
+    for k in range(len(antennas)):
+        np.add(along_sq, across_sq[k, :, None], out=r)
+        np.divide(cos_num2[k, :, None], r, out=amp)
         np.minimum(amp, 1.0, out=amp)
-        level = across[:, :2]
-        np.add(along_sq, np.einsum("mi,mi->m", level, level)[:, None], out=work)
+        np.add(along_sq, level_sq[k, :, None], out=work)
         amp *= work
         amp /= r
         # (u^2 sin^2 phi)^{q/2} = u^q sin(phi)^q, and 0 wherever u <= 0 or
@@ -431,17 +463,17 @@ def _beamformed_segment(
         np.rint(work, out=t)
         work -= t
         work *= -math.pi
-        work += 0.5 * (xi + np.angle(weight))
+        work += half_phase[k]
         np.tan(work, out=t)
 
         # g = 2 |w| / (1 + t^2): re += (g - |w|) amp, im += g t amp
         np.multiply(t, t, out=work)
         work += 1.0
-        np.divide(2.0 * abs(weight), work, out=work)
+        np.divide(2.0 * moduli[k], work, out=work)
         t *= work
         t *= amp
         im += t
-        work -= abs(weight)
+        work -= moduli[k]
         work *= amp
         re += work
     return re + 1j * im

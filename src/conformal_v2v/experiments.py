@@ -252,7 +252,9 @@ def sidecar_telemetry(
     with ``cap``, also the trials in which each mode gated more than ``cap``
     doors (``irs_truncated``, ``ris_truncated``).  A record with
     ``cascade_ranks``, a Counter over (radius, rank label), adds the door
-    cascades per rank label at ``radius``, or summed over every radius.
+    cascades per rank label at ``radius``, or summed over every radius; one
+    with ``winners``, a Counter over (radius, mode, winner label), adds each
+    mode's winners per label, at ``radius`` or summed the same way.
     """
     telemetry = {"dropped": int(record["dropped"].sum())}
     for mode in ("irs", "ris"):
@@ -269,6 +271,12 @@ def sidecar_telemetry(
             if radius is None or at == radius:
                 ranks[label] += count
         telemetry["cascade_ranks"] = dict(ranks)
+    if "winners" in record:
+        winners = {"irs": Counter(), "ris": Counter()}
+        for (at, mode, label), count in record["winners"].items():
+            if radius is None or at == radius:
+                winners[mode][label] += count
+        telemetry["winners"] = {mode: dict(counts) for mode, counts in winners.items()}
     return telemetry
 
 
@@ -532,8 +540,11 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     """Record of a one-trial range: the trial's (1, R, 3) ``snr_db``, the
     (direct, with_irs, with_ris) SNRs in dB on each of the R ``surfaces``;
     its scene's gated ``irs_doors`` and ``ris_doors`` and ``dropped``
-    placements; and ``cascade_ranks``, its door cascades counted per
-    (radius, numerical rank).
+    placements; ``cascade_ranks``, its door cascades counted per (radius,
+    numerical rank); and ``winners``, the beam pair each relayed mode
+    picked, counted per (radius, mode, label): the label is the winning
+    door's place in the mode's ``_ranked_candidates`` order ("1" for the
+    smallest r_t r_r), or "direct" when no door beats the direct beams.
 
     The scene, gating, blocker counts, direct link, and each door's beams,
     blockage draws and leg path phases (xi_t, xi_r) come once; every
@@ -546,7 +557,8 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     w_c^H H_d f_c + sum(phi * a * b) with the beamformed segment vectors
     a = H_tc f_c and b = w_c^H H_cr.  Both profiles of a door score the one
     factorisation of a * b that ``cascaded_channels`` returns; its rank is
-    counted under ``_rank_label``.
+    counted under ``_rank_label``.  The winner comes from the maximum that
+    ``best_snr`` takes.
     """
     [trial] = trials
     rng = trial_rng(config.seed, trial)
@@ -578,7 +590,8 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     amp_direct = beam_amplitude(h_d, beam_d, beam_d)
 
     # each door is scored only by the profile of the mode(s) that gated it;
-    # best_snr takes a maximum, so the order of the amplitudes is immaterial
+    # best_snr takes a maximum, so the order of the amplitudes matters only
+    # to the winner's label, which ``labels`` maps back to the ranked order
     irs_doors, ris_doors = set(irs), set(ris)
     tuned_amps = [[amp_direct] for _ in surfaces]
     fixed_amps = [[amp_direct] for _ in surfaces]
@@ -618,17 +631,30 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
             if relay in irs_doors:
                 fixed_amp.append(via_direct + blockage * fixed.weighted_sum(left, right))
 
-    def snr(amplitudes) -> float:
+    def snr(amplitudes) -> tuple[float, int]:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
-    direct = snr([amp_direct])
-    snrs = [(direct, snr(fa), snr(ta)) for fa, ta in zip(fixed_amps, tuned_amps)]
+    # a mode's amplitudes are the direct one, then its doors in relays order
+    labels = {
+        mode: ["direct", *(str(ranked.index(r) + 1) for r in relays if r in ranked)]
+        for mode, ranked in (("irs", irs), ("ris", ris))
+    }
+    direct, _ = snr([amp_direct])
+    snrs, winners = [], Counter()
+    for (layout, _), fixed_amp, tuned_amp in zip(surfaces, fixed_amps, tuned_amps):
+        row = [direct]
+        for mode, amplitudes in (("irs", fixed_amp), ("ris", tuned_amp)):
+            snr_db, winner = snr(amplitudes)
+            winners[layout.radius, mode, labels[mode][winner]] += 1
+            row.append(snr_db)
+        snrs.append(row)
     return {
         "snr_db": np.array([snrs]),
         "irs_doors": np.array([doors.irs.sum()]),
         "ris_doors": np.array([doors.ris.sum()]),
         "dropped": scenes.dropped,
         "cascade_ranks": ranks,
+        "winners": winners,
     }
 
 

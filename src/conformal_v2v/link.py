@@ -18,22 +18,25 @@ def best_snr(
     tx_power_dbm: float,
     noise_power_dbm: float,
     k_antennas: int,
-) -> float:
-    """SNR in dB of the strongest received amplitude: sigma_s^2 |a|^2 / (K sigma_n^2).
+) -> tuple[float, int]:
+    """SNR in dB of the strongest received amplitude, sigma_s^2 |a|^2 / (K sigma_n^2),
+    and that amplitude's index (the first of equal ones).
 
     Each amplitude is w^H H f for one beam pair on its own channel, so the
-    maximum is the choice of relay and beams by received power.  f and w
-    are unit per-antenna-amplitude vectors (||f||^2 = K); the K divisor
-    absorbs that scaling.
+    maximum is the choice of relay and beams by received power, and the
+    index names the pair that won.  f and w are unit per-antenna-amplitude
+    vectors (||f||^2 = K); the K divisor absorbs that scaling.
     """
     if k_antennas < 1:
         raise ValueError(f"k_antennas must be >= 1, got {k_antennas}")
-    power = max(float(abs(a) ** 2) for a in amplitudes)
+    powers = [float(abs(a) ** 2) for a in amplitudes]
+    power = max(powers)
+    winner = powers.index(power)
     if power == 0.0:
-        return -math.inf
+        return -math.inf, winner
     return (
         tx_power_dbm
         - noise_power_dbm
         + 10.0 * math.log10(power / k_antennas)
-    )
+    ), winner
 

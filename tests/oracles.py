@@ -6,7 +6,10 @@ MN-vectors of the plane-wave cascade element by element; the cascade oracle
 builds the (MN, K) and (K, MN) segment matrices entry by entry, and the
 selection oracle scores every beam pair on one channel matrix.  None of
 them uses the row + column factorization that ``PhaseProfile``,
-``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.  The
+``channel.normalized_gain`` and ``channel.cascaded_channels`` rely on.
+``per_antenna_segment`` is the cascade kernel with every row term taken
+inside its antenna loop, the bitwise reference of the kernel that takes
+them for all antennas at once.  The
 scene oracles place traffic one uniform draw at a time and gate relay doors
 one ``Vehicle`` at a time, where ``scenario`` works on per-vehicle arrays;
 ``scenes_of`` joins hand-built scenes into the chunk the package gates.
@@ -236,6 +239,59 @@ def dense_cascaded_channels(
     h_tc = segment(tx, xi_t)           # (MN, K)
     h_cr = segment(rx, xi_r).T.copy()  # (K, MN)
     return h_tc, h_cr
+
+
+def per_antenna_segment(geometry, antennas, weights, xi, wavelength, q):
+    """``channel._beamformed_segment`` with its row terms taken per antenna.
+
+    Each antenna computes its own (M,)-vector terms (the across-axis part
+    of A = row_m - antenna and its square, the cosine numerator c and its
+    square on lit rows, the horizontal square) and the weight's phase and
+    modulus, then runs the same (M, N) operations in the same order, so
+    its output is bit-identical to the kernel's.
+    """
+    rot = geometry.pose.rotation()
+    rows = geometry.pose.position + geometry.row_positions_local @ rot.T
+    axis = rot[:, 1]
+    normals = geometry.normals
+    along = (rows - antennas[0]) @ axis
+    along_sq = np.add(along[:, None], geometry.column_offsets_local)
+    np.square(along_sq, out=along_sq)
+    shape = along_sq.shape
+    re, im = np.zeros(shape), np.zeros(shape)
+    r, amp, work, t = (np.empty(shape) for _ in range(4))
+    for antenna, weight in zip(antennas, weights):
+        rel = rows - antenna
+        across = rel - along[:, None] * axis
+        across_sq = np.einsum("mi,mi->m", across, across)
+        np.add(along_sq, across_sq[:, None], out=r)
+        cos_num = -np.einsum("mi,mi->m", rel, normals)
+        cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
+        np.divide(cos_num2[:, None], r, out=amp)
+        np.minimum(amp, 1.0, out=amp)
+        level = across[:, :2]
+        np.add(along_sq, np.einsum("mi,mi->m", level, level)[:, None], out=work)
+        amp *= work
+        amp /= r
+        np.power(amp, 0.5 * q, out=amp, where=amp > 0.0)
+        np.sqrt(r, out=r)
+        amp /= r
+        np.divide(r, wavelength, out=work)
+        np.rint(work, out=t)
+        work -= t
+        work *= -math.pi
+        work += 0.5 * (xi + np.angle(weight))
+        np.tan(work, out=t)
+        np.multiply(t, t, out=work)
+        work += 1.0
+        np.divide(2.0 * abs(weight), work, out=work)
+        t *= work
+        t *= amp
+        im += t
+        work -= abs(weight)
+        work *= amp
+        re += work
+    return re + 1j * im
 
 
 def total_channel(h_d, relays):

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from conformal_v2v import channel
 from conformal_v2v.channel import (
     MIN_DISTANCE_WAVELENGTHS,
-    SKELETON_RANK,
+    SKELETON_PROBES,
+    SKELETON_START_COLUMNS,
+    SKELETON_TOL,
     _beamformed_segment,
     antenna_positions,
     blockage_mean_db,
@@ -41,6 +43,7 @@ from oracles import (
     dense_cascaded_channels,
     dense_normalized_gain,
     element_positions,
+    per_antenna_segment,
     plane_wave_vectors,
     reflection_matrix,
     total_channel,
@@ -512,6 +515,21 @@ def test_beamformed_cascade_matches_the_dense_oracle(case, phases, seed):
         cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), f, w, q)
 
 
+@given(cascade_cases(), path_phase)
+@settings(max_examples=200, deadline=None)
+def test_beamformed_segment_equals_the_per_antenna_oracle(case, xi):
+    # the kernel takes every antenna's row terms in one pass before its
+    # antenna loop; on both legs (K 1-8, zero and random weight moduli,
+    # endpoints that light all, part or none of the rows) it returns the
+    # same bits as the oracle that takes them per antenna
+    geom, p_t, p_r, k, q, f, w, _ = case
+    for endpoint, weights in ((p_t, f), (p_r, w.conj())):
+        antennas = antenna_positions(endpoint, k, LAM / 2.0)
+        got = _beamformed_segment(geom, antennas, weights, xi, LAM, q)
+        want = per_antenna_segment(geom, antennas, weights, xi, LAM, q)
+        assert np.array_equal(got, want)
+
+
 @st.composite
 def skeleton_cases(draw):
     """A surface larger than the skeleton rank, partly lit from near legs.
@@ -540,11 +558,11 @@ def skeleton_cases(draw):
 @given(skeleton_cases(), st.tuples(path_phase, path_phase), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_factored_cascade_scores_large_surfaces_as_the_dense_oracle(case, phases, seed):
-    # the skeleton path runs, since its first rank is below min(M, N), and
-    # may double up to the exact product; the tuned, fixed and a random
+    # the skeleton path runs, since its first pass is narrower than
+    # min(M, N), and may refine up to the exact product; the tuned, fixed and a random
     # profile score its factors as they score the dense product
     geom, p_t, p_r, k, q, f, w = case
-    assert SKELETON_RANK < min(geom.m_count, geom.n_count)
+    assert SKELETON_START_COLUMNS + SKELETON_PROBES < min(geom.m_count, geom.n_count)
     assume_clear_of_pattern_jumps(geom, [antenna_positions(p, k, LAM / 2.0) for p in (p_t, p_r)])
     h_tc, h_cr = dense_cascaded_channels(geom, p_t, p_r, k, LAM, q, phases)
     want = beamformed(geom, h_tc, h_cr, f, w)
@@ -645,7 +663,7 @@ def test_unlit_large_surface_factors_to_a_zero_product():
     d = cfg.element_spacing_m
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
     geom = build_cirs_geometry(64, 48, 2.0, d, d, pose)
-    assert SKELETON_RANK < min(geom.m_count, geom.n_count)
+    assert SKELETON_START_COLUMNS + SKELETON_PROBES < min(geom.m_count, geom.n_count)
     p_t, p_r = vec3(-5.0, -3.0, 1.5), vec3(-30.0, 60.0, 1.5)
     k = 4
     f, w = steering_vector(k, 0.3), steering_vector(k, -1.2)
@@ -653,6 +671,113 @@ def test_unlit_large_surface_factors_to_a_zero_product():
     assert np.all(np.isfinite(left)) and np.all(np.isfinite(right))
     assert np.array_equal(left @ right, np.zeros((geom.m_count, geom.n_count)))
     assert preconfigured_phase(geom, 0.0, LAM).weighted_sum(left, right) == 0.0
+
+
+def recording_product(geom, dense):
+    """A cascade product that reads ``dense`` (M, N) on views of ``geom``,
+    and the record of its calls: ("column", column indices) for a view of
+    every row, ("row", row indices) for a view of every column."""
+    calls = []
+
+    def product(view):
+        rows = np.searchsorted(geom.psi, view.psi)
+        cols = np.rint(view.column_offsets_local / geom.d_n).astype(int)
+        if view.m_count == geom.m_count:
+            calls.append(("column", cols))
+        else:
+            assert view.n_count == geom.n_count
+            calls.append(("row", rows))
+        return dense[np.ix_(rows, cols)]
+
+    return calls, product
+
+
+def test_skeleton_nests_its_columns_and_evaluates_each_once():
+    # A full-rank product fails every pass.  Each failed pass adds every
+    # midpoint of its columns' gaps, so its probes become columns, and its
+    # probes' residual after projection onto the columns' span fails it
+    # before any row pass.  Once the columns and probes would reach
+    # min(M, N) = 40 the product is exact, assembled from the columns
+    # evaluated so far and the rest: no column is evaluated twice.
+    m, n = 48, 40
+    geom = build_cirs_geometry(m, n, 2.0, LAM / 4, LAM / 4)
+    rng = np.random.default_rng(3)
+    dense = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    calls, product = recording_product(geom, dense)
+    left, right = channel._skeleton(geom, product)
+    assert np.array_equal(left, dense) and np.array_equal(right, np.eye(n))
+    assert [kind for kind, _ in calls] == ["column"] * 3
+    evaluated = np.concatenate([cols for _, cols in calls])
+    assert np.array_equal(np.sort(evaluated), np.arange(n))
+
+    cols = np.rint(np.linspace(0, n - 1, SKELETON_START_COLUMNS)).astype(int)
+    seen = set()
+    for _, new in calls[:2]:
+        mids = {(a + b) // 2 for a, b in zip(cols, cols[1:]) if b - a > 1}
+        seen |= set(new.tolist())
+        # this pass's columns, all earlier columns and probes among them,
+        # and SKELETON_PROBES probes from the midpoints of their gaps
+        assert set(cols.tolist()) <= seen
+        assert len(seen) == cols.size + SKELETON_PROBES
+        assert seen - set(cols.tolist()) <= mids
+        cols = np.union1d(cols, sorted(mids))
+    # the third pass's columns would be the whole surface
+    assert cols.size == n
+
+
+@pytest.mark.parametrize("m, n", [(40, 16), (16, 40), (40, 17), (18, 40)])
+def test_skeleton_takes_the_exact_product_up_to_min_m_n_of_sixteen(m, n):
+    # min(M, N) <= 12 + 4: the first pass would cover every column (or
+    # every row), so the product is exact from one call on the whole
+    # surface; from 17 (M is even, so 18 rows) the skeleton's first pass
+    # keeps the numerical rank 2 of the product, from 12 columns and 4
+    # probes and 2 DEIM rows
+    geom = build_cirs_geometry(m, n, 2.0, LAM / 4, LAM / 4)
+    rng = np.random.default_rng(m * n)
+    a, b = (rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size)) for size in (m, n))
+    dense = a.T @ b
+    calls, product = recording_product(geom, dense)
+    left, right = channel._skeleton(geom, product)
+    if min(m, n) <= SKELETON_START_COLUMNS + SKELETON_PROBES:
+        assert [kind for kind, _ in calls] == ["column"]
+        assert np.array_equal(calls[0][1], np.arange(n))
+        exact = (dense, np.eye(n)) if n <= m else (np.eye(m), dense)
+        assert np.array_equal(left, exact[0]) and np.array_equal(right, exact[1])
+    else:
+        assert [kind for kind, _ in calls] == ["column", "row"]
+        assert calls[0][1].size == SKELETON_START_COLUMNS + SKELETON_PROBES
+        assert left.shape == (m, 2) and right.shape == (2, n)
+        residual = np.linalg.norm(left @ right - dense)
+        assert residual <= SKELETON_TOL * np.linalg.norm(dense)
+
+
+@given(
+    st.integers(2, 60),
+    st.data(),
+    st.sampled_from((0.0, 1e-13, 1e-6, 1.0)),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_projection_residual_never_exceeds_the_deim_residual(m, data, off_span, seed):
+    # The DEIM interpolant of a probe block P lies in span(U), so no probe
+    # column's residual after interpolation is below its residual after
+    # orthogonal projection onto span(U), beyond rounding: the skeleton's
+    # span check can fail a pass without the row pass.  Probe columns lie
+    # in span(U) up to an off-span part of relative size off_span.
+    r = data.draw(st.integers(1, m))
+    p = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(seed)
+
+    def gaussian(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    basis, _ = np.linalg.qr(gaussian(m, r))
+    rows = channel._deim(basis)
+    probes = basis @ gaussian(r, p) + off_span * gaussian(m, p)
+    projection = np.linalg.norm(probes - basis @ (basis.conj().T @ probes), axis=0)
+    deim = np.linalg.norm(probes - basis @ np.linalg.solve(basis[rows], probes[rows]), axis=0)
+    rounding = 1e-13 * np.linalg.cond(basis[rows]) * np.linalg.norm(probes, axis=0)
+    assert np.all(projection <= deim + rounding)
 
 
 def test_reflection_matrix_is_the_flat_coefficient_vector():

@@ -182,8 +182,12 @@ def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
     assert list(ranks) == ["exact"] and ranks["exact"] > 0
     assert sorted(telemetry[0]) == [
         "cascade_ranks", "dropped", "irs_candidates", "irs_truncated",
-        "ris_candidates", "ris_truncated",
+        "ris_candidates", "ris_truncated", "winners",
     ]
+    # each relayed mode picks one beam pair per trial
+    winners = telemetry[0]["winners"]
+    assert sorted(winners) == ["irs", "ris"]
+    assert all(sum(counts.values()) == 6 for counts in winners.values())
     assert telemetry[0]["ris_candidates"]["max"] >= 1
     summary_side = json.loads((tmp_path / "snr_summary.json").read_text())
     assert summary_side["telemetry"] == telemetry[0]
@@ -191,8 +195,9 @@ def test_snr_ecdf_writes_per_combination_files_and_a_summary(tmp_path):
 
 def test_snr_ecdf_sidecars_carry_their_own_point_and_radius(tmp_path):
     # two densities and two radii: each ECDF sidecar carries its own point's
-    # door counts and its own radius' cascade ranks; the summary carries the
-    # counts over every trial and the ranks summed over radii and points
+    # door counts and its own radius' cascade ranks and winners; the summary
+    # carries the counts over every trial and the ranks and winners summed
+    # over radii and points
     argv = ["snr-ecdf", "--out-dir", str(tmp_path), "--trials", "4", "--seed", "4",
             "--rho", "10", "--rho", "40", "--r-d", "50", "--radius", "2", "--radius", "8",
             "--set", "max_candidates=2", *TINY_SURFACE]
@@ -210,6 +215,17 @@ def test_snr_ecdf_sidecars_carry_their_own_point_and_radius(tmp_path):
         for (rho, _), record in records.items()
         for radius in (2.0, 8.0)
     }
+    winners = {
+        (rho, radius): {
+            mode: Counter(
+                {label: n for (at, m, label), n in record["winners"].items()
+                 if (at, m) == (radius, mode)}
+            )
+            for mode in ("irs", "ris")
+        }
+        for (rho, _), record in records.items()
+        for radius in (2.0, 8.0)
+    }
     # every door is scored at both radii of its trial: the 16 x 16 surface
     # is its own skeleton
     assert ranks[(40.0, 2.0)] == ranks[(40.0, 8.0)] and ranks[(40.0, 2.0)]["exact"] > 0
@@ -217,11 +233,17 @@ def test_snr_ecdf_sidecars_carry_their_own_point_and_radius(tmp_path):
         for mode in ("direct", "with_irs", "with_ris"):
             name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd50.json"
             telemetry = json.loads((tmp_path / name).read_text())["telemetry"]
-            assert telemetry == {**doors[rho], "cascade_ranks": point_ranks}
+            assert telemetry == {
+                **doors[rho], "cascade_ranks": point_ranks, "winners": winners[rho, radius]
+            }
     summary = json.loads((tmp_path / "snr_summary.json").read_text())["telemetry"]
     assert summary == {
         **reference_door_telemetry(counts[10.0] + counts[40.0], 2),
         "cascade_ranks": sum(ranks.values(), Counter()),
+        "winners": {
+            mode: sum((point[mode] for point in winners.values()), Counter())
+            for mode in ("irs", "ris")
+        },
     }
 
 

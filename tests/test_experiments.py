@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conformal_v2v import channel, experiments, scenario
 from conformal_v2v.channel import (
-    SKELETON_RANK,
+    SKELETON_START_COLUMNS,
     cascaded_channels,
     channel_gain_elevation,
     steering_vector,
@@ -33,6 +33,7 @@ from conformal_v2v.experiments import (
     _git_revision,
     _map_trials,
     _ranked_candidates,
+    _snr_trial,
     bootstrap_median_ci,
     draw_chunk,
     element_counts_for_area,
@@ -595,8 +596,8 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
     # the nearest relay doors of seeded full-size trials, at both radii:
     # each profile scores the skeleton's factors as it scores the product of
     # the kernel's segments over the whole surface, within 1e-10 of sum|s|;
-    # every door stops at the first skeleton, one column pass of
-    # SKELETON_RANK columns, without doubling
+    # no door evaluates a column twice, and none more than the 24 columns
+    # and 4 probes of a single pass at the former start width
     column_view = channel._column_view
     cfg = SimConfig()
     lam, k, d = cfg.wavelength_m, cfg.k_antennas, cfg.element_spacing_m
@@ -624,8 +625,8 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
                 left, right = cascaded_channels(
                     geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases
                 )
-                assert left.shape[1] <= SKELETON_RANK
-                assert len(column_views) == 1
+                evaluated = np.concatenate(column_views)
+                assert evaluated.size == np.unique(evaluated).size <= 28
                 a, b = kernel_segments(geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases)
                 product = (a * b).ravel()
                 tuned = optimal_phase(
@@ -645,8 +646,8 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
 def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch):
     # a 64 x 64 surface takes the skeleton path: every cascaded door counts
     # once under the numerical rank its skeleton kept, which is below
-    # SKELETON_RANK for these low-rank doors, and a process pool sums to the
-    # same counts
+    # SKELETON_START_COLUMNS for these low-rank doors, and a process pool
+    # sums to the same counts
     cfg = tiny_config(m_elements=64, n_elements=64, cascade_amp_scale=39.0625, trials=4)
     spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
     calls = Counter()
@@ -664,13 +665,45 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
     for radius in (2.0, 8.0):
         counts = sidecar_telemetry(records[(40.0, 50.0)], radius=radius)["cascade_ranks"]
         assert sum(counts.values()) == calls[radius] > 0
-        assert set(counts) <= {str(rank) for rank in range(1, SKELETON_RANK)}
+        assert set(counts) <= {str(rank) for rank in range(1, SKELETON_START_COLUMNS)}
 
     monkeypatch.setattr(experiments, "cascaded_channels", cascade)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
     _, again = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))
     assert again[(40.0, 50.0)]["cascade_ranks"] == ranks
+
+
+def test_snr_winners_name_the_beam_pair_each_mode_picked():
+    # per trial and radius each relayed mode counts one winner: "direct"
+    # exactly where the mode's SNR is the direct one, else the winning
+    # door's place in the mode's ranked doors, within the cap and the doors
+    # the mode gated, and the door then beats the direct beams
+    cfg = tiny_config(seed=4, max_candidates=2)
+    d = cfg.element_spacing_m
+    radii = (2.0, 8.0)
+    surfaces = []
+    for radius in radii:
+        layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d)
+        surfaces.append((layout, _fixed_profile(cfg, layout)))
+    seen = Counter()
+    for rho in (10.0, 40.0):
+        for trial in range(6):
+            record = _snr_trial(cfg, surfaces, rho, 50.0, range(trial, trial + 1))
+            [snrs] = record["snr_db"]
+            assert sum(record["winners"].values()) == 2 * len(radii)
+            for (radius, mode, label), count in record["winners"].items():
+                assert count == 1
+                row = snrs[radii.index(radius)]
+                got, direct = row[MODES.index(f"with_{mode}")], row[0]
+                gated = int(record[f"{mode}_doors"][0])
+                if label == "direct":
+                    assert got == direct
+                else:
+                    assert 1 <= int(label) <= min(gated, cfg.max_candidates)
+                    assert got >= direct
+                seen[label] += 1
+    assert seen["direct"] > 0 and seen["1"] > 0 and seen["2"] > 0
 
 
 def reference_snr_counts(cfg, rho, r_d):
@@ -722,6 +755,8 @@ def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
             telemetry = sidecar_telemetry(record, config.max_candidates)
             ranks = telemetry.pop("cascade_ranks")
             assert sum(ranks.values()) == sum(record["cascade_ranks"].values())
+            winners = telemetry.pop("winners")
+            assert [sum(winners[mode].values()) for mode in ("irs", "ris")] == [5, 5]
             assert telemetry == reference_door_telemetry(want, 2)
     telemetry = sidecar_telemetry(records[(400.0, 50.0)])
     assert telemetry["dropped"] > 0 and telemetry["ris_candidates"]["max"] == 0

@@ -83,18 +83,23 @@ def test_ties_resolve_to_the_earliest_entry():
 
 
 def test_best_snr_agrees_with_selection_over_one_channel_matrix():
-    # the strongest of the per-pair amplitudes is the selection oracle's pick
+    # the strongest of the per-pair amplitudes is the selection oracle's
+    # pick, and best_snr names it
     rng = np.random.default_rng(5)
     thetas = [0.3, 0.9, 1.6, 2.4, 2.9]
     beams = [(steering_vector(K, t), steering_vector(K, t + 0.2)) for t in thetas]
     for _ in range(20):
         h = rng.normal(size=(K, K)) + 1j * rng.normal(size=(K, K))
-        f, w = beams[select_beams(beams, h).selected_index]
+        picked = select_beams(beams, h).selected_index
+        f, w = beams[picked]
         amplitudes = [beam_amplitude(h, f_, w_) for f_, w_ in beams]
-        assert best_snr(amplitudes, 10.0, -88.0, K) == pytest.approx(
-            best_snr([beam_amplitude(h, f, w)], 10.0, -88.0, K), abs=1e-12
+        snr, winner = best_snr(amplitudes, 10.0, -88.0, K)
+        assert winner == picked
+        assert snr == pytest.approx(
+            best_snr([beam_amplitude(h, f, w)], 10.0, -88.0, K)[0], abs=1e-12
         )
-    assert best_snr([0.0, 0j], 10.0, -88.0, K) == -math.inf
+    assert best_snr([0.0, 0j], 10.0, -88.0, K) == (-math.inf, 0)
+    assert best_snr([1.0, 2.0, -2.0], 10.0, -88.0, K)[1] == 1
     with pytest.raises(ValueError):
         best_snr([1.0], 10.0, -88.0, 0)
 
@@ -114,7 +119,7 @@ def test_snr_budget_identity_on_an_unblocked_direct_link():
     assert loss_db == pytest.approx(mean_pathloss_db(50.0, 28.0))
     h = direct_channel(p_t, p_r, K, loss_db, 2.1)
     beam = steering_vector(K, azimuth(p_t, p_r))
-    snr = best_snr([beam_amplitude(h, beam, beam)], 10.0, -88.0, K)
+    snr, _ = best_snr([beam_amplitude(h, beam, beam)], 10.0, -88.0, K)
     rho = pattern_from_cosine(1.0, 0.285)
     expected = (
         10.0
@@ -130,7 +135,7 @@ def test_snr_budget_identity_on_an_unblocked_direct_link():
 def test_snr_handles_a_null_channel_and_bad_antenna_counts():
     f = steering_vector(K, 0.1)
     null = beam_amplitude(np.zeros((K, K)), f, f)
-    assert best_snr([null], 10.0, -88.0, K) == -math.inf
+    assert best_snr([null], 10.0, -88.0, K) == (-math.inf, 0)
     with pytest.raises(ValueError):
         best_snr([beam_amplitude(np.eye(K), f, f)], 10.0, -88.0, 0)
 
