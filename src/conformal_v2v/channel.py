@@ -19,7 +19,7 @@ model valid in the near field of large surfaces.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -220,11 +220,12 @@ def cascaded_channels(
     low-rank: an element's squared distance to an antenna is a row term plus
     a column term, and only their mixed curvature adds rank.  So s is taken
     from a skeleton (see ``_skeleton``) whose entries come from
-    ``_beamformed_segment`` on row and column subsets of the surface, each
-    column evaluated at most once; the dense matrices are never built, and
-    s itself only where the skeleton is the whole surface.  The near-field
-    guard takes the closest antenna-element pair over every element of the
-    surface (``_near_field_guard``), not over the subsets.
+    ``_beamformed_segment`` on row and column index sets of the surface,
+    each column evaluated at most once; the dense matrices are never built,
+    and s itself only where the skeleton is the whole surface.  The row
+    terms of each leg are taken once (``_leg``), and the near-field guard
+    reads them for the closest antenna-element pair over every element of
+    the surface (``_near_field_guard``), not over the index sets.
     """
     if wavelength <= 0:
         raise ValueError("wavelength must be positive")
@@ -236,11 +237,13 @@ def cascaded_channels(
         raise ValueError(
             f"beams {f.shape} and {w.shape} must both have k_antennas = {k_antennas} entries"
         )
+    xi_t, xi_r = phases
     # lambda/2 apart, the spacing that steering_vector's phase step encodes
-    tx = antenna_positions(p_t, k_antennas, wavelength / 2.0)
-    rx = antenna_positions(p_r, k_antennas, wavelength / 2.0)
-    for antennas in (tx, rx):
-        _near_field_guard(geometry, antennas, wavelength)
+    tx = _leg(geometry, antenna_positions(p_t, k_antennas, wavelength / 2.0), f, xi_t)
+    rx = _leg(geometry, antenna_positions(p_r, k_antennas, wavelength / 2.0), w.conj(), xi_r)
+    offsets = geometry.column_offsets_local
+    for leg in (tx, rx):
+        _near_field_guard(leg, offsets, wavelength)
 
     # segment amplitude times the endpoint pattern's peak sqrt(G)
     scale = (
@@ -248,29 +251,29 @@ def cascaded_channels(
         / (64.0 * math.pi**3)
     ) ** 0.25
     scale *= math.sqrt(amp_scale) * math.sqrt(unit_cell_gain(q))
-    xi_t, xi_r = phases
 
-    def product(view: CirsGeometry) -> np.ndarray:
-        a = scale * _beamformed_segment(view, tx, f, xi_t, wavelength, q)
-        b = scale * _beamformed_segment(view, rx, w.conj(), xi_r, wavelength, q)
+    def product(rows, cols) -> np.ndarray:
+        a = scale * _beamformed_segment(tx, rows, offsets[cols], wavelength, q)
+        b = scale * _beamformed_segment(rx, rows, offsets[cols], wavelength, q)
         return a * b
 
-    return _skeleton(geometry, product)
+    return _skeleton(geometry.m_count, geometry.n_count, product)
 
 
-def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
-    """(left, right) with ``product(geometry)`` ~ left @ right, from subsets.
+def _skeleton(m: int, n: int, product) -> tuple[np.ndarray, np.ndarray]:
+    """(left, right) with the (m, n) product s ~ left @ right, from index sets.
 
     A CUR-type skeleton whose rows are chosen by the discrete empirical
     interpolation method (DEIM: Chaturantabut and Sorensen, SIAM J. Sci.
     Comput. 32, 2010; for CUR, Sorensen and Embree, SIAM J. Sci. Comput. 38,
-    2016).  ``product`` evaluates s on row- or column-subset views of the
-    surface.  The columns of s are smooth in n, since lighting depends on the
-    row and the antenna only, so evenly spaced columns J span them: left =
-    U, the left singular vectors of s[:, J] whose singular values exceed
-    SKELETON_TOL / 10 of the largest (an all-zero product keeps none).  DEIM
-    picks one row of s per column of U, so U[I] is square and well
-    conditioned, and right = U[I]^{-1} s[I, :] interpolates s on those rows.
+    2016).  ``product(rows, cols)`` evaluates s[rows][:, cols] on an index
+    array along one axis and ``slice(None)`` along the other.  The columns
+    of s are smooth in n, since lighting depends on the row and the antenna
+    only, so evenly spaced columns J span them: left = U, the left singular
+    vectors of s[:, J] whose singular values exceed SKELETON_TOL / 10 of the
+    largest (an all-zero product keeps none).  DEIM picks one row of s per
+    column of U, so U[I] is square and well conditioned, and right =
+    U[I]^{-1} s[I, :] interpolates s on those rows.
 
     The rows of s are not smooth, so each pass checks J on SKELETON_PROBES
     probe columns P taken from the midpoints of J's gaps, and is accepted
@@ -281,11 +284,10 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
     first pass takes SKELETON_START_COLUMNS columns, and a failed pass adds
     every midpoint of J's gaps to J (12 -> 23 -> 45 -> ...), so its probes
     become columns; a column is evaluated once, whatever the number of
-    passes.  Once J and P would reach min(M, N) columns the skeleton is the
+    passes.  Once J and P would reach min(m, n) columns the skeleton is the
     whole surface and the product exact, (s, I) or (I, s), assembled from
     the columns evaluated so far and the rest.
     """
-    m, n = geometry.m_count, geometry.n_count
     block = np.empty((m, 0), dtype=complex)  # every column evaluated so far
     place = np.full(n, -1)  # each column's index in block, -1 if unevaluated
 
@@ -295,7 +297,7 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
         new = idx[place[idx] < 0]
         if new.size:
             place[new] = block.shape[1] + np.arange(new.size)
-            block = np.hstack([block, product(_column_view(geometry, new))])
+            block = np.hstack([block, product(slice(None), new)])
         return block[:, place[idx]]
 
     cols = _spread(n, SKELETON_START_COLUMNS)
@@ -312,7 +314,7 @@ def _skeleton(geometry: CirsGeometry, product) -> tuple[np.ndarray, np.ndarray]:
         left = u[:, sigma > 0.1 * SKELETON_TOL * sigma[0]]
         if np.linalg.norm(probed - left @ (left.conj().T @ probed)) <= bound:
             rows = _deim(left)
-            right = np.linalg.solve(left[rows], product(_row_view(geometry, rows)))
+            right = np.linalg.solve(left[rows], product(rows, slice(None)))
             if np.linalg.norm(probed - left @ right[:, probes]) <= bound:
                 return left, right
         cols = np.union1d(cols, mids)
@@ -342,46 +344,65 @@ def _spread(count: int, k: int) -> np.ndarray:
     return np.rint(np.linspace(0, count - 1, k)).astype(int)
 
 
-def _row_view(geometry: CirsGeometry, rows: np.ndarray) -> CirsGeometry:
-    """The surface restricted to the given rows, in the same pose."""
-    return replace(
-        geometry,
-        m_count=rows.size,
-        psi=geometry.psi[rows],
-        row_positions_local=geometry.row_positions_local[rows],
-        normals_local=geometry.normals_local[rows],
-    )
+class _Leg(NamedTuple):
+    """The row terms of one endpoint's K antennas on a posed surface (``_leg``)."""
+
+    along: np.ndarray      # (M,) A . e, shared by the antennas
+    across_sq: np.ndarray  # (K, M) |A_across|^2
+    cos_num2: np.ndarray   # (K, M) c^2 on rows whose c is positive, else 0
+    level_sq: np.ndarray   # (K, M) horizontal part of |A_across|^2
+    half_phase: list       # (xi + arg w_k) / 2 per antenna
+    moduli: list           # |w_k| per antenna, scalar ``abs``
 
 
-def _column_view(geometry: CirsGeometry, cols: np.ndarray) -> CirsGeometry:
-    """The surface restricted to the given columns, in the same pose."""
-    return replace(
-        geometry, n_count=cols.size, column_offsets_local=geometry.column_offsets_local[cols]
-    )
+def _leg(geometry: CirsGeometry, antennas: np.ndarray, weights: np.ndarray, xi: float) -> _Leg:
+    """Row terms of the segment between ``antennas`` and every row of the surface.
 
-
-def _near_field_guard(
-    geometry: CirsGeometry, antennas: np.ndarray, wavelength: float
-) -> None:
-    """Raise ValueError if an antenna is closer than the model guard to ANY element.
-
-    r^2 = (A . e + y_n)^2 + |A_across|^2 as in ``_beamformed_segment``.
-    The first term is shared by the antennas, and its minimum over a row's
-    columns is at one of the two offsets y_n around -A . e, so the closest
-    pair over the whole surface costs O(K (M + N)).
+    Element (m, n) sits at row m's position plus y_n along the door's
+    column axis e, which is horizontal and orthogonal to every normal.  With
+    A = row_m - antenna_k split into a part along e and a part across it,
+    r^2 = (A . e + y_n)^2 + |A_across|^2.  The ULA lies along global x and
+    e is +-y, so A . e is the same for every antenna.  The numerators
+    c = -(A . normal_m) of the element cosine u = c / r and A_z of the
+    ray's vertical component depend on (m, k) only, so
+    u^2 sin^2(phi) = min(c^2 / r^2, 1) (r^2 - A_z^2) / r^2 on the r^2 at
+    hand; r^2 - A_z^2 is summed from its horizontal parts, so it is never
+    negative.  The weights' half phases and moduli are taken once per
+    antenna, the moduli with scalar ``abs``, which the array ``np.abs`` can
+    differ from in the last bit.
     """
     rot = geometry.pose.rotation()
     rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
     axis = rot[:, 1]
     along = (rows - antennas[0]) @ axis
-    offsets = np.sort(geometry.column_offsets_local)
-    above = np.searchsorted(offsets, -along)
+    rel = rows - antennas[:, None, :]  # (K, M, 3)
+    across = rel - along[:, None] * axis
+    cos_num = -np.einsum("kmi,mi->km", rel, geometry.normals)
+    level = across[..., :2]
+    return _Leg(
+        along=along,
+        across_sq=np.einsum("kmi,kmi->km", across, across),
+        cos_num2=np.where(cos_num > 0.0, cos_num * cos_num, 0.0),
+        level_sq=np.einsum("kmi,kmi->km", level, level),
+        half_phase=[0.5 * (xi + np.angle(weight)) for weight in weights],
+        moduli=[abs(weight) for weight in weights],
+    )
+
+
+def _near_field_guard(leg: _Leg, offsets: np.ndarray, wavelength: float) -> None:
+    """Raise ValueError if an antenna is closer than the model guard to ANY element.
+
+    r^2 = (A . e + y_n)^2 + |A_across|^2 over the column offsets y_n
+    (``_leg``).  The first term is shared by the antennas, and its minimum
+    over a row's columns is at one of the two offsets y_n around -A . e, so
+    the closest pair over the whole surface costs O(K (M + N)).
+    """
+    offsets = np.sort(offsets)
+    above = np.searchsorted(offsets, -leg.along)
     below = offsets[np.maximum(above - 1, 0)]
     above = offsets[np.minimum(above, offsets.size - 1)]
-    along_sq_min = np.minimum((along + below) ** 2, (along + above) ** 2)
-    across = rows - antennas[:, None, :] - along[:, None] * axis  # (K, M, 3)
-    across_sq = np.einsum("kmi,kmi->km", across, across)
-    r_min = math.sqrt(float(np.min(along_sq_min + across_sq)))
+    along_sq_min = np.minimum((leg.along + below) ** 2, (leg.along + above) ** 2)
+    r_min = math.sqrt(float(np.min(along_sq_min + leg.across_sq)))
     if r_min < MIN_DISTANCE_WAVELENGTHS * wavelength:
         raise ValueError(
             f"antenna-element distance {r_min:.3g} m violates the "
@@ -390,25 +411,15 @@ def _near_field_guard(
 
 
 def _beamformed_segment(
-    geometry: CirsGeometry,
-    antennas: np.ndarray,
-    weights: np.ndarray,
-    xi: float,
-    wavelength: float,
-    q: float,
+    leg: _Leg, rows: np.ndarray | slice, offsets: np.ndarray, wavelength: float, q: float
 ) -> np.ndarray:
-    """sum_k weights[k] u^q sin(phi)^q exp(-j (2 pi r / lambda - xi)) / r, (M, N).
+    """sum_k w_k u^q sin(phi)^q exp(-j (2 pi r / lambda - xi)) / r on ``rows`` x ``offsets``.
 
-    Element (m, n) sits at row m's position plus y_n along the door's
-    column axis e, which is horizontal and orthogonal to every normal.  With
-    A = row_m - antenna_k split into a part along e and a part across it,
-    r^2 = (A . e + y_n)^2 + |A_across|^2.  The ULA lies along global x and
-    e is +-y, so (A . e + y_n)^2 is the same for every antenna: it is
-    computed once.  The numerators c = -(A . normal_m) of the element
-    cosine u = c / r and A_z of the ray's vertical component depend on
-    (m, k) only, so u^2 sin^2(phi) = min(c^2 / r^2, 1) (r^2 - A_z^2) / r^2
-    on the r^2 at hand.  The near-field guard is not applied here: the
-    kernel runs on subsets of a surface (``_near_field_guard``).
+    ``rows`` indexes the surface rows of ``leg`` (an index array or
+    ``slice(None)``), and ``offsets`` holds the column offsets y_n of the
+    columns to evaluate; the result is (rows, columns).  The row terms come
+    from ``leg``; the near-field guard is not applied here: the kernel runs
+    on index sets of a surface (``_near_field_guard``).
 
     The phasor comes from the half-angle tangent t = tan(phi / 2):
     cos phi = 2 / (1 + t^2) - 1 and sin phi = 2 t / (1 + t^2), so an antenna
@@ -416,36 +427,19 @@ def _beamformed_segment(
     and g t a to the imaginary part, with g = 2 |w| / (1 + t^2).  One
     vectorised tan replaces a cos and a sin.  The identity has no singular
     point: at phi / 2 = fl(pi / 2), t ~ 1.6e16 gives cos phi = -1 and
-    sin phi ~ 1e-16.  The row terms of every antenna (|A_across|^2, c^2,
-    the horizontal part of |A_across|^2) are (K, M) arrays taken before the
-    antenna loop, and the weights' half phases and moduli (scalar ``abs``,
-    which the array ``np.abs`` can differ from in the last bit) are taken
-    once per antenna; only the (M, N) work, in arrays reused across
-    antennas, runs per antenna.
+    sin phi ~ 1e-16.  Only the (rows, columns) work, in arrays reused
+    across antennas, runs per antenna.
     """
-    rot = geometry.pose.rotation()
-    rows = geometry.pose.position + geometry.row_positions_local @ rot.T  # (M, 3)
-    axis = rot[:, 1]
-    along = (rows - antennas[0]) @ axis
-    along_sq = np.add(along[:, None], geometry.column_offsets_local)
+    along_sq = np.add(leg.along[rows, None], offsets)
     np.square(along_sq, out=along_sq)
-
-    rel = rows - antennas[:, None, :]  # (K, M, 3)
-    across = rel - along[:, None] * axis
-    across_sq = np.einsum("kmi,kmi->km", across, across)
-    # u^2 = min(c^2 / r^2, 1) on rows whose c is positive, 0 on the others;
-    # r^2 - A_z^2 is summed from its horizontal parts, so it is never negative
-    cos_num = -np.einsum("kmi,mi->km", rel, geometry.normals)
-    cos_num2 = np.where(cos_num > 0.0, cos_num * cos_num, 0.0)
-    level = across[..., :2]
-    level_sq = np.einsum("kmi,kmi->km", level, level)
-    half_phase = [0.5 * (xi + np.angle(weight)) for weight in weights]
-    moduli = [abs(weight) for weight in weights]
+    across_sq = leg.across_sq[:, rows]
+    cos_num2 = leg.cos_num2[:, rows]
+    level_sq = leg.level_sq[:, rows]
 
     shape = along_sq.shape
     re, im = np.zeros(shape), np.zeros(shape)
     r, amp, work, t = (np.empty(shape) for _ in range(4))
-    for k in range(len(antennas)):
+    for k, (half_phase, modulus) in enumerate(zip(leg.half_phase, leg.moduli)):
         np.add(along_sq, across_sq[k, :, None], out=r)
         np.divide(cos_num2[k, :, None], r, out=amp)
         np.minimum(amp, 1.0, out=amp)
@@ -463,17 +457,17 @@ def _beamformed_segment(
         np.rint(work, out=t)
         work -= t
         work *= -math.pi
-        work += half_phase[k]
+        work += half_phase
         np.tan(work, out=t)
 
         # g = 2 |w| / (1 + t^2): re += (g - |w|) amp, im += g t amp
         np.multiply(t, t, out=work)
         work += 1.0
-        np.divide(2.0 * moduli[k], work, out=work)
+        np.divide(2.0 * modulus, work, out=work)
         t *= work
         t *= amp
         im += t
-        work -= moduli[k]
+        work -= modulus
         work *= amp
         re += work
     return re + 1j * im

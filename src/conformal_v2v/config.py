@@ -177,21 +177,23 @@ def _reject_unknown(data: Mapping[str, Any], source: str) -> dict[str, Any]:
 
 
 def _coerce(key: str, value: Any) -> Any:
+    """``value`` as field ``key`` holds it; ValueError naming the key if it is
+    not a number (or None for an optional field)."""
     if key in _OPTIONAL_INT_FIELDS and value is None:
         return None
-    if isinstance(value, bool):
-        raise ValueError(f"config key {key!r} must be numeric, got {value!r}")
-    if key in _INT_FIELDS or key in _OPTIONAL_INT_FIELDS:
-        if isinstance(value, str):
-            value = int(value, 10)
-        if isinstance(value, float):
-            if not value.is_integer():
-                raise ValueError(f"config key {key!r} must be an integer, got {value}")
-            value = int(value)
-        if not isinstance(value, int):
-            raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
-        return value
-    return float(value)
+    integer = key in _INT_FIELDS or key in _OPTIONAL_INT_FIELDS
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        if not integer:
+            return float(value)
+        value = int(value, 10) if isinstance(value, str) else value
+        if isinstance(value, float) and not value.is_integer():
+            raise ValueError
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        kind = "an integer" if integer else "a number"
+        raise ValueError(f"config key {key!r} must be {kind}, got {value!r}") from None
 
 
 def _env_overrides(env: Mapping[str, str]) -> dict[str, Any]:

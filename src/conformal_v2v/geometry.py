@@ -1,4 +1,4 @@
-"""Cylindrical door-surface layouts, vehicle footprints, and relay-candidate regions.
+"""Cylindrical door-surface layouts, frames, the road and vehicle footprints.
 
 Frame conventions used throughout the package:
 
@@ -186,7 +186,7 @@ def pose_local_angles(pose: DoorPose, direction: np.ndarray) -> AnglePair:
     return AnglePair.from_direction(np.asarray(direction, dtype=float) @ pose.rotation())
 
 
-# --- road, vehicles, relay-candidate region -------------------------------
+# --- road and vehicles ------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -231,48 +231,3 @@ class Vehicle:
             self.y - self.length / 2.0,
             self.y + self.length / 2.0,
         )
-
-
-@dataclass(frozen=True)
-class SpecularArea:
-    """Rectangle (plan view) in which a door can act as a specular relay."""
-
-    center: np.ndarray  # (..., 3), one center per endpoint pair
-    width: float   # lateral extent (x)
-    length: float  # longitudinal extent (y)
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Whether each (..., 3) point lies in the rectangle (plan view); the
-        point and center batch shapes broadcast."""
-        p = np.asarray(points, dtype=float)
-        return (np.abs(p[..., 0] - self.center[..., 0]) <= self.width / 2.0) & (
-            np.abs(p[..., 1] - self.center[..., 1]) <= self.length / 2.0
-        )
-
-
-def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.isclose(a, b) at its default tolerances, |a - b| <= 1e-8 + 1e-5 |b|,
-    elementwise and without its overhead."""
-    return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
-
-
-def specular_area(
-    p_t: np.ndarray, p_r: np.ndarray, road: RoadConfig, door_length: float
-) -> SpecularArea:
-    """Candidate region for fixed-phase door relays.
-
-    Centered longitudinally at the transmitter-receiver midpoint, spanning all
-    lanes laterally, and two door lengths along the road.  ``p_t`` and
-    ``p_r`` are (..., 3), one area per endpoint pair.
-    """
-    p_t = np.asarray(p_t, dtype=float)
-    p_r = np.asarray(p_r, dtype=float)
-    if _isclose(p_t[..., :2], p_r[..., :2]).all(axis=-1).any():
-        raise ValueError("endpoints must be distinct in the road plane")
-    center = np.zeros(np.broadcast_shapes(p_t.shape, p_r.shape))
-    center[..., 1] = 0.5 * (p_t[..., 1] + p_r[..., 1])
-    return SpecularArea(
-        center=center,
-        width=road.width,
-        length=2.0 * door_length,
-    )

@@ -29,7 +29,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .geometry import DoorPose, RoadConfig, Vehicle, _isclose, specular_area
+from .geometry import DoorPose, RoadConfig, Vehicle
 
 SIDES = ("left", "right")
 # draws per placement before it is dropped as unplaceable
@@ -57,6 +57,12 @@ def _door_points(x, y, width, door_center_height: float) -> np.ndarray:
     points[..., 1] = y[:, None]
     points[..., 2] = door_center_height
     return points
+
+
+def _isclose(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.isclose(a, b) at its default tolerances, |a - b| <= 1e-8 + 1e-5 |b|,
+    elementwise and without its overhead."""
+    return np.abs(a - b) <= 1e-8 + 1e-5 * np.abs(b)
 
 
 def _distances(points: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -164,6 +170,8 @@ def _placements(
     and the number of dropped placements; see ``draw_scenes``."""
     if rho < 0:
         raise ValueError(f"rho must be >= 0, got {rho}")
+    if not link_distance_m > 0:
+        raise ValueError(f"link distance must be positive, got {link_distance_m} m")
     center = road.n_lanes // 2
     y_t = vehicle_length_m / 2.0
     y_r = y_t + link_distance_m
@@ -413,19 +421,23 @@ def relay_doors(
     """Every door of a chunk that either mode gates, with its blocker counts.
 
     A door must face both endpoints of its scene (``_facing_doors``).  A
-    pre-configured C-IRS door (``irs``) must also lie in the scene's
-    specular area, two door lengths along the road; a tunable C-RIS door
-    (``ris``) must lie within ``max_range_m`` of both endpoints.  The
-    direct rays and both legs of every gated door are counted in one
-    ``_segment_counts`` pass; a door's own vehicle never blocks its legs.
+    pre-configured C-IRS door (``irs``) must also lie on the scene's
+    specular strip: across every lane, |x| <= road width / 2, and within
+    ``door_length_m`` of the endpoints' midpoint along the road.  A tunable
+    C-RIS door (``ris``) must lie within ``max_range_m`` of both endpoints.
+    The direct rays and both legs of every gated door are counted in one
+    ``_segment_counts`` pass, which rejects a scene whose endpoints coincide
+    in plan view; a door's own vehicle never blocks its legs.
     """
     if max_range_m <= 0:
         raise ValueError(f"max_range_m must be positive, got {max_range_m}")
     points, ends, facing = _facing_doors(scenes, door_center_height)
     rows, sides = np.nonzero(facing)
     points, ends = points[rows, sides], ends[rows]
-    area = specular_area(ends[:, 0], ends[:, 1], scenes.road, door_length_m)
-    irs = area.contains(points)
+    mid_y = 0.5 * (ends[:, 0, 1] + ends[:, 1, 1])
+    irs = (np.abs(points[:, 0]) <= scenes.road.width / 2.0) & (
+        np.abs(points[:, 1] - mid_y) <= door_length_m
+    )
     r = _distances(points, ends)
     ris = (r <= max_range_m).all(axis=1)
     gated = irs | ris

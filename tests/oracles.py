@@ -29,7 +29,7 @@ from conformal_v2v.channel import (
     pattern_from_cosine,
     unit_cell_gain,
 )
-from conformal_v2v.geometry import Vehicle, specular_area
+from conformal_v2v.geometry import Vehicle
 from conformal_v2v.link import beam_amplitude
 from conformal_v2v.phase import PHASE_SIGN
 from conformal_v2v.scenario import MAX_RETRIES, Scenario, Scenes
@@ -439,8 +439,12 @@ def _faces_both(vehicle, side, p_t, p_r, door_center_height):
 
 
 def scalar_candidates_irs(scenario, door_length_m=1.0, door_center_height=0.9):
-    """Doors inside the specular area that face both endpoints, door by door."""
-    area = specular_area(scenario.p_t, scenario.p_r, scenario.road, door_length_m)
+    """Doors on the specular strip that face both endpoints, door by door.
+
+    The strip spans every lane across the road and two door lengths along
+    it, centered on the endpoints' midpoint.
+    """
+    mid_y = 0.5 * (scenario.p_t[1] + scenario.p_r[1])
     out = []
     for i, vehicle in enumerate(scenario.vehicles):
         if i in (scenario.txv, scenario.rxv):
@@ -448,8 +452,8 @@ def scalar_candidates_irs(scenario, door_length_m=1.0, door_center_height=0.9):
         for side in ("left", "right"):
             door = door_center(vehicle, side, door_center_height)
             inside = (
-                abs(door[0] - area.center[0]) <= area.width / 2.0
-                and abs(door[1] - area.center[1]) <= area.length / 2.0
+                abs(door[0]) <= scenario.road.width / 2.0
+                and abs(door[1] - mid_y) <= door_length_m
             )
             if inside and _faces_both(
                 vehicle, side, scenario.p_t, scenario.p_r, door_center_height

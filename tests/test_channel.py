@@ -14,6 +14,7 @@ from conformal_v2v.channel import (
     SKELETON_START_COLUMNS,
     SKELETON_TOL,
     _beamformed_segment,
+    _leg,
     antenna_positions,
     blockage_mean_db,
     cascaded_channels,
@@ -254,8 +255,12 @@ def kernel_segments(geom, p_t, p_r, k, lam, f, w, q=Q, phases=(0.0, 0.0), amp_sc
     scale *= math.sqrt(amp_scale) * math.sqrt(g)
     tx, rx = (antenna_positions(p, k, lam / 2.0) for p in (p_t, p_r))
     f, w = np.asarray(f, dtype=complex), np.asarray(w, dtype=complex)
-    a = scale * _beamformed_segment(geom, tx, f, phases[0], lam, q)
-    b = scale * _beamformed_segment(geom, rx, w.conj(), phases[1], lam, q)
+    a, b = (
+        scale * _beamformed_segment(
+            _leg(geom, antennas, weights, xi), slice(None), geom.column_offsets_local, lam, q
+        )
+        for antennas, weights, xi in ((tx, f, phases[0]), (rx, w.conj(), phases[1]))
+    )
     return a, b
 
 
@@ -525,7 +530,8 @@ def test_beamformed_segment_equals_the_per_antenna_oracle(case, xi):
     geom, p_t, p_r, k, q, f, w, _ = case
     for endpoint, weights in ((p_t, f), (p_r, w.conj())):
         antennas = antenna_positions(endpoint, k, LAM / 2.0)
-        got = _beamformed_segment(geom, antennas, weights, xi, LAM, q)
+        leg = _leg(geom, antennas, weights, xi)
+        got = _beamformed_segment(leg, slice(None), geom.column_offsets_local, LAM, q)
         want = per_antenna_segment(geom, antennas, weights, xi, LAM, q)
         assert np.array_equal(got, want)
 
@@ -580,6 +586,34 @@ def test_factored_cascade_scores_large_surfaces_as_the_dense_oracle(case, phases
     assert_scores_match(left, right, want, envelope, [tuned, fixed, random_profile(geom, seed)])
 
 
+def index_sets(size):
+    """Distinct indices of range(size) in any order, as the skeleton's DEIM
+    rows come, or sorted, as its columns come."""
+    picked = st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+    return st.one_of(picked, picked.map(sorted)).map(np.array)
+
+
+@given(
+    st.one_of(cascade_cases().map(lambda case: case[:7]), skeleton_cases()), path_phase, st.data()
+)
+@settings(max_examples=200, deadline=None)
+def test_beamformed_segment_on_index_sets_is_the_whole_surface_sliced(case, xi, data):
+    # the skeleton evaluates the kernel on row and column index sets, from
+    # row terms taken once on the whole surface; every entry has the same
+    # bits as the whole-surface kernel's, which keeps the factors, and so
+    # every seeded output, independent of the sets the skeleton picks
+    geom, p_t, p_r, k, q, f, w = case
+    rows = data.draw(index_sets(geom.m_count))
+    cols = data.draw(index_sets(geom.n_count))
+    offsets = geom.column_offsets_local
+    for endpoint, weights in ((p_t, f), (p_r, w.conj())):
+        leg = _leg(geom, antenna_positions(endpoint, k, LAM / 2.0), weights, xi)
+        whole = _beamformed_segment(leg, slice(None), offsets, LAM, q)
+        for r, c in ((rows, slice(None)), (slice(None), cols), (rows, cols)):
+            got = _beamformed_segment(leg, r, offsets[c], LAM, q)
+            assert np.array_equal(got, whole[r][:, c])
+
+
 def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
     # One antenna 16 m = 1024 wavelengths out along the normal of the
     # reference element, with weight -1: the phase is exactly pi, so the
@@ -609,7 +643,7 @@ def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
 def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
     # A full-size door whose element closest to the TxV lies on no row and no
     # column that the cascade evaluates: the guard still fires at the edge
-    # the dense distances give, so it cannot take r_min from the subsets.
+    # the dense distances give, so it cannot take r_min from the index sets.
     # The RxV is behind the door, so the product is zero and the skeleton
     # evaluates no row at all: its rows are picked from the product, and on
     # a lit door they include the brightest, closest one.
@@ -636,20 +670,13 @@ def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
         edge = nearest(edge)[0] / MIN_DISTANCE_WAVELENGTHS
     assert nearest(edge)[1] == m0 * geom.n_count + n0
 
-    views = []
-    kernel = channel._beamformed_segment
-
-    def recording(view, *args):
-        views.append(view)
-        return kernel(view, *args)
-
-    monkeypatch.setattr(channel, "_beamformed_segment", recording)
+    calls = recording_skeleton(monkeypatch)
     left, right = cascaded_channels(geom, p_t, p_r, k, edge * (1.0 - 1e-9), beam, beam)
     assert left.shape[1] < geom.n_count
-    assert views
-    for view in views:
-        row_seen = geom.psi[m0] in view.psi
-        column_seen = geom.column_offsets_local[n0] in view.column_offsets_local
+    assert calls
+    for rows, cols in calls:
+        row_seen = isinstance(rows, slice) or m0 in rows
+        column_seen = isinstance(cols, slice) or n0 in cols
         assert not (row_seen and column_seen)
     with pytest.raises(ValueError, match="wavelength model guard"):
         cascaded_channels(geom, p_t, p_r, k, edge * (1.0 + 1e-9), beam, beam)
@@ -673,21 +700,36 @@ def test_unlit_large_surface_factors_to_a_zero_product():
     assert preconfigured_phase(geom, 0.0, LAM).weighted_sum(left, right) == 0.0
 
 
-def recording_product(geom, dense):
-    """A cascade product that reads ``dense`` (M, N) on views of ``geom``,
-    and the record of its calls: ("column", column indices) for a view of
-    every row, ("row", row indices) for a view of every column."""
+def recording_skeleton(monkeypatch):
+    """The list that every later ``product(rows, cols)`` call of
+    ``channel._skeleton`` appends its (rows, cols) to."""
+    calls = []
+    skeleton = channel._skeleton
+
+    def recording(m, n, product):
+        def recorded(rows, cols):
+            calls.append((rows, cols))
+            return product(rows, cols)
+
+        return skeleton(m, n, recorded)
+
+    monkeypatch.setattr(channel, "_skeleton", recording)
+    return calls
+
+
+def recording_product(dense):
+    """A cascade product that reads ``dense`` (M, N) on index sets, and the
+    record of its calls: ("column", column indices) for every row,
+    ("row", row indices) for every column."""
     calls = []
 
-    def product(view):
-        rows = np.searchsorted(geom.psi, view.psi)
-        cols = np.rint(view.column_offsets_local / geom.d_n).astype(int)
-        if view.m_count == geom.m_count:
+    def product(rows, cols):
+        if isinstance(rows, slice):
             calls.append(("column", cols))
         else:
-            assert view.n_count == geom.n_count
+            assert isinstance(cols, slice)
             calls.append(("row", rows))
-        return dense[np.ix_(rows, cols)]
+        return dense[rows, cols]
 
     return calls, product
 
@@ -700,11 +742,10 @@ def test_skeleton_nests_its_columns_and_evaluates_each_once():
     # min(M, N) = 40 the product is exact, assembled from the columns
     # evaluated so far and the rest: no column is evaluated twice.
     m, n = 48, 40
-    geom = build_cirs_geometry(m, n, 2.0, LAM / 4, LAM / 4)
     rng = np.random.default_rng(3)
     dense = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    calls, product = recording_product(geom, dense)
-    left, right = channel._skeleton(geom, product)
+    calls, product = recording_product(dense)
+    left, right = channel._skeleton(m, n, product)
     assert np.array_equal(left, dense) and np.array_equal(right, np.eye(n))
     assert [kind for kind, _ in calls] == ["column"] * 3
     evaluated = np.concatenate([cols for _, cols in calls])
@@ -732,12 +773,11 @@ def test_skeleton_takes_the_exact_product_up_to_min_m_n_of_sixteen(m, n):
     # surface; from 17 (M is even, so 18 rows) the skeleton's first pass
     # keeps the numerical rank 2 of the product, from 12 columns and 4
     # probes and 2 DEIM rows
-    geom = build_cirs_geometry(m, n, 2.0, LAM / 4, LAM / 4)
     rng = np.random.default_rng(m * n)
     a, b = (rng.normal(size=(2, size)) + 1j * rng.normal(size=(2, size)) for size in (m, n))
     dense = a.T @ b
-    calls, product = recording_product(geom, dense)
-    left, right = channel._skeleton(geom, product)
+    calls, product = recording_product(dense)
+    left, right = channel._skeleton(m, n, product)
     if min(m, n) <= SKELETON_START_COLUMNS + SKELETON_PROBES:
         assert [kind for kind, _ in calls] == ["column"]
         assert np.array_equal(calls[0][1], np.arange(n))

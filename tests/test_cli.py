@@ -47,6 +47,37 @@ def test_invalid_override_value_reports_and_fails(tmp_path, capsys):
     assert "error:" in err and "radius_m" in err
 
 
+
+def test_values_that_are_not_numbers_exit_with_an_error_naming_the_key(
+    tmp_path, capsys, monkeypatch
+):
+    config = tmp_path / "cfg.json"
+    config.write_text('{"radius_m": null}')
+    runs = [
+        (["--set", "radius_m=abc"], {}),
+        (["--config", str(config)], {}),
+        ([], {"CONFORMAL_V2V_RADIUS_M": "null"}),
+    ]
+    for extra, env in runs:
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(["geometry-dump", "--out-dir", str(tmp_path / "out"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "config key 'radius_m' must be a number" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("r_d", ["-20", "0"])
+@pytest.mark.parametrize("command", ["blockage", "snr-ecdf", "scenario-dump"])
+def test_non_positive_link_distances_exit_with_an_error(tmp_path, capsys, command, r_d):
+    argv = [command, "--out-dir", str(tmp_path), "--r-d", r_d, *TINY_SURFACE]
+    if command != "scenario-dump":
+        argv += ["--trials", "2"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search("link.distance", err)
+    assert not list(tmp_path.iterdir())
+
 def test_unknown_override_key_mentions_unit_suffixes(tmp_path, capsys):
     code = main(["geometry-dump", "--out-dir", str(tmp_path),
                  "--set", "tx_power=10"])

@@ -138,6 +138,37 @@ def test_integer_fields_reject_fractions_and_bools():
     assert cfg.trials == 12
 
 
+NOT_A_NUMBER = {"radius_m": "a number", "k_antennas": "an integer"}
+
+
+@pytest.mark.parametrize("key", NOT_A_NUMBER)
+@pytest.mark.parametrize("text", ["null", "[2]", '"abc"', '{"a": 1}'])
+def test_file_values_that_are_not_numbers_name_their_key(tmp_path, key, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"{key}": {text}}}')
+    with pytest.raises(ValueError, match=f"config key '{key}' must be {NOT_A_NUMBER[key]}"):
+        resolve_config(path, env={})
+
+
+def test_file_integer_too_large_for_a_float_names_its_key(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"radius_m": 1%s}' % ("0" * 400))
+    with pytest.raises(ValueError, match="config key 'radius_m' must be a number"):
+        resolve_config(path, env={})
+
+
+@pytest.mark.parametrize("key", NOT_A_NUMBER)
+@pytest.mark.parametrize("raw", ["null", "None", "abc", "[2]", ""])
+def test_env_and_flag_values_that_are_not_numbers_name_their_key(key, raw):
+    message = f"config key '{key}' must be {NOT_A_NUMBER[key]}"
+    with pytest.raises(ValueError, match=message):
+        resolve_config(env={ENV_PREFIX + key.upper(): raw})
+    # ``--set key=value`` passes the text after '=' as an override; a null
+    # there is the word itself, not None
+    with pytest.raises(ValueError, match=message):
+        resolve_config(overrides={key: raw}, env={})
+
+
 def test_to_dict_and_replace_round_trip():
     cfg = SimConfig(radius_m=8.0)
     data = cfg.to_dict()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conformal_v2v import channel, experiments, scenario
+from conformal_v2v import experiments, scenario
 from conformal_v2v.channel import (
     SKELETON_START_COLUMNS,
     cascaded_channels,
@@ -71,7 +71,7 @@ from oracles import (
     scene_from_vehicles,
     scenes_of,
 )
-from test_channel import kernel_segments
+from test_channel import kernel_segments, recording_skeleton
 from test_scenario import door_pairs, gated, reference_modes
 
 LAM28 = 299_792_458.0 / 28e9
@@ -598,18 +598,11 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
     # the kernel's segments over the whole surface, within 1e-10 of sum|s|;
     # no door evaluates a column twice, and none more than the 24 columns
     # and 4 probes of a single pass at the former start width
-    column_view = channel._column_view
     cfg = SimConfig()
     lam, k, d = cfg.wavelength_m, cfg.k_antennas, cfg.element_spacing_m
     rng = np.random.default_rng(14)
     doors = 0
-    column_views = []
-
-    def recording(geometry, cols):
-        column_views.append(cols)
-        return column_view(geometry, cols)
-
-    monkeypatch.setattr(channel, "_column_view", recording)
+    calls = recording_skeleton(monkeypatch)
     for trial in range(2):
         scenes, gate = draw_chunk(cfg, 40.0, 100.0, [trial_rng(9, trial)])
         [(p_t, p_r)] = scenes.ends
@@ -621,11 +614,11 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
             phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 2))
             for radius in (2.0, 8.0):
                 geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d, pose)
-                column_views.clear()
+                calls.clear()
                 left, right = cascaded_channels(
                     geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases
                 )
-                evaluated = np.concatenate(column_views)
+                evaluated = np.concatenate([c for r, c in calls if isinstance(r, slice)])
                 assert evaluated.size == np.unique(evaluated).size <= 28
                 a, b = kernel_segments(geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases)
                 product = (a * b).ravel()

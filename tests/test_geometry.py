@@ -11,11 +11,9 @@ from conformal_v2v.geometry import (
     AnglePair,
     DoorPose,
     RoadConfig,
-    SpecularArea,
     Vehicle,
     build_cirs_geometry,
     pose_local_angles,
-    specular_area,
     vec3,
 )
 from conformal_v2v.scenario import Scenario
@@ -158,36 +156,3 @@ def test_vehicle_box_and_doors():
     for side, normal in (("right", [1.0, 0.0, 0.0]), ("left", [-1.0, 0.0, 0.0])):
         assert DoorPose(np.zeros(3), side).rotation()[:, 0] == pytest.approx(normal)
 
-
-def test_specular_area_sits_at_link_midpoint_spanning_all_lanes():
-    road = RoadConfig()
-    p_t = vec3(0.0, 2.5, 1.5)
-    p_r = vec3(0.0, 102.5, 1.5)
-    area = specular_area(p_t, p_r, road, door_length=1.0)
-    assert area.center == pytest.approx([0.0, 52.5, 0.0])
-    assert area.width == 25.0
-    assert area.length == 2.0
-    assert area.contains(vec3(10.0, 53.0, 0.9))
-    assert not area.contains(vec3(10.0, 54.0, 0.9))
-    assert not area.contains(vec3(13.0, 52.5, 0.9))
-
-
-def test_specular_area_is_symmetric_in_endpoint_order():
-    road = RoadConfig()
-    a = specular_area(vec3(0, 10, 1.5), vec3(0, 60, 1.5), road, 1.0)
-    b = specular_area(vec3(0, 60, 1.5), vec3(0, 10, 1.5), road, 1.0)
-    assert a.center == pytest.approx(b.center)
-    assert (a.width, a.length) == (b.width, b.length)
-
-
-def test_specular_area_rejects_coincident_endpoints():
-    road = RoadConfig()
-    with pytest.raises(ValueError):
-        specular_area(vec3(0, 5, 1.5), vec3(0, 5, 0.9), road, 1.0)
-    # plan-view coordinates coincide when |a - b| <= 1e-8 + 1e-5 |b| (b from
-    # p_r), which is 1.00001e-3 m along y at y = 100 m
-    with pytest.raises(ValueError):
-        specular_area(vec3(5e-9, 100.0009, 1.5), vec3(0, 100, 1.5), road, 1.0)
-    for p_t in (vec3(0, 100.0011, 1.5), vec3(2e-8, 100, 1.5)):
-        area = specular_area(p_t, vec3(0, 100, 1.5), road, 1.0)
-        assert area.center[1] == pytest.approx(0.5 * (p_t[1] + 100.0))

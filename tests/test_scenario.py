@@ -188,6 +188,10 @@ def test_generate_traffic_validates_inputs():
         generate_traffic(ROAD, -1.0, seeded(0))
     with pytest.raises(ValueError):
         generate_traffic(RoadConfig(length=50.0), 10.0, seeded(0), link_distance_m=100.0)
+    # the RxV sits link_distance_m down the road from the TxV, never on or behind it
+    for link in (-20.0, 0.0, -0.0, float("nan")):
+        with pytest.raises(ValueError, match="link distance must be positive"):
+            draw_scenes(ROAD, 10.0, [seeded(0)], link_distance_m=link)
 
 
 def test_a_same_lane_car_between_the_endpoints_blocks():
@@ -286,6 +290,55 @@ def test_specular_membership_gates_fixed_relay_candidates():
     assert set(ris) == {(2, "left"), (3, "left")}
 
 
+def test_specular_strip_sits_at_link_midpoint_spanning_all_lanes():
+    # endpoints at y = 2.5 and 102.5: the strip is 52.5 +- 1 m along the
+    # road and |x| <= 12.5 m, the full width of the five 5 m lanes, across
+    # it; every door here faces both endpoints and lies within range
+    doors = (
+        Vehicle(x=10.9, y=53.0, lane=4),   # left door at (10.0, 53.0): inside
+        Vehicle(x=10.9, y=60.0, lane=4),   # 7.5 m past the midpoint
+        Vehicle(x=13.9, y=46.0, lane=4),   # left door at x = 13.0: off the road
+        Vehicle(x=-13.5, y=52.5, width=2.0, lane=0),  # right door on x = -12.5
+        Vehicle(x=-13.6, y=45.0, width=2.0, lane=0),  # right door at x = -12.6
+    )
+    s = scene(*doors)
+    irs, ris = gated(s)
+    assert irs == [(2, "left"), (5, "right")]
+    assert ris == [(2, "left"), (3, "left"), (4, "left"), (5, "right"), (6, "right")]
+    assert scalar_candidates_irs(s) == irs
+
+
+def test_specular_strip_is_symmetric_in_endpoint_order():
+    # the same doors gate with the TxV and RxV rows swapped, also on the
+    # strip's edges at the midpoint 35 +- 1 m
+    txv, rxv = Vehicle(x=0.0, y=10.0, lane=2), Vehicle(x=0.0, y=60.0, lane=2)
+    doors = [Vehicle(x=5.9, y=y, lane=3) for y in (34.0, 36.0, np.nextafter(36.0, 40.0), 42.0)]
+    forward = scene_from_vehicles(ROAD, (txv, rxv, *doors))
+    backward = scene_from_vehicles(ROAD, (rxv, txv, *doors))
+    assert gated(forward)[0] == gated(backward)[0] == [(2, "left"), (3, "left")]
+    assert scalar_candidates_irs(forward) == scalar_candidates_irs(backward) == gated(forward)[0]
+
+
+def test_relay_doors_rejects_coincident_endpoints():
+    # the direct ray of endpoints that coincide in plan view has no
+    # direction: _segment_counts raises on it before any door is counted
+    relay = Vehicle(x=5.9, y=100.5, lane=3)  # left door 0.5 m past y = 100
+    with pytest.raises(ValueError, match="distinct in plan view"):
+        gated(scene_from_vehicles(ROAD, (
+            Vehicle(x=0.0, y=5.0, height=1.5, lane=2), Vehicle(x=0.0, y=5.0, height=0.9, lane=2)
+        )))
+    # plan-view coordinates coincide when |a - b| <= 1e-8 + 1e-5 |b| (b from
+    # the RxV), which is 1.00001e-3 m along y at y = 100 m
+    rxv = Vehicle(x=0.0, y=100.0, lane=2)
+    with pytest.raises(ValueError, match="distinct in plan view"):
+        gated(scene_from_vehicles(ROAD, (Vehicle(x=5e-9, y=100.0009, lane=2), rxv, relay)))
+    for txv in (Vehicle(x=0.0, y=100.0011, lane=2), Vehicle(x=2e-8, y=100.0, lane=2)):
+        # the strip is centered on the endpoints' midpoint, so the door
+        # 0.5 m past it gates and one 1.5 m past it does not
+        far = Vehicle(x=5.9, y=0.5 * (txv.y + 100.0) + 1.5, lane=3)
+        s = scene_from_vehicles(ROAD, (txv, rxv, relay, far))
+        assert gated(s)[0] == scalar_candidates_irs(s) == [(2, "left")]
+
 def test_range_gates_tunable_relay_candidates():
     far = Vehicle(x=5.0, y=400.0, lane=3)      # ~350 m from the receiver
     s = scene(far)
@@ -371,6 +424,11 @@ def test_generate_traffic_matches_the_one_draw_at_a_time_reference(
 ):
     road = RoadConfig(length=road_m, n_lanes=n_lanes)
     link = link_frac * (road_m - 5.0)
+    if link == 0.0:
+        # the RxV would sit on the TxV: no scene is drawn
+        with pytest.raises(ValueError, match="link distance must be positive"):
+            generate_traffic(road, rho, np.random.default_rng(seed), link_distance_m=link)
+        return
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     got = generate_traffic(road, rho, rng, link_distance_m=link)
     want = scalar_generate_traffic(road, rho, ref_rng, link_distance_m=link)
