@@ -163,24 +163,23 @@ def _cmd_blockage(args) -> int:
 def _cmd_snr_ecdf(args) -> int:
     config = _resolve(args)
     spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
-    results, records = run_snr_ecdf(
+    ecdfs, records = run_snr_ecdf(
         spec,
         r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
         radius_values=tuple(args.radius) or DEFAULT_RADII_M,
     )
     cap = config.max_candidates
-    for (mode, radius, rho, r_d), ecdf in sorted(results.items()):
+    for (mode, radius, rho, r_d), values in sorted(ecdfs.items()):
         name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd{r_d:g}.csv"
-        n = len(ecdf)
         rows = [
-            {"snr_db": float(v), "ecdf": (i + 1) / n}
-            for i, v in enumerate(ecdf.values)
+            {"snr_db": v, "ecdf": (i + 1) / len(values)}
+            for i, v in enumerate(values.tolist())
         ]
         _finish(args, config, name, ["snr_db", "ecdf"], rows,
                 {"experiment": "snr-ecdf", "mode": mode, "radius_m": radius,
                  "rho": rho, "r_d": r_d,
                  "telemetry": sidecar_telemetry(records[(rho, r_d)], cap, radius)})
-    summary = snr_summary(results, spec.config.seed)
+    summary = snr_summary(ecdfs, spec.config.seed)
     for row in summary:
         print(
             f"{row['mode']} R={row['radius_m']:g} rho={row['rho']:g} "

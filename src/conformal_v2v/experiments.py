@@ -75,6 +75,14 @@ DEFAULT_TRIALS: dict[str, int] = {
 DEFAULT_R_D_M: tuple[float, ...] = (50.0, 100.0)
 DEFAULT_RADII_M: tuple[float, ...] = (2.0, 8.0)
 
+# the drop below the peak (dB) at which ``gain_width_deg`` measures a width,
+# the normal quantile of the 95 % Wilson intervals, and the resamples and
+# two-sided miss rate of ``bootstrap_median_ci``
+GAIN_WIDTH_DROP_DB = 3.0
+WILSON_Z = 1.959963984540054
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_ALPHA = 0.05
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -90,8 +98,21 @@ class SweepSpec:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
         if len(self.grid) == 0:
             raise ValueError("sweep grid must be non-empty")
+        _check_distinct(_GRID_AXES.get(self.kind, "rho"), self.grid)
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+
+
+# what the sweep grid of each kind holds, where it is not rho
+_GRID_AXES = {"gain-elevation": "angle", "gain-azimuth": "angle", "gain-frequency": "f_ghz"}
+
+
+def _check_distinct(axis: str, values) -> None:
+    """Reject a sweep axis that names a value twice, which would run its
+    point twice and write it once."""
+    for value, count in Counter(map(float, values)).items():
+        if count > 1:
+            raise ValueError(f"repeated {axis} value {value:g}")
 
 
 def make_sweep(
@@ -162,8 +183,9 @@ def _map_trials(
     every point; each worker is spawned fresh and runs BLAS on one thread
     (``_one_blas_thread``).  A trial that raises aborts the sweep with a
     ValueError naming the point, as ``"<kind> rho=.. r_d=.."``, and the
-    trial index (``_run_trial``).
+    trial index (``_run_trial``).  A repeated r_d is rejected.
     """
+    _check_distinct("r_d", r_d_values)
     grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
     n = spec.trials
     chunks = [range(t, min(t + chunk, n)) for t in range(0, n, chunk)]
@@ -213,14 +235,6 @@ def _one_blas_thread():
                 os.environ[name] = value
 
 
-def _road(config: SimConfig) -> RoadConfig:
-    return RoadConfig(
-        length=config.road_length_m,
-        n_lanes=config.n_lanes,
-        lane_width=config.lane_width_m,
-    )
-
-
 def draw_chunk(
     config: SimConfig, rho: float, r_d: float, rngs: list[np.random.Generator]
 ) -> tuple[Scenes, Doors]:
@@ -228,7 +242,7 @@ def draw_chunk(
     chunk (see ``draw_scenes``), and its doors gated under the configured
     door length, height and range (``relay_doors``)."""
     scenes = draw_scenes(
-        _road(config),
+        RoadConfig(config.road_length_m, config.n_lanes, config.lane_width_m),
         rho,
         rngs,
         link_distance_m=r_d,
@@ -370,10 +384,9 @@ def run_gain_frequency(spec: SweepSpec) -> list[dict]:
     return rows
 
 
-def gain_width_deg(
-    angles_deg: np.ndarray, gains_db: np.ndarray, drop_db: float = 3.0
-) -> float:
-    """Width of the contiguous interval around the peak within drop_db of it.
+def gain_width_deg(angles_deg: np.ndarray, gains_db: np.ndarray) -> float:
+    """Width of the contiguous interval around the peak within
+    GAIN_WIDTH_DROP_DB of it.
 
     Crossings are linearly interpolated; when the curve never drops below the
     level on one side, the grid edge bounds the interval (the result is then
@@ -384,7 +397,7 @@ def gain_width_deg(
     if angles.shape != gains.shape or angles.ndim != 1 or len(angles) < 2:
         raise ValueError("need matching 1D angle/gain arrays with >= 2 points")
     peak = int(np.argmax(gains))
-    level = gains[peak] - drop_db
+    level = gains[peak] - GAIN_WIDTH_DROP_DB
 
     def cross(idx_from: int, step: int) -> float:
         i = idx_from
@@ -406,10 +419,11 @@ def gain_width_deg(
 # --- blockage probability ----------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054):
+def wilson_interval(successes: int, trials: int):
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         return 0.0, 1.0
+    z = WILSON_Z
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -470,46 +484,17 @@ def run_blockage_sweep(
 # --- SNR ECDFs ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EcdfResult:
-    """Sorted Monte-Carlo sample with quantile access."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.sort(np.asarray(self.values, dtype=float))
-        if v.size == 0:
-            raise ValueError("ECDF needs at least one sample")
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def quantile(self, q: float) -> float:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must lie in [0, 1], got {q}")
-        return float(np.quantile(self.values, q))
-
-    @property
-    def median(self) -> float:
-        return self.quantile(0.5)
-
-
-def bootstrap_median_ci(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    n_boot: int = 1000,
-    alpha: float = 0.05,
-) -> tuple[float, float]:
-    """Percentile-bootstrap confidence interval for the sample median."""
+def bootstrap_median_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """Percentile-bootstrap 1 - BOOTSTRAP_ALPHA confidence interval for the
+    sample median, from BOOTSTRAP_RESAMPLES resamples."""
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise ValueError("empty sample")
-    idx = rng.integers(0, len(values), size=(n_boot, len(values)))
+    idx = rng.integers(0, len(values), size=(BOOTSTRAP_RESAMPLES, len(values)))
     medians = np.median(values[idx], axis=1)
     return (
-        float(np.quantile(medians, alpha / 2)),
-        float(np.quantile(medians, 1 - alpha / 2)),
+        float(np.quantile(medians, BOOTSTRAP_ALPHA / 2)),
+        float(np.quantile(medians, 1 - BOOTSTRAP_ALPHA / 2)),
     )
 
 
@@ -525,40 +510,28 @@ def _ranked_candidates(doors: Doors, mask: np.ndarray, cap: int) -> np.ndarray:
     return picked[order[:cap]]
 
 
-def _fixed_profile(config: SimConfig, geom) -> PhaseProfile:
-    """Factory profile for (thetabar, phibar) -> (-thetabar, phibar).
-
-    It depends on the element layout only, not on the door's pose, so one
-    profile per radius serves every door of a sweep.
-    """
-    return preconfigured_phase(
-        geom, config.thetabar_rad, config.wavelength_m, config.phibar_rad
-    )
-
-
 def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: range) -> dict:
     """Record of a one-trial range: the trial's (1, R, 3) ``snr_db``, the
     (direct, with_irs, with_ris) SNRs in dB on each of the R ``surfaces``;
     its scene's gated ``irs_doors`` and ``ris_doors`` and ``dropped``
     placements; ``cascade_ranks``, its door cascades counted per (radius,
-    numerical rank); and ``winners``, the beam pair each relayed mode
-    picked, counted per (radius, mode, label): the label is the winning
-    door's place in the mode's ``_ranked_candidates`` order ("1" for the
-    smallest r_t r_r), or "direct" when no door beats the direct beams.
+    numerical rank, "exact" for a whole surface); and ``winners``, the beam
+    pair each relayed mode picked, counted per (radius, mode, label).
 
-    The scene, gating, blocker counts, direct link, and each door's beams,
-    blockage draws and leg path phases (xi_t, xi_r) come once; every
-    (layout, fixed profile) of ``surfaces``, one per radius, is scored on
-    them.  The direct column is thus equal across radii by construction, and
-    the modes share every draw, so their gaps reflect the relaying strategy,
-    not sampling noise.  Each relayed mode picks relay and beams jointly by
-    received power over single-relay channels.  Door c only ever meets its
-    own beam pair (f_c, w_c), so its received amplitude is
-    w_c^H H_d f_c + sum(phi * a * b) with the beamformed segment vectors
-    a = H_tc f_c and b = w_c^H H_cr.  Both profiles of a door score the one
-    factorisation of a * b that ``cascaded_channels`` returns; its rank is
-    counted under ``_rank_label``.  The winner comes from the maximum that
-    ``best_snr`` takes.
+    The trial draws its scene and every draw once: the direct link, then
+    each ranked door's leg phases (xi_t, xi_r) and blockage, door by door in
+    (row, side) order.  It scores each door once per (layout, fixed profile)
+    of ``surfaces`` into one table, ``amps[radius, mode][door]``, under the
+    profile of each mode that ranked it (fixed for irs, tuned for ris).  The
+    direct column is thus equal across radii, and the modes share every
+    draw, so their gaps reflect the relaying strategy, not sampling noise.
+    Door c only ever meets its own beam pair (f_c, w_c): its amplitude is
+    w_c^H H_d f_c + sum(phi * a * b) with the beamformed segments
+    a = H_tc f_c and b = w_c^H H_cr, whose product both profiles score from
+    the one factorisation ``cascaded_channels`` returns.  Each mode then
+    takes ``best_snr`` over the direct amplitude and its doors in their
+    ``_ranked_candidates`` order, so the winner's index is its label: "1"
+    for the smallest r_t r_r, "direct" for index 0.
     """
     [trial] = trials
     rng = trial_rng(config.seed, trial)
@@ -567,11 +540,10 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     lam = config.wavelength_m
     k = config.k_antennas
 
-    irs = _ranked_candidates(doors, doors.irs, config.max_candidates).tolist()
-    ris = _ranked_candidates(doors, doors.ris, config.max_candidates).tolist()
-    # one set of draws per distinct door, in a fixed (row, side) order so the
-    # RNG stream is identical for every mode and every radius
-    relays = sorted(set(irs) | set(ris))
+    ranked = {
+        mode: _ranked_candidates(doors, getattr(doors, mode), config.max_candidates).tolist()
+        for mode in ("irs", "ris")
+    }
 
     loss_db = sample_direct_pathloss(
         float(np.linalg.norm(p_r - p_t)),
@@ -589,14 +561,11 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     beam_d = steering_vector(k, azimuth(p_t, p_r))
     amp_direct = beam_amplitude(h_d, beam_d, beam_d)
 
-    # each door is scored only by the profile of the mode(s) that gated it;
-    # best_snr takes a maximum, so the order of the amplitudes matters only
-    # to the winner's label, which ``labels`` maps back to the ranked order
-    irs_doors, ris_doors = set(irs), set(ris)
-    tuned_amps = [[amp_direct] for _ in surfaces]
-    fixed_amps = [[amp_direct] for _ in surfaces]
+    amps = {(layout.radius, mode): {} for layout, _ in surfaces for mode in ranked}
     ranks = Counter()
-    for relay in relays:
+    # one set of draws per distinct door, in a fixed (row, side) order so the
+    # RNG stream is identical for every mode and every radius
+    for relay in sorted({*ranked["irs"], *ranked["ris"]}):
         door, side = doors.points[relay], SIDES[doors.side[relay]]
         b_t, b_r = doors.legs[relay]
         phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
@@ -615,7 +584,7 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
         # the tuned profile steers the door-frame TxV -> door -> RxV pair
         ang_t = pose_local_angles(pose, p_t - door)
         ang_r = pose_local_angles(pose, p_r - door)
-        for (layout, fixed), tuned_amp, fixed_amp in zip(surfaces, tuned_amps, fixed_amps):
+        for layout, fixed in surfaces:
             geom = replace(layout, pose=pose)
             try:
                 left, right = cascaded_channels(
@@ -624,28 +593,26 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
                 )
             except ValueError as exc:
                 raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
-            ranks[layout.radius, _rank_label(geom, left)] += 1
-            if relay in ris_doors:
-                tuned = optimal_phase(geom, ang_t, ang_r, lam)
-                tuned_amp.append(via_direct + blockage * tuned.weighted_sum(left, right))
-            if relay in irs_doors:
-                fixed_amp.append(via_direct + blockage * fixed.weighted_sum(left, right))
+            rank = left.shape[1]
+            exact = rank == min(layout.m_count, layout.n_count)
+            ranks[layout.radius, "exact" if exact else str(rank)] += 1
+            for mode, relays in ranked.items():
+                if relay in relays:
+                    profile = fixed if mode == "irs" else optimal_phase(geom, ang_t, ang_r, lam)
+                    amp = via_direct + blockage * profile.weighted_sum(left, right)
+                    amps[layout.radius, mode][relay] = amp
 
     def snr(amplitudes) -> tuple[float, int]:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
-    # a mode's amplitudes are the direct one, then its doors in relays order
-    labels = {
-        mode: ["direct", *(str(ranked.index(r) + 1) for r in relays if r in ranked)]
-        for mode, ranked in (("irs", irs), ("ris", ris))
-    }
     direct, _ = snr([amp_direct])
     snrs, winners = [], Counter()
-    for (layout, _), fixed_amp, tuned_amp in zip(surfaces, fixed_amps, tuned_amps):
+    for layout, _ in surfaces:
         row = [direct]
-        for mode, amplitudes in (("irs", fixed_amp), ("ris", tuned_amp)):
-            snr_db, winner = snr(amplitudes)
-            winners[layout.radius, mode, labels[mode][winner]] += 1
+        for mode, relays in ranked.items():
+            scored = amps[layout.radius, mode]
+            snr_db, winner = snr([amp_direct, *(scored[relay] for relay in relays)])
+            winners[layout.radius, mode, str(winner) if winner else "direct"] += 1
             row.append(snr_db)
         snrs.append(row)
     return {
@@ -658,58 +625,52 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
     }
 
 
-def _rank_label(geometry, left: np.ndarray) -> str:
-    """Numerical rank a door's skeleton kept, "exact" for the whole surface at min(M, N)."""
-    rank = left.shape[1]
-    return "exact" if rank == min(geometry.m_count, geometry.n_count) else str(rank)
-
-
 def run_snr_ecdf(
     spec: SweepSpec,
     r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
     radius_values: tuple[float, ...] = DEFAULT_RADII_M,
-) -> tuple[
-    dict[tuple[str, float, float, float], EcdfResult], dict[tuple[float, float], dict]
-]:
-    """SNR ECDFs per (mode, radius, rho, r_d), and the record of each
-    (rho, r_d) (see ``_snr_trial``).
+) -> tuple[dict[tuple[str, float, float, float], np.ndarray], dict[tuple[float, float], dict]]:
+    """SNR ECDFs per (mode, radius, rho, r_d), each the sorted float array of
+    its per-trial samples, and the record of each (rho, r_d).
 
-    rho values come from spec.grid.  Each trial is one scene scored at every
-    radius (see ``_snr_trial``); the element layout and fixed profile of
-    each radius are built once here.
+    rho values come from spec.grid; a repeated rho, r_d or radius is
+    rejected.  Each trial is one scene scored at every radius (see
+    ``_snr_trial``) on element layouts and fixed profiles built once here.
+    The fixed profile, for (thetabar, phibar) -> (-thetabar, phibar),
+    depends on the layout only, so one per radius serves every door.
     """
     cfg = spec.config
+    _check_distinct("radius", radius_values)
     d = cfg.element_spacing_m
     surfaces = []
     for radius in radius_values:
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
-        surfaces.append((layout, _fixed_profile(cfg, layout)))
-    results: dict[tuple[str, float, float, float], EcdfResult] = {}
+        fixed = preconfigured_phase(layout, cfg.thetabar_rad, cfg.wavelength_m, cfg.phibar_rad)
+        surfaces.append((layout, fixed))
     records = _map_trials(spec, r_d_values, partial(_snr_trial, cfg, surfaces))
-    for (rho, r_d), record in records.items():
-        for i, radius in enumerate(radius_values):
-            for col, mode in enumerate(MODES):
-                samples = record["snr_db"][:, i, col]
-                results[(mode, float(radius), rho, r_d)] = EcdfResult(values=samples)
-    return results, records
+    ecdfs = {
+        (mode, float(radius), rho, r_d): np.sort(record["snr_db"][:, i, col])
+        for (rho, r_d), record in records.items()
+        for i, radius in enumerate(radius_values)
+        for col, mode in enumerate(MODES)
+    }
+    return ecdfs, records
 
 
-def snr_summary(
-    results: dict[tuple[str, float, float, float], EcdfResult], seed: int
-) -> list[dict]:
-    """Median rows (with bootstrap CIs) for an ECDF result set."""
+def snr_summary(ecdfs: dict[tuple[str, float, float, float], np.ndarray], seed: int) -> list[dict]:
+    """Median rows (with bootstrap CIs) of the ECDFs of ``run_snr_ecdf``."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB007]))
     rows = []
-    for (mode, radius, rho, r_d), ecdf in sorted(results.items()):
-        lo, hi = bootstrap_median_ci(ecdf.values, rng)
+    for (mode, radius, rho, r_d), values in sorted(ecdfs.items()):
+        lo, hi = bootstrap_median_ci(values, rng)
         rows.append(
             {
                 "mode": mode,
                 "radius_m": radius,
                 "rho": rho,
                 "r_d": r_d,
-                "trials": len(ecdf),
-                "median_db": ecdf.median,
+                "trials": len(values),
+                "median_db": float(np.quantile(values, 0.5)),
                 "median_ci_low_db": lo,
                 "median_ci_high_db": hi,
             }

@@ -168,8 +168,8 @@ def _placements(
 ) -> tuple[list[int], list[float], int]:
     """Lane and center y of every vehicle of one scene, TxV and RxV first,
     and the number of dropped placements; see ``draw_scenes``."""
-    if rho < 0:
-        raise ValueError(f"rho must be >= 0, got {rho}")
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
     if not link_distance_m > 0:
         raise ValueError(f"link distance must be positive, got {link_distance_m} m")
     center = road.n_lanes // 2

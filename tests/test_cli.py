@@ -78,6 +78,37 @@ def test_non_positive_link_distances_exit_with_an_error(tmp_path, capsys, comman
     assert err.startswith("error:") and re.search("link.distance", err)
     assert not list(tmp_path.iterdir())
 
+
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["blockage", "snr-ecdf"])
+def test_non_finite_densities_exit_with_an_error(tmp_path, capsys, command, rho):
+    argv = [command, "--out-dir", str(tmp_path), "--rho", rho, "--trials", "2"]
+    assert main([*argv, *TINY_SURFACE]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"rho must be finite and >= 0, got {rho}" in err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("blockage", "--rho", "10"),
+        ("blockage", "--r-d", "50"),
+        ("snr-ecdf", "--radius", "2"),
+        ("gain-frequency", "--f-ghz", "28"),
+    ],
+)
+def test_a_repeated_sweep_value_exits_with_an_error(tmp_path, capsys, command, flag, value):
+    argv = [command, "--out-dir", str(tmp_path), flag, value, flag, f"{float(value)}"]
+    if command != "gain-frequency":
+        argv += ["--trials", "2", *TINY_SURFACE]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    axis = flag[2:].replace("-", "_")
+    assert err == f"error: repeated {axis} value {value}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_unknown_override_key_mentions_unit_suffixes(tmp_path, capsys):
     code = main(["geometry-dump", "--out-dir", str(tmp_path),
                  "--set", "tx_power=10"])

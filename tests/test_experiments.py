@@ -25,11 +25,9 @@ from conformal_v2v.experiments import (
     DEFAULT_GRIDS,
     DEFAULT_TRIALS,
     MODES,
-    EcdfResult,
     SCENE_CHUNK,
     SweepSpec,
     _blockage_chunk,
-    _fixed_profile,
     _git_revision,
     _map_trials,
     _ranked_candidates,
@@ -83,6 +81,11 @@ def tiny_config(**over) -> SimConfig:
     return SimConfig().replace(**base)
 
 
+def fixed_profile(cfg: SimConfig, geometry) -> PhaseProfile:
+    """The factory profile an SNR sweep gives every door of a radius."""
+    return preconfigured_phase(geometry, cfg.thetabar_rad, cfg.wavelength_m, cfg.phibar_rad)
+
+
 def test_sweep_spec_validation_and_defaults():
     cfg = SimConfig()
     spec = make_sweep("blockage", cfg)
@@ -99,6 +102,11 @@ def test_sweep_spec_validation_and_defaults():
         SweepSpec(kind="blockage", grid=(), config=cfg, trials=1)
     with pytest.raises(ValueError):
         SweepSpec(kind="blockage", grid=(10.0,), config=cfg, trials=0)
+    # a value given twice would run its point twice and write it once
+    with pytest.raises(ValueError, match="^repeated rho value 10$"):
+        make_sweep("blockage", cfg, grid=(10.0, 40.0, 10))
+    with pytest.raises(ValueError, match="^repeated f_ghz value 28$"):
+        make_sweep("gain-frequency", cfg, grid=(28.0, 28.0))
 
 
 def test_trial_rng_substreams_are_stable_and_distinct():
@@ -280,18 +288,6 @@ def test_element_counts_track_frequency_at_fixed_area():
     assert element_counts_for_area(1e-9, c / 28e9) == 2  # floor: one pair
 
 
-def test_ecdf_result_sorts_and_bounds_quantiles():
-    e = EcdfResult(values=np.array([3.0, -1.0, 2.0]))
-    assert e.values == pytest.approx([-1.0, 2.0, 3.0])
-    assert len(e) == 3
-    assert e.median == 2.0
-    assert e.quantile(0.0) == -1.0 and e.quantile(1.0) == 3.0
-    with pytest.raises(ValueError):
-        e.quantile(1.5)
-    with pytest.raises(ValueError):
-        EcdfResult(values=np.array([]))
-
-
 def test_bootstrap_median_ci_is_deterministic_and_covers_the_median():
     values = np.random.default_rng(11).normal(5.0, 2.0, size=200)
     lo1, hi1 = bootstrap_median_ci(values, np.random.default_rng(3))
@@ -466,16 +462,18 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
     results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
     assert set(results) == {(m, 2.0, 30.0, 50.0) for m in MODES}
-    direct = results[("direct", 2.0, 30.0, 50.0)].values
-    irs = results[("with_irs", 2.0, 30.0, 50.0)].values
-    ris = results[("with_ris", 2.0, 30.0, 50.0)].values
+    # each ECDF is the sorted float array of its samples
+    assert all(v.dtype == float and np.all(v[:-1] <= v[1:]) for v in results.values())
+    direct = results[("direct", 2.0, 30.0, 50.0)]
+    irs = results[("with_irs", 2.0, 30.0, 50.0)]
+    ris = results[("with_ris", 2.0, 30.0, 50.0)]
     assert len(direct) == len(irs) == len(ris) == spec.trials
     # relay selection includes the direct entry, so sorted samples dominate
     assert np.all(irs >= direct - 1e-9)
     assert np.all(ris >= direct - 1e-9)
     assert np.all(ris >= irs - 1e-9)  # tuned profile can only beat a fixed one
     again, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
-    assert again[("direct", 2.0, 30.0, 50.0)].values == pytest.approx(direct)
+    assert again[("direct", 2.0, 30.0, 50.0)] == pytest.approx(direct)
 
 
 def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
@@ -496,14 +494,14 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
         alone, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
         for mode in MODES:
             key = (mode, radius, 40.0, 50.0)
-            assert np.array_equal(both[key].values, alone[key].values)
+            assert np.array_equal(both[key], alone[key])
     assert len(scenes) == 3 * spec.trials
     assert np.array_equal(
-        both[("direct", 2.0, 40.0, 50.0)].values, both[("direct", 8.0, 40.0, 50.0)].values
+        both[("direct", 2.0, 40.0, 50.0)], both[("direct", 8.0, 40.0, 50.0)]
     )
     # the surfaces do differ, so the radii are not trivially equal
     assert not np.array_equal(
-        both[("with_ris", 2.0, 40.0, 50.0)].values, both[("with_ris", 8.0, 40.0, 50.0)].values
+        both[("with_ris", 2.0, 40.0, 50.0)], both[("with_ris", 8.0, 40.0, 50.0)]
     )
 
 
@@ -542,10 +540,10 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
     assert calls == []
     assert all(not record["cascade_ranks"] for record in records.values())
     for r_d in (50.0, 100.0):
-        direct = results[("direct", 2.0, 0.0, r_d)].values
+        direct = results[("direct", 2.0, 0.0, r_d)]
         assert np.all(np.isfinite(direct))
         for mode in ("with_irs", "with_ris"):
-            assert np.array_equal(results[(mode, 2.0, 0.0, r_d)].values, direct)
+            assert np.array_equal(results[(mode, 2.0, 0.0, r_d)], direct)
     rows, _ = run_blockage_sweep(make_sweep("blockage", cfg, grid=(0.0,)))
     assert len(rows) == 2 * len(MODES)
     assert all(row["p_block"] == 0.0 for row in rows)
@@ -587,7 +585,7 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
         cfg.wavelength_m,
     )
     p_tuned = abs(tuned.weighted_sum(left, right)) ** 2
-    p_fixed = abs(_fixed_profile(cfg, geom).weighted_sum(left, right)) ** 2
+    p_fixed = abs(fixed_profile(cfg, geom).weighted_sum(left, right)) ** 2
     shortfall_db = 10.0 * math.log10(p_tuned / p_fixed)
     assert shortfall_db <= 3.0
 
@@ -628,7 +626,7 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
                     pose_local_angles(pose, p_r - door),
                     lam,
                 )
-                for prof in (tuned, _fixed_profile(cfg, geom)):
+                for prof in (tuned, fixed_profile(cfg, geom)):
                     want = np.sum(reflection_matrix(prof.phases_raw) * product)
                     got = prof.weighted_sum(left, right)
                     assert abs(got - want) <= 1e-10 * float(np.sum(np.abs(product)))
@@ -678,7 +676,7 @@ def test_snr_winners_name_the_beam_pair_each_mode_picked():
     surfaces = []
     for radius in radii:
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d)
-        surfaces.append((layout, _fixed_profile(cfg, layout)))
+        surfaces.append((layout, fixed_profile(cfg, layout)))
     seen = Counter()
     for rho in (10.0, 40.0):
         for trial in range(6):
@@ -697,6 +695,57 @@ def test_snr_winners_name_the_beam_pair_each_mode_picked():
                     assert got >= direct
                 seen[label] += 1
     assert seen["direct"] > 0 and seen["1"] > 0 and seen["2"] > 0
+
+
+def test_a_winner_label_names_the_door_that_won(monkeypatch):
+    # only the lowest (row, side) door that either mode ranked, the first
+    # door a trial scores, gets a non-zero product, scaled to dominate: a
+    # mode that ranked it names its 1-based place in the mode's ranked
+    # order, and a mode that did not falls back to the direct beams, which
+    # see the direct ray at least as well as any door's beams do
+    cascade = experiments.cascaded_channels
+    target = []
+
+    def only_the_target_door(geometry, *args, **kwargs):
+        left, right = cascade(geometry, *args, **kwargs)
+        pose = (geometry.pose.position.tolist(), geometry.pose.side)
+        return (1e9 if pose == target[0] else 0.0) * left, right
+
+    monkeypatch.setattr(experiments, "cascaded_channels", only_the_target_door)
+    d = SimConfig().element_spacing_m
+    seen = Counter()
+    for cap, seed in ((2, 4), (3, 11)):
+        cfg = tiny_config(seed=seed, max_candidates=cap)
+        surfaces = []
+        for radius in (2.0, 8.0):
+            layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d)
+            surfaces.append((layout, fixed_profile(cfg, layout)))
+        for rho in (10.0, 40.0):
+            for trial in range(6):
+                _, doors = draw_chunk(cfg, rho, 100.0, [trial_rng(seed, trial)])
+                ranked = {
+                    mode: _ranked_candidates(doors, getattr(doors, mode), cap).tolist()
+                    for mode in ("irs", "ris")
+                }
+                scored = {*ranked["irs"], *ranked["ris"]}
+                if not scored:
+                    continue
+                first = min(scored, key=lambda i: (doors.row[i], doors.side[i]))
+                pose = door_pose(
+                    doors.points[first], SIDES[doors.side[first]], cfg.n_elements, d
+                )
+                target[:] = [(pose.position.tolist(), pose.side)]
+                record = _snr_trial(cfg, surfaces, rho, 100.0, range(trial, trial + 1))
+                want = {
+                    mode: str(doors_of.index(first) + 1) if first in doors_of else "direct"
+                    for mode, doors_of in ranked.items()
+                }
+                assert record["winners"] == Counter(
+                    {(radius, mode, want[mode]): 1 for radius in (2.0, 8.0) for mode in want}
+                )
+                seen.update(want.values())
+    assert seen["direct"] > 0 and seen["1"] > 0
+    assert set(seen) - {"direct", "1"}, "the target door is never ranked below first"
 
 
 def reference_snr_counts(cfg, rho, r_d):

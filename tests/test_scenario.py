@@ -192,6 +192,10 @@ def test_generate_traffic_validates_inputs():
     for link in (-20.0, 0.0, -0.0, float("nan")):
         with pytest.raises(ValueError, match="link distance must be positive"):
             draw_scenes(ROAD, 10.0, [seeded(0)], link_distance_m=link)
+    # a traffic density is a finite Poisson rate
+    for rho in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="rho must be finite and >= 0"):
+            draw_scenes(ROAD, rho, [seeded(0)])
 
 
 def test_a_same_lane_car_between_the_endpoints_blocks():
