@@ -1,9 +1,10 @@
 """Command line front end: experiment drivers and inspection dumps.
 
 Every subcommand resolves one SimConfig (defaults < JSON file < environment
-< flags), runs, and writes CSV tables plus a JSON sidecar recording the
-resolved configuration and seed, so any output file can be reproduced from
-its sidecar alone.
+< value flags < ``--set``; see ``_resolve``), runs, and writes CSV tables plus
+a JSON sidecar recording the resolved configuration and seed, so any output
+file can be reproduced from its sidecar alone.  A sweep takes its axes from
+its repeatable sweep flags only (``_sweep``).
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ import numpy as np
 
 from .config import SimConfig, resolve_config
 from .experiments import (
-    DEFAULT_R_D_M,
-    DEFAULT_RADII_M,
+    SweepSpec,
     draw_chunk,
     gain_width_deg,
     make_sweep,
@@ -52,34 +52,42 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         metavar="FIELD=VALUE",
-        help="override any config field, e.g. --set radius_m=8",
+        help="override any config field, e.g. --set radius_m=8; wins over every flag",
     )
     parser.add_argument(
         "--reduced",
         action="store_true",
-        help="shrink surfaces to 100x100 elements with a x16 amplitude correction "
-        "(fast SNR runs); it restores only the far-field coherent budget, so "
-        "relayed gains come out up to 16.5 dB above the full-size surface at "
-        "highway relay distances (full-surface run in CHANGES.md)",
+        help="shrink surfaces to 100x100 elements with a x16 amplitude correction, "
+        "for quick looks only: relayed gains come out up to 16.5 dB above the "
+        "full-size surface's at highway relay distances (see README)",
     )
 
 
 def _resolve(args: argparse.Namespace) -> SimConfig:
-    overrides: dict = {}
+    """The run's SimConfig: defaults < JSON file < environment < value flags
+    < ``--set``.  Here alone flags become config overrides: a value flag is
+    one whose destination is a config field (``--reduced`` stands for three),
+    and the ``--set`` entries go in last, so each wins over any flag."""
+    overrides = {
+        name: value
+        for name, value in vars(args).items()
+        if name in SimConfig.__dataclass_fields__ and value is not None
+    }
+    if args.reduced:
+        overrides.update(m_elements=100, n_elements=100, cascade_amp_scale=16.0)
     for item in args.overrides:
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
             raise ValueError(f"override must look like field=value, got {item!r}")
         overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.reduced:
-        overrides.update(m_elements=100, n_elements=100, cascade_amp_scale=16.0)
     return resolve_config(path=args.config, overrides=overrides)
+
+
+def _sweep(args: argparse.Namespace, config: SimConfig, kind: str) -> SweepSpec:
+    """``make_sweep`` of ``kind`` over its repeatable sweep flags (destinations
+    ``grid``, ``r_d``, ``radius``); an axis without its flag takes its default."""
+    axes = {axis: tuple(getattr(args, axis, ())) or None for axis in ("grid", "r_d", "radius")}
+    return make_sweep(kind, config, **axes)
 
 
 def _finish(args, config: SimConfig, name: str, columns, rows, extra=None) -> Path:
@@ -102,7 +110,7 @@ def _print_gain_summary(rows: list[dict], label: str) -> None:
 
 def _cmd_gain_elevation(args) -> int:
     config = _resolve(args)
-    rows = run_gain_elevation(make_sweep("gain-elevation", config))
+    rows = run_gain_elevation(_sweep(args, config, "gain-elevation"))
     _print_gain_summary(rows, "configured surface, elevation")
     _finish(args, config, "gain_elevation.csv", GAIN_COLUMNS, rows,
             {"experiment": "gain-elevation"})
@@ -111,10 +119,7 @@ def _cmd_gain_elevation(args) -> int:
 
 def _cmd_gain_azimuth(args) -> int:
     config = _resolve(args)
-    explicit = {o.partition("=")[0].strip() for o in args.overrides}
-    if args.thetabar_deg is not None and "thetabar_deg" not in explicit:
-        config = config.replace(thetabar_deg=args.thetabar_deg)
-    rows = run_gain_azimuth(make_sweep("gain-azimuth", config))
+    rows = run_gain_azimuth(_sweep(args, config, "gain-azimuth"))
     _print_gain_summary(rows, f"fixed profile at {config.thetabar_deg:g} deg, azimuth")
     _finish(args, config, "gain_azimuth.csv", GAIN_COLUMNS, rows,
             {"experiment": "gain-azimuth"})
@@ -123,7 +128,7 @@ def _cmd_gain_azimuth(args) -> int:
 
 def _cmd_gain_frequency(args) -> int:
     config = _resolve(args)
-    spec = make_sweep("gain-frequency", config, grid=tuple(args.f_ghz) or None)
+    spec = _sweep(args, config, "gain-frequency")
     rows = run_gain_frequency(spec)
     for f_ghz in spec.grid:
         sub = [r for r in rows if r["f_ghz"] == f_ghz]
@@ -143,9 +148,8 @@ def _cmd_gain_frequency(args) -> int:
 
 def _cmd_blockage(args) -> int:
     config = _resolve(args)
-    spec = make_sweep("blockage", config, grid=tuple(args.rho) or None)
-    r_d_values = tuple(args.r_d) or DEFAULT_R_D_M
-    rows, records = run_blockage_sweep(spec, r_d_values=r_d_values)
+    spec = _sweep(args, config, "blockage")
+    rows, records = run_blockage_sweep(spec)
     for row in rows:
         print(
             f"rho={row['rho']:g} r_d={row['r_d']:g} {row['mode']}: "
@@ -154,7 +158,7 @@ def _cmd_blockage(args) -> int:
         )
     _finish(args, config, "blockage.csv",
             ["rho", "r_d", "mode", "p_block", "ci_low", "ci_high", "trials"], rows,
-            {"experiment": "blockage", "r_d_values": list(r_d_values),
+            {"experiment": "blockage", "r_d_values": list(spec.r_d),
              "telemetry": [{"rho": rho, "r_d": r_d, **sidecar_telemetry(record)}
                            for (rho, r_d), record in records.items()]})
     return 0
@@ -162,12 +166,8 @@ def _cmd_blockage(args) -> int:
 
 def _cmd_snr_ecdf(args) -> int:
     config = _resolve(args)
-    spec = make_sweep("snr-ecdf", config, grid=tuple(args.rho) or None)
-    ecdfs, records = run_snr_ecdf(
-        spec,
-        r_d_values=tuple(args.r_d) or DEFAULT_R_D_M,
-        radius_values=tuple(args.radius) or DEFAULT_RADII_M,
-    )
+    spec = _sweep(args, config, "snr-ecdf")
+    ecdfs, records = run_snr_ecdf(spec)
     cap = config.max_candidates
     for (mode, radius, rho, r_d), values in sorted(ecdfs.items()):
         name = f"snr_ecdf_{mode}_R{radius:g}_rho{rho:g}_rd{r_d:g}.csv"
@@ -196,10 +196,7 @@ def _cmd_snr_ecdf(args) -> int:
 
 def _cmd_angle_pdf(args) -> int:
     config = _resolve(args)
-    if args.rho is not None:
-        config = config.replace(rho=args.rho)
-    spec = make_sweep("angle-pdf", config)
-    rows, stats = run_angle_pdf(spec)
+    rows, stats = run_angle_pdf(_sweep(args, config, "angle-pdf"))
     print(
         f"elevation {stats['elevation_mean_deg']:.2f} deg "
         f"(std {stats['elevation_std_deg']:.2f}), "
@@ -213,15 +210,14 @@ def _cmd_angle_pdf(args) -> int:
     return 0
 
 
+def _layout(config: SimConfig):
+    d = config.element_spacing_m
+    return build_cirs_geometry(config.m_elements, config.n_elements, config.radius_m, d, d)
+
+
 def _cmd_phase_dump(args) -> int:
     config = _resolve(args)
-    geometry = build_cirs_geometry(
-        config.m_elements,
-        config.n_elements,
-        config.radius_m,
-        config.element_spacing_m,
-        config.element_spacing_m,
-    )
+    geometry = _layout(config)
     lam = config.wavelength_m
     if args.profile == "perpendicular":
         profile = preconfigured_phase(geometry, 0.0, lam)
@@ -233,17 +229,12 @@ def _cmd_phase_dump(args) -> int:
         incidence = AnglePair(math.radians(args.theta_i), math.radians(args.phi_i))
         reflection = AnglePair(math.radians(args.theta_o), math.radians(args.phi_o))
         profile = optimal_phase(geometry, incidence, reflection, lam)
-    m_signed = geometry.m_signed
-    phases = profile.phases
     rows = [
-        {
-            "m": int(m_signed[i]),
-            "n": j,
-            "psi_m": float(geometry.psi[i]),
-            "phase_rad": float(phases[i, j]),
-        }
-        for i in range(geometry.m_count)
-        for j in range(geometry.n_count)
+        {"m": m, "n": j, "psi_m": psi, "phase_rad": phase}
+        for m, psi, phases in zip(
+            geometry.m_signed.tolist(), geometry.psi.tolist(), profile.phases.tolist()
+        )
+        for j, phase in enumerate(phases)
     ]
     _finish(args, config, "phase_profile.csv",
             ["m", "n", "psi_m", "phase_rad"], rows,
@@ -253,8 +244,6 @@ def _cmd_phase_dump(args) -> int:
 
 def _cmd_scenario_dump(args) -> int:
     config = _resolve(args)
-    flags = {"rho": args.rho, "link_distance_m": args.r_d}
-    config = config.replace(**{k: v for k, v in flags.items() if v is not None})
     # the scene comes from the master seed itself, not from a trial substream
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     scenes, doors = draw_chunk(config, config.rho, config.link_distance_m, [rng])
@@ -281,33 +270,15 @@ def _cmd_scenario_dump(args) -> int:
 
 def _cmd_geometry_dump(args) -> int:
     config = _resolve(args)
-    geometry = build_cirs_geometry(
-        config.m_elements,
-        config.n_elements,
-        config.radius_m,
-        config.element_spacing_m,
-        config.element_spacing_m,
-    )
-    m_signed = geometry.m_signed
-    pos = geometry.positions_local
+    geometry = _layout(config)
+    columns = ["m", "n", "psi_m", "x", "y", "z", "nx", "ny", "nz"]
+    arrays = (geometry.m_signed, geometry.psi, geometry.normals_local, geometry.positions_local)
     rows = [
-        {
-            "m": int(m_signed[i]),
-            "n": j,
-            "psi_m": float(geometry.psi[i]),
-            "x": float(pos[i, j, 0]),
-            "y": float(pos[i, j, 1]),
-            "z": float(pos[i, j, 2]),
-            "nx": float(geometry.normals_local[i, 0]),
-            "ny": float(geometry.normals_local[i, 1]),
-            "nz": float(geometry.normals_local[i, 2]),
-        }
-        for i in range(geometry.m_count)
-        for j in range(geometry.n_count)
+        dict(zip(columns, (m, j, psi, *xyz, *normal)))
+        for m, psi, normal, row in zip(*(a.tolist() for a in arrays))
+        for j, xyz in enumerate(row)
     ]
-    _finish(args, config, "geometry.csv",
-            ["m", "n", "psi_m", "x", "y", "z", "nx", "ny", "nz"], rows,
-            {"experiment": "geometry-dump"})
+    _finish(args, config, "geometry.csv", columns, rows, {"experiment": "geometry-dump"})
     return 0
 
 
@@ -334,18 +305,18 @@ def build_parser() -> argparse.ArgumentParser:
                         "an explicit --set thetabar_deg wins)")
     p = add("gain-frequency", _cmd_gain_frequency,
             "elevation gain across carrier frequencies at fixed aperture")
-    p.add_argument("--f-ghz", type=float, action="append", default=[],
-                   help="carrier frequency in GHz (repeatable)")
+    p.add_argument("--f-ghz", type=float, action="append", default=[], dest="grid",
+                   metavar="F_GHZ", help="carrier frequency in GHz (repeatable)")
     p = add("blockage", _cmd_blockage,
             "Monte-Carlo blockage probability vs traffic density")
-    p.add_argument("--rho", type=float, action="append", default=[],
-                   help="traffic density per lane per km (repeatable)")
+    p.add_argument("--rho", type=float, action="append", default=[], dest="grid",
+                   metavar="RHO", help="traffic density per lane per km (repeatable)")
     p.add_argument("--r-d", type=float, action="append", default=[],
                    help="TxV-RxV distance in m (repeatable)")
     p = add("snr-ecdf", _cmd_snr_ecdf,
             "Monte-Carlo SNR ECDFs for direct and relayed links")
-    p.add_argument("--rho", type=float, action="append", default=[],
-                   help="traffic density per lane per km (repeatable)")
+    p.add_argument("--rho", type=float, action="append", default=[], dest="grid",
+                   metavar="RHO", help="traffic density per lane per km (repeatable)")
     p.add_argument("--r-d", type=float, action="append", default=[],
                    help="TxV-RxV distance in m (repeatable)")
     p.add_argument("--radius", type=float, action="append", default=[],
@@ -365,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("scenario-dump", _cmd_scenario_dump, "one generated traffic scene")
     p.add_argument("--rho", type=float, default=None,
                    help="traffic density per lane per km (default: the configured rho)")
-    p.add_argument("--r-d", type=float, default=None,
+    p.add_argument("--r-d", type=float, default=None, dest="link_distance_m",
+                   metavar="R_D",
                    help="TxV-RxV distance in m (default: the configured link_distance_m)")
     add("geometry-dump", _cmd_geometry_dump,
         "per-element surface coordinates and normals")

@@ -46,6 +46,7 @@ from .scenario import (
     Doors,
     Scenes,
     blocked_modes,
+    check_scene,
     door_pose,
     draw_scenes,
     relay_doors,
@@ -75,6 +76,12 @@ DEFAULT_TRIALS: dict[str, int] = {
 DEFAULT_R_D_M: tuple[float, ...] = (50.0, 100.0)
 DEFAULT_RADII_M: tuple[float, ...] = (2.0, 8.0)
 
+# the axes each kind sweeps, in SweepSpec's order: grid, r_d, radius
+_AXES = {
+    "gain-elevation": ("angle",), "gain-azimuth": ("angle",), "gain-frequency": ("f_ghz",),
+    "blockage": ("rho", "r_d"), "snr-ecdf": ("rho", "r_d", "radius"), "angle-pdf": ("rho", "r_d"),
+}
+
 # the drop below the peak (dB) at which ``gain_width_deg`` measures a width,
 # the normal quantile of the 95 % Wilson intervals, and the resamples and
 # two-sided miss rate of ``bootstrap_median_ci``
@@ -86,54 +93,68 @@ BOOTSTRAP_ALPHA = 0.05
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One experiment request: what to sweep and under which parameters."""
+    """One experiment request: what to sweep and under which parameters.
+
+    ``grid`` holds a gain sweep's angles (deg) or carrier frequencies (GHz),
+    or a scene sweep's densities rho, run at every link distance of ``r_d``
+    (m) and, for snr-ecdf, every cylinder radius of ``radius`` (m).  Every
+    axis its kind sweeps (``_AXES``) is checked here: non-empty, no value
+    twice, and each (rho, r_d) point drawable (``check_scene``).
+    """
 
     kind: str
     grid: tuple[float, ...]
     config: SimConfig
     trials: int
+    r_d: tuple[float, ...] = ()
+    radius: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in DEFAULT_TRIALS:
+        if self.kind not in _AXES:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if len(self.grid) == 0:
-            raise ValueError("sweep grid must be non-empty")
-        _check_distinct(_GRID_AXES.get(self.kind, "rho"), self.grid)
+        for axis, values in zip(_AXES[self.kind], (self.grid, self.r_d, self.radius)):
+            if len(values) == 0:
+                raise ValueError(f"sweep {axis} values must be non-empty")
+            # a repeated value would run its point twice and write it once
+            for value, count in Counter(map(float, values)).items():
+                if count > 1:
+                    raise ValueError(f"repeated {axis} value {value:g}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        cfg = self.config
+        for rho, r_d in self.points:
+            try:
+                check_scene(cfg.road_length_m, rho, r_d, cfg.vehicle_length_m)
+            except ValueError as exc:
+                raise ValueError(f"{self.kind} rho={rho:g} r_d={r_d:g}: {exc}") from exc
 
-
-# what the sweep grid of each kind holds, where it is not rho
-_GRID_AXES = {"gain-elevation": "angle", "gain-azimuth": "angle", "gain-frequency": "f_ghz"}
-
-
-def _check_distinct(axis: str, values) -> None:
-    """Reject a sweep axis that names a value twice, which would run its
-    point twice and write it once."""
-    for value, count in Counter(map(float, values)).items():
-        if count > 1:
-            raise ValueError(f"repeated {axis} value {value:g}")
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        """The (rho, r_d) points of a scene sweep, rho-major; none for a gain sweep."""
+        return [(float(rho), float(r_d)) for rho in self.grid for r_d in self.r_d]
 
 
 def make_sweep(
     kind: str,
     config: SimConfig,
     grid: tuple[float, ...] | None = None,
+    r_d: tuple[float, ...] | None = None,
+    radius: tuple[float, ...] | None = None,
 ) -> SweepSpec:
-    """SweepSpec with per-kind default grid/trials, honoring config overrides.
-
-    A kind without a default grid (``angle-pdf``) runs at ``config.rho``.
-    """
-    if kind not in DEFAULT_TRIALS:
+    """SweepSpec of ``kind``, each axis not given at its default, with the
+    configured trials or the kind's default.  The default axes are
+    ``DEFAULT_GRIDS``, ``DEFAULT_R_D_M`` and ``DEFAULT_RADII_M``; angle-pdf
+    runs at one point, by default the configured rho and link distance."""
+    if kind not in _AXES:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    if grid is None:
-        grid = DEFAULT_GRIDS.get(kind, (config.rho,))
-    return SweepSpec(
-        kind=kind,
-        grid=tuple(grid),
-        config=config,
-        trials=config.trials if config.trials is not None else DEFAULT_TRIALS[kind],
-    )
+    if kind == "angle-pdf":
+        defaults = ((config.rho,), (config.link_distance_m,))
+    else:
+        defaults = (DEFAULT_GRIDS[kind], DEFAULT_R_D_M, DEFAULT_RADII_M)
+    given = (grid, r_d, radius)[: len(_AXES[kind])]
+    grid, *axes = (tuple(d if axis is None else axis) for axis, d in zip(given, defaults))
+    trials = config.trials if config.trials is not None else DEFAULT_TRIALS[kind]
+    return SweepSpec(kind, grid, config, trials, *axes)
 
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
@@ -168,10 +189,8 @@ def merge_records(records: list[dict]) -> dict:
     }
 
 
-def _map_trials(
-    spec: SweepSpec, r_d_values: tuple[float, ...], worker, chunk: int = 1
-) -> dict[tuple[float, float], dict]:
-    """The record of all ``spec.trials`` trials at each (rho, r_d) of the sweep.
+def _map_trials(spec: SweepSpec, worker, chunk: int = 1) -> dict[tuple[float, float], dict]:
+    """The record of all ``spec.trials`` trials at each (rho, r_d) of ``spec.points``.
 
     ``worker(rho, r_d, trials)`` returns the record of a range of up to
     ``chunk`` consecutive trials: a dict of named columns, arrays with one
@@ -183,10 +202,9 @@ def _map_trials(
     every point; each worker is spawned fresh and runs BLAS on one thread
     (``_one_blas_thread``).  A trial that raises aborts the sweep with a
     ValueError naming the point, as ``"<kind> rho=.. r_d=.."``, and the
-    trial index (``_run_trial``).  A repeated r_d is rejected.
+    trial index (``_run_trial``).
     """
-    _check_distinct("r_d", r_d_values)
-    grid = [(float(rho), float(r_d)) for rho in spec.grid for r_d in r_d_values]
+    grid = spec.points
     n = spec.trials
     chunks = [range(t, min(t + chunk, n)) for t in range(0, n, chunk)]
     workers = [partial(worker, rho, r_d) for rho, r_d in grid for _ in chunks]
@@ -453,9 +471,7 @@ def _blockage_chunk(config: SimConfig, rho: float, r_d: float, trials: range) ->
     return {"blocked": flags, "irs_doors": irs, "ris_doors": ris, "dropped": scenes.dropped}
 
 
-def run_blockage_sweep(
-    spec: SweepSpec, r_d_values: tuple[float, ...] = DEFAULT_R_D_M
-) -> tuple[list[dict], dict[tuple[float, float], dict]]:
+def run_blockage_sweep(spec: SweepSpec) -> tuple[list[dict], dict[tuple[float, float], dict]]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals,
     and the record of each (rho, r_d) (see ``_blockage_chunk``).
 
@@ -463,7 +479,7 @@ def run_blockage_sweep(
     """
     rows = []
     worker = partial(_blockage_chunk, spec.config)
-    records = _map_trials(spec, r_d_values, worker, SCENE_CHUNK)
+    records = _map_trials(spec, worker, SCENE_CHUNK)
     for (rho, r_d), record in records.items():
         for mode, blocked in zip(MODES, record["blocked"].sum(axis=0).tolist()):
             lo, hi = wilson_interval(blocked, spec.trials)
@@ -627,31 +643,28 @@ def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: rang
 
 def run_snr_ecdf(
     spec: SweepSpec,
-    r_d_values: tuple[float, ...] = DEFAULT_R_D_M,
-    radius_values: tuple[float, ...] = DEFAULT_RADII_M,
 ) -> tuple[dict[tuple[str, float, float, float], np.ndarray], dict[tuple[float, float], dict]]:
     """SNR ECDFs per (mode, radius, rho, r_d), each the sorted float array of
     its per-trial samples, and the record of each (rho, r_d).
 
-    rho values come from spec.grid; a repeated rho, r_d or radius is
-    rejected.  Each trial is one scene scored at every radius (see
-    ``_snr_trial``) on element layouts and fixed profiles built once here.
-    The fixed profile, for (thetabar, phibar) -> (-thetabar, phibar),
-    depends on the layout only, so one per radius serves every door.
+    Each trial is one scene of a point of ``spec.points`` scored at every
+    radius of ``spec.radius`` (see ``_snr_trial``) on element layouts and
+    fixed profiles built once here.  The fixed profile, for (thetabar,
+    phibar) -> (-thetabar, phibar), depends on the layout only, so one per
+    radius serves every door.
     """
     cfg = spec.config
-    _check_distinct("radius", radius_values)
     d = cfg.element_spacing_m
     surfaces = []
-    for radius in radius_values:
+    for radius in spec.radius:
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
         fixed = preconfigured_phase(layout, cfg.thetabar_rad, cfg.wavelength_m, cfg.phibar_rad)
         surfaces.append((layout, fixed))
-    records = _map_trials(spec, r_d_values, partial(_snr_trial, cfg, surfaces))
+    records = _map_trials(spec, partial(_snr_trial, cfg, surfaces))
     ecdfs = {
         (mode, float(radius), rho, r_d): np.sort(record["snr_db"][:, i, col])
         for (rho, r_d), record in records.items()
-        for i, radius in enumerate(radius_values)
+        for i, radius in enumerate(spec.radius)
         for col, mode in enumerate(MODES)
     }
     return ecdfs, records
@@ -704,7 +717,7 @@ def _angle_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> di
 
 def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     """Empirical PDFs of candidate-door incidence angles, in 1 deg bins, at
-    the one rho of spec.grid and the configured link distance.
+    the one point of the spec (see ``make_sweep``).
 
     Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
@@ -714,8 +727,7 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
         raise ValueError(f"angle-pdf runs at one rho, got the grid ({grid})")
     bin_deg = 1.0
     worker = partial(_angle_chunk, spec.config)
-    r_d = (spec.config.link_distance_m,)
-    [record] = _map_trials(spec, r_d, worker, SCENE_CHUNK).values()
+    [record] = _map_trials(spec, worker, SCENE_CHUNK).values()
     elev, azim = record["elevation"], record["azimuth"]
     if elev.size == 0:
         raise ValueError("no relay candidates observed; increase rho or trials")

@@ -136,14 +136,14 @@ def build_cirs_geometry(
     radius: float,
     d_m: float,
     d_n: float,
-    pose: DoorPose | None = None,
 ) -> CirsGeometry:
     """Lay out M x N elements on a cylinder section of radius R.
 
     Row m sits at arc angle psi_m = m * 2*arcsin(d_m / (2R)) so that the chord
     between vertically adjacent elements is exactly d_m.  Local coordinates:
     x = R(cos psi - 1), y = n * d_n, z = R sin psi; the reference element
-    (m = 0, n = 0) sits at the door-frame origin.
+    (m = 0, n = 0) sits at the door-frame origin, and the door frame at the
+    global origin (``dataclasses.replace(layout, pose=...)`` mounts it).
     """
     if m_count < 1 or m_count % 2 != 0:
         raise ValueError(f"m_count must be a positive even integer, got {m_count}")
@@ -155,8 +155,6 @@ def build_cirs_geometry(
         raise ValueError(f"d_m must satisfy 0 < d_m < 2R, got {d_m}")
     if d_n <= 0:
         raise ValueError(f"d_n must be positive, got {d_n}")
-    if pose is None:
-        pose = DoorPose(position=np.zeros(3))
 
     m = np.arange(m_count) - m_count // 2
     psi = m * 2.0 * math.asin(d_m / (2.0 * radius))
@@ -172,7 +170,7 @@ def build_cirs_geometry(
         radius=radius,
         d_m=d_m,
         d_n=d_n,
-        pose=pose,
+        pose=DoorPose(position=np.zeros(3)),
         psi=psi,
         row_positions_local=rows,
         column_offsets_local=d_n * np.arange(n_count),

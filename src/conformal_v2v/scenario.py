@@ -159,6 +159,22 @@ class Scenes:
         return rows, boxes[rows].T.copy(), keys[order], stride, reach
 
 
+def check_scene(
+    road_length_m: float, rho: float, link_distance_m: float, vehicle_length_m: float
+) -> None:
+    """Reject a scene ``draw_scenes`` cannot draw: a density that is negative
+    or not finite, or a link that is not positive or ends past the road."""
+    if not 0 <= rho < np.inf:
+        raise ValueError(f"rho must be finite and >= 0, got {rho}")
+    if not link_distance_m > 0:
+        raise ValueError(f"link distance must be positive, got {link_distance_m} m")
+    # the RxV's far end, summed as ``_placements`` places the RxV
+    if vehicle_length_m / 2.0 + link_distance_m + vehicle_length_m / 2.0 > road_length_m:
+        raise ValueError(
+            f"link distance {link_distance_m} m does not fit a {road_length_m} m road"
+        )
+
+
 def _placements(
     road: RoadConfig,
     rho: float,
@@ -168,17 +184,9 @@ def _placements(
 ) -> tuple[list[int], list[float], int]:
     """Lane and center y of every vehicle of one scene, TxV and RxV first,
     and the number of dropped placements; see ``draw_scenes``."""
-    if not 0 <= rho < np.inf:
-        raise ValueError(f"rho must be finite and >= 0, got {rho}")
-    if not link_distance_m > 0:
-        raise ValueError(f"link distance must be positive, got {link_distance_m} m")
     center = road.n_lanes // 2
     y_t = vehicle_length_m / 2.0
     y_r = y_t + link_distance_m
-    if y_r + vehicle_length_m / 2.0 > road.length:
-        raise ValueError(
-            f"link distance {link_distance_m} m does not fit a {road.length} m road"
-        )
 
     lanes, ys = [center, center], [y_t, y_r]
     dropped = 0
@@ -246,6 +254,7 @@ def draw_scenes(
     ``link_distance_m`` further down the same lane.  Draws come in the order
     of one placement at a time, each retried until it fits or runs out.
     """
+    check_scene(road.length, rho, link_distance_m, vehicle_length_m)
     lanes: list[int] = []
     ys: list[float] = []
     txv, dropped = [], []

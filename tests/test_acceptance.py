@@ -8,6 +8,7 @@ failing window still documents what the model produces.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_phase_gradient_satisfies_the_generalized_reflection_law():
 
 def test_tuned_cascade_is_coherent_for_exactly_one_sign_convention():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(60, 60, 2.0, LAM / 4.0, LAM / 4.0, pose)
+    geom = replace(build_cirs_geometry(60, 60, 2.0, LAM / 4.0, LAM / 4.0), pose=pose)
     p_t, p_r = vec3(25.0, -35.0, 1.5), vec3(25.0, 35.0, 1.5)
     left, right = cascaded_channels(geom, p_t, p_r, 1, LAM, [1.0], [1.0])
     incidence = pose_local_angles(pose, p_t - pose.position)
@@ -167,8 +168,9 @@ def test_cascaded_matrices_match_the_elementwise_scalar_sum():
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 3))
         pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-        geom = build_cirs_geometry(
-            m, n, float(rng.uniform(0.5, 4.0)), LAM / 4.0, LAM / 4.0, pose
+        geom = replace(
+            build_cirs_geometry(m, n, float(rng.uniform(0.5, 4.0)), LAM / 4.0, LAM / 4.0),
+            pose=pose,
         )
         p_t = vec3(rng.uniform(4.0, 30.0), rng.uniform(-30.0, -4.0), 1.5)
         p_r = vec3(rng.uniform(4.0, 30.0), rng.uniform(4.0, 30.0), 1.5)
@@ -273,8 +275,8 @@ def test_gain_and_beamwidth_trends_across_carrier_frequencies():
 
 def test_blockage_rescue_rates_from_door_mounted_relays():
     cfg = SimConfig().replace(trials=10_000)
-    spec = make_sweep("blockage", cfg, grid=(10.0, 20.0, 30.0, 40.0))
-    rows, _ = run_blockage_sweep(spec, r_d_values=(100.0,))
+    spec = make_sweep("blockage", cfg, grid=(10.0, 20.0, 30.0, 40.0), r_d=(100.0,))
+    rows, _ = run_blockage_sweep(spec)
     p = {(r["rho"], r["mode"]): r["p_block"] for r in rows}
     direct = [p[(rho, "direct")] for rho in spec.grid]
     base = p[(30.0, "direct")]
@@ -305,8 +307,8 @@ def test_median_snr_gains_dominance_and_radius_insensitivity():
     cfg = SimConfig().replace(
         m_elements=100, n_elements=100, cascade_amp_scale=16.0, trials=200
     )
-    spec = make_sweep("snr-ecdf", cfg, grid=(10.0, 40.0))
-    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    spec = make_sweep("snr-ecdf", cfg, grid=(10.0, 40.0), r_d=(50.0,), radius=(2.0, 8.0))
+    results, _ = run_snr_ecdf(spec)
 
     def med(mode, radius, rho):
         return float(np.quantile(results[(mode, radius, rho, 50.0)], 0.5))

@@ -2,7 +2,7 @@
 
 A public top-level function or class of ``src/``, or a public method or
 property of a public class, must be referenced somewhere in the code of
-``src/``, ``bench/`` or ``scripts/`` outside its own definition.  References
+``src/`` or ``bench/`` outside its own definition.  References
 from the tests do not count: a closed form or view that only a test reads
 belongs in ``tests/oracles.py``, not in the package.
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "conformal_v2v"
-CALLER_DIRS = (ROOT / "src", ROOT / "bench", ROOT / "scripts")
+CALLER_DIRS = (ROOT / "src", ROOT / "bench")
 
 
 def _definitions(tree: ast.Module, module: str, private: bool = False):

@@ -1,6 +1,7 @@
 """Path loss, antenna/element patterns, direct and cascaded channels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_cascade_power_matches_the_far_field_ris_law_at_broadside():
     # on its axis at two distances.
     m, n, d = 8, 6, LAM / 4
     pose = DoorPose(position=vec3(0.0, -(n - 1) * d / 2.0, 0.9), side="right")
-    geom = build_cirs_geometry(m, n, 1.0e6, d, d, pose)
+    geom = replace(build_cirs_geometry(m, n, 1.0e6, d, d), pose=pose)
     r_t, r_r = 10.0, 25.0
     left, right = cascaded_channels(
         geom, vec3(r_t, 0.0, 0.9), vec3(r_r, 0.0, 0.9), 1, LAM, [1.0], [1.0]
@@ -305,7 +306,8 @@ def test_cascaded_channel_matches_scalar_reference():
         n = int(rng.integers(1, 9))
         k = int(rng.integers(1, 3))
         pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-        geom = build_cirs_geometry(m, n, float(rng.uniform(0.5, 4.0)), LAM / 4, LAM / 4, pose)
+        radius = float(rng.uniform(0.5, 4.0))
+        geom = replace(build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4), pose=pose)
         p_t = vec3(rng.uniform(5, 30), rng.uniform(-30, -5), 1.5)
         p_r = vec3(rng.uniform(5, 30), rng.uniform(5, 30), 1.5)
         f, w = random_beams(rng, k)
@@ -320,7 +322,7 @@ def test_cascaded_channel_matches_scalar_reference():
 
 def test_cascade_amp_scale_multiplies_the_product_once():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(4, 4, 2.0, LAM / 4, LAM / 4, pose)
+    geom = replace(build_cirs_geometry(4, 4, 2.0, LAM / 4, LAM / 4), pose=pose)
     p_t, p_r = vec3(10.0, -20.0, 1.5), vec3(10.0, 20.0, 1.5)
     f, w = random_beams(np.random.default_rng(6), 2)
     base = cascaded_channels(geom, p_t, p_r, 2, LAM, f, w)
@@ -333,7 +335,7 @@ def test_cascade_amp_scale_multiplies_the_product_once():
 
 def test_cascade_shares_one_random_phase_per_segment():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
+    geom = replace(build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4), pose=pose)
     p_t, p_r = vec3(8.0, -15.0, 1.5), vec3(8.0, 15.0, 1.5)
     f, w = random_beams(np.random.default_rng(7), 2)
     plain_a, plain_b = kernel_segments(geom, p_t, p_r, 2, LAM, f, w)
@@ -356,7 +358,7 @@ def test_cascade_shares_one_random_phase_per_segment():
 
 def test_cascade_rejects_near_field_endpoints():
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4, pose)
+    geom = replace(build_cirs_geometry(4, 2, 2.0, LAM / 4, LAM / 4), pose=pose)
     too_close = vec3(MIN_DISTANCE_WAVELENGTHS * LAM * 0.5, 0.0, 0.9)
     with pytest.raises(ValueError):
         cascaded_channels(geom, too_close, vec3(10.0, 10.0, 1.5), 2, LAM, [1, 1], [1, 1])
@@ -448,7 +450,7 @@ def cascade_cases(draw):
         ),
         side=draw(st.sampled_from(("left", "right"))),
     )
-    geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
+    geom = replace(build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4), pose=pose)
     distance = st.floats(0.3, MAX_RANGE_M)
     p_t, p_r = draw_endpoint(draw, geom, distance), draw_endpoint(draw, geom, distance)
     k = draw(st.integers(1, 8))
@@ -466,8 +468,9 @@ path_phase = st.floats(0.0, 2.0 * math.pi, exclude_max=True)
     # q / 2 underflows to 0, and every element is unlit for the one
     # weighted antenna: the entries must stay exact zeros
     case=(
-        build_cirs_geometry(
-            2, 1, 0.5, LAM / 4, LAM / 4, DoorPose(position=vec3(0.0, 0.0, 1.0), side="left")
+        replace(
+            build_cirs_geometry(2, 1, 0.5, LAM / 4, LAM / 4),
+            pose=DoorPose(position=vec3(0.0, 0.0, 1.0), side="left"),
         ),
         vec3(0.35017907, -0.7651474, 1.53896395),
         vec3(-0.841467402, 0.0, 1.53896395),
@@ -551,7 +554,7 @@ def skeleton_cases(draw):
         position=vec3(draw(st.floats(-20.0, 20.0)), draw(st.floats(-100.0, 100.0)), 0.9),
         side=draw(st.sampled_from(("left", "right"))),
     )
-    geom = build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4, pose)
+    geom = replace(build_cirs_geometry(m, n, radius, LAM / 4, LAM / 4), pose=pose)
     near = st.floats(3.5, 5.0)
     p_t = draw_endpoint(draw, geom, near, tangent_only=True)
     p_r = draw_endpoint(draw, geom, st.one_of(near, st.floats(5.0, MAX_RANGE_M)), True)
@@ -621,7 +624,7 @@ def test_beamformed_cascade_is_finite_at_the_half_angle_pole():
     # conjugated receive weight puts that leg at -fl(pi / 2)).
     lam = 2.0**-6
     pose = DoorPose(position=vec3(0.0, 0.0, 1.0), side="right")
-    geom = build_cirs_geometry(2, 1, 2.0, lam / 4, lam / 4, pose)
+    geom = replace(build_cirs_geometry(2, 1, 2.0, lam / 4, lam / 4), pose=pose)
     ref = geom.m_count // 2
     endpoint = vec3(16.0, 0.0, 1.0)
     assert np.linalg.norm(endpoint - element_positions(geom)[ref]) / lam == 1024.0
@@ -650,7 +653,7 @@ def test_near_field_guard_covers_elements_off_the_skeleton(monkeypatch):
     cfg = SimConfig()
     d = cfg.element_spacing_m
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, 2.0, d, d, pose)
+    geom = replace(build_cirs_geometry(cfg.m_elements, cfg.n_elements, 2.0, d, d), pose=pose)
     m0, n0 = geom.m_count // 2, 100  # the reference row, normal along +x
     pos = element_positions(geom)
     p_t = pos[m0 * geom.n_count + n0] + vec3(4.0, 0.0, 0.0)
@@ -689,7 +692,7 @@ def test_unlit_large_surface_factors_to_a_zero_product():
     cfg = SimConfig()
     d = cfg.element_spacing_m
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(64, 48, 2.0, d, d, pose)
+    geom = replace(build_cirs_geometry(64, 48, 2.0, d, d), pose=pose)
     assert SKELETON_START_COLUMNS + SKELETON_PROBES < min(geom.m_count, geom.n_count)
     p_t, p_r = vec3(-5.0, -3.0, 1.5), vec3(-30.0, 60.0, 1.5)
     k = 4

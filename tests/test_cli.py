@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from conformal_v2v import experiments
 from conformal_v2v.cli import main
 from conformal_v2v.config import SimConfig
 from conformal_v2v.experiments import _git_revision, make_sweep, run_snr_ecdf
@@ -107,6 +108,64 @@ def test_a_repeated_sweep_value_exits_with_an_error(tmp_path, capsys, command, f
     axis = flag[2:].replace("-", "_")
     assert err == f"error: repeated {axis} value {value}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, worker, message",
+    [
+        (["blockage", "--rho", "10", "--rho", "nan", "--threads", "2"], "_blockage_chunk",
+         "blockage rho=nan r_d=50: rho must be finite and >= 0, got nan"),
+        (["snr-ecdf", "--r-d", "50", "--r-d", "600"], "_snr_trial",
+         "snr-ecdf rho=10 r_d=600: link distance 600.0 m does not fit a 500.0 m road"),
+    ],
+    ids=["blockage", "snr-ecdf"],
+)
+def test_a_bad_sweep_point_fails_before_any_trial(
+    tmp_path, capsys, monkeypatch, argv, worker, message
+):
+    # the sweep's points are checked when its spec is made: the valid points
+    # run no trial first, and nothing is written
+    calls = []
+    monkeypatch.setattr(experiments, worker, lambda *args: calls.append(args))
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "base, flag, field, value, other",
+    [
+        pytest.param(["geometry-dump", *TINY_SURFACE], ["--seed", "5"], "seed", 5, 6,
+                     id="seed"),
+        pytest.param(["geometry-dump", *TINY_SURFACE], ["--trials", "7"], "trials", 7, 8,
+                     id="trials"),
+        pytest.param(["geometry-dump", *TINY_SURFACE], ["--threads", "2"], "threads", 2, 3,
+                     id="threads"),
+        pytest.param(["geometry-dump"], ["--reduced"], "m_elements", 100, 50, id="reduced"),
+        pytest.param(["gain-azimuth", "--set", "f_ghz=2"], ["--thetabar-deg", "45"],
+                     "thetabar_deg", 45.0, 30.0, id="thetabar-deg"),
+        pytest.param(["angle-pdf", "--trials", "5"], ["--rho", "40"], "rho", 40.0, 20.0,
+                     id="angle-pdf-rho"),
+        pytest.param(["scenario-dump"], ["--rho", "40"], "rho", 40.0, 20.0,
+                     id="scenario-dump-rho"),
+        pytest.param(["scenario-dump"], ["--r-d", "60"], "link_distance_m", 60.0, 80.0,
+                     id="scenario-dump-r-d"),
+    ],
+)
+def test_a_value_flag_yields_to_a_set_entry_of_its_field(
+    tmp_path, base, flag, field, value, other
+):
+    # a value flag and --set write one override map, --set last
+    def recorded(name, *extra):
+        out = tmp_path / name
+        assert main([*base, "--out-dir", str(out), *extra]) == 0
+        [sidecar] = out.glob("*.json")
+        return json.loads(sidecar.read_text())["config"][field]
+
+    assert recorded("flag", *flag) == value
+    assert recorded("set", "--set", f"{field}={other}") == other
+    assert recorded("both", *flag, "--set", f"{field}={other}") == other
 
 
 def test_unknown_override_key_mentions_unit_suffixes(tmp_path, capsys):
@@ -268,8 +327,8 @@ def test_snr_ecdf_sidecars_carry_their_own_point_and_radius(tmp_path):
     counts = {rho: reference_snr_counts(config, rho, 50.0) for rho in (10.0, 40.0)}
     doors = {rho: reference_door_telemetry(rows, 2) for rho, rows in counts.items()}
     assert doors[10.0] != doors[40.0]
-    spec = make_sweep("snr-ecdf", config, grid=(10.0, 40.0))
-    _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    spec = make_sweep("snr-ecdf", config, grid=(10.0, 40.0), r_d=(50.0,), radius=(2.0, 8.0))
+    _, records = run_snr_ecdf(spec)
     ranks = {
         (rho, radius): Counter(
             {label: n for (at, label), n in record["cascade_ranks"].items() if at == radius}

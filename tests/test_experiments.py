@@ -6,6 +6,7 @@ import math
 import os
 import re
 from collections import Counter
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -107,6 +108,26 @@ def test_sweep_spec_validation_and_defaults():
         make_sweep("blockage", cfg, grid=(10.0, 40.0, 10))
     with pytest.raises(ValueError, match="^repeated f_ghz value 28$"):
         make_sweep("gain-frequency", cfg, grid=(28.0, 28.0))
+    # every axis has its default in make_sweep, and a kind leaves the axes it
+    # does not sweep empty
+    assert (spec.r_d, spec.radius) == ((50.0, 100.0), ())
+    assert make_sweep("snr-ecdf", cfg).radius == (2.0, 8.0)
+    assert make_sweep("angle-pdf", cfg.replace(link_distance_m=60.0)).r_d == (60.0,)
+    assert make_sweep("gain-elevation", cfg, r_d=(50.0,)).points == []
+    assert make_sweep("blockage", cfg, grid=(10.0, 40.0), r_d=(50.0,)).points == [
+        (10.0, 50.0), (40.0, 50.0)
+    ]
+    with pytest.raises(ValueError, match="^repeated r_d value 50$"):
+        make_sweep("blockage", cfg, r_d=(50.0, 50))
+    with pytest.raises(ValueError, match="^repeated radius value 2$"):
+        make_sweep("snr-ecdf", cfg, radius=(2.0, 2.0))
+    with pytest.raises(ValueError, match="^sweep radius values must be non-empty$"):
+        SweepSpec("snr-ecdf", (10.0,), cfg, 1, r_d=(50.0,))
+    # each point is checked against the scene rules when the spec is made
+    with pytest.raises(ValueError, match=r"^angle-pdf rho=inf r_d=100: rho must be finite"):
+        make_sweep("angle-pdf", cfg, grid=(math.inf,))
+    with pytest.raises(ValueError, match="^blockage rho=10 r_d=496: link distance 496.0 m"):
+        make_sweep("blockage", cfg, grid=(10.0,), r_d=(495.0, 496.0))
 
 
 def test_trial_rng_substreams_are_stable_and_distinct():
@@ -134,8 +155,10 @@ def test_process_pool_matches_the_sequential_trial_order():
     worker = partial(_blockage_chunk, cfg)
 
     def swept(threads):
-        spec = make_sweep("blockage", cfg.replace(threads=threads), grid=(10.0, 30.0))
-        records = _map_trials(spec, (100.0,), worker, chunk=5)
+        spec = make_sweep(
+            "blockage", cfg.replace(threads=threads), grid=(10.0, 30.0), r_d=(100.0,)
+        )
+        records = _map_trials(spec, worker, chunk=5)
         return {point: listed(record) for point, record in records.items()}
 
     seq = swept(1)
@@ -166,8 +189,8 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     before = dict(os.environ)
-    spec = make_sweep("blockage", SimConfig(trials=4, threads=2), grid=(30.0,))
-    (out,) = _map_trials(spec, (100.0,), blas_threads_of_process).values()
+    spec = make_sweep("blockage", SimConfig(trials=4, threads=2), grid=(30.0,), r_d=(100.0,))
+    (out,) = _map_trials(spec, blas_threads_of_process).values()
     assert dict(os.environ) == before
     assert all(pid != os.getpid() for pid in out["pid"].tolist())
     assert out["blas"].tolist() == [["1", "1", "1"]] * 4
@@ -213,12 +236,13 @@ def test_worker_count_is_clamped_to_cores_and_trials(
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
     grid = tuple(float(k) for k in range(n_points))
-    spec = make_sweep("blockage", SimConfig(trials=n_trials, threads=threads), grid=grid)
+    config = SimConfig(trials=n_trials, threads=threads)
+    spec = make_sweep("blockage", config, grid=grid, r_d=(100.0,))
 
     def worker(rho, r_d, trials):
         return {"value": np.array([rho + i * i for i in trials])}
 
-    out = _map_trials(spec, (100.0,), worker)
+    out = _map_trials(spec, worker)
     assert {point: record["value"].tolist() for point, record in out.items()} == {
         (float(k), 100.0): [k + i * i for i in range(n_trials)] for k in range(n_points)
     }
@@ -226,7 +250,7 @@ def test_worker_count_is_clamped_to_cores_and_trials(
 
 
 def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch):
-    spec = make_sweep("snr-ecdf", SimConfig(trials=5), grid=(10.0,))
+    spec = make_sweep("snr-ecdf", SimConfig(trials=5), grid=(10.0,), r_d=(50.0,))
 
     def worker(rho, r_d, trials):
         [trial] = trials
@@ -236,7 +260,7 @@ def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch
 
     point = r"^snr-ecdf rho=10 r_d=50, trial 3: antenna-element"
     with pytest.raises(ValueError, match=point) as info:
-        _map_trials(spec, (50.0,), worker)
+        _map_trials(spec, worker)
     assert isinstance(info.value.__cause__, ValueError)
     assert "model guard" in str(info.value.__cause__)
 
@@ -247,7 +271,7 @@ def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch
         return {"trial": np.array(trials)}
 
     with pytest.raises(ValueError, match=point) as info:
-        _map_trials(spec, (50.0,), chunk_worker, chunk=2)
+        _map_trials(spec, chunk_worker, chunk=2)
     assert "model guard" in str(info.value.__cause__)
 
     # trial 2 of the rho = 40 point fails while drawing its scene, inside a
@@ -262,9 +286,9 @@ def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch
         return placements(road, rho, rng, *args)
 
     monkeypatch.setattr(scenario, "_placements", fail_once)
-    spec = make_sweep("blockage", cfg, grid=(10.0, 40.0))
+    spec = make_sweep("blockage", cfg, grid=(10.0, 40.0), r_d=(100.0,))
     with pytest.raises(ValueError, match=r"^blockage rho=40 r_d=100, trial 2: float") as info:
-        run_blockage_sweep(spec, r_d_values=(100.0,))
+        run_blockage_sweep(spec)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
 
 
@@ -366,8 +390,8 @@ def test_gain_frequency_table_is_frequency_major_over_fixed_apertures():
 
 def test_blockage_sweep_orders_the_modes_pointwise():
     cfg = SimConfig().replace(trials=300)
-    spec = make_sweep("blockage", cfg, grid=(20.0, 40.0))
-    rows, _ = run_blockage_sweep(spec, r_d_values=(100.0,))
+    spec = make_sweep("blockage", cfg, grid=(20.0, 40.0), r_d=(100.0,))
+    rows, _ = run_blockage_sweep(spec)
     assert len(rows) == 2 * 1 * len(MODES)
     by_key = {(r["rho"], r["mode"]): r for r in rows}
     for rho in (20.0, 40.0):
@@ -432,8 +456,8 @@ def sidecar_view(sweep):
 def test_blockage_sweep_matches_the_per_trial_reference_at_chunk_edges(trials):
     # rho = 0 leaves only the endpoints: no door and no leg segment
     cfg = SimConfig().replace(trials=trials, seed=3)
-    spec = make_sweep("blockage", cfg, grid=(0.0, 40.0))
-    got = sidecar_view(run_blockage_sweep(spec, r_d_values=(50.0, 100.0)))
+    spec = make_sweep("blockage", cfg, grid=(0.0, 40.0), r_d=(50.0, 100.0))
+    got = sidecar_view(run_blockage_sweep(spec))
     assert got == reference_blockage_sweep(cfg, (0.0, 40.0), (50.0, 100.0))
 
 
@@ -441,7 +465,7 @@ def test_a_chunk_with_every_direct_ray_clear_matches_the_reference():
     # at this seed no trial of the chunk has a blocker on its direct ray,
     # while its scenes hold gated doors
     cfg = SimConfig().replace(trials=SCENE_CHUNK, seed=8)
-    got = sidecar_view(run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,)), (50.0,)))
+    got = sidecar_view(run_blockage_sweep(make_sweep("blockage", cfg, grid=(2.0,), r_d=(50.0,))))
     rows, _, telemetry = got
     assert all(row["p_block"] == 0.0 for row in rows)
     assert telemetry[(2.0, 50.0)]["ris_candidates"]["max"] > 0
@@ -453,14 +477,15 @@ def test_pooled_blockage_sweep_matches_the_sequential_one(monkeypatch):
     # to the same values
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = SimConfig().replace(trials=2 * SCENE_CHUNK + 1, seed=7)
-    seq = run_blockage_sweep(make_sweep("blockage", cfg, grid=(10.0, 40.0)), (100.0,))
-    pooled = make_sweep("blockage", cfg.replace(threads=2), grid=(10.0, 40.0))
-    assert sidecar_view(run_blockage_sweep(pooled, (100.0,))) == sidecar_view(seq)
+    spec = make_sweep("blockage", cfg, grid=(10.0, 40.0), r_d=(100.0,))
+    seq = run_blockage_sweep(spec)
+    pooled = replace(spec, config=cfg.replace(threads=2))
+    assert sidecar_view(run_blockage_sweep(pooled)) == sidecar_view(seq)
 
 
 def test_snr_ecdf_modes_dominate_direct_samplewise():
-    spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,), r_d=(50.0,), radius=(2.0,))
+    results, _ = run_snr_ecdf(spec)
     assert set(results) == {(m, 2.0, 30.0, 50.0) for m in MODES}
     # each ECDF is the sorted float array of its samples
     assert all(v.dtype == float and np.all(v[:-1] <= v[1:]) for v in results.values())
@@ -472,14 +497,16 @@ def test_snr_ecdf_modes_dominate_direct_samplewise():
     assert np.all(irs >= direct - 1e-9)
     assert np.all(ris >= direct - 1e-9)
     assert np.all(ris >= irs - 1e-9)  # tuned profile can only beat a fixed one
-    again, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    again, _ = run_snr_ecdf(spec)
     assert again[("direct", 2.0, 30.0, 50.0)] == pytest.approx(direct)
 
 
 def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
     # a sweep over two radii generates one scene per trial and gives each
     # radius the samples of a sweep at that radius alone
-    spec = make_sweep("snr-ecdf", tiny_config(trials=5), grid=(40.0,))
+    spec = make_sweep(
+        "snr-ecdf", tiny_config(trials=5), grid=(40.0,), r_d=(50.0,), radius=(2.0, 8.0)
+    )
     scenes = []
 
     def counting_scene(*args):
@@ -488,10 +515,10 @@ def test_every_radius_is_scored_on_one_scene_per_trial(monkeypatch):
         return chunk, doors
 
     monkeypatch.setattr(experiments, "draw_chunk", counting_scene)
-    both, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    both, _ = run_snr_ecdf(spec)
     assert len(scenes) == spec.trials
     for radius in (2.0, 8.0):
-        alone, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(radius,))
+        alone, _ = run_snr_ecdf(replace(spec, radius=(radius,)))
         for mode in MODES:
             key = (mode, radius, 40.0, 50.0)
             assert np.array_equal(both[key], alone[key])
@@ -510,9 +537,9 @@ def test_near_field_guard_in_a_worker_names_point_trial_and_radius(monkeypatch):
     # two cores, so the trials run in a real process pool
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
     cfg = SimConfig(f_ghz=0.1, m_elements=2, n_elements=2, trials=4, threads=2)
-    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,), r_d=(50.0,))
     with pytest.raises(ValueError) as info:
-        run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+        run_snr_ecdf(spec)
     assert re.match(
         r"^snr-ecdf rho=40 r_d=50, trial [0-3]: radius=[28]: antenna-element distance "
         r".* violates the 10.0 wavelength model guard$",
@@ -533,9 +560,7 @@ def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
     monkeypatch.setattr(experiments, "cascaded_channels", no_cascade)
     cfg = tiny_config(trials=6)
     results, records = run_snr_ecdf(
-        make_sweep("snr-ecdf", cfg, grid=(0.0,)),
-        r_d_values=(50.0, 100.0),
-        radius_values=(2.0,),
+        make_sweep("snr-ecdf", cfg, grid=(0.0,), r_d=(50.0, 100.0), radius=(2.0,))
     )
     assert calls == []
     assert all(not record["cascade_ranks"] for record in records.values())
@@ -567,10 +592,8 @@ def test_fixed_profile_serves_a_strip_door_nearly_as_well_as_the_tuned_one(radiu
 
     door = door_center(relay, "left", cfg.door_center_height_m)
     pose = door_pose(door, "left", cfg.n_elements, cfg.element_spacing_m)
-    geom = build_cirs_geometry(
-        cfg.m_elements, cfg.n_elements, radius,
-        cfg.element_spacing_m, cfg.element_spacing_m, pose,
-    )
+    d = cfg.element_spacing_m
+    geom = replace(build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d), pose=pose)
     p_t, p_r = scen.p_t, scen.p_r
     f = steering_vector(cfg.k_antennas, azimuth(p_t, door))
     w = steering_vector(cfg.k_antennas, azimuth(door, p_r))
@@ -611,7 +634,8 @@ def test_factored_cascade_scores_seeded_full_size_doors(monkeypatch):
             w = steering_vector(k, azimuth(door, p_r))
             phases = tuple(rng.uniform(0.0, 2.0 * math.pi, 2))
             for radius in (2.0, 8.0):
-                geom = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d, pose)
+                layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d)
+                geom = replace(layout, pose=pose)
                 calls.clear()
                 left, right = cascaded_channels(
                     geom, p_t, p_r, k, lam, f, w, cfg.q_pattern, phases
@@ -640,7 +664,7 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
     # SKELETON_START_COLUMNS for these low-rank doors, and a process pool
     # sums to the same counts
     cfg = tiny_config(m_elements=64, n_elements=64, cascade_amp_scale=39.0625, trials=4)
-    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,), r_d=(50.0,), radius=(2.0, 8.0))
     calls = Counter()
     cascade = experiments.cascaded_channels
 
@@ -649,7 +673,7 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
         return cascade(geometry, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "cascaded_channels", counting)
-    _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    _, records = run_snr_ecdf(spec)
     assert list(records) == [(40.0, 50.0)]
     ranks = records[(40.0, 50.0)]["cascade_ranks"]
     assert {radius for radius, _ in ranks} == {2.0, 8.0}
@@ -660,8 +684,7 @@ def test_cascade_ranks_are_counted_per_door_and_summed_over_workers(monkeypatch)
 
     monkeypatch.setattr(experiments, "cascaded_channels", cascade)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
-    _, again = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0, 8.0))
+    _, again = run_snr_ecdf(replace(spec, config=cfg.replace(threads=2)))
     assert again[(40.0, 50.0)]["cascade_ranks"] == ranks
 
 
@@ -787,8 +810,8 @@ def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
     cfg = tiny_config(trials=5, max_candidates=2, seed=4)
     crowded = cfg.replace(road_length_m=120.0, n_lanes=1)
     for config, rhos in ((cfg, (10.0, 40.0)), (crowded, (400.0,))):
-        spec = make_sweep("snr-ecdf", config, grid=rhos)
-        _, records = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+        spec = make_sweep("snr-ecdf", config, grid=rhos, r_d=(50.0,), radius=(2.0,))
+        _, records = run_snr_ecdf(spec)
         assert list(records) == [(rho, 50.0) for rho in rhos]
         for (rho, r_d), record in records.items():
             want = reference_snr_counts(config, rho, r_d)
@@ -804,12 +827,11 @@ def test_snr_door_counts_match_the_per_trial_reference(monkeypatch):
     assert telemetry["dropped"] > 0 and telemetry["ris_candidates"]["max"] == 0
 
     # a process pool returns the same records, in trial order
-    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,))
-    _, seq = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    spec = make_sweep("snr-ecdf", cfg, grid=(40.0,), r_d=(50.0,), radius=(2.0,))
+    _, seq = run_snr_ecdf(spec)
     assert sidecar_telemetry(seq[(40.0, 50.0)], 2)["ris_truncated"] > 0
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    pooled = make_sweep("snr-ecdf", cfg.replace(threads=2), grid=(40.0,))
-    _, records = run_snr_ecdf(pooled, r_d_values=(50.0,), radius_values=(2.0,))
+    _, records = run_snr_ecdf(replace(spec, config=cfg.replace(threads=2)))
     assert listed(records[(40.0, 50.0)]) == listed(seq[(40.0, 50.0)])
 
 
@@ -874,8 +896,8 @@ def test_merged_chunk_records_equal_the_record_of_the_whole_run(
 
 
 def test_snr_summary_reports_medians_with_intervals():
-    spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,))
-    results, _ = run_snr_ecdf(spec, r_d_values=(50.0,), radius_values=(2.0,))
+    spec = make_sweep("snr-ecdf", tiny_config(), grid=(30.0,), r_d=(50.0,), radius=(2.0,))
+    results, _ = run_snr_ecdf(spec)
     rows = snr_summary(results, seed=spec.config.seed)
     assert len(rows) == len(results)
     for row in rows:

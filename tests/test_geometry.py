@@ -1,6 +1,7 @@
 """Surface geometry, frames, road primitives."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,7 +122,7 @@ def test_local_frame_aligns_door_normal_with_broadside():
     # by its arc angle: theta = 0, phi = pi/2 - psi_m
     for side in ("right", "left"):
         pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side=side)
-        geom = build_cirs_geometry(8, 2, 2.0, 0.3, 0.1, pose)
+        geom = replace(build_cirs_geometry(8, 2, 2.0, 0.3, 0.1), pose=pose)
         for m in (-2, 0, 3):
             local = pose_local_angles(pose, geom.normals[m + 4])
             assert local.theta == pytest.approx(0.0, abs=1e-9)

@@ -1,6 +1,7 @@
 """Steering toward positions, beam selection, and the SNR budget."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_mismatched_beam_vectors_are_rejected():
     # the cascade is where beams meet the channel: f and w need K entries each
     lam = 299_792_458.0 / 28e9
     pose = DoorPose(position=vec3(0.0, 0.0, 0.9), side="right")
-    geom = build_cirs_geometry(4, 2, 2.0, lam / 4, lam / 4, pose)
+    geom = replace(build_cirs_geometry(4, 2, 2.0, lam / 4, lam / 4), pose=pose)
     p_t, p_r = vec3(10.0, 10.0, 1.5), vec3(8.0, 15.0, 1.5)
     f = steering_vector(K, 0.1)
     cascaded_channels(geom, p_t, p_r, K, lam, f, f)

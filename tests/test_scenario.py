@@ -1,5 +1,7 @@
 """Traffic generation, plan-view blockage, and relay door gating."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -364,7 +366,8 @@ def test_door_pose_centers_the_surface_on_the_vehicle():
             pose = door_pose(door, side, n_elements, spacing)
             assert pose.side == side
             for radius in (2.0, 1e9):
-                geom = build_cirs_geometry(4, n_elements, radius, spacing, spacing, pose)
+                layout = build_cirs_geometry(4, n_elements, radius, spacing, spacing)
+                geom = replace(layout, pose=pose)
                 centroid = element_positions(geom).mean(axis=0)
                 assert centroid[1] == pytest.approx(door[1], abs=1e-9)
                 if radius > 2.0:

@@ -1,10 +1,12 @@
-"""Seeded CLI runs write the same bytes as before the SNR sweep was simplified.
+"""Seeded CLI runs of every subcommand write the bytes they wrote when recorded.
 
 Each run goes through ``cli.main`` in-process.  Every CSV it writes, and
 every sidecar with its ``provenance`` removed (the git revision and the
 versions differ between checkouts), is hashed with SHA-256 and compared
-against the digests recorded at commit 7f83bb9.  The float bits hold on the
-numpy they were recorded with only, so on any other numpy the test skips.
+against the recorded digests: those of the blockage, SNR, angle-pdf and
+scenario runs at commit 7f83bb9, those of the gain and dump runs at
+ec4f5bf.  The float bits hold on the numpy they were recorded with only,
+so on any other numpy the test skips.
 """
 
 import hashlib
@@ -31,6 +33,11 @@ RUNS = {
     ],
     "angle-pdf": ["angle-pdf", "--trials", "200", "--seed", "4"],
     "scenario-dump": ["scenario-dump", "--rho", "40", "--seed", "7"],
+    "gain-elevation": ["gain-elevation"],
+    "gain-azimuth": ["gain-azimuth", "--thetabar-deg", "60"],
+    "gain-frequency": ["gain-frequency"],
+    "geometry-dump": ["geometry-dump", "--set", "m_elements=16", "--set", "n_elements=8"],
+    "phase-dump": ["phase-dump", "--set", "m_elements=16", "--set", "n_elements=8"],
 }
 
 DIGESTS = {
@@ -153,6 +160,36 @@ DIGESTS = {
             "610f1a6254bdc84f53d19b20b2cbc4614219842745656c48d1d302e418e0f3e1",
         "scenario.json":
             "8b9d73f842327cf87c16102a988e62039998adaeba1fa8d5cc22cb8e4fb33918",
+    },
+    "gain-elevation": {
+        "gain_elevation.csv":
+            "d715f4ea7275fd42f71f5fb26a51d1fee96c00ed38e457ce7f5888883b367d81",
+        "gain_elevation.json":
+            "da818fe41aaa0d4177082bd0feba0e56f367ffe355ca892264baddd4ce2ce791",
+    },
+    "gain-azimuth": {
+        "gain_azimuth.csv":
+            "b36955a0073ffcb55070af9393b371696813e7d772db35b8f4627325440124c7",
+        "gain_azimuth.json":
+            "f5a4df51183d8ad6908e76fa7ec5b6ea7a056367c6f1d34fab8715254b8bdbcf",
+    },
+    "gain-frequency": {
+        "gain_frequency.csv":
+            "5badbc9586a230662b981c646f13aa3742fa8d7e4de3672549cfc072acd4176c",
+        "gain_frequency.json":
+            "36421a83320be4cd4703e47a07913e30a58e027a8bc64db84211c14db5e232d1",
+    },
+    "geometry-dump": {
+        "geometry.csv":
+            "40e9814eac068e8c8deef21d381c7622f7385062195b23240d1d41b527f4c244",
+        "geometry.json":
+            "ad586d144fc5643240640686303a6f16e637641766c5a2ce7e46aab9898b5c9f",
+    },
+    "phase-dump": {
+        "phase_profile.csv":
+            "44d06ab435e4aec8d6f8666e26c3f2f34734529705f14d0d14bdd251651b6848",
+        "phase_profile.json":
+            "324f38ba64570be34b6b3e605b5919f166d59441936afd4191e882df9dd8bfd1",
     },
 }
 
