@@ -82,6 +82,10 @@ _AXES = {
     "blockage": ("rho", "r_d"), "snr-ecdf": ("rho", "r_d", "radius"), "angle-pdf": ("rho", "r_d"),
 }
 
+# the most trials a Monte-Carlo chunk draws, gates and scores together, so
+# each numpy call of those passes serves this many trials
+SCENE_CHUNK = 25
+
 # the drop below the peak (dB) at which ``gain_width_deg`` measures a width,
 # the normal quantile of the 95 % Wilson intervals, and the resamples and
 # two-sided miss rate of ``bootstrap_median_ci``
@@ -162,22 +166,6 @@ def trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, trial]))
 
 
-def _run_trial(worker, point: str, trials: range) -> dict:
-    """worker(trials), re-raising a failure as a ValueError naming point and trial.
-
-    A chunk of several trials that raises runs again one trial at a time, so
-    the error names, and chains from, the first trial that fails on its own
-    (the chunk's first trial, with the chunk's error, if none does).
-    """
-    try:
-        return worker(trials)
-    except Exception as exc:
-        if len(trials) > 1:
-            for one in trials:
-                _run_trial(worker, point, range(one, one + 1))
-        raise ValueError(f"{point}, trial {trials[0]}: {exc}") from exc
-
-
 def merge_records(records: list[dict]) -> dict:
     """One record from the records of consecutive runs of trials: each
     column concatenated in order, each Counter summed."""
@@ -189,30 +177,65 @@ def merge_records(records: list[dict]) -> dict:
     }
 
 
-def _map_trials(spec: SweepSpec, worker, chunk: int = 1) -> dict[tuple[float, float], dict]:
+def _run_chunk(
+    kind: str, config: SimConfig, score, rho: float, r_d: float, trials: range
+) -> dict:
+    """Record of a chunk of consecutive ``trials`` at (rho, r_d).
+
+    Each trial draws its scene from its own substream, as a one-trial sweep
+    would, and the chunk's scenes are gated together (``draw_chunk``).  The
+    record is ``score(scenes, doors, rngs)``, where each generator has drawn
+    its scene only, plus the columns every sidecar reads: per trial the
+    ``dropped`` placements and the doors each mode gated, ``irs_doors`` and
+    ``ris_doors``.  A chunk that raises runs again one trial at a time, so
+    the ValueError, ``"<kind> rho=.. r_d=.., trial t: ..."``, names and
+    chains from the first trial that fails on its own (the chunk's first
+    trial, with the chunk's error, if none does).
+    """
+    try:
+        rngs = [trial_rng(config.seed, t) for t in trials]
+        scenes, doors = draw_chunk(config, rho, r_d, rngs)
+        irs, ris = (
+            np.bincount(doors.scene[mask], minlength=len(rngs)) for mask in (doors.irs, doors.ris)
+        )
+        record = score(scenes, doors, rngs)
+        return {**record, "irs_doors": irs, "ris_doors": ris, "dropped": scenes.dropped}
+    except Exception as exc:
+        if len(trials) > 1:
+            for one in trials:
+                _run_chunk(kind, config, score, rho, r_d, range(one, one + 1))
+        raise ValueError(f"{kind} rho={rho:g} r_d={r_d:g}, trial {trials[0]}: {exc}") from exc
+
+
+def _map_trials(spec: SweepSpec, score) -> dict[tuple[float, float], dict]:
     """The record of all ``spec.trials`` trials at each (rho, r_d) of ``spec.points``.
 
-    ``worker(rho, r_d, trials)`` returns the record of a range of up to
-    ``chunk`` consecutive trials: a dict of named columns, arrays with one
-    row per trial (or per door) in trial order, and named Counters.  Each
-    point's records merge in trial order (``merge_records``) whether the
-    chunks run here or in a process pool, so a point's record is the same
-    whatever the scheduling.  Every point of a sweep shares one pool of at
-    most one worker process per core and per chunk, counting the chunks of
-    every point; each worker is spawned fresh and runs BLAS on one thread
+    Every point's trials run in chunks of consecutive trials, each drawn,
+    gated and scored by ``score(scenes, doors, rngs)`` (``_run_chunk``),
+    which returns a dict of named columns, arrays with one row per trial
+    (or per door) in trial order, and named Counters.  Each point's chunk
+    records merge in trial order (``merge_records``) whether the chunks run
+    here or in a process pool, so a point's record is the same whatever the
+    scheduling.  A chunk holds min(SCENE_CHUNK, ceil(P n / W)) trials, for
+    P points of n trials over W = min(threads, cores) workers, so a short
+    sweep still gives every worker a chunk.  Every point of a sweep shares
+    one pool of W processes, or one per chunk when the chunks of every
+    point are fewer; each is spawned fresh and runs BLAS on one thread
     (``_one_blas_thread``).  A trial that raises aborts the sweep with a
-    ValueError naming the point, as ``"<kind> rho=.. r_d=.."``, and the
-    trial index (``_run_trial``).
+    ValueError naming the point and the trial index.
     """
     grid = spec.points
     n = spec.trials
+    workers = min(spec.config.threads, os.cpu_count() or 1)
+    chunk = min(SCENE_CHUNK, -(-len(grid) * n // workers))
     chunks = [range(t, min(t + chunk, n)) for t in range(0, n, chunk)]
-    workers = [partial(worker, rho, r_d) for rho, r_d in grid for _ in chunks]
-    labels = [f"{spec.kind} rho={rho:g} r_d={r_d:g}" for rho, r_d in grid for _ in chunks]
+    run = partial(_run_chunk, spec.kind, spec.config, score)
+    rhos = [rho for rho, _ in grid for _ in chunks]
+    r_ds = [r_d for _, r_d in grid for _ in chunks]
     trials = chunks * len(grid)
-    processes = min(spec.config.threads, os.cpu_count() or 1, len(trials))
+    processes = min(workers, len(trials))
     if processes <= 1:
-        flat = list(map(_run_trial, workers, labels, trials))
+        flat = list(map(run, rhos, r_ds, trials))
     else:
         # imported here, so that runs without a pool do not pay for loading
         # the process-pool machinery
@@ -223,7 +246,7 @@ def _map_trials(spec: SweepSpec, worker, chunk: int = 1) -> dict[tuple[float, fl
         with _one_blas_thread(), ProcessPoolExecutor(
             max_workers=processes, mp_context=get_context("spawn")
         ) as pool:
-            flat = list(pool.map(_run_trial, workers, labels, trials, chunksize=chunksize))
+            flat = list(pool.map(run, rhos, r_ds, trials, chunksize=chunksize))
     k = len(chunks)
     return {point: merge_records(flat[i * k : (i + 1) * k]) for i, point in enumerate(grid)}
 
@@ -449,37 +472,20 @@ def wilson_interval(successes: int, trials: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-# trials a blockage or angle-pdf worker draws, gates and blockage-tests as
-# one chunk of scenes, so each numpy call of those passes serves this many
-# trials
-SCENE_CHUNK = 25
-
-
-def _blockage_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> dict:
-    """Record of ``trials``: per trial, the (direct, with_irs, with_ris)
-    ``blocked`` flags, the gated ``irs_doors`` and ``ris_doors``, and the
-    ``dropped`` placements.
-
-    Each trial draws its scene from its own substream, as a one-trial sweep
-    would; the chunk's scenes are then gated and blockage-tested together
-    (``draw_chunk``) and reduced to mode flags (``blocked_modes``).
-    """
-    rngs = [trial_rng(config.seed, t) for t in trials]
-    scenes, doors = draw_chunk(config, rho, r_d, rngs)
-    flags, candidates = blocked_modes(doors)
-    irs, ris = candidates.T
-    return {"blocked": flags, "irs_doors": irs, "ris_doors": ris, "dropped": scenes.dropped}
+def _blockage_scores(scenes: Scenes, doors: Doors, rngs) -> dict:
+    """Each trial's (direct, with_irs, with_ris) ``blocked`` flags (``blocked_modes``)."""
+    return {"blocked": blocked_modes(doors)}
 
 
 def run_blockage_sweep(spec: SweepSpec) -> tuple[list[dict], dict[tuple[float, float], dict]]:
     """Blockage probability per (rho, r_d, mode) with Wilson 95% intervals,
-    and the record of each (rho, r_d) (see ``_blockage_chunk``).
+    and the record of each (rho, r_d) (see ``_blockage_scores`` and
+    ``_run_chunk``).
 
     Every trial's scene is gated, whether or not its direct ray is blocked.
     """
     rows = []
-    worker = partial(_blockage_chunk, spec.config)
-    records = _map_trials(spec, worker, SCENE_CHUNK)
+    records = _map_trials(spec, _blockage_scores)
     for (rho, r_d), record in records.items():
         for mode, blocked in zip(MODES, record["blocked"].sum(axis=0).tolist()):
             lo, hi = wilson_interval(blocked, spec.trials)
@@ -526,119 +532,114 @@ def _ranked_candidates(doors: Doors, mask: np.ndarray, cap: int) -> np.ndarray:
     return picked[order[:cap]]
 
 
-def _snr_trial(config: SimConfig, surfaces, rho: float, r_d: float, trials: range) -> dict:
-    """Record of a one-trial range: the trial's (1, R, 3) ``snr_db``, the
+def _snr_scores(config: SimConfig, surfaces, scenes: Scenes, doors: Doors, rngs) -> dict:
+    """Scores of a chunk of SNR trials: ``snr_db``, each trial's (R, 3)
     (direct, with_irs, with_ris) SNRs in dB on each of the R ``surfaces``;
-    its scene's gated ``irs_doors`` and ``ris_doors`` and ``dropped``
-    placements; ``cascade_ranks``, its door cascades counted per (radius,
-    numerical rank, "exact" for a whole surface); and ``winners``, the beam
-    pair each relayed mode picked, counted per (radius, mode, label).
+    ``cascade_ranks``, the door cascades counted per (radius, numerical
+    rank, "exact" for a whole surface); and ``winners``, the beam pair each
+    relayed mode picked, counted per (radius, mode, label).
 
-    The trial draws its scene and every draw once: the direct link, then
-    each ranked door's leg phases (xi_t, xi_r) and blockage, door by door in
-    (row, side) order.  It scores each door once per (layout, fixed profile)
-    of ``surfaces`` into one table, ``amps[radius, mode][door]``, under the
-    profile of each mode that ranked it (fixed for irs, tuned for ris).  The
-    direct column is thus equal across radii, and the modes share every
-    draw, so their gaps reflect the relaying strategy, not sampling noise.
-    Door c only ever meets its own beam pair (f_c, w_c): its amplitude is
-    w_c^H H_d f_c + sum(phi * a * b) with the beamformed segments
-    a = H_tc f_c and b = w_c^H H_cr, whose product both profiles score from
-    the one factorisation ``cascaded_channels`` returns.  Each mode then
-    takes ``best_snr`` over the direct amplitude and its doors in their
+    Trial s scores scene s with ``rngs[s]``, which goes on from its scene's
+    draws: the direct link, then each ranked door's leg phases (xi_t, xi_r)
+    and blockage, door by door in (row, side) order.  It scores each door
+    once per (layout, fixed profile) of ``surfaces`` into one table,
+    ``amps[radius, mode][door]``, under the profile of each mode that ranked
+    it (fixed for irs, tuned for ris).  The direct column is thus equal
+    across radii, and the modes share every draw, so their gaps reflect the
+    relaying strategy, not sampling noise.  Door c only ever meets its own
+    beam pair (f_c, w_c): its amplitude is w_c^H H_d f_c + sum(phi * a * b)
+    with the beamformed segments a = H_tc f_c and b = w_c^H H_cr, whose
+    product both profiles score from the one factorisation
+    ``cascaded_channels`` returns.  Each mode then takes ``best_snr`` over
+    the direct amplitude and the scene's doors in their
     ``_ranked_candidates`` order, so the winner's index is its label: "1"
     for the smallest r_t r_r, "direct" for index 0.
     """
-    [trial] = trials
-    rng = trial_rng(config.seed, trial)
-    scenes, doors = draw_chunk(config, rho, r_d, [rng])
-    [(p_t, p_r)] = scenes.ends
     lam = config.wavelength_m
     k = config.k_antennas
-
-    ranked = {
-        mode: _ranked_candidates(doors, getattr(doors, mode), config.max_candidates).tolist()
-        for mode in ("irs", "ris")
-    }
-
-    loss_db = sample_direct_pathloss(
-        float(np.linalg.norm(p_r - p_t)),
-        config.f_ghz,
-        int(doors.direct[0]),
-        rng,
-        sigma_shadow_db=config.sigma_shadow_db,
-        block_mu1_db=config.block_mu1_db,
-        block_step_db=config.block_step_db,
-        block_sigma_db=config.block_sigma_db,
-    )
-    xi = rng.uniform(0.0, TWO_PI)
-    h_d = direct_channel(p_t, p_r, k, loss_db, xi, config.q_pattern)
-    # the direct beams steer along the TxV->RxV ray on both ends
-    beam_d = steering_vector(k, azimuth(p_t, p_r))
-    amp_direct = beam_amplitude(h_d, beam_d, beam_d)
-
-    amps = {(layout.radius, mode): {} for layout, _ in surfaces for mode in ranked}
-    ranks = Counter()
-    # one set of draws per distinct door, in a fixed (row, side) order so the
-    # RNG stream is identical for every mode and every radius
-    for relay in sorted({*ranked["irs"], *ranked["ris"]}):
-        door, side = doors.points[relay], SIDES[doors.side[relay]]
-        b_t, b_r = doors.legs[relay]
-        phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
-        att_t = sample_blockage_db(
-            b_t, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
-        )
-        att_r = sample_blockage_db(
-            b_r, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
-        )
-        blockage = 10.0 ** (-att_t / 20.0) * 10.0 ** (-att_r / 20.0)
-        # the TxV steers toward the door, the RxV along the door-to-RxV ray
-        f = steering_vector(k, azimuth(p_t, door))
-        w = steering_vector(k, azimuth(door, p_r))
-        via_direct = beam_amplitude(h_d, f, w)
-        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
-        # the tuned profile steers the door-frame TxV -> door -> RxV pair
-        ang_t = pose_local_angles(pose, p_t - door)
-        ang_r = pose_local_angles(pose, p_r - door)
-        for layout, fixed in surfaces:
-            geom = replace(layout, pose=pose)
-            try:
-                left, right = cascaded_channels(
-                    geom, p_t, p_r, k, lam, f, w, config.q_pattern, phases,
-                    amp_scale=config.cascade_amp_scale,
-                )
-            except ValueError as exc:
-                raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
-            rank = left.shape[1]
-            exact = rank == min(layout.m_count, layout.n_count)
-            ranks[layout.radius, "exact" if exact else str(rank)] += 1
-            for mode, relays in ranked.items():
-                if relay in relays:
-                    profile = fixed if mode == "irs" else optimal_phase(geom, ang_t, ang_r, lam)
-                    amp = via_direct + blockage * profile.weighted_sum(left, right)
-                    amps[layout.radius, mode][relay] = amp
 
     def snr(amplitudes) -> tuple[float, int]:
         return best_snr(amplitudes, config.tx_power_dbm, config.noise_power_dbm, k)
 
-    direct, _ = snr([amp_direct])
-    snrs, winners = [], Counter()
-    for layout, _ in surfaces:
-        row = [direct]
-        for mode, relays in ranked.items():
-            scored = amps[layout.radius, mode]
-            snr_db, winner = snr([amp_direct, *(scored[relay] for relay in relays)])
-            winners[layout.radius, mode, str(winner) if winner else "direct"] += 1
-            row.append(snr_db)
-        snrs.append(row)
-    return {
-        "snr_db": np.array([snrs]),
-        "irs_doors": np.array([doors.irs.sum()]),
-        "ris_doors": np.array([doors.ris.sum()]),
-        "dropped": scenes.dropped,
-        "cascade_ranks": ranks,
-        "winners": winners,
-    }
+    snrs, ranks, winners = [], Counter(), Counter()
+    for s, (rng, (p_t, p_r)) in enumerate(zip(rngs, scenes.ends)):
+        ranked = {
+            mode: _ranked_candidates(
+                doors, getattr(doors, mode) & (doors.scene == s), config.max_candidates
+            ).tolist()
+            for mode in ("irs", "ris")
+        }
+
+        loss_db = sample_direct_pathloss(
+            float(np.linalg.norm(p_r - p_t)),
+            config.f_ghz,
+            int(doors.direct[s]),
+            rng,
+            sigma_shadow_db=config.sigma_shadow_db,
+            block_mu1_db=config.block_mu1_db,
+            block_step_db=config.block_step_db,
+            block_sigma_db=config.block_sigma_db,
+        )
+        xi = rng.uniform(0.0, TWO_PI)
+        h_d = direct_channel(p_t, p_r, k, loss_db, xi, config.q_pattern)
+        # the direct beams steer along the TxV->RxV ray on both ends
+        beam_d = steering_vector(k, azimuth(p_t, p_r))
+        amp_direct = beam_amplitude(h_d, beam_d, beam_d)
+
+        amps = {(layout.radius, mode): {} for layout, _ in surfaces for mode in ranked}
+        # one set of draws per distinct door, in a fixed (row, side) order so
+        # the RNG stream is identical for every mode and every radius
+        for relay in sorted({*ranked["irs"], *ranked["ris"]}):
+            door, side = doors.points[relay], SIDES[doors.side[relay]]
+            b_t, b_r = doors.legs[relay]
+            phases = (rng.uniform(0.0, TWO_PI), rng.uniform(0.0, TWO_PI))
+            att_t = sample_blockage_db(
+                b_t, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
+            )
+            att_r = sample_blockage_db(
+                b_r, rng, config.block_mu1_db, config.block_step_db, config.block_sigma_db
+            )
+            blockage = 10.0 ** (-att_t / 20.0) * 10.0 ** (-att_r / 20.0)
+            # the TxV steers toward the door, the RxV along the door-to-RxV ray
+            f = steering_vector(k, azimuth(p_t, door))
+            w = steering_vector(k, azimuth(door, p_r))
+            via_direct = beam_amplitude(h_d, f, w)
+            pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
+            # the tuned profile steers the door-frame TxV -> door -> RxV pair
+            ang_t = pose_local_angles(pose, p_t - door)
+            ang_r = pose_local_angles(pose, p_r - door)
+            for layout, fixed in surfaces:
+                geom = replace(layout, pose=pose)
+                try:
+                    left, right = cascaded_channels(
+                        geom, p_t, p_r, k, lam, f, w, config.q_pattern, phases,
+                        amp_scale=config.cascade_amp_scale,
+                    )
+                except ValueError as exc:
+                    raise ValueError(f"radius={layout.radius:g}: {exc}") from exc
+                rank = left.shape[1]
+                exact = rank == min(layout.m_count, layout.n_count)
+                ranks[layout.radius, "exact" if exact else str(rank)] += 1
+                for mode, relays in ranked.items():
+                    if relay in relays:
+                        profile = (
+                            fixed if mode == "irs" else optimal_phase(geom, ang_t, ang_r, lam)
+                        )
+                        amp = via_direct + blockage * profile.weighted_sum(left, right)
+                        amps[layout.radius, mode][relay] = amp
+
+        direct, _ = snr([amp_direct])
+        rows = []
+        for layout, _ in surfaces:
+            row = [direct]
+            for mode, relays in ranked.items():
+                scored = amps[layout.radius, mode]
+                snr_db, winner = snr([amp_direct, *(scored[relay] for relay in relays)])
+                winners[layout.radius, mode, str(winner) if winner else "direct"] += 1
+                row.append(snr_db)
+            rows.append(row)
+        snrs.append(rows)
+    return {"snr_db": np.array(snrs), "cascade_ranks": ranks, "winners": winners}
 
 
 def run_snr_ecdf(
@@ -648,7 +649,7 @@ def run_snr_ecdf(
     its per-trial samples, and the record of each (rho, r_d).
 
     Each trial is one scene of a point of ``spec.points`` scored at every
-    radius of ``spec.radius`` (see ``_snr_trial``) on element layouts and
+    radius of ``spec.radius`` (see ``_snr_scores``) on element layouts and
     fixed profiles built once here.  The fixed profile, for (thetabar,
     phibar) -> (-thetabar, phibar), depends on the layout only, so one per
     radius serves every door.
@@ -660,7 +661,7 @@ def run_snr_ecdf(
         layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, float(radius), d, d)
         fixed = preconfigured_phase(layout, cfg.thetabar_rad, cfg.wavelength_m, cfg.phibar_rad)
         surfaces.append((layout, fixed))
-    records = _map_trials(spec, partial(_snr_trial, cfg, surfaces))
+    records = _map_trials(spec, partial(_snr_scores, cfg, surfaces))
     ecdfs = {
         (mode, float(radius), rho, r_d): np.sort(record["snr_db"][:, i, col])
         for (rho, r_d), record in records.items()
@@ -694,15 +695,9 @@ def snr_summary(ecdfs: dict[tuple[str, float, float, float], np.ndarray], seed: 
 # --- incidence-angle statistics ------------------------------------------------
 
 
-def _angle_chunk(config: SimConfig, rho: float, r_d: float, trials: range) -> dict:
-    """Record of the door-frame incidence ``elevation`` and ``azimuth``
-    (deg), one row per RIS door of the scenes of ``trials``, in trial order.
-
-    Each trial draws its scene from its own substream, as a one-trial sweep
-    would; the chunk's scenes are gated together (``draw_chunk``).
-    """
-    rngs = [trial_rng(config.seed, t) for t in trials]
-    scenes, doors = draw_chunk(config, rho, r_d, rngs)
+def _angle_scores(config: SimConfig, scenes: Scenes, doors: Doors, rngs) -> dict:
+    """The door-frame incidence ``elevation`` and ``azimuth`` (deg) of a
+    chunk, one row per RIS door, in trial order."""
     p_t = scenes.ends[doors.scene, 0]
     elev: list[float] = []
     azim: list[float] = []
@@ -722,12 +717,12 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
     Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
     """
-    if len(spec.grid) != 1:
-        grid = ", ".join(f"{rho:g}" for rho in spec.grid)
-        raise ValueError(f"angle-pdf runs at one rho, got the grid ({grid})")
+    for axis, values in (("rho", spec.grid), ("r_d", spec.r_d)):
+        if len(values) != 1:
+            grid = ", ".join(f"{value:g}" for value in values)
+            raise ValueError(f"angle-pdf runs at one {axis}, got the grid ({grid})")
     bin_deg = 1.0
-    worker = partial(_angle_chunk, spec.config)
-    [record] = _map_trials(spec, worker, SCENE_CHUNK).values()
+    [record] = _map_trials(spec, partial(_angle_scores, spec.config)).values()
     elev, azim = record["elevation"], record["azimuth"]
     if elev.size == 0:
         raise ValueError("no relay candidates observed; increase rho or trials")

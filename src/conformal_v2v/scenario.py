@@ -483,25 +483,19 @@ def relay_doors(
     )
 
 
-def blocked_modes(doors: Doors) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each scene's link is blocked under each mode, and its candidates.
+def blocked_modes(doors: Doors) -> np.ndarray:
+    """Whether each scene's link is blocked under each mode.
 
-    Returns the (S, 3) flags (direct, with_irs, with_ris) and the (S, 2)
-    counts of (IRS, RIS) candidate doors of every scene of a chunk gated by
-    ``relay_doors``.  direct: any blocker on the TxV-RxV ray.
-    with_irs / with_ris: the direct ray is blocked AND no door the mode
-    gates has both legs clear; a mode without doors stays blocked.  Every
-    gated door counts here, while SNR trials keep only the max_candidates
-    doors with the smallest r_t * r_r per mode.
+    Returns the (S, 3) flags (direct, with_irs, with_ris) of every scene of
+    a chunk gated by ``relay_doors``.  direct: any blocker on the TxV-RxV
+    ray.  with_irs / with_ris: the direct ray is blocked AND no door the
+    mode gates has both legs clear; a mode without doors stays blocked.
+    Every gated door counts here, while SNR trials keep only the
+    max_candidates doors with the smallest r_t * r_r per mode.
     """
-    n_scenes = len(doors.direct)
     direct = doors.direct > 0
     clear = (doors.legs == 0).all(axis=1)
     flags = np.stack([direct, direct, direct], axis=1)
     for column, mask in ((1, doors.irs), (2, doors.ris)):
         flags[doors.scene[clear & mask], column] = False
-    candidates = np.stack(
-        [np.bincount(doors.scene[m], minlength=n_scenes) for m in (doors.irs, doors.ris)],
-        axis=1,
-    )
-    return flags, candidates
+    return flags

@@ -113,9 +113,9 @@ def test_a_repeated_sweep_value_exits_with_an_error(tmp_path, capsys, command, f
 @pytest.mark.parametrize(
     "argv, worker, message",
     [
-        (["blockage", "--rho", "10", "--rho", "nan", "--threads", "2"], "_blockage_chunk",
+        (["blockage", "--rho", "10", "--rho", "nan", "--threads", "2"], "_blockage_scores",
          "blockage rho=nan r_d=50: rho must be finite and >= 0, got nan"),
-        (["snr-ecdf", "--r-d", "50", "--r-d", "600"], "_snr_trial",
+        (["snr-ecdf", "--r-d", "50", "--r-d", "600"], "_snr_scores",
          "snr-ecdf rho=10 r_d=600: link distance 600.0 m does not fit a 500.0 m road"),
     ],
     ids=["blockage", "snr-ecdf"],

@@ -28,11 +28,13 @@ from conformal_v2v.experiments import (
     MODES,
     SCENE_CHUNK,
     SweepSpec,
-    _blockage_chunk,
+    _angle_scores,
+    _blockage_scores,
     _git_revision,
     _map_trials,
     _ranked_candidates,
-    _snr_trial,
+    _run_chunk,
+    _snr_scores,
     bootstrap_median_ci,
     draw_chunk,
     element_counts_for_area,
@@ -148,38 +150,43 @@ def listed(record: dict) -> dict:
     }
 
 
-def test_process_pool_matches_the_sequential_trial_order():
+def test_process_pool_matches_the_sequential_trial_order(monkeypatch):
     # two points share one pool and come back per point, each merged in
     # trial order from its chunks of trials (the last chunk short)
+    monkeypatch.setattr(experiments, "SCENE_CHUNK", 5)
     cfg = SimConfig().replace(trials=24)
-    worker = partial(_blockage_chunk, cfg)
 
     def swept(threads):
         spec = make_sweep(
             "blockage", cfg.replace(threads=threads), grid=(10.0, 30.0), r_d=(100.0,)
         )
-        records = _map_trials(spec, worker, chunk=5)
+        records = _map_trials(spec, _blockage_scores)
         return {point: listed(record) for point, record in records.items()}
 
     seq = swept(1)
     assert seq == swept(2)
     assert list(seq) == [(10.0, 100.0), (30.0, 100.0)]
     ranges = [range(t, min(t + 5, 24)) for t in range(0, 24, 5)]
-    chunks = [worker(30.0, 100.0, trials) for trials in ranges]
+    chunks = [_run_chunk("blockage", cfg, _blockage_scores, 30.0, 100.0, t) for t in ranges]
     assert seq[(30.0, 100.0)] == listed(merge_records(chunks))
 
 
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def blas_threads_of_process(rho, r_d, trials):
-    """Record of the process id and BLAS thread-count variables each trial
+def blas_threads_of_process(scenes, doors, rngs):
+    """Scores of the process id and BLAS thread-count variables each trial
     runs with."""
     variables = [os.environ.get(name) for name in BLAS_THREAD_VARIABLES]
     return {
-        "pid": np.array([os.getpid()] * len(trials)),
-        "blas": np.array([variables] * len(trials)),
+        "pid": np.array([os.getpid()] * len(rngs)),
+        "blas": np.array([variables] * len(rngs)),
     }
+
+
+def trial_of(rng) -> int:
+    """The trial index a ``trial_rng`` generator was seeded with."""
+    return rng.bit_generator.seed_seq.entropy[1]
 
 
 def test_pool_workers_run_blas_on_one_thread(monkeypatch):
@@ -209,6 +216,9 @@ def test_pool_workers_run_blas_on_one_thread(monkeypatch):
         # eight points fills a pool of two, three points a pool of three
         pytest.param(2, 4, 1, 8, 2, id="2-4-1x8-2"),
         pytest.param(1000, 4, 1, 3, 3, id="1000-4-1x3-3"),
+        # a short one-point run still fills its pool: ten trials on four
+        # workers run in chunks of three
+        pytest.param(4, 4, 10, 1, 4, id="4-4-10-4"),
     ],
 )
 def test_worker_count_is_clamped_to_cores_and_trials(
@@ -239,12 +249,18 @@ def test_worker_count_is_clamped_to_cores_and_trials(
     config = SimConfig(trials=n_trials, threads=threads)
     spec = make_sweep("blockage", config, grid=grid, r_d=(100.0,))
 
-    def worker(rho, r_d, trials):
-        return {"value": np.array([rho + i * i for i in trials])}
+    def score(scenes, doors, rngs):
+        trials = [trial_of(rng) for rng in rngs]
+        return {"trial_vehicles": np.column_stack([trials, np.bincount(scenes.scene)])}
 
-    out = _map_trials(spec, worker)
-    assert {point: record["value"].tolist() for point, record in out.items()} == {
-        (float(k), 100.0): [k + i * i for i in range(n_trials)] for k in range(n_points)
+    def vehicles(rho, trial):
+        scenes, _ = draw_chunk(config, rho, 100.0, [trial_rng(config.seed, trial)])
+        return len(scenes.x)
+
+    out = _map_trials(spec, score)
+    assert {point: record["trial_vehicles"].tolist() for point, record in out.items()} == {
+        (float(k), 100.0): [[t, vehicles(float(k), t)] for t in range(n_trials)]
+        for k in range(n_points)
     }
     assert started == ([] if workers is None else [workers])
 
@@ -252,27 +268,26 @@ def test_worker_count_is_clamped_to_cores_and_trials(
 def test_a_failing_trial_aborts_the_sweep_naming_its_point_and_index(monkeypatch):
     spec = make_sweep("snr-ecdf", SimConfig(trials=5), grid=(10.0,), r_d=(50.0,))
 
-    def worker(rho, r_d, trials):
-        [trial] = trials
-        if trial == 3:
-            raise ValueError("antenna-element distance violates the model guard")
-        return {"trial": np.array([trial])}
-
-    point = r"^snr-ecdf rho=10 r_d=50, trial 3: antenna-element"
-    with pytest.raises(ValueError, match=point) as info:
-        _map_trials(spec, worker)
-    assert isinstance(info.value.__cause__, ValueError)
-    assert "model guard" in str(info.value.__cause__)
-
-    # a chunk that raises names the failing trial, not the chunk
-    def chunk_worker(rho, r_d, trials):
+    def score(scenes, doors, rngs):
+        trials = [trial_of(rng) for rng in rngs]
         if 3 in trials:
             raise ValueError("antenna-element distance violates the model guard")
         return {"trial": np.array(trials)}
 
+    # chunks of one trial
+    monkeypatch.setattr(experiments, "SCENE_CHUNK", 1)
+    point = r"^snr-ecdf rho=10 r_d=50, trial 3: antenna-element"
     with pytest.raises(ValueError, match=point) as info:
-        _map_trials(spec, chunk_worker, chunk=2)
+        _map_trials(spec, score)
+    assert isinstance(info.value.__cause__, ValueError)
     assert "model guard" in str(info.value.__cause__)
+
+    # a chunk that raises names the failing trial, not the chunk
+    monkeypatch.setattr(experiments, "SCENE_CHUNK", 2)
+    with pytest.raises(ValueError, match=point) as info:
+        _map_trials(spec, score)
+    assert "model guard" in str(info.value.__cause__)
+    monkeypatch.setattr(experiments, "SCENE_CHUNK", SCENE_CHUNK)
 
     # trial 2 of the rho = 40 point fails while drawing its scene, inside a
     # chunk of four trials
@@ -545,6 +560,17 @@ def test_near_field_guard_in_a_worker_names_point_trial_and_radius(monkeypatch):
         r".* violates the 10.0 wavelength model guard$",
         str(info.value),
     )
+    # at seed 2 and rho 5 trial 0 relays through no door inside the guard
+    # distance and trial 1 does: the pool's first chunk, trials 0 and 1,
+    # fails and names trial 1
+    spec = make_sweep("snr-ecdf", cfg.replace(seed=2), grid=(5.0,), r_d=(50.0,))
+    with pytest.raises(ValueError) as info:
+        run_snr_ecdf(spec)
+    assert re.match(
+        r"^snr-ecdf rho=5 r_d=50, trial 1: radius=2: antenna-element distance "
+        r".* violates the 10.0 wavelength model guard$",
+        str(info.value),
+    )
 
 
 def test_empty_road_relays_nothing_and_scores_no_door(monkeypatch):
@@ -703,7 +729,10 @@ def test_snr_winners_name_the_beam_pair_each_mode_picked():
     seen = Counter()
     for rho in (10.0, 40.0):
         for trial in range(6):
-            record = _snr_trial(cfg, surfaces, rho, 50.0, range(trial, trial + 1))
+            record = _run_chunk(
+                "snr-ecdf", cfg, partial(_snr_scores, cfg, surfaces), rho, 50.0,
+                range(trial, trial + 1),
+            )
             [snrs] = record["snr_db"]
             assert sum(record["winners"].values()) == 2 * len(radii)
             for (radius, mode, label), count in record["winners"].items():
@@ -758,7 +787,10 @@ def test_a_winner_label_names_the_door_that_won(monkeypatch):
                     doors.points[first], SIDES[doors.side[first]], cfg.n_elements, d
                 )
                 target[:] = [(pose.position.tolist(), pose.side)]
-                record = _snr_trial(cfg, surfaces, rho, 100.0, range(trial, trial + 1))
+                record = _run_chunk(
+                    "snr-ecdf", cfg, partial(_snr_scores, cfg, surfaces), rho, 100.0,
+                    range(trial, trial + 1),
+                )
                 want = {
                     mode: str(doors_of.index(first) + 1) if first in doors_of else "direct"
                     for mode, doors_of in ranked.items()
@@ -855,16 +887,21 @@ def test_merged_chunk_records_equal_the_record_of_the_whole_run(
     data, n_trials, rho, seed, cap
 ):
     # any split of a run's trials into chunks merges to the record of the
-    # concatenated trials, for the blockage worker and for SNR-shaped records
-    # with a Counter; the formatter of the merged record reads its mean, max,
-    # sum, cap counts and ranks straight from the trial columns
+    # concatenated trials, for the blockage and angle-pdf chunks and for
+    # SNR-shaped records with a Counter; the formatter of the merged record
+    # reads its mean, max, sum, cap counts and ranks straight from the trial
+    # columns
     cuts = sorted(data.draw(st.sets(st.integers(1, n_trials))) - {n_trials})
     bounds = [0, *cuts, n_trials]
     ranges = [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
-    blockage = partial(_blockage_chunk, SimConfig(seed=seed), rho, 100.0)
-    merged = merge_records([blockage(trials) for trials in ranges])
-    assert listed(merged) == listed(blockage(range(n_trials)))
+    cfg = SimConfig(seed=seed)
+    for kind, score in (
+        ("blockage", _blockage_scores), ("angle-pdf", partial(_angle_scores, cfg))
+    ):
+        run = partial(_run_chunk, kind, cfg, score, rho, 100.0)
+        merged = merge_records([run(trials) for trials in ranges])
+        assert listed(merged) == listed(run(range(n_trials)))
 
     rows = data.draw(st.lists(TRIAL_ROWS, min_size=n_trials, max_size=n_trials))
 
@@ -893,6 +930,36 @@ def test_merged_chunk_records_equal_the_record_of_the_whole_run(
             "cascade_ranks": dict(labels),
         }
     assert "irs_truncated" not in sidecar_telemetry(merged)
+
+
+@pytest.mark.parametrize("seed, rho", [(9, 40.0), (3, 20.0)])
+def test_a_chunk_scores_each_scene_as_its_own_chunk_would(seed, rho):
+    # six trials drawn and scored as one chunk against each trial drawn as
+    # its own chunk, for every scorer: the chunk's first scene has a clear
+    # direct ray and later ones do not, and the scenes gate different door
+    # counts, so a trial scored with another scene's doors, direct blockers
+    # or generator shows in its columns or Counters
+    cfg = tiny_config(seed=seed)
+    trials = range(6)
+    _, doors = draw_chunk(cfg, rho, 100.0, [trial_rng(seed, t) for t in trials])
+    assert doors.direct[0] == 0 and doors.direct.max() > 0
+    d = cfg.element_spacing_m
+    surfaces = []
+    for radius in (2.0, 8.0):
+        layout = build_cirs_geometry(cfg.m_elements, cfg.n_elements, radius, d, d)
+        surfaces.append((layout, fixed_profile(cfg, layout)))
+    for kind, score in (
+        ("blockage", _blockage_scores),
+        ("angle-pdf", partial(_angle_scores, cfg)),
+        ("snr-ecdf", partial(_snr_scores, cfg, surfaces)),
+    ):
+        run = partial(_run_chunk, kind, cfg, score, rho, 100.0)
+        chunk = run(trials)
+        alone = merge_records([run(range(t, t + 1)) for t in trials])
+        assert listed(chunk) == listed(alone)
+        for mode in ("irs", "ris"):
+            assert len(set(chunk[f"{mode}_doors"].tolist())) > 1
+    assert sum(chunk["winners"].values()) == 2 * 2 * len(trials)
 
 
 def test_snr_summary_reports_medians_with_intervals():
@@ -924,6 +991,12 @@ def test_angle_histograms_integrate_to_one():
 def test_angle_pdf_rejects_a_grid_of_several_rhos():
     spec = make_sweep("angle-pdf", SimConfig().replace(trials=2), grid=(10.0, 40.0))
     with pytest.raises(ValueError, match=r"one rho, got the grid \(10, 40\)"):
+        run_angle_pdf(spec)
+
+
+def test_angle_pdf_rejects_several_link_distances():
+    spec = make_sweep("angle-pdf", SimConfig().replace(trials=2), r_d=(50.0, 100.0))
+    with pytest.raises(ValueError, match=r"one r_d, got the grid \(50, 100\)"):
         run_angle_pdf(spec)
 
 

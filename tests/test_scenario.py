@@ -1,12 +1,14 @@
 """Traffic generation, plan-view blockage, and relay door gating."""
 
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conformal_v2v import experiments
 from conformal_v2v.config import SimConfig
 from conformal_v2v.geometry import RoadConfig, Vehicle, build_cirs_geometry
 from conformal_v2v.scenario import (
@@ -105,8 +107,20 @@ def reference_modes(scenario, door_length_m=1.0, door_center_height=0.9, max_ran
 
 def modes(scenario, **kwargs):
     """``blocked_modes`` flags of a chunk of one scene, as a tuple."""
-    flags, _ = blocked_modes(relay_doors(scenes_of([scenario]), **kwargs))
+    flags = blocked_modes(relay_doors(scenes_of([scenario]), **kwargs))
     return tuple(flags[0].tolist())
+
+
+def blockage_record(chunk, **kwargs):
+    """The blockage sweep's record of a crafted chunk: ``_run_chunk`` with
+    the chunk and its ``relay_doors(chunk, **kwargs)`` gate standing in for
+    the drawn ones."""
+    gate = relay_doors(chunk, **kwargs)
+    trials = range(len(chunk.txv))
+    with mock.patch.object(experiments, "draw_chunk", lambda *args: (chunk, gate)):
+        return experiments._run_chunk(
+            "blockage", SimConfig(), experiments._blockage_scores, 10.0, 100.0, trials
+        )
 
 
 def count_blockers(scenario, doors=(), door_center_height=0.9):
@@ -397,11 +411,12 @@ def test_blocked_modes_on_crafted_scenes():
     distant_relay = Vehicle(x=5.0, y=20.0, lane=3)
     assert modes(scene(blocker, distant_relay)) == (True, True, False)
 
-    # the same scenes as one chunk, with their (IRS, RIS) candidate counts
+    # the same scenes as one chunk, with their IRS and RIS door counts
     chunk = [scene(), scene(blocker), scene(blocker, relay), scene(blocker, distant_relay)]
-    flags, candidates = blocked_modes(relay_doors(scenes_of(chunk)))
-    assert flags.tolist() == [list(modes(s)) for s in chunk]
-    assert candidates.tolist() == [[0, 0], [0, 0], [1, 1], [0, 1]]
+    record = blockage_record(scenes_of(chunk))
+    assert record["blocked"].tolist() == [list(modes(s)) for s in chunk]
+    assert record["irs_doors"].tolist() == [0, 0, 1, 0]
+    assert record["ris_doors"].tolist() == [0, 0, 1, 1]
 
 
 def test_a_blocked_relay_segment_defeats_the_rescue():
@@ -582,11 +597,13 @@ def test_chunk_kernel_matches_the_per_scene_references(crafted, max_range):
     got = _segment_counts(chunk, np.array(seg_scene), np.array(starts), np.array(ends), relay)
     assert got.tolist() == want
 
-    flags, candidates = blocked_modes(relay_doors(chunk, max_range_m=max_range))
-    assert flags.tolist() == [list(reference_modes(s, max_range_m=max_range)) for s in scenes]
-    assert candidates.tolist() == [
-        [len(scalar_candidates_irs(s)), len(scalar_candidates_ris(s, max_range))]
-        for s in scenes
+    record = blockage_record(chunk, max_range_m=max_range)
+    assert record["blocked"].tolist() == [
+        list(reference_modes(s, max_range_m=max_range)) for s in scenes
+    ]
+    assert record["irs_doors"].tolist() == [len(scalar_candidates_irs(s)) for s in scenes]
+    assert record["ris_doors"].tolist() == [
+        len(scalar_candidates_ris(s, max_range)) for s in scenes
     ]
 
     doors = relay_doors(chunk, max_range_m=max_range)
