@@ -3,8 +3,10 @@
 Every subcommand resolves one SimConfig (defaults < JSON file < environment
 < value flags < ``--set``; see ``_resolve``), runs, and writes CSV tables plus
 a JSON sidecar recording the resolved configuration and seed, so any output
-file can be reproduced from its sidecar alone.  A sweep takes its axes from
-its repeatable sweep flags only (``_sweep``).
+file can be reproduced from its sidecar alone.  Each subcommand takes only
+the flags whose config fields or sweep axes it reads (``build_parser``);
+``--set`` reaches every field on every one.  A sweep takes its axes from its
+repeatable sweep flags only (``_sweep``).
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -38,29 +41,48 @@ from .geometry import AnglePair, build_cirs_geometry
 from .phase import optimal_phase, preconfigured_phase
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None, help="JSON config file")
-    parser.add_argument(
-        "--out-dir", type=Path, default=Path("results"), help="output directory"
-    )
-    parser.add_argument("--seed", type=int, default=None, help="master RNG seed")
-    parser.add_argument("--trials", type=int, default=None, help="Monte-Carlo trials")
-    parser.add_argument("--threads", type=int, default=None, help="worker processes")
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="FIELD=VALUE",
-        help="override any config field, e.g. --set radius_m=8; wins over every flag",
-    )
-    parser.add_argument(
-        "--reduced",
+# Every flag of the CLI: label -> (option string, add_argument keywords).
+# Each subcommand takes "config", "out-dir" and "set" plus the labels it
+# lists in ``build_parser``.  A value flag's destination is a config field
+# (``_resolve``), a sweep flag's a sweep axis (``_sweep``).
+_FLAGS = {
+    "config": ("--config", dict(type=Path, default=None, help="JSON config file")),
+    "out-dir": ("--out-dir", dict(type=Path, default=Path("results"), help="output directory")),
+    "set": ("--set", dict(
+        dest="overrides", action="append", default=[], metavar="FIELD=VALUE",
+        help="override any config field, e.g. --set radius_m=8; wins over every flag")),
+    "seed": ("--seed", dict(type=int, default=None, help="master RNG seed")),
+    "trials": ("--trials", dict(type=int, default=None, help="Monte-Carlo trials")),
+    "threads": ("--threads", dict(type=int, default=None, help="worker processes")),
+    "reduced": ("--reduced", dict(
         action="store_true",
-        help="shrink surfaces to 100x100 elements with a x16 amplitude correction, "
-        "for quick looks only: relayed gains come out up to 16.5 dB above the "
-        "full-size surface's at highway relay distances (see README)",
-    )
+        help="shrink surfaces to 100x100 elements with a x16 amplitude correction "
+        "(snr-ecdf, phase-dump and geometry-dump take it), for quick looks only: "
+        "relayed gains come out up to 16.5 dB above the full-size surface's at "
+        "highway relay distances (see README)")),
+    "thetabar-deg": ("--thetabar-deg", dict(
+        type=float, default=None,
+        help="design azimuth for this sweep in degrees (default: the configured "
+        "thetabar_deg; an explicit --set thetabar_deg wins)")),
+    "f-ghz": ("--f-ghz", dict(type=float, action="append", default=[], dest="grid",
+                              metavar="F_GHZ", help="carrier frequency in GHz (repeatable)")),
+    "rho": ("--rho", dict(type=float, default=None,
+                          help="traffic density per lane per km (default: the configured rho)")),
+    "rhos": ("--rho", dict(type=float, action="append", default=[], dest="grid", metavar="RHO",
+                           help="traffic density per lane per km (repeatable)")),
+    "r-d": ("--r-d", dict(type=float, default=None, dest="link_distance_m", metavar="R_D",
+                          help="TxV-RxV distance in m (default: the configured link_distance_m)")),
+    "r-ds": ("--r-d", dict(type=float, action="append", default=[],
+                           help="TxV-RxV distance in m (repeatable)")),
+    "radii": ("--radius", dict(type=float, action="append", default=[],
+                               help="cylinder radius in m (repeatable)")),
+    "profile": ("--profile", dict(choices=("optimal", "perpendicular", "preconfigured"),
+                                  default="preconfigured")),
+    "theta-i": ("--theta-i", dict(type=float, default=0.0, help="degrees")),
+    "phi-i": ("--phi-i", dict(type=float, default=90.0, help="degrees")),
+    "theta-o": ("--theta-o", dict(type=float, default=0.0, help="degrees")),
+    "phi-o": ("--phi-o", dict(type=float, default=90.0, help="degrees")),
+}
 
 
 def _resolve(args: argparse.Namespace) -> SimConfig:
@@ -73,7 +95,7 @@ def _resolve(args: argparse.Namespace) -> SimConfig:
         for name, value in vars(args).items()
         if name in SimConfig.__dataclass_fields__ and value is not None
     }
-    if args.reduced:
+    if getattr(args, "reduced", False):
         overrides.update(m_elements=100, n_elements=100, cascade_amp_scale=16.0)
     for item in args.overrides:
         key, sep, value = item.partition("=")
@@ -196,7 +218,7 @@ def _cmd_snr_ecdf(args) -> int:
 
 def _cmd_angle_pdf(args) -> int:
     config = _resolve(args)
-    rows, stats = run_angle_pdf(_sweep(args, config, "angle-pdf"))
+    rows, stats, record = run_angle_pdf(_sweep(args, config, "angle-pdf"))
     print(
         f"elevation {stats['elevation_mean_deg']:.2f} deg "
         f"(std {stats['elevation_std_deg']:.2f}), "
@@ -206,7 +228,8 @@ def _cmd_angle_pdf(args) -> int:
     )
     _finish(args, config, "angle_pdf.csv",
             ["variable", "bin_left_deg", "bin_right_deg", "density"], rows,
-            {"experiment": "angle-pdf", "stats": stats})
+            {"experiment": "angle-pdf", "stats": stats,
+             "telemetry": sidecar_telemetry(record)})
     return 0
 
 
@@ -282,65 +305,37 @@ def _cmd_geometry_dump(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conformal-v2v",
         description="Conformal reflecting-surface V2V link simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, handler, help_text):
+    for name, handler, labels, help_text in (
+        ("gain-elevation", _cmd_gain_elevation, "",
+         "specular elevation gain sweep: configured, flat, bare"),
+        ("gain-azimuth", _cmd_gain_azimuth, "thetabar-deg",
+         "specular azimuth gain sweep with the fixed profile"),
+        ("gain-frequency", _cmd_gain_frequency, "f-ghz",
+         "elevation gain across carrier frequencies at fixed aperture"),
+        ("blockage", _cmd_blockage, "seed trials threads rhos r-ds",
+         "Monte-Carlo blockage probability vs traffic density"),
+        ("snr-ecdf", _cmd_snr_ecdf, "seed trials threads reduced rhos r-ds radii",
+         "Monte-Carlo SNR ECDFs for direct and relayed links"),
+        ("angle-pdf", _cmd_angle_pdf, "seed trials threads rho",
+         "incidence-angle statistics over candidate relay doors"),
+        ("phase-dump", _cmd_phase_dump, "reduced profile theta-i phi-i theta-o phi-o",
+         "per-element phase profile table"),
+        ("scenario-dump", _cmd_scenario_dump, "seed rho r-d", "one generated traffic scene"),
+        ("geometry-dump", _cmd_geometry_dump, "reduced",
+         "per-element surface coordinates and normals"),
+    ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        for label in ("config", "out-dir", "set", *labels.split()):
+            option, keywords = _FLAGS[label]
+            p.add_argument(option, **keywords)
         p.set_defaults(handler=handler)
-        return p
-
-    add("gain-elevation", _cmd_gain_elevation,
-        "specular elevation gain sweep: configured, flat, bare")
-    p = add("gain-azimuth", _cmd_gain_azimuth,
-            "specular azimuth gain sweep with the fixed profile")
-    p.add_argument("--thetabar-deg", type=float, default=None,
-                   help="design azimuth for this sweep in degrees "
-                        "(default: the configured thetabar_deg; "
-                        "an explicit --set thetabar_deg wins)")
-    p = add("gain-frequency", _cmd_gain_frequency,
-            "elevation gain across carrier frequencies at fixed aperture")
-    p.add_argument("--f-ghz", type=float, action="append", default=[], dest="grid",
-                   metavar="F_GHZ", help="carrier frequency in GHz (repeatable)")
-    p = add("blockage", _cmd_blockage,
-            "Monte-Carlo blockage probability vs traffic density")
-    p.add_argument("--rho", type=float, action="append", default=[], dest="grid",
-                   metavar="RHO", help="traffic density per lane per km (repeatable)")
-    p.add_argument("--r-d", type=float, action="append", default=[],
-                   help="TxV-RxV distance in m (repeatable)")
-    p = add("snr-ecdf", _cmd_snr_ecdf,
-            "Monte-Carlo SNR ECDFs for direct and relayed links")
-    p.add_argument("--rho", type=float, action="append", default=[], dest="grid",
-                   metavar="RHO", help="traffic density per lane per km (repeatable)")
-    p.add_argument("--r-d", type=float, action="append", default=[],
-                   help="TxV-RxV distance in m (repeatable)")
-    p.add_argument("--radius", type=float, action="append", default=[],
-                   help="cylinder radius in m (repeatable)")
-    p = add("angle-pdf", _cmd_angle_pdf,
-            "incidence-angle statistics over candidate relay doors")
-    p.add_argument("--rho", type=float, default=None,
-                   help="traffic density per lane per km (default: the configured rho)")
-    p = add("phase-dump", _cmd_phase_dump, "per-element phase profile table")
-    p.add_argument("--profile",
-                   choices=("optimal", "perpendicular", "preconfigured"),
-                   default="preconfigured")
-    p.add_argument("--theta-i", type=float, default=0.0, help="degrees")
-    p.add_argument("--phi-i", type=float, default=90.0, help="degrees")
-    p.add_argument("--theta-o", type=float, default=0.0, help="degrees")
-    p.add_argument("--phi-o", type=float, default=90.0, help="degrees")
-    p = add("scenario-dump", _cmd_scenario_dump, "one generated traffic scene")
-    p.add_argument("--rho", type=float, default=None,
-                   help="traffic density per lane per km (default: the configured rho)")
-    p.add_argument("--r-d", type=float, default=None, dest="link_distance_m",
-                   metavar="R_D",
-                   help="TxV-RxV distance in m (default: the configured link_distance_m)")
-    add("geometry-dump", _cmd_geometry_dump,
-        "per-element surface coordinates and normals")
     return parser
 
 

@@ -38,7 +38,7 @@ from .channel import (
     steering_vector,
 )
 from .config import SimConfig
-from .geometry import RoadConfig, azimuth, build_cirs_geometry, pose_local_angles
+from .geometry import DoorPose, RoadConfig, azimuth, build_cirs_geometry, pose_local_angles
 from .link import beam_amplitude, best_snr
 from .phase import PhaseProfile, optimal_phase, preconfigured_phase
 from .scenario import (
@@ -695,26 +695,27 @@ def snr_summary(ecdfs: dict[tuple[str, float, float, float], np.ndarray], seed: 
 # --- incidence-angle statistics ------------------------------------------------
 
 
-def _angle_scores(config: SimConfig, scenes: Scenes, doors: Doors, rngs) -> dict:
+def _angle_scores(scenes: Scenes, doors: Doors, rngs) -> dict:
     """The door-frame incidence ``elevation`` and ``azimuth`` (deg) of a
-    chunk, one row per RIS door, in trial order."""
+    chunk, one row per RIS door, in trial order.  The angles depend on the
+    door side's rotation only, so no surface size enters."""
     p_t = scenes.ends[doors.scene, 0]
     elev: list[float] = []
     azim: list[float] = []
     for relay in np.flatnonzero(doors.ris).tolist():
-        door, side = doors.points[relay], SIDES[doors.side[relay]]
-        pose = door_pose(door, side, config.n_elements, config.element_spacing_m)
-        ang = pose_local_angles(pose, p_t[relay] - door)
+        door = doors.points[relay]
+        ang = pose_local_angles(DoorPose(door, SIDES[doors.side[relay]]), p_t[relay] - door)
         elev.append(math.degrees(ang.phi))
         azim.append(math.degrees(ang.theta))
     return {"elevation": np.array(elev), "azimuth": np.array(azim)}
 
 
-def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
+def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float], dict]:
     """Empirical PDFs of candidate-door incidence angles, in 1 deg bins, at
     the one point of the spec (see ``make_sweep``).
 
-    Returns (histogram rows, summary stats).  Rows: variable, bin_left_deg,
+    Returns (histogram rows, summary stats, the point's record; see
+    ``_angle_scores`` and ``_run_chunk``).  Rows: variable, bin_left_deg,
     bin_right_deg, density; densities integrate to one per variable.
     """
     for axis, values in (("rho", spec.grid), ("r_d", spec.r_d)):
@@ -722,7 +723,7 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
             grid = ", ".join(f"{value:g}" for value in values)
             raise ValueError(f"angle-pdf runs at one {axis}, got the grid ({grid})")
     bin_deg = 1.0
-    [record] = _map_trials(spec, partial(_angle_scores, spec.config)).values()
+    [record] = _map_trials(spec, _angle_scores).values()
     elev, azim = record["elevation"], record["azimuth"]
     if elev.size == 0:
         raise ValueError("no relay candidates observed; increase rho or trials")
@@ -751,7 +752,7 @@ def run_angle_pdf(spec: SweepSpec) -> tuple[list[dict], dict[str, float]]:
                     "density": float(dens),
                 }
             )
-    return rows, stats
+    return rows, stats, record
 
 
 # --- table output ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary output directories."""
 
+import argparse
 import csv
 import json
 import math
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from conformal_v2v import experiments
-from conformal_v2v.cli import main
+from conformal_v2v.cli import build_parser, main
 from conformal_v2v.config import SimConfig
-from conformal_v2v.experiments import _git_revision, make_sweep, run_snr_ecdf
+from conformal_v2v.experiments import _git_revision, make_sweep, run_angle_pdf, run_snr_ecdf
 from test_experiments import (
     reference_blockage_sweep,
     reference_door_telemetry,
@@ -136,12 +137,12 @@ def test_a_bad_sweep_point_fails_before_any_trial(
 @pytest.mark.parametrize(
     "base, flag, field, value, other",
     [
-        pytest.param(["geometry-dump", *TINY_SURFACE], ["--seed", "5"], "seed", 5, 6,
-                     id="seed"),
-        pytest.param(["geometry-dump", *TINY_SURFACE], ["--trials", "7"], "trials", 7, 8,
-                     id="trials"),
-        pytest.param(["geometry-dump", *TINY_SURFACE], ["--threads", "2"], "threads", 2, 3,
-                     id="threads"),
+        pytest.param(["scenario-dump"], ["--seed", "5"], "seed", 5, 6, id="seed"),
+        pytest.param(["blockage", "--rho", "10", "--r-d", "50"], ["--trials", "7"],
+                     "trials", 7, 8, id="trials"),
+        # one trial is one chunk, so no worker pool starts
+        pytest.param(["blockage", "--rho", "10", "--r-d", "50", "--trials", "1"],
+                     ["--threads", "2"], "threads", 2, 3, id="threads"),
         pytest.param(["geometry-dump"], ["--reduced"], "m_elements", 100, 50, id="reduced"),
         pytest.param(["gain-azimuth", "--set", "f_ghz=2"], ["--thetabar-deg", "45"],
                      "thetabar_deg", 45.0, 30.0, id="thetabar-deg"),
@@ -166,6 +167,81 @@ def test_a_value_flag_yields_to_a_set_entry_of_its_field(
     assert recorded("flag", *flag) == value
     assert recorded("set", "--set", f"{field}={other}") == other
     assert recorded("both", *flag, "--set", f"{field}={other}") == other
+
+
+REDUCED = {"m_elements": 100, "n_elements": 100, "cascade_amp_scale": 16.0}
+
+
+@pytest.mark.parametrize(
+    "command, dropped, kept, sidecar, fields",
+    [
+        ("gain-elevation", ["--seed", "--trials", "--threads", "--reduced"], None, None, None),
+        ("gain-azimuth", ["--seed", "--trials", "--threads", "--reduced"],
+         ["--thetabar-deg", "45", "--set", "f_ghz=2"], "gain_azimuth.json",
+         {"thetabar_deg": 45.0}),
+        ("gain-frequency", ["--seed", "--trials", "--threads", "--reduced"], None, None, None),
+        ("blockage", ["--reduced"],
+         ["--seed", "5", "--trials", "1", "--threads", "2", "--rho", "10", "--r-d", "50"],
+         "blockage.json", {"seed": 5, "trials": 1, "threads": 2}),
+        ("snr-ecdf", [],
+         ["--seed", "5", "--trials", "1", "--threads", "2", "--reduced",
+          "--rho", "10", "--r-d", "50", "--radius", "2"],
+         "snr_summary.json", {"seed": 5, "trials": 1, "threads": 2, **REDUCED}),
+        ("angle-pdf", ["--reduced"],
+         ["--seed", "5", "--trials", "1", "--threads", "2", "--rho", "40"],
+         "angle_pdf.json", {"seed": 5, "trials": 1, "threads": 2, "rho": 40.0}),
+        ("phase-dump", ["--seed", "--trials", "--threads"], ["--reduced"],
+         "phase_profile.json", REDUCED),
+        ("scenario-dump", ["--trials", "--threads", "--reduced"],
+         ["--seed", "5", "--rho", "25", "--r-d", "60"], "scenario.json",
+         {"seed": 5, "rho": 25.0, "link_distance_m": 60.0}),
+        ("geometry-dump", ["--seed", "--trials", "--threads"], ["--reduced"],
+         "geometry.json", REDUCED),
+    ],
+)
+def test_each_subcommand_takes_only_the_flags_it_reads(
+    tmp_path, capsys, command, dropped, kept, sidecar, fields
+):
+    # a flag a subcommand does not read is a usage error before anything is
+    # written; each value flag it keeps reaches its sidecar (one trial is one
+    # chunk, so --threads 2 starts no worker pool)
+    out = tmp_path / "out"
+    for flag in dropped:
+        value = [] if flag == "--reduced" else ["3"]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--out-dir", str(out), flag, *value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists()
+    if kept is not None:
+        assert main([command, "--out-dir", str(out), *kept]) == 0
+        config = json.loads((out / sidecar).read_text())["config"]
+        assert {field: config[field] for field in fields} == fields
+        assert all(SimConfig.__dataclass_fields__[f].default != v for f, v in fields.items())
+
+
+def test_readme_flag_table_matches_the_parser():
+    # the Configuration section's table lists each subcommand's flags beyond
+    # --config, --out-dir and --set, which every subcommand takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        cells = line.split("|")[1:-1]
+        if len(cells) == 2 and cells[0].strip().startswith("`"):
+            [name] = re.findall(r"`([^`]+)`", cells[0])
+            table[name] = re.findall(r"`([^`]+)`", cells[1])
+    [subparsers] = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    common = ["--config", "--out-dir", "--set"]
+    parsed = {}
+    for name, parser in subparsers.choices.items():
+        options = [o for a in parser._actions for o in a.option_strings if o.startswith("--")]
+        assert [o for o in options if o in common] == common
+        parsed[name] = [o for o in options if o not in (*common, "--help")]
+    assert table == parsed
 
 
 def test_unknown_override_key_mentions_unit_suffixes(tmp_path, capsys):
@@ -437,6 +513,26 @@ def test_angle_pdf_runs_at_the_configured_rho(tmp_path, monkeypatch):
     monkeypatch.setenv("CONFORMAL_V2V_RHO", "40")
     assert run("env") == flag
     assert run("default", "--set", "rho=30")[0] != flag[0]
+
+
+def test_angle_pdf_sidecar_counts_the_doors_of_its_run(tmp_path):
+    # the telemetry is the dropped placements and the doors each mode gated,
+    # counted from the point's record, whose columns are the per-trial
+    # references' counts
+    argv = ["angle-pdf", "--out-dir", str(tmp_path), "--trials", "20", "--seed", "3",
+            "--rho", "40"]
+    assert main(argv) == 0
+    telemetry = json.loads((tmp_path / "angle_pdf.json").read_text())["telemetry"]
+    config = SimConfig(trials=20, seed=3, rho=40.0)
+    *_, record = run_angle_pdf(make_sweep("angle-pdf", config))
+    irs, ris, dropped = (record[name].tolist() for name in ("irs_doors", "ris_doors", "dropped"))
+    assert telemetry == {
+        "dropped": sum(dropped),
+        "irs_candidates": {"mean": sum(irs) / 20, "max": max(irs)},
+        "ris_candidates": {"mean": sum(ris) / 20, "max": max(ris)},
+    }
+    rows = reference_snr_counts(config, 40.0, config.link_distance_m)
+    assert [list(row) for row in zip(irs, ris, dropped)] == rows
 
 
 def test_scenario_dump_records_the_scene_it_drew(tmp_path):

@@ -897,7 +897,7 @@ def test_merged_chunk_records_equal_the_record_of_the_whole_run(
 
     cfg = SimConfig(seed=seed)
     for kind, score in (
-        ("blockage", _blockage_scores), ("angle-pdf", partial(_angle_scores, cfg))
+        ("blockage", _blockage_scores), ("angle-pdf", _angle_scores)
     ):
         run = partial(_run_chunk, kind, cfg, score, rho, 100.0)
         merged = merge_records([run(trials) for trials in ranges])
@@ -950,7 +950,7 @@ def test_a_chunk_scores_each_scene_as_its_own_chunk_would(seed, rho):
         surfaces.append((layout, fixed_profile(cfg, layout)))
     for kind, score in (
         ("blockage", _blockage_scores),
-        ("angle-pdf", partial(_angle_scores, cfg)),
+        ("angle-pdf", _angle_scores),
         ("snr-ecdf", partial(_snr_scores, cfg, surfaces)),
     ):
         run = partial(_run_chunk, kind, cfg, score, rho, 100.0)
@@ -976,7 +976,7 @@ def test_snr_summary_reports_medians_with_intervals():
 def test_angle_histograms_integrate_to_one():
     cfg = SimConfig().replace(trials=60)
     spec = make_sweep("angle-pdf", cfg, grid=(30.0,))
-    rows, stats = run_angle_pdf(spec)
+    rows, stats, _ = run_angle_pdf(spec)
     assert stats["samples"] > 0
     for name in ("elevation", "azimuth"):
         mass = sum(
@@ -1018,7 +1018,7 @@ def test_angle_pdf_matches_the_per_trial_reference_across_chunks():
             ang = pose_local_angles(pose, s.p_t - door)
             elev.append(math.degrees(ang.phi))
             azim.append(math.degrees(ang.theta))
-    _, stats = run_angle_pdf(make_sweep("angle-pdf", cfg))
+    _, stats, _ = run_angle_pdf(make_sweep("angle-pdf", cfg))
     assert stats == {
         "elevation_mean_deg": float(np.mean(elev)),
         "elevation_std_deg": float(np.std(elev)),
@@ -1118,3 +1118,26 @@ def test_ranked_candidates_break_budget_ties_by_row():
         budget = doors.r[:, 0] * doors.r[:, 1]
         assert len(budget) == 2 and budget[0] == budget[1]
         assert doors.row[_ranked_candidates(doors, doors.ris, 2)].tolist() == [2, 3]
+
+
+def test_angle_scores_equal_the_angles_of_a_sized_door_pose():
+    # the door-frame angles read the side's rotation only: the pose of a
+    # surface of any size, centred on its door, gives the same bits for
+    # doors on either side
+    cfg = SimConfig(seed=2)
+    rngs = [trial_rng(cfg.seed, t) for t in range(4)]
+    scenes, doors = draw_chunk(cfg, 40.0, 100.0, rngs)
+    relays = np.flatnonzero(doors.ris).tolist()
+    assert {SIDES[doors.side[i]] for i in relays} == {"left", "right"}
+    record = _angle_scores(scenes, doors, rngs)
+    for n_elements in (16, 400):
+        angles = []
+        for i in relays:
+            door, side = doors.points[i], SIDES[doors.side[i]]
+            pose = door_pose(door, side, n_elements, cfg.element_spacing_m)
+            angles.append(pose_local_angles(pose, scenes.ends[doors.scene[i], 0] - door))
+        for name, values in (
+            ("elevation", [math.degrees(a.phi) for a in angles]),
+            ("azimuth", [math.degrees(a.theta) for a in angles]),
+        ):
+            assert record[name].tobytes() == np.array(values).tobytes()

@@ -5,7 +5,9 @@ every sidecar with its ``provenance`` removed (the git revision and the
 versions differ between checkouts), is hashed with SHA-256 and compared
 against the recorded digests: those of the blockage, SNR, angle-pdf and
 scenario runs at commit 7f83bb9, those of the gain and dump runs at
-ec4f5bf.  The float bits hold on the numpy they were recorded with only,
+ec4f5bf.  ``angle_pdf.json`` was re-recorded when its sidecar gained the
+run's door telemetry; without its ``telemetry`` it hashes as at a5cc676,
+like ``angle_pdf.csv``.  The float bits hold on the numpy they were recorded with only,
 so on any other numpy the test skips.
 """
 
@@ -153,7 +155,7 @@ DIGESTS = {
         "angle_pdf.csv":
             "cd2c81016decc3b67e8f4633bf0d2263e1c2f4e19a57d286ccea4b59626d145d",
         "angle_pdf.json":
-            "0ab7e8471ee1754ce2364d0c81ec573f45bcddae2bb86fb23263d9bae3998452",
+            "7d4b6c3d6bcb2d518eb6161faf1ce97590a0b6db279643fc328119325caaa2f0",
     },
     "scenario-dump": {
         "scenario.csv":
